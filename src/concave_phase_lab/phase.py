@@ -35,6 +35,7 @@ __all__ = [
     "phase_derivative_min",
     "phase_derivative_min_curve",
     "EnvelopeReport",
+    "MAX_ENVELOPE_POINTS",
     "check_kernel_envelope",
     "DerivativeBoundSample",
     "sample_derivative_constants",
@@ -191,6 +192,12 @@ class EnvelopeReport:
     fit: LogLogFit
 
 
+# Largest grid_n**2 that check_kernel_envelope accepts (grid_n <= 1024).  The
+# scan holds grid_n**2 complex kernel values and as many ratios per scale;
+# larger requests are refused before anything is allocated.
+MAX_ENVELOPE_POINTS = 2 ** 20
+
+
 def check_kernel_envelope(variant: str, m: float, alpha: float, q: float,
                           lam_ladder, eps: float = 0.05, kappa: float = 1.0,
                           grid_n: int = 64) -> EnvelopeReport:
@@ -201,7 +208,12 @@ def check_kernel_envelope(variant: str, m: float, alpha: float, q: float,
     per-scale supremum stays bounded, so the fitted slope of the suprema
     against lam should not exceed a small epsilon margin.  Non-finite kernel
     evaluations are excluded from the supremum and counted per scale.
+    Raises ValueError, before any allocation, unless grid_n >= 1 and
+    grid_n**2 <= MAX_ENVELOPE_POINTS.
     """
+    if not (grid_n >= 1 and grid_n ** 2 <= MAX_ENVELOPE_POINTS):
+        raise ValueError(f"grid_n must be >= 1 with grid_n**2 <= "
+                         f"{MAX_ENVELOPE_POINTS} mesh points, got {grid_n}")
     if variant == "vertical":
         make, envelope = EnvelopeParams.vertical, envelope_J_vertical
     elif variant == "curve":

@@ -19,11 +19,30 @@ a meaningful certificate.
 A third entry point, :func:`two_phase_batch`, evaluates whole families of
 integrals whose phases are linear combinations ``P*L(v) + T*S(v)`` of two fixed
 profiles.  Grid scans (kernel grids, time scans in the maximal-function
-experiments) are dominated by such families; bucketing points by total phase
-variation and sharing one Simpson rule per bucket keeps those scans vectorized.
+experiments) are dominated by such families.  It has two routes, chosen from
+the shapes of P and T alone:
+
+* flat -- P and T hold one coefficient pair per integral (same shape, or any
+  broadcast that is not an outer mesh).  Points are sorted by their total
+  phase variation W and grouped into buckets of ``BUCKET`` points that share
+  one composite Simpson rule.
+* mesh -- P and T vary along disjoint axes, e.g. P of shape (r, 1) and T of
+  shape (1, c).  Then ``exp(i*(P*L + T*S))`` factors into a row part and a
+  column part, and every Simpson sum is an entry of the product
+  ``E_row @ (amp_w * E_col).T`` with ``E_row = exp(i*P*L)`` (r x n) and
+  ``E_col = exp(i*T*S)`` (c x n): (r + c)*n complex exponentials instead of
+  r*c*n.  The rule has n nodes sized from the mesh's largest W, exactly as a
+  flat bucket sizes its rule from the bucket's largest W.
+
+Both routes place ``NODES_PER_RADIAN`` nodes per radian of W, clamped to
+[``N_MIN``, ``N_MAX``], and hold their temporaries to ``CHUNK_ELEMS`` elements.
+The mesh contraction is ``np.einsum``, a single-threaded loop with a fixed
+summation order, so its sums do not depend on the BLAS thread count (a BLAS
+``zgemm`` may regroup the sum when it changes how it splits the work).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -274,49 +293,98 @@ def simpson_weights(n: int) -> np.ndarray:
     return w / 3.0
 
 
-def two_phase_batch(P, T, L_of, S_of, amplitude, interval,
-                    nodes_per_radian: float = 12.0, n_min: int = 513,
-                    n_max: int = 2_097_153, bucket: int = 4096,
-                    chunk_elems: int = 2 ** 23) -> np.ndarray:
-    """Vectorized ``I_i = int amp(v) exp(i*(P_i*L(v) + T_i*S(v))) dv``.
+# Rule of the batch route: Simpson nodes per radian of the phase-variation
+# bound W (relative error ~0.008*(W/n)^4, i.e. ~4e-7), the node-count clamp,
+# the points that share one rule on the flat route, and the element budget of
+# one block of temporaries.
+NODES_PER_RADIAN = 12.0
+N_MIN = 513
+N_MAX = 2_097_153
+BUCKET = 4096
+CHUNK_ELEMS = 2 ** 23
 
-    Points are sorted by a total-phase-variation bound W_i and grouped into
-    buckets that share one composite Simpson rule sized at ``nodes_per_radian``
-    nodes per radian of W (relative error ~0.008*(W/n)^4, i.e. ~4e-7 at the
-    default density).  Intended for grid scans; single contract-grade values
-    should use :func:`integrate`.
+
+def _batch_rule(w_max, amplitude, a, b):
+    """Simpson nodes and weighted amplitude sized for phase variation ``w_max``."""
+    n = int(np.ceil(w_max * NODES_PER_RADIAN))
+    n = min(max(n | 1, N_MIN), N_MAX)
+    v = np.linspace(a, b, n)
+    amp_w = np.asarray(amplitude(v), dtype=float) * simpson_weights(n) * ((b - a) / (n - 1))
+    if not np.all(np.isfinite(amp_w)):
+        raise InvalidIntegrandError("amplitude produced non-finite values")
+    return v, amp_w
+
+
+def two_phase_batch(P, T, L_of, S_of, amplitude, interval) -> np.ndarray:
+    """Vectorized ``I = int amp(v) exp(i*(P*L(v) + T*S(v))) dv`` over broadcast P, T.
+
+    P and T must broadcast against each other; the result has their broadcast
+    shape.  Each integral gets a composite Simpson rule with at least
+    ``NODES_PER_RADIAN`` nodes per radian of its phase-variation bound
+    ``W = |P|*span L + |T|*span S`` (relative error ~4e-7), clamped to
+    [``N_MIN``, ``N_MAX``] nodes.  Intended for grid scans; single
+    contract-grade values should use :func:`integrate`.
+
+    When P and T vary along disjoint axes (an outer mesh such as P of shape
+    (r, 1) and T of shape (1, c)), one rule sized from the mesh's largest W
+    serves every point and the sums are the matrix product
+    ``exp(i*P*L) @ (amp_w * exp(i*T*S)).T``, contracted by ``np.einsum`` in
+    blocks of nodes, so the result does not depend on the BLAS thread count.
+    A mesh of at most ``BUCKET`` points gets the node count the flat route
+    would give it.  Any other input is raveled and evaluated flat: points are
+    sorted by W and buckets of ``BUCKET`` points share the rule of their
+    largest W.
 
     L_of and S_of must be monotone profiles on the interval (only their
     endpoint values feed the W bound).
     """
-    P = np.atleast_1d(np.asarray(P, dtype=float))
-    T = np.atleast_1d(np.asarray(T, dtype=float))
-    if P.shape != T.shape:
-        raise ValueError("P and T must have matching shapes")
+    P = np.asarray(P, dtype=float)
+    T = np.asarray(T, dtype=float)
+    try:
+        shape = np.broadcast(P, T).shape
+    except ValueError:
+        raise ValueError(f"P and T must broadcast, got shapes {P.shape} "
+                         f"and {T.shape}") from None
     a, b = float(interval[0]), float(interval[1])
     ends = np.array([a, b])
     spanL = abs(float(L_of(ends)[1] - L_of(ends)[0]))
     spanS = abs(float(S_of(ends)[1] - S_of(ends)[0]))
+    if P.shape != T.shape:
+        if P.size > 1 and T.size > 1 and P.size * T.size == math.prod(shape):
+            return _mesh_batch(P, T, L_of, S_of, amplitude, a, b, spanL, spanS)
+        P, T = np.broadcast_arrays(P, T)
+    P, T = P.ravel(), T.ravel()
     W = np.abs(P) * spanL + np.abs(T) * spanS
     out = np.empty(P.shape, dtype=complex)
     order = np.argsort(W, kind="stable")
     i = 0
     while i < len(order):
-        j = min(len(order), i + bucket)
+        j = min(len(order), i + BUCKET)
         idx = order[i:j]
-        w_max = W[order[j - 1]]
-        n = int(np.ceil(w_max * nodes_per_radian))
-        n = min(max(n | 1, n_min), n_max)
-        v = np.linspace(a, b, n)
-        amp_w = np.asarray(amplitude(v), dtype=float) * simpson_weights(n) * ((b - a) / (n - 1))
-        if not np.all(np.isfinite(amp_w)):
-            raise InvalidIntegrandError("amplitude produced non-finite values")
+        v, amp_w = _batch_rule(W[order[j - 1]], amplitude, a, b)
         L = np.asarray(L_of(v), dtype=float)
         S = np.asarray(S_of(v), dtype=float)
-        rows = max(1, chunk_elems // n)
+        rows = max(1, CHUNK_ELEMS // len(v))
         for k in range(0, len(idx), rows):
             sel = idx[k:k + rows]
             ph = P[sel, None] * L[None, :] + T[sel, None] * S[None, :]
             out[sel] = (np.exp(1j * ph) * amp_w[None, :]).sum(axis=1)
         i = j
+    return out.reshape(shape)
+
+
+def _mesh_batch(P, T, L_of, S_of, amplitude, a, b, spanL, spanS):
+    """Mesh route of :func:`two_phase_batch`: P and T vary on disjoint axes."""
+    w_max = float(np.abs(P).max()) * spanL + float(np.abs(T).max()) * spanS
+    v, amp_w = _batch_rule(w_max, amplitude, a, b)
+    L = np.asarray(L_of(v), dtype=float)
+    S = np.asarray(S_of(v), dtype=float)
+    P, T = P[..., None], T[..., None]
+    block = max(1, CHUNK_ELEMS // (P.size + T.size))
+    out = 0.0
+    for k in range(0, len(v), block):
+        sl = slice(k, k + block)
+        e_row = np.exp(1j * (P * L[sl]))
+        e_col = np.exp(1j * (T * S[sl])) * amp_w[sl]
+        out = out + np.einsum("...n,...n->...", e_row, e_col)
     return out

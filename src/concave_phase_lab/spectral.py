@@ -11,9 +11,9 @@ Every frequency integral here reduces to the fixed band [1/2, 2] by the
 substitution v = scale*xi + shift, after which the phase is a two-term
 combination P*L(v) + T*S(v) of a linear and a concave-power profile.  Single
 contract-grade values go through the adaptive engine; grid scans go through
-the bucketed batch rule.  The raw-variable oracle route (dense Simpson in xi,
-unimodular factors kept inside the amplitude) is retained as an independent
-cross-check.
+the batch rule, whose mesh route evaluates an x-by-t mesh separably.  The
+raw-variable oracle route (dense Simpson in xi, unimodular factors kept
+inside the amplitude) is retained as an independent cross-check.
 """
 from __future__ import annotations
 
@@ -214,22 +214,23 @@ def propagate(datum: FourierDatum, m: float, x: float, t: float,
     raise ValueError(f"unknown method {method!r}")
 
 
-def propagate_grid(datum: FourierDatum, m: float, x, t,
-                   **batch_options) -> np.ndarray:
+def propagate_grid(datum: FourierDatum, m: float, x, t) -> np.ndarray:
     """Propagator values on broadcast arrays of space-time points.
 
-    Same reduction as :func:`propagate` with ``method="adaptive"`` but the
-    band integrals for all points are evaluated together by the bucketed
-    batch rule; keyword options are passed through to it.
+    Same reduction as :func:`propagate` with ``method="adaptive"``, but the
+    band integrals for all points are evaluated together by
+    :func:`two_phase_batch`, and the result has the broadcast shape of x and
+    t.  The shapes pass through unchanged, so an x-by-t mesh (x of shape
+    (r, 1), t of shape (1, c)) takes the batch rule's separable mesh route
+    and paired arrays of one shape take its flat route.
     """
     _check_exponent(datum, m)
-    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     linear, power = datum.band_maps(m)
     values = two_phase_batch(
-        (x + datum.linear_phase).ravel(), (t + datum.fractional_phase).ravel(),
-        linear, power, BUMP, BUMP_SUPPORT, **batch_options)
-    factor = datum.amplitude / (2.0 * np.pi * abs(datum.scale))
-    return factor * values.reshape(x.shape)
+        np.asarray(x, dtype=float) + datum.linear_phase,
+        np.asarray(t, dtype=float) + datum.fractional_phase,
+        linear, power, BUMP, BUMP_SUPPORT)
+    return datum.amplitude / (2.0 * np.pi * abs(datum.scale)) * values
 
 
 def sobolev_norm(datum: FourierDatum, s: float,
@@ -285,13 +286,17 @@ def kernel_K(lam: float, m: float, x: float, t: float,
     return lam * value
 
 
-def kernel_grid(lam: float, m: float, x, t, **batch_options) -> np.ndarray:
-    """Kernel values on broadcast arrays of (x, t) via the batch rule."""
+def kernel_grid(lam: float, m: float, x, t) -> np.ndarray:
+    """Kernel values on broadcast arrays of (x, t) via :func:`two_phase_batch`.
+
+    The result has the broadcast shape of x and t.  An x-by-t mesh (x of
+    shape (r, 1), t of shape (1, c)) takes the batch rule's separable mesh
+    route: (r + c)*n exponentials for an n-node rule instead of r*c*n.
+    """
     if not lam >= 1.0:
         raise ValueError(f"scale must be >= 1, got {lam}")
-    x, t = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(t, dtype=float))
     values = two_phase_batch(
-        lam * x.ravel(), lam ** m * t.ravel(),
+        lam * np.asarray(x, dtype=float), lam ** m * np.asarray(t, dtype=float),
         lambda v: v, lambda v: np.abs(v) ** m,
-        BUMP_SQUARED, BUMP_SUPPORT, **batch_options)
-    return lam * values.reshape(x.shape)
+        BUMP_SQUARED, BUMP_SUPPORT)
+    return lam * values

@@ -1,8 +1,13 @@
 """Configuration handling, pipeline reports, and the command-line front end."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import concave_phase_lab
 from concave_phase_lab.cli import main as cli_main
 from concave_phase_lab.experiments import (PIPELINES, SCHEMA_VERSION, RunConfig,
                                            ScalingExperiment, resolve_config,
@@ -136,6 +141,57 @@ def test_reports_deterministic_across_thread_counts(tmp_path, monkeypatch):
     run_experiment(cfg)
     assert (tmp_path / "bilinear-check.json").read_bytes() == first_json
     assert (tmp_path / "bilinear-check.csv").read_bytes() == first_csv
+
+
+def test_sharpness_vertical_deterministic_across_thread_counts(tmp_path, monkeypatch):
+    cfg = RunConfig.from_mapping({"experiment": "sharpness-vertical",
+                                  "x_cells": "21", "t_base": "129",
+                                  "lam_count": "5", "out_dir": str(tmp_path)})
+    outputs = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("CPL_THREADS", threads)
+        run_experiment(cfg)
+        outputs.append([(tmp_path / f"sharpness-vertical.{ext}").read_bytes()
+                        for ext in ("json", "csv")])
+    assert outputs[0] == outputs[1]
+
+
+def test_kernel_envelope_deterministic_across_blas_threads(tmp_path):
+    # The 64x64 mesh is the smallest tried on which a threaded zgemm
+    # contraction changes report bytes (a 16x16 mesh does not); the out_dir
+    # string is part of the report, so both runs share it.
+    src = str(Path(concave_phase_lab.__file__).resolve().parents[1])
+    base = dict(os.environ)
+    base["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([base["PYTHONPATH"]] if base.get("PYTHONPATH") else []))
+    base.pop("OPENBLAS_NUM_THREADS", None)
+    outputs = []
+    for blas_threads in ("1", None):
+        env = dict(base)
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        subprocess.run([sys.executable, "-m", "concave_phase_lab.cli",
+                        "kernel-envelope", "--grid-n", "64", "--lam-count", "5",
+                        "--out-dir", str(tmp_path)],
+                       env=env, check=True, capture_output=True, timeout=120)
+        outputs.append([(tmp_path / f"kernel-envelope.{ext}").read_bytes()
+                        for ext in ("json", "csv")])
+    assert outputs[0] == outputs[1]
+
+
+def test_cli_refuses_oversized_kernel_envelope(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the oversized scan must not start")
+
+    monkeypatch.setattr("concave_phase_lab.phase.kernel_grid", never)
+    code = cli_main(["kernel-envelope", "--grid-n", "100000",
+                     "--out-dir", str(tmp_path)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["schema_version"] == SCHEMA_VERSION
+    assert record["error"]["type"] == "ValueError"
+    assert "grid_n" in record["error"]["message"]
+    assert not list(tmp_path.iterdir())
 
 
 def test_pipeline_registry_is_complete():

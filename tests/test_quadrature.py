@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from concave_phase_lab import quadrature
 from concave_phase_lab.quadrature import (InvalidIntegrandError, QuadratureSpec,
                                           SmoothFunction1D, ToleranceNotMetError,
                                           integrate, oracle_integrate,
@@ -124,3 +125,38 @@ def test_batch_rule_matches_oracle_across_scales():
         phase = lambda v, i=i: P[i] * v + T[i] * v ** m
         ref = oracle_integrate(BUMP, phase, BAND)
         assert abs(vals[i] - ref) <= 1e-6 * (1.0 + abs(ref))
+
+
+def test_batch_rule_mesh_has_broadcast_shape_and_matches_flat():
+    # <= BUCKET points: the mesh gets the node count of the single flat
+    # bucket, so the two routes differ only by rounding
+    m = 0.5
+    P = np.linspace(-300.0, 300.0, 7)
+    T = np.linspace(0.0, 20.0, 5)
+    flat = two_phase_batch(np.repeat(P, 5), np.tile(T, 7),
+                           lambda v: v, lambda v: v ** m, BUMP, BAND).reshape(7, 5)
+    scale = np.abs(flat).max()
+    for Pm, Tm, layout in ((P[:, None], T[None, :], flat),
+                           (P[:, None], T, flat),
+                           (P[None, :], T[:, None], flat.T)):
+        mesh = two_phase_batch(Pm, Tm, lambda v: v, lambda v: v ** m, BUMP, BAND)
+        assert mesh.shape == layout.shape
+        assert np.abs(mesh - layout).max() <= 1e-12 * scale
+
+
+def test_batch_rule_mesh_blocks_of_nodes_agree(monkeypatch):
+    P = np.linspace(-600.0, 600.0, 7)[:, None]
+    T = np.linspace(0.0, 30.0, 4)[None, :]
+    whole = two_phase_batch(P, T, lambda v: v, lambda v: v ** 0.5, BUMP, BAND)
+    monkeypatch.setattr(quadrature, "CHUNK_ELEMS", 11 * 997)  # blocks of 997 nodes
+    blocks = two_phase_batch(P, T, lambda v: v, lambda v: v ** 0.5, BUMP, BAND)
+    assert np.abs(blocks - whole).max() <= 1e-12 * np.abs(whole).max()
+
+
+def test_batch_rule_rejects_shapes_that_do_not_broadcast():
+    with pytest.raises(ValueError, match="broadcast"):
+        two_phase_batch(np.zeros(3), np.zeros(4), lambda v: v, lambda v: v,
+                        BUMP, BAND)
+    with pytest.raises(ValueError, match="broadcast"):
+        two_phase_batch(np.zeros((3, 1)), np.zeros((2, 4)), lambda v: v,
+                        lambda v: v, BUMP, BAND)

@@ -147,3 +147,35 @@ def test_kernel_grid_matches_kernel():
     for i in range(3):
         ref = kernel_K(64.0, 0.5, xs[i], ts[i])
         assert abs(vals[i] - ref) <= 1e-6 * (1 + abs(ref))
+
+
+def test_kernel_grid_mesh_matches_kernel():
+    xs = np.linspace(-0.9, 0.9, 13)
+    ts = np.linspace(0.0, 1.0, 11)
+    vals = kernel_grid(64.0, 0.5, xs[:, None], ts[None, :])
+    assert vals.shape == (13, 11)
+    for i, j in ((0, 0), (3, 7), (6, 10), (9, 2), (12, 5)):
+        ref = kernel_K(64.0, 0.5, xs[i], ts[j])
+        assert abs(vals[i, j] - ref) <= 1e-6 * (1 + abs(ref))
+
+
+def test_kernel_grid_large_mesh_spot_checks():
+    xs = np.linspace(0.0, 1.0, 80)
+    ts = np.linspace(0.0, 1.0, 70)
+    vals = kernel_grid(256.0, 0.3, xs[:, None], ts[None, :])
+    assert vals.size > 4096
+    for i, j in ((0, 0), (17, 69), (40, 35), (79, 1), (79, 69)):
+        ref = kernel_K(256.0, 0.3, xs[i], ts[j])
+        assert abs(vals[i, j] - ref) <= 1e-6 * (1 + abs(ref))
+
+
+def test_propagate_grid_mesh_matches_propagate():
+    datum = knapp_curve(2.0 ** 5, 0.5, 1.0, 1.0)
+    xs = np.linspace(-0.5, 0.5, 9)
+    ts = np.linspace(0.0, 1.0, 6)
+    vals = propagate_grid(datum, 0.5, xs[:, None], ts[None, :])
+    assert vals.shape == (9, 6)
+    for i in range(len(xs)):
+        for j in range(len(ts)):
+            ref = propagate(datum, 0.5, xs[i], ts[j])
+            assert abs(vals[i, j] - ref) <= 1e-6 * (1.0 + abs(ref))

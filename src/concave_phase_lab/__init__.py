@@ -21,15 +21,14 @@ from .geometry import (AlphaMeasure, CantorSet, Curve, bilinear_form_check,
                        cantor_level, covering_number, curve_eval, frostman_bound,
                        frostman_constant, lipschitz_check, lq_mu_norm,
                        minkowski_dimension)
-from .maximal import GridSpec, maximal_in_time, maximal_over_lines, mixed_norm, ratio_quotient
+from .maximal import GridSpec, maximal_in_time, maximal_over_lines
 from .phase import (EnvelopeParams, check_kernel_envelope, envelope_J_curve,
                     envelope_J_vertical, phase_derivative_min,
                     sample_derivative_constants, split_curve, split_vertical)
 from .quadrature import (InvalidIntegrandError, QuadratureError, QuadratureSpec,
                          SmoothFunction1D, ToleranceNotMetError, integrate,
                          oracle_integrate, two_phase_batch)
-from .spectral import (BUMP, BUMP_SUPPORT, FourierDatum, ReferenceBump,
-                       bump_profile, kernel_K, kernel_grid, propagate,
-                       propagate_grid, sobolev_norm)
+from .spectral import (BUMP, BUMP_SUPPORT, FourierDatum, bump_profile, kernel_K,
+                       kernel_grid, propagate, propagate_grid, sobolev_norm)
 
 __version__ = "0.1.0"

@@ -256,10 +256,35 @@ def _jitter(cfg, reps, edges):
     return lo + rng.random(len(reps)) * (hi - lo)
 
 
-def _grid(cfg, reps, theta_per_component=2):
-    return GridSpec(x_points=tuple(float(v) for v in reps),
-                    t_base=cfg.t_base, refine_depth=cfg.refine_depth,
+def _grid(cfg, theta_per_component=2):
+    return GridSpec(t_base=cfg.t_base, refine_depth=cfg.refine_depth,
                     theta_per_component=theta_per_component)
+
+
+_SUP_COLUMNS = ("lambda", "value", "hs_norm", "ratio")
+
+
+def _sup_ladder(name, params, rungs, rung, measure, q, s, fit_ratio=False):
+    """Run a ladder of grid maxima and fit it.
+
+    ``rung(item)`` gives (lambda, datum, per-cell maxima, cell edges, extra)
+    for each item of ``rungs``.  A rung's value is the mixed norm of its
+    maxima and its hs_norm the datum's Sobolev norm of order s.  Returns the
+    ScalingExperiment of the values (of value/hs_norm when ``fit_ratio``),
+    the log-log slope of hs_norm, the ``_SUP_COLUMNS`` rows and the extras.
+    """
+    points = _map_ordered(rung, rungs)
+    lams = [p[0] for p in points]
+    values = [lq_mu_norm(np.array(p[2]), measure, q, edges=np.array(p[3]))
+              for p in points]
+    hs = [sobolev_norm(p[1], s) for p in points]
+    ratios = [v / h for v, h in zip(values, hs)]
+    exp = ScalingExperiment.from_points(name, params, lams,
+                                        ratios if fit_ratio else values)
+    hs_slope = fit_loglog(np.array(lams), np.array(hs)).slope
+    rows = [{"lambda": lam, "value": v, "hs_norm": h, "ratio": r}
+            for lam, v, h, r in zip(lams, values, hs, ratios)]
+    return exp, hs_slope, rows, [p[4] for p in points]
 
 
 def _within(value, target, tol):
@@ -290,15 +315,16 @@ def _run_sharpness_curve(cfg):
     order = matching_order(cfg.m)
     coeffs = taylor_coeffs(cfg.kappa, order)
     curve = Curve.power(theta=cfg.theta, kappa=cfg.kappa)
-    measure = AlphaMeasure(cfg.alpha)
+    grid = _grid(cfg)
 
-    def one(lam):
+    def rung(lam):
         datum = knapp_curve(lam, cfg.m, cfg.kappa, cfg.theta)
-        tau_cap = lam ** -cfg.m / 100.0
-        x_max = cfg.theta * h_N_eval(tau_cap, coeffs)
+        x_max = cfg.theta * h_N_eval(lam ** -cfg.m / 100.0, coeffs)
+        if cfg.x_cells < 1 or not x_max > 0:
+            raise ValueError(f"sharpness-curve cells need x_cells >= 1 and theta > 0 "
+                             f"(got x_cells={cfg.x_cells}, cells ending at x={x_max})")
         edges = np.linspace(0.0, x_max, cfg.x_cells + 1)
         reps = _jitter(cfg, 0.5 * (edges[:-1] + edges[1:]), edges)
-        grid = _grid(cfg, reps)
         sups, resid = [], 0.0
         for x in reps:
             point, residual = matched_point_curve(x, lam, cfg.m, cfg.kappa,
@@ -306,28 +332,21 @@ def _run_sharpness_curve(cfg):
             resid = max(resid, residual)
             sups.append(maximal_in_time(datum, cfg.m, curve, x, grid,
                                         extra_t=(point.t,)))
-        mixed = lq_mu_norm(np.array(sups), measure, cfg.q, edges=edges)
-        return mixed, sobolev_norm(datum, cfg.s), resid
+        return lam, datum, sups, edges, resid
 
-    lams = _ladder(cfg)
-    triples = _map_ordered(one, lams)
-    mixed = [tr[0] for tr in triples]
-    hs = [tr[1] for tr in triples]
-    resid_max = max(tr[2] for tr in triples)
     params = {"m": cfg.m, "alpha": cfg.alpha, "q": cfg.q, "kappa": cfg.kappa,
               "theta": cfg.theta, "s": cfg.s}
-    exp = ScalingExperiment.from_points("sharpness-curve", params, lams, mixed)
-    hs_fit = fit_loglog(np.array(lams), np.array(hs))
-    rows = [{"lambda": lam, "value": mv, "hs_norm": hv, "ratio": mv / hv}
-            for lam, mv, hv in zip(lams, mixed, hs)]
+    exp, hs_slope, rows, resids = _sup_ladder(
+        "sharpness-curve", params, _ladder(cfg), rung, AlphaMeasure(cfg.alpha),
+        cfg.q, cfg.s)
+    resid_max = max(resids)
     predicted = -cfg.m * cfg.alpha / cfg.q
     hs_predicted = cfg.s - 0.5
     passed = (_within(exp.slope, predicted, 0.1)
-              and _within(hs_fit.slope, hs_predicted, 0.02)
+              and _within(hs_slope, hs_predicted, 0.02)
               and resid_max <= 0.5)
-    return PipelineResult(exp, ("lambda", "value", "hs_norm", "ratio"), rows,
-                          predicted, 0.1, passed,
-                          {"hs_slope": hs_fit.slope, "hs_predicted": hs_predicted,
+    return PipelineResult(exp, _SUP_COLUMNS, rows, predicted, 0.1, passed,
+                          {"hs_slope": hs_slope, "hs_predicted": hs_predicted,
                            "residual_max": resid_max})
 
 
@@ -335,10 +354,9 @@ def _run_sharpness_vertical(cfg):
     if cfg.data not in ("spatial", "temporal"):
         raise ValueError(f"data must be 'spatial' or 'temporal', got {cfg.data!r}")
     curve = Curve.vertical()
-    measure = AlphaMeasure(cfg.alpha)
     edges, reps = _geometric_cells(cfg.x_cells)
     reps = _jitter(cfg, reps, edges)
-    grid = _grid(cfg, reps)
+    grid = _grid(cfg)
 
     def witness(datum, x):
         if cfg.data == "spatial":
@@ -349,51 +367,41 @@ def _run_sharpness_vertical(cfg):
         t_w = x / (cfg.m * abs(xi_c) ** (cfg.m - 1.0))
         return (min(1.0, t_w),)
 
-    def one(lam):
+    def rung(lam):
         if cfg.data == "spatial":
             datum = knapp_vertical_spatial(lam)
         else:
             datum = knapp_vertical_temporal(lam, cfg.m)
         sups = [maximal_in_time(datum, cfg.m, curve, x, grid,
                                 extra_t=witness(datum, x)) for x in reps]
-        mixed = lq_mu_norm(np.array(sups), measure, cfg.q, edges=edges)
-        return mixed, sobolev_norm(datum, cfg.s)
+        return lam, datum, sups, edges, None
 
-    lams = _ladder(cfg)
-    pairs = _map_ordered(one, lams)
-    mixed = [p[0] for p in pairs]
-    hs = [p[1] for p in pairs]
     params = {"alpha": cfg.alpha, "q": cfg.q, "m": cfg.m, "s": cfg.s,
               "data": cfg.data}
-    exp = ScalingExperiment.from_points("sharpness-vertical", params, lams, mixed)
-    hs_fit = fit_loglog(np.array(lams), np.array(hs))
-    rows = [{"lambda": lam, "value": mv, "hs_norm": hv, "ratio": mv / hv}
-            for lam, mv, hv in zip(lams, mixed, hs)]
+    exp, hs_slope, rows, _ = _sup_ladder(
+        "sharpness-vertical", params, _ladder(cfg), rung, AlphaMeasure(cfg.alpha),
+        cfg.q, cfg.s)
     if cfg.data == "spatial":
         predicted = 1.0 - cfg.alpha / cfg.q
         passed = _within(exp.slope, predicted, 0.1)
-        aux = {"hs_slope": hs_fit.slope}
+        aux = {"hs_slope": hs_slope}
     else:
         # temporal ladder is reported without a slope assertion
         predicted = None
         passed = True
-        aux = {"hs_slope": hs_fit.slope, "asserted": False}
-    return PipelineResult(exp, ("lambda", "value", "hs_norm", "ratio"), rows,
-                          predicted, 0.1, passed, aux)
+        aux = {"hs_slope": hs_slope, "asserted": False}
+    return PipelineResult(exp, _SUP_COLUMNS, rows, predicted, 0.1, passed, aux)
 
 
 def _run_sharpness_lines(cfg):
     beta = math.log(2.0) / math.log(1.0 / cfg.r)
-    measure = AlphaMeasure(1.0)
+    grid = _grid(cfg)
 
-    def one(level):
+    def rung(level):
         lam = (1.0 / cfg.r) ** level
         prefractal = cantor_level(cfg.r, level)
         comps = [c for c in prefractal.intervals if c[0] >= 0.5 - 1e-12]
         datum = cantor_data(lam, cfg.m)
-        grid = GridSpec(x_points=tuple(0.5 * (lo + hi) for lo, hi in comps),
-                        t_base=cfg.t_base, refine_depth=cfg.refine_depth,
-                        theta_per_component=2)
         edges, values = [comps[0][0]], []
         for lo, hi in comps:
             x = 0.5 * (lo + hi)
@@ -405,37 +413,28 @@ def _run_sharpness_lines(cfg):
                 values.append(0.0)
             edges.append(hi)
             values.append(sup)
-        mixed = lq_mu_norm(np.array(values), measure, cfg.q,
-                           edges=np.array(edges))
-        return lam, mixed, sobolev_norm(datum, cfg.s)
+        return lam, datum, values, edges, None
 
-    triples = _map_ordered(one, range(1, cfg.k + 1))
-    lams = [tr[0] for tr in triples]
-    mixed = [tr[1] for tr in triples]
-    hs = [tr[2] for tr in triples]
     params = {"r": cfg.r, "beta": beta, "m": cfg.m, "q": cfg.q, "s": cfg.s}
-    exp = ScalingExperiment.from_points("sharpness-lines", params, lams, mixed)
-    hs_fit = fit_loglog(np.array(lams), np.array(hs))
-    rows = [{"lambda": lam, "value": mv, "hs_norm": hv, "ratio": mv / hv}
-            for lam, mv, hv in zip(lams, mixed, hs)]
+    exp, hs_slope, rows, _ = _sup_ladder(
+        "sharpness-lines", params, range(1, cfg.k + 1), rung, AlphaMeasure(1.0),
+        cfg.q, cfg.s)
     predicted = 1.0 / cfg.m + beta / cfg.q - 1.0 / cfg.q
     hs_predicted = cfg.s / cfg.m + 1.0 / (2.0 * cfg.m)
     passed = (_within(exp.slope, predicted, 0.15)
-              and _within(hs_fit.slope, hs_predicted, 0.02))
-    return PipelineResult(exp, ("lambda", "value", "hs_norm", "ratio"), rows,
-                          predicted, 0.15, passed,
-                          {"hs_slope": hs_fit.slope, "hs_predicted": hs_predicted,
+              and _within(hs_slope, hs_predicted, 0.02))
+    return PipelineResult(exp, _SUP_COLUMNS, rows, predicted, 0.15, passed,
+                          {"hs_slope": hs_slope, "hs_predicted": hs_predicted,
                            "beta": beta})
 
 
 def _run_proposition_lines(cfg):
     s_star = exponents.s_star_lines(cfg.m, cfg.alpha, cfg.q)
-    measure = AlphaMeasure(cfg.alpha)
     edges, reps = _geometric_cells(cfg.x_cells)
     reps = _jitter(cfg, reps, edges)
-    grid = _grid(cfg, reps, theta_per_component=cfg.theta_nodes)
+    grid = _grid(cfg, theta_per_component=cfg.theta_nodes)
 
-    def one(lam):
+    def rung(lam):
         theta_max = lam ** (-cfg.q * s_star / cfg.alpha)
         datum = FourierDatum(scale=1.0 / lam, fractional_phase=-0.5, m=cfg.m)
         sups = []
@@ -446,20 +445,16 @@ def _run_proposition_lines(cfg):
                 extra = ((theta_max, min(1.0, x / theta_max)),)
             sups.append(maximal_over_lines(datum, cfg.m, [(0.0, theta_max)], x,
                                            grid, extra=extra))
-        mixed = lq_mu_norm(np.array(sups), measure, cfg.q, edges=edges)
-        return mixed, sobolev_norm(datum, 0.0)
+        return lam, datum, sups, edges, None
 
-    lams = _ladder(cfg)
-    pairs = _map_ordered(one, lams)
-    ratios = [mv / hv for mv, hv in pairs]
     params = {"m": cfg.m, "alpha": cfg.alpha, "q": cfg.q, "s_star": s_star}
-    exp = ScalingExperiment.from_points("proposition-lines", params, lams, ratios)
-    rows = [{"lambda": lam, "value": mv, "hs_norm": hv, "ratio": mv / hv}
-            for lam, (mv, hv) in zip(lams, pairs)]
+    exp, _, rows, _ = _sup_ladder(
+        "proposition-lines", params, _ladder(cfg), rung, AlphaMeasure(cfg.alpha),
+        cfg.q, 0.0, fit_ratio=True)
     predicted = 0.5 - s_star
     passed = exp.slope <= predicted + 0.1
-    return PipelineResult(exp, ("lambda", "value", "hs_norm", "ratio"), rows,
-                          predicted, 0.1, passed, {"s_star": s_star})
+    return PipelineResult(exp, _SUP_COLUMNS, rows, predicted, 0.1, passed,
+                          {"s_star": s_star})
 
 
 def _run_covering(cfg):

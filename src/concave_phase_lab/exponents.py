@@ -9,11 +9,9 @@ values.  Domain violations raise; nothing is clamped.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "KAPPA_INF",
-    "RegimeInput",
     "threshold_vertical",
     "s_star_vertical",
     "s_star_curve",
@@ -29,18 +27,6 @@ __all__ = [
 # Marker for the vertical-line case (the steepness limit of x - theta*t^kappa).
 # A genuinely separate case, not an approximation by a large finite value.
 KAPPA_INF = math.inf
-
-
-@dataclass(frozen=True)
-class RegimeInput:
-    """Bundle of regime parameters; calculators validate only what they read."""
-
-    m: float | None = None
-    s: float | None = None
-    alpha: float | None = None
-    q: float | None = None
-    kappa: float | None = None
-    beta: float | None = None
 
 
 def _need_m_positive(m):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -37,23 +36,20 @@ __all__ = [
     "BilinearCheck",
 ]
 
-_KINDS = ("vertical", "tilted", "power", "exponential", "custom")
+_KINDS = ("vertical", "power", "exponential")
 
 
 @dataclass(frozen=True)
 class Curve:
     """A convergence path t -> position, anchored at x when t = 0.
 
-    Kinds: "vertical" (constant x), "tilted" (x - theta*t), "power"
-    (x - theta*t^kappa), "exponential" (x - exp(-1/t), flat to all orders at
-    t = 0), and "custom" (arbitrary rule with declared Lipschitz constants).
+    Kinds: "vertical" (constant x), "power" (x - theta*t^kappa), and
+    "exponential" (x - exp(-1/t), flat to all orders at t = 0).
     """
 
     kind: str
     theta: float = 0.0
     kappa: float = 1.0
-    rule: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    lipschitz: tuple[float, float] | None = None
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -62,16 +58,10 @@ class Curve:
             raise ValueError("theta must be nonnegative")
         if self.kappa <= 0:
             raise ValueError("kappa must be positive")
-        if self.kind == "custom" and (self.rule is None or self.lipschitz is None):
-            raise ValueError("custom curves need a rule and declared Lipschitz constants")
 
     @classmethod
     def vertical(cls):
         return cls(kind="vertical")
-
-    @classmethod
-    def tilted(cls, theta: float):
-        return cls(kind="tilted", theta=theta)
 
     @classmethod
     def power(cls, theta: float, kappa: float):
@@ -81,10 +71,6 @@ class Curve:
     def exponential(cls):
         return cls(kind="exponential")
 
-    @classmethod
-    def custom(cls, rule, lipschitz: tuple[float, float]):
-        return cls(kind="custom", rule=rule, lipschitz=lipschitz)
-
 
 def curve_eval(curve: Curve, x, t):
     """Position of the path through x at time t; vectorized."""
@@ -92,15 +78,11 @@ def curve_eval(curve: Curve, x, t):
     t = np.asarray(t, dtype=float)
     if curve.kind == "vertical":
         return np.broadcast_arrays(x, t)[0].copy()
-    if curve.kind == "tilted":
-        return x - curve.theta * t
     if curve.kind == "power":
         return x - curve.theta * np.power(t, curve.kappa)
-    if curve.kind == "exponential":
-        with np.errstate(divide="ignore"):
-            drift = np.where(t > 0, np.exp(-1.0 / np.where(t > 0, t, 1.0)), 0.0)
-        return x - drift
-    return curve.rule(x, t)
+    with np.errstate(divide="ignore"):
+        drift = np.where(t > 0, np.exp(-1.0 / np.where(t > 0, t, 1.0)), 0.0)
+    return x - drift
 
 
 def lipschitz_check(curve: Curve, x_grid, t_grid):

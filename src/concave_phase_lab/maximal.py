@@ -1,8 +1,14 @@
-"""Grid suprema in time (and direction) of the propagated datum, and mixed norms.
+"""Grid maxima of |u| along a curve or over a set of lines, from one engine.
 
-The time supremum of |u(path(x,t), t)| is approximated by a base grid plus
-local refinement around the leading maxima, never by root finding.  Two
-rules keep this both honest and affordable:
+Both settings run the same private engine on a mesh of path coordinates:
+t alone for a curve (x, t) -> path(x, t), and (theta, t) for the lines
+x - theta*t with theta in a union of intervals.  The engine evaluates
+injected witnesses, then the base mesh, then ``refine_depth`` rounds of
+factor-8 finer local meshes around the leading maxima.  Refined coordinates
+are kept only inside the domain (t in [0, 1]).
+Each returned value is a floor on the supremum, the largest sample
+evaluated, never a ceiling; root finding is never used.  Two rules keep this
+both honest and affordable:
 
 * Witness injection.  A base grid dense enough to resolve the oscillation
   scale of a large-frequency datum is usually impractical; sharpness
@@ -24,16 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AlphaMeasure, Curve, curve_eval, lq_mu_norm
-from .spectral import FourierDatum, propagate_grid, sobolev_norm
+from .geometry import Curve, curve_eval
+from .spectral import FourierDatum, propagate_grid
 
-__all__ = [
-    "GridSpec",
-    "maximal_in_time",
-    "maximal_over_lines",
-    "mixed_norm",
-    "ratio_quotient",
-]
+__all__ = ["GridSpec", "maximal_in_time", "maximal_over_lines"]
 
 _SCREEN_NUMERATOR = 4.0  # >= TV(bump) + sup(bump) = 3; margin for squared bumps
 _REFINE_FACTOR = 8
@@ -44,26 +44,18 @@ _TOP_SEEDS = 3
 class GridSpec:
     """Sampling plan for maximal-function evaluation.
 
-    x_points are the evaluation positions, read as right endpoints of the
-    mixed-norm cells starting at x_left_edge.  t_base is the uniform time
-    resolution on [0, 1]; the sampling rule requires
-    t_base >= 4 * (max frequency magnitude) * (support diameter) unless the
-    caller injects witness points.  refine_depth (>= 2) rounds of factor-8
-    local refinement run around the leading maxima.
+    t_base is the uniform time resolution on [0, 1]; the sampling rule
+    requires t_base >= 4 * (max frequency magnitude) * (support diameter)
+    unless the caller injects witness points.  refine_depth (>= 2) rounds of
+    factor-8 local refinement run around the leading maxima.
+    theta_per_component direction nodes sample each direction interval.
     """
 
-    x_points: tuple[float, ...]
-    x_left_edge: float = 0.0
     t_base: int = 257
     refine_depth: int = 2
     theta_per_component: int = 2
 
     def __post_init__(self):
-        pts = np.asarray(self.x_points, dtype=float)
-        if len(pts) == 0 or np.any(np.diff(pts) <= 0):
-            raise ValueError("x_points must be strictly increasing and nonempty")
-        if pts[0] <= self.x_left_edge:
-            raise ValueError("x_points must lie right of x_left_edge")
         if self.t_base < 2:
             raise ValueError("t_base must be >= 2")
         if self.refine_depth < 2:
@@ -112,59 +104,70 @@ def _screen_bounds(datum: FourierDatum, m: float, positions, times):
                         np.inf)
 
 
-class _SupTracker:
-    """Running supremum with screening, evaluation bookkeeping, and failures."""
-
-    def __init__(self, datum, m):
-        self.datum = datum
-        self.m = m
-        self.best = 0.0
-        self.coords = []   # evaluated sample coordinates, one row per sample
-        self.values = []
-        self.attempted = 0
-        self.failed = 0
-
-    def feed(self, coords, positions, times, screen=True):
-        coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        positions = np.asarray(positions, dtype=float).ravel()
-        times = np.asarray(times, dtype=float).ravel()
-        if len(positions) == 0:
-            return
-        self.attempted += len(positions)
-        if screen:
-            bounds = _screen_bounds(self.datum, self.m, positions, times)
-            keep = bounds > self.best
-        else:
-            keep = np.ones(len(positions), dtype=bool)
-        if not np.any(keep):
-            return
-        vals = np.abs(propagate_grid(self.datum, self.m,
-                                     positions[keep], times[keep]))
-        ok = np.isfinite(vals)
-        self.failed += int((~ok).sum())
-        if np.any(ok):
-            self.coords.append(coords[keep][ok])
-            self.values.append(vals[ok])
-            self.best = max(self.best, float(vals[ok].max()))
-
-    def top_coords(self, count):
-        if not self.values:
-            return np.empty((0, 0))
-        coords = np.concatenate(self.coords, axis=0)
-        values = np.concatenate(self.values)
-        order = np.argsort(values, kind="stable")[::-1]
-        return coords[order[:count]]
-
-    def finish(self, label):
-        if self.attempted and self.failed > 0.01 * self.attempted:
-            raise ArithmeticError(
-                f"{label}: {self.failed} of {self.attempted} samples failed quadrature")
-        return self.best
-
-
 def _local_mesh(center, spacing, points_per_side=8):
     offsets = np.arange(-points_per_side, points_per_side + 1) * (spacing / _REFINE_FACTOR)
     return center + offsets
+
+
+def _mesh(*axes):
+    """Rows of the ``np.meshgrid`` of the axes, the first axis varying fastest."""
+    return np.stack([a.ravel() for a in np.meshgrid(*axes)], axis=1)
+
+
+def _time_axis(grid: GridSpec):
+    return np.linspace(0.0, 1.0, grid.t_base), 1.0 / (grid.t_base - 1)
+
+
+def _in_unit_time(coords):
+    return (coords[:, -1] >= 0.0) & (coords[:, -1] <= 1.0)
+
+
+def _grid_sup(datum, m, grid, axes, locate, inside, witnesses, label):
+    """Grid supremum of |u| over a mesh of path coordinates.
+
+    ``axes`` holds one (nodes, spacing) pair per coordinate; their mesh is
+    the base grid.  ``locate`` maps coordinate rows to (positions, times),
+    ``inside`` tells which refined rows lie in the domain, and ``witnesses``
+    are coordinate rows evaluated first, unscreened.  Each refinement round
+    feeds the deduplicated union of the top seeds' local meshes once.
+    Samples failing quadrature are skipped; more than 1% failing is an error.
+    """
+    grid.check_sampling(datum, has_witness=len(witnesses) > 0)
+    coords, values = [], []   # evaluated samples, one feed per entry
+    best, attempted, failed = 0.0, 0, 0
+
+    def feed(rows, screen=True):
+        nonlocal best, attempted, failed
+        positions, times = locate(rows)
+        attempted += len(rows)
+        if screen:
+            keep = _screen_bounds(datum, m, positions, times) > best
+        else:
+            keep = np.ones(len(rows), dtype=bool)
+        if not np.any(keep):
+            return
+        vals = np.abs(propagate_grid(datum, m, positions[keep], times[keep]))
+        ok = np.isfinite(vals)
+        failed += int((~ok).sum())
+        if np.any(ok):
+            coords.append(rows[keep][ok])
+            values.append(vals[ok])
+            best = max(best, float(vals[ok].max()))
+
+    feed(witnesses, screen=False)
+    feed(_mesh(*(nodes for nodes, _ in axes)))
+    spacings = [spacing for _, spacing in axes]
+    for _ in range(grid.refine_depth):
+        if values:
+            order = np.argsort(np.concatenate(values), kind="stable")[::-1]
+            seeds = np.concatenate(coords)[order[:_TOP_SEEDS]]
+            fresh = np.unique(np.concatenate(
+                [_mesh(*map(_local_mesh, seed, spacings)) for seed in seeds]), axis=0)
+            feed(fresh[inside(fresh)])
+        spacings = [spacing / _REFINE_FACTOR for spacing in spacings]
+    if attempted and failed > 0.01 * attempted:
+        raise ArithmeticError(f"{label}: {failed} of {attempted} samples failed quadrature")
+    return best
 
 
 def maximal_in_time(datum: FourierDatum, m: float, curve: Curve, x: float,
@@ -174,38 +177,21 @@ def maximal_in_time(datum: FourierDatum, m: float, curve: Curve, x: float,
     Injected extra_t samples are evaluated first (unscreened) and count as
     witnesses for the sampling rule.  Refinement adds factor-8 finer local
     grids around the current top maxima, so the value never decreases with
-    depth.  Samples failing quadrature are skipped; more than 1% failing is
-    an error.
+    depth.
     """
-    extra_t = np.asarray(tuple(extra_t), dtype=float)
-    grid.check_sampling(datum, has_witness=extra_t.size > 0)
-    tracker = _SupTracker(datum, m)
-    if extra_t.size:
-        tracker.feed(extra_t[:, None], curve_eval(curve, x, extra_t), extra_t,
-                     screen=False)
-    t_nodes = np.linspace(0.0, 1.0, grid.t_base)
-    tracker.feed(t_nodes[:, None], curve_eval(curve, x, t_nodes), t_nodes)
-    spacing = 1.0 / (grid.t_base - 1)
-    for _ in range(grid.refine_depth):
-        seeds = tracker.top_coords(_TOP_SEEDS)
-        fresh = np.unique(np.concatenate(
-            [_local_mesh(c[0], spacing) for c in seeds])) if seeds.size else np.empty(0)
-        fresh = fresh[(fresh >= 0.0) & (fresh <= 1.0)]
-        tracker.feed(fresh[:, None], curve_eval(curve, x, fresh), fresh)
-        spacing /= _REFINE_FACTOR
-    return tracker.finish(f"maximal_in_time at x={x}")
+    return _grid_sup(datum, m, grid, [_time_axis(grid)],
+                     lambda c: (curve_eval(curve, x, c[:, 0]), c[:, 0]),
+                     _in_unit_time,
+                     np.asarray(tuple(extra_t), dtype=float).reshape(-1, 1),
+                     f"maximal_in_time at x={x}")
 
 
 def _theta_nodes(theta_intervals, per_component):
-    nodes = []
-    for lo, hi in theta_intervals:
-        if hi < lo:
-            raise ValueError("direction intervals must have lo <= hi")
-        if hi == lo:
-            nodes.append(np.array([lo], dtype=float))
-        else:
-            nodes.append(np.linspace(lo, hi, max(2, per_component)))
-    return np.unique(np.concatenate(nodes))
+    bounds = np.asarray(theta_intervals, dtype=float).reshape(-1, 2)
+    if np.any(bounds[:, 1] < bounds[:, 0]):
+        raise ValueError("direction intervals must have lo <= hi")
+    return np.unique(np.linspace(bounds[:, 0], bounds[:, 1], max(2, per_component),
+                                 axis=1))
 
 
 def maximal_over_lines(datum: FourierDatum, m: float, theta_intervals, x: float,
@@ -216,52 +202,10 @@ def maximal_over_lines(datum: FourierDatum, m: float, theta_intervals, x: float,
     theta_per_component nodes each; extra holds injected (theta, t) witness
     pairs.  Refinement and failure handling as in :func:`maximal_in_time`.
     """
-    extra = np.asarray(tuple(extra), dtype=float).reshape(-1, 2)
-    grid.check_sampling(datum, has_witness=extra.size > 0)
-    tracker = _SupTracker(datum, m)
-    if extra.size:
-        tracker.feed(extra, x - extra[:, 0] * extra[:, 1], extra[:, 1], screen=False)
     thetas = _theta_nodes(theta_intervals, grid.theta_per_component)
-    t_nodes = np.linspace(0.0, 1.0, grid.t_base)
-    mesh_theta, mesh_t = (a.ravel() for a in np.meshgrid(thetas, t_nodes))
-    tracker.feed(np.stack([mesh_theta, mesh_t], axis=1),
-                 x - mesh_theta * mesh_t, mesh_t)
     d_theta = float(np.max(np.diff(thetas))) if len(thetas) > 1 else 0.0
-    d_t = 1.0 / (grid.t_base - 1)
-    for _ in range(grid.refine_depth):
-        for seed in tracker.top_coords(_TOP_SEEDS):
-            loc_theta = _local_mesh(seed[0], d_theta) if d_theta > 0 else np.array([seed[0]])
-            loc_t = _local_mesh(seed[1], d_t)
-            loc_t = loc_t[(loc_t >= 0.0) & (loc_t <= 1.0)]
-            mt, mtt = (a.ravel() for a in np.meshgrid(loc_theta, loc_t))
-            tracker.feed(np.stack([mt, mtt], axis=1), x - mt * mtt, mtt)
-        d_theta /= _REFINE_FACTOR
-        d_t /= _REFINE_FACTOR
-    return tracker.finish(f"maximal_over_lines at x={x}")
-
-
-def mixed_norm(values, measure: AlphaMeasure, q: float, edges) -> float:
-    """Counting norm of per-cell maximal values against exact cell masses."""
-    if not 2 <= q <= 64:
-        raise ValueError(f"q must lie in [2, 64], got {q}")
-    return lq_mu_norm(values, measure, q, edges)
-
-
-def ratio_quotient(datum: FourierDatum, s: float, m: float, path, measure: AlphaMeasure,
-                   q: float, grid: GridSpec, matched=None) -> float:
-    """mixed_norm of the maximal field divided by the datum's Sobolev norm.
-
-    ``path`` is a Curve (time supremum) or a list of direction intervals
-    (time-and-direction supremum); ``matched``, if given, maps x to the
-    witness samples injected at that position.  The growth of this quotient
-    along a scale ladder is what certifies failure of a maximal inequality.
-    """
-    values = []
-    for x in grid.x_points:
-        extra = matched(x) if matched is not None else ()
-        if isinstance(path, Curve):
-            values.append(maximal_in_time(datum, m, path, x, grid, extra_t=extra))
-        else:
-            values.append(maximal_over_lines(datum, m, path, x, grid, extra=extra))
-    edges = np.concatenate([[grid.x_left_edge], np.asarray(grid.x_points, dtype=float)])
-    return mixed_norm(np.asarray(values), measure, q, edges) / sobolev_norm(datum, s)
+    return _grid_sup(datum, m, grid, [(thetas, d_theta), _time_axis(grid)],
+                     lambda c: (x - c[:, 0] * c[:, 1], c[:, 1]),
+                     _in_unit_time,
+                     np.asarray(tuple(extra), dtype=float).reshape(-1, 2),
+                     f"maximal_over_lines at x={x}")

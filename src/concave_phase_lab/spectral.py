@@ -33,8 +33,6 @@ __all__ = [
     "BUMP",
     "BUMP_SQUARED",
     "BUMP_SUPPORT",
-    "ReferenceBump",
-    "REFERENCE_BUMP",
     "FourierDatum",
     "bump_profile",
     "propagate",
@@ -64,16 +62,6 @@ def bump_profile(xi):
 
 BUMP = SmoothFunction1D(bump_profile, BUMP_SUPPORT)
 BUMP_SQUARED = SmoothFunction1D(lambda xi: bump_profile(xi) ** 2, BUMP_SUPPORT)
-
-
-@dataclass(frozen=True)
-class ReferenceBump:
-    """The fixed smooth profile every band-limited datum is built from."""
-
-    profile: SmoothFunction1D
-
-
-REFERENCE_BUMP = ReferenceBump(profile=BUMP)
 
 
 @dataclass(frozen=True)

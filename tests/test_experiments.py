@@ -221,6 +221,17 @@ def test_cli_error_record(tmp_path, capsys):
     assert "unknown calculator" in record["error"]["message"]
 
 
+def test_cli_rejects_sharpness_curve_without_cells(tmp_path, capsys):
+    # theta = 0 puts every cell of the curve ladder at x = 0
+    code = cli_main(["sharpness-curve", "--theta", "0", "--out-dir", str(tmp_path)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["schema_version"] == SCHEMA_VERSION
+    assert record["error"]["type"] == "ValueError"
+    assert "theta > 0" in record["error"]["message"]
+    assert not list(tmp_path.iterdir())
+
+
 def test_cli_rejects_unknown_key(capsys):
     code = cli_main(["frostman", "--bogus-knob", "3"])
     assert code == 2

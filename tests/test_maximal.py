@@ -6,10 +6,8 @@ import pytest
 
 from concave_phase_lab.counterexamples import (cantor_data, cantor_selectors,
                                                knapp_curve, matched_point_curve)
-from concave_phase_lab.geometry import AlphaMeasure, Curve, cantor_level
-from concave_phase_lab.maximal import (GridSpec, maximal_in_time,
-                                       maximal_over_lines, mixed_norm,
-                                       ratio_quotient)
+from concave_phase_lab.geometry import Curve, cantor_level
+from concave_phase_lab.maximal import GridSpec, maximal_in_time, maximal_over_lines
 from concave_phase_lab.spectral import FourierDatum, propagate_grid
 
 M_PSI = 0.905175241828407
@@ -17,40 +15,34 @@ M_PSI = 0.905175241828407
 BAND = FourierDatum()   # reference band (1/2, 2): resolvable by tiny grids
 
 
-def small_grid(*x_points, t_base=33):
-    return GridSpec(x_points=tuple(x_points), t_base=t_base)
+def small_grid(t_base=33):
+    return GridSpec(t_base=t_base)
 
 
 def test_grid_spec_validation():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        GridSpec(x_points=())
-    with pytest.raises(ValueError, match="strictly increasing"):
-        GridSpec(x_points=(0.5, 0.5))
-    with pytest.raises(ValueError, match="right of x_left_edge"):
-        GridSpec(x_points=(0.0, 0.5))
     with pytest.raises(ValueError, match="t_base"):
-        GridSpec(x_points=(1.0,), t_base=1)
+        GridSpec(t_base=1)
     with pytest.raises(ValueError, match="refine_depth"):
-        GridSpec(x_points=(1.0,), refine_depth=1)
+        GridSpec(refine_depth=1)
     with pytest.raises(ValueError, match="theta_per_component"):
-        GridSpec(x_points=(1.0,), theta_per_component=0)
+        GridSpec(theta_per_component=0)
 
 
 def test_required_resolution_rule():
-    grid = small_grid(1.0)
+    grid = small_grid()
     assert grid.required_t_base(FourierDatum(scale=0.25)) == 192
     assert grid.required_t_base(BAND) == 12
     # under-resolved without witnesses: hard error; witnesses lift it
     wide = FourierDatum(scale=1.0 / 2.0 ** 7)
     with pytest.raises(ValueError, match="under-resolved"):
-        maximal_in_time(wide, 0.5, Curve.vertical(), 0.5, small_grid(1.0))
-    value = maximal_in_time(wide, 0.5, Curve.vertical(), 0.5, small_grid(1.0),
+        maximal_in_time(wide, 0.5, Curve.vertical(), 0.5, small_grid())
+    value = maximal_in_time(wide, 0.5, Curve.vertical(), 0.5, small_grid(),
                             extra_t=(0.0,))
     assert value > 0
 
 
 def test_supremum_dominates_base_grid():
-    grid = small_grid(1.0)
+    grid = small_grid()
     for x in (0.1, 0.45, 0.8):
         sup = maximal_in_time(BAND, 0.5, Curve.vertical(), x, grid)
         t_nodes = np.linspace(0.0, 1.0, grid.t_base)
@@ -60,21 +52,21 @@ def test_supremum_dominates_base_grid():
 
 def test_supremum_monotone_in_depth():
     shallow = maximal_in_time(BAND, 0.5, Curve.vertical(), 0.3,
-                              small_grid(1.0, t_base=17))
+                              small_grid(t_base=17))
     deep = maximal_in_time(BAND, 0.5, Curve.vertical(), 0.3,
-                           GridSpec(x_points=(1.0,), t_base=17, refine_depth=3))
+                           GridSpec(t_base=17, refine_depth=3))
     assert deep >= shallow - 1e-14
 
 
 def test_supremum_amplitude_homogeneous():
     doubled = FourierDatum(amplitude=2.0)
-    base = maximal_in_time(BAND, 0.5, Curve.vertical(), 0.3, small_grid(1.0))
-    twice = maximal_in_time(doubled, 0.5, Curve.vertical(), 0.3, small_grid(1.0))
+    base = maximal_in_time(BAND, 0.5, Curve.vertical(), 0.3, small_grid())
+    twice = maximal_in_time(doubled, 0.5, Curve.vertical(), 0.3, small_grid())
     assert twice == pytest.approx(2.0 * base, rel=1e-13)
 
 
 def test_witness_value_is_certified_floor():
-    grid = small_grid(1.0)
+    grid = small_grid()
     for t0 in (0.13, 0.77):
         sup = maximal_in_time(BAND, 0.5, Curve.vertical(), 0.2, grid, extra_t=(t0,))
         direct = float(np.abs(propagate_grid(BAND, 0.5, np.array([0.2]),
@@ -83,15 +75,28 @@ def test_witness_value_is_certified_floor():
 
 
 def test_lines_reduce_to_vertical_at_zero_direction():
-    grid = small_grid(1.0)
+    grid = small_grid()
     for x in (0.25, 0.6):
         vert = maximal_in_time(BAND, 0.5, Curve.vertical(), x, grid)
         line = maximal_over_lines(BAND, 0.5, [(0.0, 0.0)], x, grid)
         assert line == pytest.approx(vert, rel=1e-14)
 
 
+def test_order_one_power_curve_equals_its_line():
+    # x - theta*t^1 is the line of direction theta: both wrappers must run the
+    # same samples through the same engine
+    grid = small_grid()
+    for theta in (0.3, 1.0, 2.5):
+        curve = Curve.power(theta=theta, kappa=1.0)
+        for x, witness in ((0.2, ()), (0.7, (0.41,))):
+            along = maximal_in_time(BAND, 0.5, curve, x, grid, extra_t=witness)
+            over = maximal_over_lines(BAND, 0.5, [(theta, theta)], x, grid,
+                                      extra=[(theta, t) for t in witness])
+            assert along == over
+
+
 def test_lines_dominate_their_base_mesh():
-    grid = small_grid(1.0)
+    grid = small_grid()
     x = 0.7
     sup = maximal_over_lines(BAND, 0.5, [(0.1, 0.1), (0.4, 0.4)], x, grid)
     bigger = maximal_over_lines(BAND, 0.5, [(0.1, 0.1), (0.4, 0.4), (0.8, 0.8)],
@@ -111,7 +116,7 @@ def test_matched_curve_point_keeps_datum_mass():
     point, residual = matched_point_curve(x, lam, m, 1.0)
     assert residual <= 0.5
     sup = maximal_in_time(datum, m, Curve.power(theta=1.0, kappa=1.0), x,
-                          GridSpec(x_points=(x,)), extra_t=(point.t,))
+                          GridSpec(), extra_t=(point.t,))
     assert sup >= math.cos(0.5) * M_PSI / (2.0 * math.pi)
 
 
@@ -124,30 +129,7 @@ def test_cantor_endpoint_keeps_datum_mass():
     point = cantor_selectors(theta, prefractal)
     assert point.t == 1.0
     sup = maximal_over_lines(datum, m, [(theta, theta)], theta,
-                             GridSpec(x_points=(theta,)),
+                             GridSpec(),
                              extra=[(point.theta, point.t)])
     floor = lam_k ** (1.0 / m) * M_PSI / (2.0 * math.pi)
     assert sup >= floor * (1.0 - 1e-8)
-
-
-def test_mixed_norm_values_and_domain():
-    measure = AlphaMeasure(1.0)
-    edges = np.array([0.0, 0.5, 1.0])
-    got = mixed_norm(np.array([1.0, 2.0]), measure, 2.0, edges)
-    assert got == pytest.approx(math.sqrt(2.5), abs=1e-14)
-    assert mixed_norm(np.array([1.0, 2.0]), measure, 64.0, edges) > 0
-    for bad_q in (1.5, 65.0):
-        with pytest.raises(ValueError, match="q must lie in"):
-            mixed_norm(np.array([1.0, 2.0]), measure, bad_q, edges)
-
-
-def test_ratio_quotient_amplitude_invariant():
-    grid = GridSpec(x_points=(0.25, 0.5, 0.75, 1.0), t_base=33)
-    measure = AlphaMeasure(1.0)
-    plain = ratio_quotient(BAND, 0.3, 0.5, Curve.vertical(), measure, 2.0, grid)
-    scaled = ratio_quotient(FourierDatum(amplitude=3.0), 0.3, 0.5,
-                            Curve.vertical(), measure, 2.0, grid)
-    assert scaled == pytest.approx(plain, rel=1e-12)
-    # dispatching on a degenerate direction set gives the vertical quotient
-    lines = ratio_quotient(BAND, 0.3, 0.5, [(0.0, 0.0)], measure, 2.0, grid)
-    assert lines == pytest.approx(plain, rel=1e-12)

@@ -5,7 +5,9 @@ t alone for a curve (x, t) -> path(x, t), and (theta, t) for the lines
 x - theta*t with theta in a union of intervals.  The engine evaluates
 injected witnesses, then the base mesh, then ``refine_depth`` rounds of
 factor-8 finer local meshes around the leading maxima.  Refined coordinates
-are kept only inside the domain (t in [0, 1]).
+are kept only inside the domain: t in [0, 1] and, for lines, theta in the
+union of the direction intervals, so a line maximum is a floor for the
+stated direction set.
 Each returned value is a floor on the supremum, the largest sample
 evaluated, never a ceiling; root finding is never used.  Two rules keep this
 both honest and affordable:
@@ -186,12 +188,19 @@ def maximal_in_time(datum: FourierDatum, m: float, curve: Curve, x: float,
                      f"maximal_in_time at x={x}")
 
 
-def _theta_nodes(theta_intervals, per_component):
-    bounds = np.asarray(theta_intervals, dtype=float).reshape(-1, 2)
-    if np.any(bounds[:, 1] < bounds[:, 0]):
-        raise ValueError("direction intervals must have lo <= hi")
+def _theta_nodes(bounds, per_component):
+    if len(bounds) == 0 or np.any(bounds[:, 1] < bounds[:, 0]):
+        raise ValueError("direction intervals must be nonempty and have lo <= hi")
     return np.unique(np.linspace(bounds[:, 0], bounds[:, 1], max(2, per_component),
                                  axis=1))
+
+
+def _in_intervals(values, bounds):
+    """Whether each value lies in the union of the closed (lo, hi) rows."""
+    bounds = bounds[np.argsort(bounds[:, 0], kind="stable")]
+    reach = np.maximum.accumulate(bounds[:, 1])
+    i = np.searchsorted(bounds[:, 0], values, side="right") - 1
+    return (i >= 0) & (values <= reach[np.maximum(i, 0)])
 
 
 def maximal_over_lines(datum: FourierDatum, m: float, theta_intervals, x: float,
@@ -199,13 +208,15 @@ def maximal_over_lines(datum: FourierDatum, m: float, theta_intervals, x: float,
     """Grid supremum over (theta, t) of |u(x - theta*t, t)|.
 
     theta ranges over a union of intervals (points allowed), sampled at
-    theta_per_component nodes each; extra holds injected (theta, t) witness
-    pairs.  Refinement and failure handling as in :func:`maximal_in_time`.
+    theta_per_component nodes each; refined directions stay inside the
+    union.  extra holds injected (theta, t) witness pairs.  Refinement and
+    failure handling as in :func:`maximal_in_time`.
     """
-    thetas = _theta_nodes(theta_intervals, grid.theta_per_component)
+    bounds = np.asarray(theta_intervals, dtype=float).reshape(-1, 2)
+    thetas = _theta_nodes(bounds, grid.theta_per_component)
     d_theta = float(np.max(np.diff(thetas))) if len(thetas) > 1 else 0.0
     return _grid_sup(datum, m, grid, [(thetas, d_theta), _time_axis(grid)],
                      lambda c: (x - c[:, 0] * c[:, 1], c[:, 1]),
-                     _in_unit_time,
+                     lambda c: _in_unit_time(c) & _in_intervals(c[:, 0], bounds),
                      np.asarray(tuple(extra), dtype=float).reshape(-1, 2),
                      f"maximal_over_lines at x={x}")

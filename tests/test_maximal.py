@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from concave_phase_lab import maximal
 from concave_phase_lab.counterexamples import (cantor_data, cantor_selectors,
                                                knapp_curve, matched_point_curve)
 from concave_phase_lab.geometry import Curve, cantor_level
@@ -107,6 +108,34 @@ def test_lines_dominate_their_base_mesh():
         direct = np.abs(propagate_grid(BAND, 0.5, x - theta * t_nodes, t_nodes))
         assert sup >= direct.max() - 1e-14
         assert bigger >= direct.max() - 1e-14
+
+
+def test_line_refinement_stays_in_the_direction_set(monkeypatch):
+    # seeds at the ends of an interval or next to a gap must not spread
+    # refined samples to directions outside the set
+    intervals = [(0.1, 0.2), (0.5, 0.6), (0.9, 0.9)]
+    seen = []
+
+    def spy(datum, m, positions, times):
+        seen.append((np.array(positions), np.array(times)))
+        return propagate_grid(datum, m, positions, times)
+
+    monkeypatch.setattr(maximal, "propagate_grid", spy)
+    for x in (0.3, 0.55, 0.95):
+        seen.clear()
+        maximal_over_lines(BAND, 0.5, intervals, x, small_grid(), extra=[(0.55, 0.8)])
+        positions, times = (np.concatenate(part) for part in zip(*seen))
+        moving = times > 0
+        thetas = (x - positions[moving]) / times[moving]
+        assert len(thetas) > 100
+        for theta in thetas:
+            assert any(lo - 1e-9 <= theta <= hi + 1e-9 for lo, hi in intervals), theta
+
+
+def test_direction_intervals_validation():
+    for bad in ([], [(0.4, 0.3)]):
+        with pytest.raises(ValueError, match="lo <= hi"):
+            maximal_over_lines(BAND, 0.5, bad, 0.5, small_grid())
 
 
 def test_matched_curve_point_keeps_datum_mass():

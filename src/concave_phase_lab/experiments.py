@@ -239,12 +239,12 @@ def _ladder(cfg):
     return [float(v) for v in lams]
 
 
-def _geometric_cells(n_points, lo=1e-6):
-    """Cell edges {0} + geomspace(lo,1) and geometric-mean representatives."""
-    edges = np.unique(np.concatenate([np.geomspace(lo, 1.0, n_points), [0.0]]))
+def _geometric_cells(cfg, lo=1e-6):
+    """Cell edges {0} + geomspace(lo,1); geometric-mean representatives, jittered."""
+    edges = np.unique(np.concatenate([np.geomspace(lo, 1.0, cfg.x_cells), [0.0]]))
     reps = np.sqrt(edges[:-1] * edges[1:])
     reps[0] = 0.5 * edges[1]
-    return edges, reps
+    return edges, _jitter(cfg, reps, edges)
 
 
 def _jitter(cfg, reps, edges):
@@ -319,7 +319,8 @@ def _run_sharpness_curve(cfg):
 
     def rung(lam):
         datum = knapp_curve(lam, cfg.m, cfg.kappa, cfg.theta)
-        x_max = cfg.theta * h_N_eval(lam ** -cfg.m / 100.0, coeffs)
+        tau_cap = lam ** -cfg.m / 100.0
+        x_max = cfg.theta * h_N_eval(tau_cap, coeffs)
         if cfg.x_cells < 1 or not x_max > 0:
             raise ValueError(f"sharpness-curve cells need x_cells >= 1 and theta > 0 "
                              f"(got x_cells={cfg.x_cells}, cells ending at x={x_max})")
@@ -354,8 +355,7 @@ def _run_sharpness_vertical(cfg):
     if cfg.data not in ("spatial", "temporal"):
         raise ValueError(f"data must be 'spatial' or 'temporal', got {cfg.data!r}")
     curve = Curve.vertical()
-    edges, reps = _geometric_cells(cfg.x_cells)
-    reps = _jitter(cfg, reps, edges)
+    edges, reps = _geometric_cells(cfg)
     grid = _grid(cfg)
 
     def witness(datum, x):
@@ -430,8 +430,7 @@ def _run_sharpness_lines(cfg):
 
 def _run_proposition_lines(cfg):
     s_star = exponents.s_star_lines(cfg.m, cfg.alpha, cfg.q)
-    edges, reps = _geometric_cells(cfg.x_cells)
-    reps = _jitter(cfg, reps, edges)
+    edges, reps = _geometric_cells(cfg)
     grid = _grid(cfg, theta_per_component=cfg.theta_nodes)
 
     def rung(lam):

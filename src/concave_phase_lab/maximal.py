@@ -69,13 +69,6 @@ class GridSpec:
         lo, hi = datum.support
         return int(np.ceil(4.0 * max(abs(lo), abs(hi)) * (hi - lo)))
 
-    def check_sampling(self, datum: FourierDatum, has_witness: bool):
-        need = self.required_t_base(datum)
-        if self.t_base < need and not has_witness:
-            raise ValueError(
-                f"time grid under-resolved for this datum (have {self.t_base}, "
-                f"need {need}) and no witness points were injected")
-
 
 def _phase_derivative_endpoints(datum: FourierDatum, m: float, positions, times):
     """d/dxi of the total phase at the two support endpoints; vectorized."""
@@ -113,7 +106,13 @@ def _local_mesh(center, spacing, points_per_side=8):
 
 def _mesh(*axes):
     """Rows of the ``np.meshgrid`` of the axes, the first axis varying fastest."""
-    return np.stack([a.ravel() for a in np.meshgrid(*axes)], axis=1)
+    return np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, len(axes))
+
+
+def _unique_rows(rows):
+    """Distinct rows in lexicographic order, as ``np.unique(rows, axis=0)``."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    return rows[np.concatenate([[True], np.any(rows[1:] != rows[:-1], axis=1)])]
 
 
 def _time_axis(grid: GridSpec):
@@ -134,7 +133,11 @@ def _grid_sup(datum, m, grid, axes, locate, inside, witnesses, label):
     feeds the deduplicated union of the top seeds' local meshes once.
     Samples failing quadrature are skipped; more than 1% failing is an error.
     """
-    grid.check_sampling(datum, has_witness=len(witnesses) > 0)
+    need = grid.required_t_base(datum)
+    if grid.t_base < need and not len(witnesses):
+        raise ValueError(
+            f"time grid under-resolved for this datum (have {grid.t_base}, "
+            f"need {need}) and no witness points were injected")
     coords, values = [], []   # evaluated samples, one feed per entry
     best, attempted, failed = 0.0, 0, 0
 
@@ -163,12 +166,13 @@ def _grid_sup(datum, m, grid, axes, locate, inside, witnesses, label):
         if values:
             order = np.argsort(np.concatenate(values), kind="stable")[::-1]
             seeds = np.concatenate(coords)[order[:_TOP_SEEDS]]
-            fresh = np.unique(np.concatenate(
-                [_mesh(*map(_local_mesh, seed, spacings)) for seed in seeds]), axis=0)
+            fresh = _unique_rows(np.concatenate(
+                [_mesh(*map(_local_mesh, seed, spacings)) for seed in seeds]))
             feed(fresh[inside(fresh)])
         spacings = [spacing / _REFINE_FACTOR for spacing in spacings]
     if attempted and failed > 0.01 * attempted:
-        raise ArithmeticError(f"{label}: {failed} of {attempted} samples failed quadrature")
+        raise ArithmeticError(
+            f"{label}: {failed} of {attempted} samples failed quadrature")
     return best
 
 

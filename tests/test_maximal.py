@@ -132,6 +132,19 @@ def test_line_refinement_stays_in_the_direction_set(monkeypatch):
             assert any(lo - 1e-9 <= theta <= hi + 1e-9 for lo, hi in intervals), theta
 
 
+def test_theta_nodes_match_per_interval_linspace():
+    def reference(intervals, per):   # one linspace per interval, points kept once
+        return np.unique(np.concatenate(
+            [np.linspace(lo, hi, max(2, per)) if hi > lo else np.array([lo])
+             for lo, hi in intervals]))
+
+    for intervals in (cantor_level(0.25, 6).intervals, cantor_level(1 / 3, 4).intervals,
+                      [(0.0, 0.37)], [(0.1, 0.1), (0.4, 0.4)]):
+        for per in (1, 2, 17):
+            got = maximal._theta_nodes(np.asarray(intervals, dtype=float), per)
+            assert np.array_equal(got, reference(intervals, per))
+
+
 def test_direction_intervals_validation():
     for bad in ([], [(0.4, 0.3)]):
         with pytest.raises(ValueError, match="lo <= hi"):

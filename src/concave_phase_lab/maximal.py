@@ -131,7 +131,6 @@ def _grid_sup(datum, m, grid, axes, locate, inside, witnesses, label):
     ``inside`` tells which refined rows lie in the domain, and ``witnesses``
     are coordinate rows evaluated first, unscreened.  Each refinement round
     feeds the deduplicated union of the top seeds' local meshes once.
-    Samples failing quadrature are skipped; more than 1% failing is an error.
     """
     need = grid.required_t_base(datum)
     if grid.t_base < need and not len(witnesses):
@@ -183,7 +182,8 @@ def maximal_in_time(datum: FourierDatum, m: float, curve: Curve, x: float,
     Injected extra_t samples are evaluated first (unscreened) and count as
     witnesses for the sampling rule.  Refinement adds factor-8 finer local
     grids around the current top maxima, so the value never decreases with
-    depth.
+    depth.  Samples failing quadrature are skipped; more than 1% failing is
+    an error.
     """
     return _grid_sup(datum, m, grid, [_time_axis(grid)],
                      lambda c: (curve_eval(curve, x, c[:, 0]), c[:, 0]),

@@ -29,7 +29,7 @@ from .counterexamples import (cantor_data, cantor_selectors, h_N_eval, knapp_cur
 from .fitting import fit_loglog
 from .geometry import (AlphaMeasure, Curve, bilinear_form_check, cantor_level,
                        covering_number, frostman_bound, frostman_constant, lq_mu_norm)
-from .maximal import GridSpec, maximal_in_time, maximal_over_lines
+from .maximal import MAX_BASE_SAMPLES, GridSpec, maximal_in_time, maximal_over_lines
 from .phase import check_kernel_envelope
 from .spectral import FourierDatum, propagate_grid, sobolev_norm
 
@@ -354,26 +354,25 @@ def _run_sharpness_curve(cfg):
 def _run_sharpness_vertical(cfg):
     if cfg.data not in ("spatial", "temporal"):
         raise ValueError(f"data must be 'spatial' or 'temporal', got {cfg.data!r}")
+    if not (cfg.x_cells >= 1 and cfg.x_cells * cfg.t_base <= MAX_BASE_SAMPLES):
+        raise ValueError(f"sharpness-vertical needs x_cells >= 1 with x_cells * "
+                         f"t_base <= {MAX_BASE_SAMPLES} base samples per rung, got "
+                         f"{cfg.x_cells} * {cfg.t_base}")
     curve = Curve.vertical()
     edges, reps = _geometric_cells(cfg)
     grid = _grid(cfg)
 
-    def witness(datum, x):
-        if cfg.data == "spatial":
-            return (0.0,)
-        # stationary time of the band-center frequency
-        lo, hi = datum.support
-        xi_c = 0.5 * (lo + hi)
-        t_w = x / (cfg.m * abs(xi_c) ** (cfg.m - 1.0))
-        return (min(1.0, t_w),)
-
     def rung(lam):
         if cfg.data == "spatial":
             datum = knapp_vertical_spatial(lam)
+            t_w = np.zeros_like(reps)
         else:
             datum = knapp_vertical_temporal(lam, cfg.m)
-        sups = [maximal_in_time(datum, cfg.m, curve, x, grid,
-                                extra_t=witness(datum, x)) for x in reps]
+            # stationary time of the band-center frequency
+            lo, hi = datum.support
+            xi_c = 0.5 * (lo + hi)
+            t_w = np.minimum(1.0, reps / (cfg.m * abs(xi_c) ** (cfg.m - 1.0)))
+        sups = maximal_in_time(datum, cfg.m, curve, reps, grid, extra_t=t_w[:, None])
         return lam, datum, sups, edges, None
 
     params = {"alpha": cfg.alpha, "q": cfg.q, "m": cfg.m, "s": cfg.s,

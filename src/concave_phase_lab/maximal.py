@@ -2,12 +2,13 @@
 
 Both settings run the same private engine on a mesh of path coordinates:
 t alone for a curve (x, t) -> path(x, t), and (theta, t) for the lines
-x - theta*t with theta in a union of intervals.  The engine evaluates
-injected witnesses, then the base mesh, then ``refine_depth`` rounds of
-factor-8 finer local meshes around the leading maxima.  Refined coordinates
-are kept only inside the domain: t in [0, 1] and, for lines, theta in the
-union of the direction intervals, so a line maximum is a floor for the
-stated direction set.
+x - theta*t with theta in a union of intervals.  The engine takes one or
+more positions x, each with its own row of witnesses.  It evaluates the
+witnesses of all positions in one call, then the base mesh, then
+``refine_depth`` rounds per position of factor-8 finer local meshes around
+that position's leading maxima.  Refined coordinates are kept only inside
+the domain: t in [0, 1] and, for lines, theta in the union of the direction
+intervals, so a line maximum is a floor for the stated direction set.
 Each returned value is a floor on the supremum, the largest sample
 evaluated, never a ceiling; root finding is never used.  Two rules keep this
 both honest and affordable:
@@ -18,13 +19,20 @@ both honest and affordable:
   computed supremum a certified lower bound (exactly what those ladders
   need).  A grid that is neither dense enough nor carrying witnesses is
   rejected.
-* Certified screening.  Before quadrature, every candidate sample gets a
-  rigorous upper bound on |u| from integration by parts: the band amplitude
-  has total variation 2 and peak 1, so |u| <= 4*|amplitude| / (2*pi*A) with
-  A the minimum |d/dxi phase| over the support (the phase derivative is
-  monotone there, so A comes from the endpoint values; A = 0 disables the
-  screen).  Samples whose bound cannot beat the best value seen are skipped;
-  the reported supremum still dominates every grid point.
+* Certified screening.  Every candidate sample gets a rigorous upper bound
+  on |u| from integration by parts: the band amplitude has total variation
+  2 and peak 1, so |u| <= 4*|amplitude| / (2*pi*A) with A the minimum
+  |d/dxi phase| over the support (the phase derivative is monotone there,
+  so A comes from the endpoint values; A = 0 disables the screen).  Samples
+  whose bound cannot beat their position's best value so far are not
+  candidates; the reported supremum still dominates every grid point.
+
+Where the screen acts depends on the base.  Several positions on a vertical
+path share an outer x-by-t base mesh; it is evaluated whole in one
+separable quadrature call, and the screen, against each position's best
+witness, then picks the candidates.  Everywhere else (line families, power
+and exponential curves, a single position, every refinement round) the
+screen skips samples before any quadrature.
 """
 from __future__ import annotations
 
@@ -35,11 +43,15 @@ import numpy as np
 from .geometry import Curve, curve_eval
 from .spectral import FourierDatum, propagate_grid
 
-__all__ = ["GridSpec", "maximal_in_time", "maximal_over_lines"]
+__all__ = ["GridSpec", "MAX_BASE_SAMPLES", "maximal_in_time", "maximal_over_lines"]
 
 _SCREEN_NUMERATOR = 4.0  # >= TV(bump) + sup(bump) = 3; margin for squared bumps
 _REFINE_FACTOR = 8
 _TOP_SEEDS = 3
+# Largest len(x) * t_base that maximal_in_time accepts.  One call holds a
+# screen bound and a value per base sample, and the separable route one sum
+# each; larger requests are refused before anything is allocated.
+MAX_BASE_SAMPLES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -105,8 +117,14 @@ def _local_mesh(center, spacing, points_per_side=8):
 
 
 def _mesh(*axes):
-    """Rows of the ``np.meshgrid`` of the axes, the first axis varying fastest."""
-    return np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, len(axes))
+    """Rows of the mesh of the axes, the first axis varying fastest.
+
+    For up to two axes this is the row order of ``np.meshgrid`` ('xy').
+    """
+    rows = np.empty([len(a) for a in reversed(axes)] + [len(axes)])
+    for j, a in enumerate(axes):
+        rows[..., j] = np.reshape(a, (-1,) + (1,) * j)
+    return rows.reshape(-1, len(axes))
 
 
 def _unique_rows(rows):
@@ -123,73 +141,110 @@ def _in_unit_time(coords):
     return (coords[:, -1] >= 0.0) & (coords[:, -1] <= 1.0)
 
 
-def _grid_sup(datum, m, grid, axes, locate, inside, witnesses, label):
-    """Grid supremum of |u| over a mesh of path coordinates.
+def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses, label):
+    """Grid suprema of |u| over a mesh of path coordinates, one per position.
 
-    ``axes`` holds one (nodes, spacing) pair per coordinate; their mesh is
-    the base grid.  ``locate`` maps coordinate rows to (positions, times),
-    ``inside`` tells which refined rows lie in the domain, and ``witnesses``
-    are coordinate rows evaluated first, unscreened.  Each refinement round
-    feeds the deduplicated union of the top seeds' local meshes once.
+    ``axes`` holds one (nodes, spacing) pair per coordinate; their mesh is the
+    base grid of every position in ``xs``.  ``locate(x, rows)`` maps
+    coordinate rows (last axis) to (positions, times) on the paths through x,
+    which broadcasts against the rows' leading axes; ``inside`` tells which
+    refined rows lie in the domain, and ``witnesses[i]`` are the rows of
+    position i, evaluated first and unscreened.  Screening as in the module
+    docstring.  Each refinement round feeds the deduplicated union of one
+    position's top seeds' local meshes once.
     """
     need = grid.required_t_base(datum)
-    if grid.t_base < need and not len(witnesses):
+    if grid.t_base < need and not witnesses.shape[1]:
         raise ValueError(
             f"time grid under-resolved for this datum (have {grid.t_base}, "
             f"need {need}) and no witness points were injected")
-    coords, values = [], []   # evaluated samples, one feed per entry
-    best, attempted, failed = 0.0, 0, 0
+    k = len(xs)
+    coords = [[] for _ in range(k)]   # evaluated samples per position, one entry per feed
+    values = [[] for _ in range(k)]
+    best = np.zeros(k)
+    attempted, failed = [0] * k, [0] * k
 
-    def feed(rows, screen=True):
-        nonlocal best, attempted, failed
-        positions, times = locate(rows)
-        attempted += len(rows)
+    def feed(sel, rows, screen=True):
+        """Evaluate rows (1 or len, n, d), shared or one set each, for xs[sel]."""
+        ids = range(k)[sel]
+        shape = (len(ids), rows.shape[1])
+        positions, times = locate(xs[sel, None], rows)
         if screen:
-            keep = _screen_bounds(datum, m, positions, times) > best
+            keep = _screen_bounds(datum, m, positions, times) > best[sel, None]
         else:
-            keep = np.ones(len(rows), dtype=bool)
+            keep = np.ones(shape, dtype=bool)
+        for i in ids:
+            attempted[i] += shape[1]
         if not np.any(keep):
             return
-        vals = np.abs(propagate_grid(datum, m, positions[keep], times[keep]))
-        ok = np.isfinite(vals)
-        failed += int((~ok).sum())
-        if np.any(ok):
-            coords.append(rows[keep][ok])
-            values.append(vals[ok])
-            best = max(best, float(vals[ok].max()))
+        if len(ids) > 1 and positions.shape[1] == 1:
+            # positions fixed along the rows: evaluate whole (an outer mesh
+            # when the rows are shared), then keep what the screen passed
+            vals = np.abs(propagate_grid(datum, m, positions, times))
+        else:
+            vals = np.zeros(shape)
+            vals[keep] = np.abs(propagate_grid(
+                datum, m, *(np.broadcast_to(a, shape)[keep] for a in (positions, times))))
+        for j, i in enumerate(ids):
+            kept = vals[j][keep[j]]
+            ok = np.isfinite(kept)
+            failed[i] += len(kept) - int(np.count_nonzero(ok))
+            if np.any(ok):
+                coords[i].append(rows[j % len(rows)][keep[j]][ok])
+                values[i].append(kept[ok])
+                best[i] = max(best[i], kept[ok].max())
 
-    feed(witnesses, screen=False)
-    feed(_mesh(*(nodes for nodes, _ in axes)))
-    spacings = [spacing for _, spacing in axes]
-    for _ in range(grid.refine_depth):
-        if values:
-            order = np.argsort(np.concatenate(values), kind="stable")[::-1]
-            seeds = np.concatenate(coords)[order[:_TOP_SEEDS]]
-            fresh = _unique_rows(np.concatenate(
-                [_mesh(*map(_local_mesh, seed, spacings)) for seed in seeds]))
-            feed(fresh[inside(fresh)])
-        spacings = [spacing / _REFINE_FACTOR for spacing in spacings]
-    if attempted and failed > 0.01 * attempted:
-        raise ArithmeticError(
-            f"{label}: {failed} of {attempted} samples failed quadrature")
+    feed(slice(None), witnesses, screen=False)
+    feed(slice(None), _mesh(*(nodes for nodes, _ in axes))[None])
+    for i in range(k):
+        spacings = [spacing for _, spacing in axes]
+        for _ in range(grid.refine_depth):
+            if values[i]:
+                order = np.argsort(np.concatenate(values[i]), kind="stable")[::-1]
+                seeds = np.concatenate(coords[i])[order[:_TOP_SEEDS]]
+                fresh = _unique_rows(np.concatenate(
+                    [_mesh(*map(_local_mesh, seed, spacings)) for seed in seeds]))
+                feed(slice(i, i + 1), fresh[inside(fresh)][None])
+            spacings = [spacing / _REFINE_FACTOR for spacing in spacings]
+    for i in range(k):
+        if failed[i] > 0.01 * attempted[i]:
+            raise ArithmeticError(f"{label} at x={xs[i]}: {failed[i]} of "
+                                  f"{attempted[i]} samples failed quadrature")
     return best
 
 
-def maximal_in_time(datum: FourierDatum, m: float, curve: Curve, x: float,
-                    grid: GridSpec, extra_t=()) -> float:
-    """Grid supremum over t in [0,1] of |u(path(x,t), t)|.
+def maximal_in_time(datum: FourierDatum, m: float, curve: Curve, x,
+                    grid: GridSpec, extra_t=()):
+    """Grid supremum over t in [0,1] of |u(path(x,t), t)|, per position.
 
-    Injected extra_t samples are evaluated first (unscreened) and count as
-    witnesses for the sampling rule.  Refinement adds factor-8 finer local
-    grids around the current top maxima, so the value never decreases with
-    depth.  Samples failing quadrature are skipped; more than 1% failing is
-    an error.
+    x is one position (returns a float) or a 1-D array of positions (returns
+    an array, one floor per position); extra_t holds witness times, a
+    sequence for a scalar x and one row per position for an array x.
+    Witnesses are evaluated first (unscreened) and count for the sampling
+    rule.  On a vertical path an array of positions shares one outer base
+    mesh, evaluated in one separable call and screened afterwards; other
+    paths and a scalar x screen samples before quadrature.  Refinement adds
+    factor-8 finer local grids around each position's top maxima, so a
+    value never decreases with depth.  Samples failing quadrature are
+    skipped; more than 1% failing at a position is an error.  len(x) *
+    t_base may not exceed ``MAX_BASE_SAMPLES``.
     """
-    return _grid_sup(datum, m, grid, [_time_axis(grid)],
-                     lambda c: (curve_eval(curve, x, c[:, 0]), c[:, 0]),
-                     _in_unit_time,
-                     np.asarray(tuple(extra_t), dtype=float).reshape(-1, 1),
-                     f"maximal_in_time at x={x}")
+    xs = np.asarray(x, dtype=float)
+    t_w = np.asarray(extra_t, dtype=float)
+    if xs.ndim > 1 or (t_w.size and t_w.shape[:-1] != xs.shape):
+        raise ValueError(f"x must be a scalar or 1-D, with extra_t of shape "
+                         f"x.shape + (w,); got {xs.shape} and {t_w.shape}")
+    if xs.size * grid.t_base > MAX_BASE_SAMPLES:
+        raise ValueError(f"len(x) * t_base must be <= {MAX_BASE_SAMPLES} base "
+                         f"samples, got {xs.size} * {grid.t_base}")
+
+    def locate(x, c):
+        t = c[..., 0]
+        return (x if curve.kind == "vertical" else curve_eval(curve, x, t)), t
+
+    sups = _grid_sup(datum, m, grid, xs.reshape(-1), [_time_axis(grid)], locate,
+                     _in_unit_time, t_w.reshape(xs.size, -1, 1), "maximal_in_time")
+    return float(sups[0]) if xs.ndim == 0 else sups
 
 
 def _theta_nodes(bounds, per_component):
@@ -219,8 +274,9 @@ def maximal_over_lines(datum: FourierDatum, m: float, theta_intervals, x: float,
     bounds = np.asarray(theta_intervals, dtype=float).reshape(-1, 2)
     thetas = _theta_nodes(bounds, grid.theta_per_component)
     d_theta = float(np.max(np.diff(thetas))) if len(thetas) > 1 else 0.0
-    return _grid_sup(datum, m, grid, [(thetas, d_theta), _time_axis(grid)],
-                     lambda c: (x - c[:, 0] * c[:, 1], c[:, 1]),
-                     lambda c: _in_unit_time(c) & _in_intervals(c[:, 0], bounds),
-                     np.asarray(tuple(extra), dtype=float).reshape(-1, 2),
-                     f"maximal_over_lines at x={x}")
+    return float(_grid_sup(
+        datum, m, grid, np.array([x], dtype=float), [(thetas, d_theta), _time_axis(grid)],
+        lambda x, c: (x - c[..., 0] * c[..., 1], c[..., 1]),
+        lambda c: _in_unit_time(c) & _in_intervals(c[:, 0], bounds),
+        np.asarray(tuple(extra), dtype=float).reshape(1, -1, 2),
+        "maximal_over_lines")[0])

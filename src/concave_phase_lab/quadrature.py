@@ -31,8 +31,11 @@ the shapes of P and T alone:
   column part, and every Simpson sum is an entry of the product
   ``E_row @ (amp_w * E_col).T`` with ``E_row = exp(i*P*L)`` (r x n) and
   ``E_col = exp(i*T*S)`` (c x n): (r + c)*n complex exponentials instead of
-  r*c*n.  The rule has n nodes sized from the mesh's largest W, exactly as a
-  flat bucket sizes its rule from the bucket's largest W.
+  r*c*n.  The bucket rule applies to rows: rows are sorted by |P| and split
+  into groups of at most ``BUCKET`` points (``BUCKET // c`` rows, at least
+  one), and each group gets its own rule, sized from the group's largest W
+  exactly as a flat bucket's is, and its own ``E_col``.  A mesh of at most
+  ``BUCKET`` points is one group.
 
 Both routes place ``NODES_PER_RADIAN`` nodes per radian of W, clamped to
 [``N_MIN``, ``N_MAX``], and hold their temporaries to ``CHUNK_ELEMS`` elements.
@@ -326,14 +329,16 @@ def two_phase_batch(P, T, L_of, S_of, amplitude, interval) -> np.ndarray:
     contract-grade values should use :func:`integrate`.
 
     When P and T vary along disjoint axes (an outer mesh such as P of shape
-    (r, 1) and T of shape (1, c)), one rule sized from the mesh's largest W
-    serves every point and the sums are the matrix product
-    ``exp(i*P*L) @ (amp_w * exp(i*T*S)).T``, contracted by ``np.einsum`` in
-    blocks of nodes, so the result does not depend on the BLAS thread count.
-    A mesh of at most ``BUCKET`` points gets the node count the flat route
-    would give it.  Any other input is raveled and evaluated flat: points are
-    sorted by W and buckets of ``BUCKET`` points share the rule of their
-    largest W.
+    (r, 1) and T of shape (1, c)), the entries of P are rows and those of T
+    columns.  Rows are sorted by |P| and split into groups of at most
+    ``BUCKET`` points (``BUCKET // c`` rows, at least one); a group's sums
+    are the matrix product ``exp(i*P*L) @ (amp_w * exp(i*T*S)).T`` under the
+    rule of the group's largest W, contracted by ``np.einsum`` in blocks of
+    nodes, so the result does not depend on the BLAS thread count.  A mesh
+    of at most ``BUCKET`` points is one group and gets the node count the
+    flat route would give it.  Any other input is raveled and evaluated
+    flat: points are sorted by W and buckets of ``BUCKET`` points share the
+    rule of their largest W.
 
     L_of and S_of must be monotone profiles on the interval (only their
     endpoint values feed the W bound).
@@ -373,18 +378,39 @@ def two_phase_batch(P, T, L_of, S_of, amplitude, interval) -> np.ndarray:
     return out.reshape(shape)
 
 
+def _unit_phase(coeffs, profile):
+    """``exp(1j * coeffs[..., None] * profile)``, built in its own output array.
+
+    One complex temporary instead of three keeps a group's peak memory at
+    16 bytes per element; the values are those of the expression.
+    """
+    out = np.zeros(coeffs.shape + profile.shape, dtype=complex)
+    np.multiply(coeffs[..., None], profile, out=out.imag)
+    return np.exp(out, out=out)
+
+
 def _mesh_batch(P, T, L_of, S_of, amplitude, a, b, spanL, spanS):
-    """Mesh route of :func:`two_phase_batch`: P and T vary on disjoint axes."""
-    w_max = float(np.abs(P).max()) * spanL + float(np.abs(T).max()) * spanS
-    v, amp_w = _batch_rule(w_max, amplitude, a, b)
-    L = np.asarray(L_of(v), dtype=float)
-    S = np.asarray(S_of(v), dtype=float)
-    P, T = P[..., None], T[..., None]
-    block = max(1, CHUNK_ELEMS // (P.size + T.size))
-    out = 0.0
-    for k in range(0, len(v), block):
-        sl = slice(k, k + block)
-        e_row = np.exp(1j * (P * L[sl]))
-        e_col = np.exp(1j * (T * S[sl])) * amp_w[sl]
-        out = out + np.einsum("...n,...n->...", e_row, e_col)
-    return out
+    """Mesh route of :func:`two_phase_batch`: P and T vary on disjoint axes.
+
+    Entries of P are rows and entries of T columns; rows go by |P| into
+    groups of at most ``BUCKET`` points, one rule and one ``E_col`` each.
+    """
+    rows, cols = P.reshape(-1, 1), T.reshape(1, -1)
+    t_part = float(np.abs(T).max()) * spanS
+    order = np.argsort(np.abs(rows[:, 0]), kind="stable")
+    per_group = max(1, BUCKET // cols.size)
+    sums = np.empty((rows.size, cols.size), dtype=complex)
+    for i in range(0, len(order), per_group):
+        idx = order[i:i + per_group]
+        v, amp_w = _batch_rule(abs(rows[idx[-1], 0]) * spanL + t_part, amplitude, a, b)
+        L = np.asarray(L_of(v), dtype=float)
+        S = np.asarray(S_of(v), dtype=float)
+        block = max(1, CHUNK_ELEMS // (len(idx) + cols.size))
+        out = 0.0
+        for k in range(0, len(v), block):
+            sl = slice(k, k + block)
+            e_col = _unit_phase(cols, S[sl])
+            e_col *= amp_w[sl]
+            out = out + np.einsum("...n,...n->...", _unit_phase(rows[idx], L[sl]), e_col)
+        sums[idx] = out
+    return sums[np.arange(P.size).reshape(P.shape), np.arange(T.size).reshape(T.shape)]

@@ -156,10 +156,11 @@ def test_sharpness_vertical_deterministic_across_thread_counts(tmp_path, monkeyp
     assert outputs[0] == outputs[1]
 
 
-def test_kernel_envelope_deterministic_across_blas_threads(tmp_path):
-    # The 64x64 mesh is the smallest tried on which a threaded zgemm
-    # contraction changes report bytes (a 16x16 mesh does not); the out_dir
-    # string is part of the report, so both runs share it.
+def _reports_across_blas_threads(tmp_path, argv):
+    """Report bytes of one CLI run with OPENBLAS_NUM_THREADS=1 and one unset.
+
+    The out_dir string is part of the report, so both runs share it.
+    """
     src = str(Path(concave_phase_lab.__file__).resolve().parents[1])
     base = dict(os.environ)
     base["PYTHONPATH"] = os.pathsep.join(
@@ -170,13 +171,30 @@ def test_kernel_envelope_deterministic_across_blas_threads(tmp_path):
         env = dict(base)
         if blas_threads is not None:
             env["OPENBLAS_NUM_THREADS"] = blas_threads
-        subprocess.run([sys.executable, "-m", "concave_phase_lab.cli",
-                        "kernel-envelope", "--grid-n", "64", "--lam-count", "5",
+        subprocess.run([sys.executable, "-m", "concave_phase_lab.cli", *argv,
                         "--out-dir", str(tmp_path)],
                        env=env, check=True, capture_output=True, timeout=120)
-        outputs.append([(tmp_path / f"kernel-envelope.{ext}").read_bytes()
+        outputs.append([(tmp_path / f"{argv[0]}.{ext}").read_bytes()
                         for ext in ("json", "csv")])
-    assert outputs[0] == outputs[1]
+    return outputs
+
+
+def test_kernel_envelope_deterministic_across_blas_threads(tmp_path):
+    # The 64x64 mesh is the smallest tried on which a threaded zgemm
+    # contraction changes report bytes (a 16x16 mesh does not).
+    first, second = _reports_across_blas_threads(
+        tmp_path, ["kernel-envelope", "--grid-n", "64", "--lam-count", "5"])
+    assert first == second
+
+
+def test_sharpness_vertical_deterministic_across_blas_threads(tmp_path):
+    # 41 x 129 base samples per rung: the separable base mesh spans two row
+    # groups of BUCKET // 129 rows (21 x 129 would fit in one).  A threaded
+    # zgemm contraction changes this report's bytes; 41 x 257 would not show it.
+    first, second = _reports_across_blas_threads(
+        tmp_path, ["sharpness-vertical", "--x-cells", "41", "--t-base", "129",
+                   "--lam-count", "5"])
+    assert first == second
 
 
 def test_cli_refuses_oversized_kernel_envelope(tmp_path, capsys, monkeypatch):
@@ -192,6 +210,21 @@ def test_cli_refuses_oversized_kernel_envelope(tmp_path, capsys, monkeypatch):
     assert record["error"]["type"] == "ValueError"
     assert "grid_n" in record["error"]["message"]
     assert not list(tmp_path.iterdir())
+
+
+def test_cli_refuses_oversized_sharpness_vertical(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("the oversized rung must not start")
+
+    monkeypatch.setattr("concave_phase_lab.maximal.propagate_grid", never)
+    for argv in (["--x-cells", "100000"], ["--x-cells", "121", "--t-base", "100000"]):
+        code = cli_main(["sharpness-vertical", *argv, "--out-dir", str(tmp_path)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["schema_version"] == SCHEMA_VERSION
+        assert record["error"]["type"] == "ValueError"
+        assert "x_cells * t_base" in record["error"]["message"]
+        assert not list(tmp_path.iterdir())
 
 
 def test_pipeline_registry_is_complete():

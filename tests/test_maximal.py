@@ -6,7 +6,9 @@ import pytest
 
 from concave_phase_lab import maximal
 from concave_phase_lab.counterexamples import (cantor_data, cantor_selectors,
-                                               knapp_curve, matched_point_curve)
+                                               knapp_curve, knapp_vertical_spatial,
+                                               knapp_vertical_temporal,
+                                               matched_point_curve)
 from concave_phase_lab.geometry import Curve, cantor_level
 from concave_phase_lab.maximal import GridSpec, maximal_in_time, maximal_over_lines
 from concave_phase_lab.spectral import FourierDatum, propagate_grid
@@ -73,6 +75,67 @@ def test_witness_value_is_certified_floor():
         direct = float(np.abs(propagate_grid(BAND, 0.5, np.array([0.2]),
                                              np.array([t0])))[0])
         assert sup >= direct - 1e-14
+
+
+def test_array_positions_match_scalar_calls_on_vertical_path(monkeypatch):
+    # 40 x 129 base samples exceed BUCKET, so the one separable base call
+    # spans several row groups; each position must still get the floor of its
+    # own scalar call, and never less than its best witness
+    grid = GridSpec(t_base=129)
+    xs = np.geomspace(1e-3, 1.0, 40)
+    lam, m = 2.0 ** 6, 0.5
+    temporal = knapp_vertical_temporal(lam, m)
+    lo, hi = temporal.support
+    t_stat = np.minimum(1.0, xs / (m * abs(0.5 * (lo + hi)) ** (m - 1.0)))
+    calls = []
+
+    def spy(datum, m, positions, times):
+        calls.append((np.shape(positions), np.shape(times)))
+        return propagate_grid(datum, m, positions, times)
+
+    for datum, witnesses in ((knapp_vertical_spatial(lam), np.zeros((40, 1))),
+                             (temporal, np.stack([t_stat, 0.5 * t_stat], axis=1))):
+        calls.clear()
+        monkeypatch.setattr(maximal, "propagate_grid", spy)
+        sups = maximal_in_time(datum, m, Curve.vertical(), xs, grid, extra_t=witnesses)
+        monkeypatch.undo()
+        assert sups.shape == xs.shape
+        assert calls[:2] == [((40, 1), witnesses.shape), ((40, 1), (1, 129))]
+        each = [maximal_in_time(datum, m, Curve.vertical(), x, grid, extra_t=w)
+                for x, w in zip(xs, witnesses)]
+        np.testing.assert_allclose(sups, each, rtol=1e-12, atol=0.0)
+        floors = np.abs(propagate_grid(datum, m, xs[:, None], witnesses)).max(axis=1)
+        assert np.all(sups >= floors)
+
+
+def test_array_positions_match_scalar_calls_on_power_curve():
+    # positions move with t: no outer mesh, the base is screened and flat
+    grid = small_grid()
+    curve = Curve.power(theta=0.5, kappa=2.0)
+    xs = np.array([0.05, 0.3, 0.55, 0.9])
+    for witnesses in (np.empty((4, 0)), np.array([[0.1], [0.4], [0.7], [0.95]])):
+        sups = maximal_in_time(BAND, 0.5, curve, xs, grid, extra_t=witnesses)
+        each = [maximal_in_time(BAND, 0.5, curve, x, grid, extra_t=w)
+                for x, w in zip(xs, witnesses)]
+        np.testing.assert_allclose(sups, each, rtol=1e-12, atol=0.0)
+
+
+def test_array_positions_validation(monkeypatch):
+    vertical = Curve.vertical()
+    with pytest.raises(ValueError, match="extra_t"):
+        maximal_in_time(BAND, 0.5, vertical, np.array([0.1, 0.2]), small_grid(),
+                        extra_t=(0.0, 0.0))
+    with pytest.raises(ValueError, match="1-D"):
+        maximal_in_time(BAND, 0.5, vertical, np.zeros((2, 2)), small_grid())
+
+    def never(*args, **kwargs):
+        raise AssertionError("an oversized call must not start")
+
+    monkeypatch.setattr(maximal, "propagate_grid", never)
+    cells = maximal.MAX_BASE_SAMPLES // 33 + 1
+    with pytest.raises(ValueError, match="MAX_BASE_SAMPLES|base samples"):
+        maximal_in_time(BAND, 0.5, vertical, np.linspace(0.0, 1.0, cells),
+                        small_grid(), extra_t=np.zeros((cells, 1)))
 
 
 def test_lines_reduce_to_vertical_at_zero_direction():

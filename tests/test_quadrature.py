@@ -153,6 +153,38 @@ def test_batch_rule_mesh_blocks_of_nodes_agree(monkeypatch):
     assert np.abs(blocks - whole).max() <= 1e-12 * np.abs(whole).max()
 
 
+def test_batch_rule_mesh_row_groups_match_flat(monkeypatch):
+    # 150 x 64 points > BUCKET: rows are sorted by |P| into groups of
+    # BUCKET // 64 rows, each with its own rule.  Rows come in shuffled |P|
+    # order over five decades; the spy on the row factors sees every row in
+    # exactly one group, so a row dropped or repeated at a group edge fails.
+    rng = np.random.default_rng(7)
+    r, c, m = 150, 64, 0.5
+    P = rng.permutation(np.geomspace(1e-2, 300.0, r) * rng.choice([-1.0, 1.0], r))
+    T = np.linspace(0.0, 20.0, c)
+    row_factors = []
+    unit_phase = quadrature._unit_phase
+
+    def spy(coeffs, profile):
+        if coeffs.shape[1] == 1:
+            row_factors.append(coeffs.ravel().copy())
+        return unit_phase(coeffs, profile)
+
+    monkeypatch.setattr(quadrature, "_unit_phase", spy)
+    mesh = two_phase_batch(P[:, None], T[None, :], lambda v: v, lambda v: v ** m,
+                           BUMP, BAND)
+    groups = [np.abs(g) for g in row_factors]
+    assert len(groups) == -(-r // (quadrature.BUCKET // c)) > 1
+    assert all(len(g) <= quadrature.BUCKET // c for g in groups)
+    assert all(a.max() <= b.min() for a, b in zip(groups, groups[1:]))
+    assert np.array_equal(np.sort(np.concatenate(row_factors)), np.sort(P))
+    monkeypatch.undo()
+    flat = two_phase_batch(np.repeat(P, c), np.tile(T, r), lambda v: v,
+                           lambda v: v ** m, BUMP, BAND).reshape(r, c)
+    assert mesh.shape == (r, c)
+    assert np.abs(mesh - flat).max() <= 1e-10 * (BAND[1] - BAND[0])
+
+
 def test_batch_rule_rejects_shapes_that_do_not_broadcast():
     with pytest.raises(ValueError, match="broadcast"):
         two_phase_batch(np.zeros(3), np.zeros(4), lambda v: v, lambda v: v,

@@ -19,12 +19,11 @@ from .experiments import RunConfig, ScalingExperiment, run_experiment
 from .fitting import LogLogFit, fit_loglog
 from .geometry import (AlphaMeasure, CantorSet, Curve, bilinear_form_check,
                        cantor_level, covering_number, curve_eval, frostman_bound,
-                       frostman_constant, lipschitz_check, lq_mu_norm,
-                       minkowski_dimension)
+                       frostman_constant, lq_mu_norm, minkowski_dimension)
 from .maximal import GridSpec, maximal_in_time, maximal_over_lines
 from .phase import (EnvelopeParams, check_kernel_envelope, envelope_J_curve,
                     envelope_J_vertical, phase_derivative_min,
-                    sample_derivative_constants, split_curve, split_vertical)
+                    sample_derivative_constants, split_vertical)
 from .quadrature import (InvalidIntegrandError, QuadratureError, QuadratureSpec,
                          SmoothFunction1D, ToleranceNotMetError, integrate,
                          oracle_integrate, two_phase_batch)

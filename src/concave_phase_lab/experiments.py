@@ -78,8 +78,6 @@ class RunConfig:
     theta_nodes: int = 0
     grid_n: int = 64
     refine_depth: int = 2
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
     b_count: int = 7
     data: str = "spatial"       # sharpness-vertical: spatial | temporal
     variant: str = "vertical"   # kernel-envelope: vertical | curve
@@ -120,15 +118,6 @@ class RunConfig:
                 values[key.strip()] = raw.strip()
         values.update(overrides or {})
         return cls.from_mapping(values)
-
-    def updated(self, mapping):
-        merged = asdict(self)
-        for key, raw in mapping.items():
-            key = key.replace("-", "_")
-            if key not in merged:
-                raise ValueError(f"unknown config key: {key!r}")
-            merged[key] = _coerce(type(self), key, raw)
-        return type(self)(**merged)
 
 
 def _coerce(cls, key, raw):
@@ -511,6 +500,9 @@ _TABLE_FLAT = {
     "s_star_lines": lambda cfg: exponents.s_star_lines(cfg.m, cfg.alpha, cfg.q),
     "summary_thresholds": lambda cfg: exponents.summary_thresholds(cfg.m, cfg.kappa),
 }
+# Largest number of s values an exponent table accepts; larger, reversed or
+# non-advancing grids are refused before any row is computed.
+MAX_S_GRID_POINTS = 10_000
 
 
 def _run_exponent_table(cfg):
@@ -521,6 +513,9 @@ def _run_exponent_table(cfg):
         known = sorted(_TABLE_FLAT) + sorted(_TABLE_BY_S)
         raise ValueError(f"unknown calculator {cfg.calculator!r}; expected one of {known}")
     lo, hi, step = (float(part) for part in cfg.s_grid.split(":"))
+    if not (hi >= lo and step > 0 and (hi - lo) / step <= MAX_S_GRID_POINTS - 1):
+        raise ValueError(f"s_grid lo:hi:step needs lo <= hi, step > 0 and at most "
+                         f"{MAX_S_GRID_POINTS} points, got {cfg.s_grid!r}")
     rows, skipped = [], []
     for s in np.arange(lo, hi + 0.5 * step, step):
         s = round(float(s), 12)

@@ -85,16 +85,13 @@ def s_star_lines(m: float, alpha: float, q: float) -> float:
     return min(m / 4, alpha / q)
 
 
-def dim_bound_vertical(s: float, m: float, extended: bool = False) -> float:
+def dim_bound_vertical(s: float, m: float) -> float:
     """Divergence-set dimension bound, vertical lines, concave regime.
 
     Valid for s in (m/4, 1/2); the two branches cross at s = 1/4 with value
-    1/2.  With ``extended=True`` the plateau value 1 is returned for
-    s <= m/4 instead of raising.
+    1/2.
     """
     _need_m_concave(m)
-    if extended and s <= m / 4:
-        return 1.0
     if not m / 4 < s < 0.5:
         raise ValueError(f"out of theorem range: requires s in (m/4, 1/2), got s={s}")
     return max(1 - 2 * s, 0.5 + (1 - 4 * s) / (2 * (1 - m)))

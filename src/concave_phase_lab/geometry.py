@@ -1,11 +1,11 @@
 """Paths, fractal measures, Cantor prefractals, and singular-weight sums.
 
 Geometric side of the maximal-function experiments: the convergence paths
-x - theta*t^kappa (with their Lipschitz witnesses), the alpha-dimensional
-weights |x|^(alpha-1)dx on the unit interval with exact interval masses,
+x - theta*t^kappa and vertical lines, the alpha-dimensional weights
+|x|^(alpha-1)dx on the unit interval with exact interval masses,
 middle-removal Cantor prefractals with covering counts and Minkowski slope
-estimation, and the discrete bilinear forms with indicator or power kernels
-that the dispersive estimates are reduced to.
+estimation, and the discrete bilinear forms with a near-diagonal indicator
+kernel that the dispersive estimates are reduced to.
 
 The measure never enters through pointwise sampling of the singular weight:
 every weighted sum uses the exact cell mass (b^alpha - a^alpha)/alpha, so
@@ -24,8 +24,6 @@ __all__ = [
     "AlphaMeasure",
     "CantorSet",
     "curve_eval",
-    "lipschitz_check",
-    "measure_of_ball",
     "frostman_constant",
     "frostman_bound",
     "lq_mu_norm",
@@ -36,15 +34,14 @@ __all__ = [
     "BilinearCheck",
 ]
 
-_KINDS = ("vertical", "power", "exponential")
+_KINDS = ("vertical", "power")
 
 
 @dataclass(frozen=True)
 class Curve:
     """A convergence path t -> position, anchored at x when t = 0.
 
-    Kinds: "vertical" (constant x), "power" (x - theta*t^kappa), and
-    "exponential" (x - exp(-1/t), flat to all orders at t = 0).
+    Kinds: "vertical" (constant x) and "power" (x - theta*t^kappa).
     """
 
     kind: str
@@ -67,10 +64,6 @@ class Curve:
     def power(cls, theta: float, kappa: float):
         return cls(kind="power", theta=theta, kappa=kappa)
 
-    @classmethod
-    def exponential(cls):
-        return cls(kind="exponential")
-
 
 def curve_eval(curve: Curve, x, t):
     """Position of the path through x at time t; vectorized."""
@@ -78,33 +71,7 @@ def curve_eval(curve: Curve, x, t):
     t = np.asarray(t, dtype=float)
     if curve.kind == "vertical":
         return np.broadcast_arrays(x, t)[0].copy()
-    if curve.kind == "power":
-        return x - curve.theta * np.power(t, curve.kappa)
-    with np.errstate(divide="ignore"):
-        drift = np.where(t > 0, np.exp(-1.0 / np.where(t > 0, t, 1.0)), 0.0)
-    return x - drift
-
-
-def lipschitz_check(curve: Curve, x_grid, t_grid):
-    """Witness the Lipschitz frame of a path on a grid.
-
-    Returns (C1, C2, ok): the largest time-difference quotient
-    |pos(x,t) - pos(x,t')| / |t - t'| and the smallest space-difference
-    quotient |pos(x,t) - pos(x',t)| / |x - x'| seen on the grids, plus
-    whether C1 is finite and C2 > 0.  Consecutive pairs suffice: for paths
-    monotone in each argument the extreme quotients over all pairs are
-    attained on adjacent nodes (telescoping).
-    """
-    x_grid = np.sort(np.asarray(x_grid, dtype=float))
-    t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    if len(x_grid) < 2 or len(t_grid) < 2:
-        raise ValueError("grids need at least two nodes")
-    pos = curve_eval(curve, x_grid[:, None], t_grid[None, :])
-    dt = np.diff(t_grid)[None, :]
-    dx = np.diff(x_grid)[:, None]
-    c1 = float(np.max(np.abs(np.diff(pos, axis=1)) / dt))
-    c2 = float(np.min(np.abs(np.diff(pos, axis=0)) / dx))
-    return c1, c2, bool(np.isfinite(c1) and c2 > 0)
+    return x - curve.theta * np.power(t, curve.kappa)
 
 
 @dataclass(frozen=True)
@@ -127,13 +94,6 @@ class AlphaMeasure:
     @property
     def total(self) -> float:
         return 1.0 / self.alpha
-
-
-def measure_of_ball(measure: AlphaMeasure, center: float, radius: float):
-    """Exact mass of B(center, radius) intersected with the unit interval."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    return float(measure.mass(center - radius, center + radius))
 
 
 def frostman_bound(alpha: float) -> float:
@@ -167,24 +127,16 @@ def _cell_edges(edges):
     return edges
 
 
-def lq_mu_norm(samples, measure: AlphaMeasure, q: float, edges=None) -> float:
+def lq_mu_norm(samples, measure: AlphaMeasure, q: float, edges) -> float:
     """Weighted counting norm (sum_cells |value|^q * mu(cell))^(1/q).
 
-    ``samples`` is either a vectorized function (evaluated at cell midpoints)
-    or an array of per-cell values, one per cell of ``edges`` (default: 4096
-    uniform cells on (0,1)).  Cell masses are exact, so the value is exact
-    for piecewise-constant samples and refines toward the integral norm
-    otherwise.
+    ``samples`` holds one value per cell of ``edges``.  Cell masses are
+    exact, so the value is exact for piecewise-constant samples.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    if edges is None:
-        edges = np.linspace(0.0, 1.0, 4097)
     edges = _cell_edges(edges)
-    if callable(samples):
-        values = np.asarray(samples(0.5 * (edges[:-1] + edges[1:])), dtype=float)
-    else:
-        values = np.asarray(samples, dtype=float)
+    values = np.asarray(samples, dtype=float)
     if values.shape != (len(edges) - 1,):
         raise ValueError("need one sample per cell")
     weights = measure.mass(edges[:-1], edges[1:])
@@ -202,14 +154,6 @@ class CantorSet:
     def to_json(self) -> str:
         """Ordered JSON list of [left, right] pairs."""
         return json.dumps([[lo, hi] for lo, hi in self.intervals])
-
-    @property
-    def component_length(self) -> float:
-        return self.ratio ** self.level
-
-    @property
-    def total_length(self) -> float:
-        return (2.0 * self.ratio) ** self.level
 
 
 def cantor_level(ratio: float, level: int) -> CantorSet:
@@ -292,45 +236,35 @@ class BilinearCheck:
     constant: float
 
 
-def _time_integrals(fn_or_values, x_mid, t_mid, dt):
-    if callable(fn_or_values):
-        values = np.asarray(fn_or_values(x_mid[:, None], t_mid[None, :]), dtype=float)
-        values = np.broadcast_to(values, (len(x_mid), len(t_mid)))
-    else:
-        values = np.asarray(fn_or_values, dtype=float)
-        if values.shape != (len(x_mid), len(t_mid)):
-            raise ValueError("sampled values must be shaped (x cells, t cells)")
+def _time_integrals(fn, x_mid, t_mid, dt):
+    values = np.asarray(fn(x_mid[:, None], t_mid[None, :]), dtype=float)
+    values = np.broadcast_to(values, (len(x_mid), len(t_mid)))
     return values.sum(axis=1) * dt, np.abs(values).sum(axis=1) * dt
 
 
-def bilinear_form_check(g, h, measure: AlphaMeasure, q: float,
-                        variant: str = "indicator", b: float | None = None,
-                        rho: float | None = None, x_cells: int = 128,
-                        t_cells: int = 128) -> BilinearCheck:
+def bilinear_form_check(g, h, measure: AlphaMeasure, q: float, b: float,
+                        x_cells: int = 128, t_cells: int = 128) -> BilinearCheck:
     """Discrete quadruple sum of g(x,t)*h(x',t')*W(x-x') against mu x mu x dt x dt'.
 
-    W is the symmetric near-diagonal indicator of 0 < |x-x'| < b, or the
-    power kernel |x-x'|^(-rho) (diagonal cells excluded).  Returns the form,
-    the comparison side b^(2*alpha/q) * N(g) * N(h) (the power kernel drops
-    the b factor), and their quotient, where N is the mixed norm: inner
-    absolute time integral, outer counting norm with exponent q/(q-1)
-    against the exact cell masses.
+    W is the symmetric near-diagonal indicator of 0 < |x-x'| < b.  Returns
+    the form, the comparison side b^(2*alpha/q) * N(g) * N(h), and their
+    quotient, where N is the mixed norm: inner absolute time integral, outer
+    counting norm with exponent q/(q-1) against the exact cell masses.
 
     Parameters
     ----------
-    g, h : callable (x, t) -> value, vectorized, or arrays (x_cells, t_cells)
+    g, h : callable (x, t) -> value, vectorized
     measure : AlphaMeasure
     q : float, >= 2
-    variant : {"indicator", "power"}
     b : float
-        Indicator width; required and positive for the indicator variant.
-    rho : float
-        Power-kernel exponent; requires 0 < q*rho/2 < alpha.
+        Indicator width; must be positive.
     x_cells, t_cells : int
         Uniform grid resolution on the unit square.
     """
     if q < 2:
         raise ValueError("q must be >= 2")
+    if not b > 0:
+        raise ValueError("the indicator needs a width b > 0")
     x_edges = np.linspace(0.0, 1.0, x_cells + 1)
     t_edges = np.linspace(0.0, 1.0, t_cells + 1)
     x_mid = 0.5 * (x_edges[:-1] + x_edges[1:])
@@ -342,20 +276,8 @@ def bilinear_form_check(g, h, measure: AlphaMeasure, q: float,
     h_int, h_abs = _time_integrals(h, x_mid, t_mid, dt)
 
     diff = np.abs(x_mid[:, None] - x_mid[None, :])
-    if variant == "indicator":
-        if b is None or b <= 0:
-            raise ValueError("indicator variant needs a width b > 0")
-        kernel = ((diff > 0.0) & (diff < b)).astype(float)
-        scale = b ** (2.0 * measure.alpha / q)
-    elif variant == "power":
-        if rho is None or not 0 < q * rho / 2 < measure.alpha:
-            raise ValueError("HLS exponent out of range: need 0 < q*rho/2 < alpha")
-        off = diff > 0.0
-        kernel = np.zeros_like(diff)
-        kernel[off] = diff[off] ** (-rho)
-        scale = 1.0
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    kernel = ((diff > 0.0) & (diff < b)).astype(float)
+    scale = b ** (2.0 * measure.alpha / q)
 
     form = float((mu_cells * g_int) @ kernel @ (mu_cells * h_int))
     q_dual = q / (q - 1.0)

@@ -29,11 +29,9 @@ from .spectral import kernel_grid
 __all__ = [
     "EnvelopeParams",
     "split_vertical",
-    "split_curve",
     "envelope_J_vertical",
     "envelope_J_curve",
     "phase_derivative_min",
-    "phase_derivative_min_curve",
     "EnvelopeReport",
     "MAX_ENVELOPE_POINTS",
     "check_kernel_envelope",
@@ -107,13 +105,6 @@ def split_vertical(params: EnvelopeParams, x: float, t: float):
     return (lo, boundary), (boundary, hi)
 
 
-def split_curve(kappa: float, dx: float, dt: float) -> str:
-    """Tag a space-time difference: "V1" if (kappa+2)*|dt| <= |dx|, else "V2"."""
-    if not kappa >= 1:
-        raise ValueError(f"steepness must be >= 1, got {kappa}")
-    return "V1" if (kappa + 2.0) * abs(dt) <= abs(dx) else "V2"
-
-
 def _envelope(params: EnvelopeParams, x, tail_exponent: float):
     ax = np.abs(np.asarray(x, dtype=float))
     edge = params.indicator_radius
@@ -158,22 +149,6 @@ def phase_derivative_min(params: EnvelopeParams, region: str, x: float, t: float
     if interval is None:
         raise ValueError(f"empty region: {region} is empty at this (x, t)")
     return _band_derivatives(params.lam, params.m, x, t, interval, n_grid)
-
-
-def phase_derivative_min_curve(params: EnvelopeParams, kappa: float, dx: float,
-                               dt: float, theta: float = 1.0,
-                               n_grid: int = 10_000):
-    """Scan the phase derivatives for a path difference (dx, dt).
-
-    The path displacement theta*(t^kappa - t'^kappa) is only constrained by
-    the mean value bound kappa*|dt| on the unit interval, so the spatial
-    coefficient is taken at its adversarial value |dx| - theta*kappa*|dt|.
-    The second derivative does not involve it.  Scans the full band.
-    """
-    if not kappa >= 1:
-        raise ValueError(f"steepness must be >= 1, got {kappa}")
-    space = np.sign(dx) * (abs(dx) - theta * kappa * abs(dt))
-    return _band_derivatives(params.lam, params.m, space, dt, (0.5, 2.0), n_grid)
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,17 @@
 """Configuration handling, pipeline reports, and the command-line front end."""
+import inspect
 import json
 import os
+import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import concave_phase_lab
+from concave_phase_lab import experiments
 from concave_phase_lab.cli import main as cli_main
 from concave_phase_lab.experiments import (PIPELINES, SCHEMA_VERSION, RunConfig,
                                            ScalingExperiment, resolve_config,
@@ -23,14 +27,22 @@ def test_run_config_defaults_and_coercion():
     assert cfg.seed == 7
     assert RunConfig.from_mapping({"seed": "none"}).seed is None
     assert RunConfig().seed is None
-    assert cfg.updated({"lam-count": "9"}).lam_count == 9
+    assert RunConfig.from_mapping({"lam_count": "9"}).lam_count == 9
 
 
 def test_run_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config key"):
         RunConfig.from_mapping({"bogus_knob": "1"})
     with pytest.raises(ValueError, match="unknown config key"):
-        RunConfig().updated({"bogus_knob": "1"})
+        RunConfig.from_mapping({"experiment": "covering", "bogus-knob": "1"})
+
+
+def test_every_run_config_field_is_read():
+    # a field that no pipeline reads is a knob that changes nothing
+    source = inspect.getsource(experiments)
+    unread = [name for name in RunConfig.field_names()
+              if not re.search(rf"\bcfg\.{name}\b", source)]
+    assert unread == []
 
 
 def test_run_config_from_file(tmp_path):
@@ -87,6 +99,32 @@ def test_exponent_table_rows_match_hand_arithmetic():
     flat, _ = run_experiment(RunConfig(experiment="exponent-table",
                                        calculator="s_star_vertical"), write=False)
     assert flat.rows == [{"value": 0.375}]
+
+
+@pytest.mark.parametrize("s_grid", ["0.45:0.15:0.05", "0.15:0.45:0", "0.15:0.45:-0.05",
+                                    "0.15:0.45:1e-300", "0.15:0.45:nan"])
+def test_cli_refuses_bad_s_grid(tmp_path, capsys, monkeypatch, s_grid):
+    def never(cfg, s):
+        raise AssertionError("a refused grid must not start")
+
+    monkeypatch.setitem(experiments._TABLE_BY_S, "dim_bound_vertical", never)
+    code = cli_main(["exponent-table", "--s-grid", s_grid, "--out-dir", str(tmp_path)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["schema_version"] == SCHEMA_VERSION
+    assert record["error"]["type"] == "ValueError"
+    assert "s_grid" in record["error"]["message"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_exponent_table_s_grid_point_cap():
+    cap = experiments.MAX_S_GRID_POINTS
+    at_cap = RunConfig(experiment="exponent-table", calculator="dim_bound_curve",
+                       m=0.5, s_grid=f"0:{cap - 1}:1")
+    result, report = run_experiment(at_cap, write=False)
+    assert len(result.rows) + len(report["aux"]["skipped"]) == cap
+    with pytest.raises(ValueError, match=f"at most {cap} points"):
+        run_experiment(replace(at_cap, s_grid=f"0:{cap}:1"), write=False)
 
 
 def test_exponent_table_skips_out_of_range():
@@ -265,11 +303,13 @@ def test_cli_rejects_sharpness_curve_without_cells(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
-def test_cli_rejects_unknown_key(capsys):
-    code = cli_main(["frostman", "--bogus-knob", "3"])
-    assert code == 2
-    record = json.loads(capsys.readouterr().err)
-    assert "unknown config key" in record["error"]["message"]
+def test_cli_rejects_unknown_key(tmp_path, capsys):
+    for argv in (["--bogus-knob", "3"], ["--rel-tol", "1e-3"]):
+        code = cli_main(["frostman", *argv, "--out-dir", str(tmp_path)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert "unknown config key" in record["error"]["message"]
+        assert not list(tmp_path.iterdir())
 
 
 def test_cli_equals_override_form(tmp_path, capsys):

@@ -39,7 +39,6 @@ def test_dim_bound_vertical_domain():
         dim_bound_vertical(0.1, 0.5)
     with pytest.raises(ValueError, match="out of theorem range"):
         dim_bound_vertical(0.5, 0.5)
-    assert dim_bound_vertical(0.1, 0.5, extended=True) == 1.0
 
 
 def test_dim_bound_curve_examples():

@@ -8,46 +8,18 @@ import pytest
 from concave_phase_lab.geometry import (AlphaMeasure, Curve, bilinear_form_check,
                                         cantor_level, covering_number, curve_eval,
                                         frostman_bound, frostman_constant,
-                                        lipschitz_check, lq_mu_norm,
-                                        measure_of_ball, minkowski_dimension)
+                                        lq_mu_norm, minkowski_dimension)
 
 
 def test_curve_eval_examples():
     assert curve_eval(Curve.power(theta=1.0, kappa=2.0), 0.5, 0.1) == pytest.approx(0.49, abs=1e-15)
     assert curve_eval(Curve.vertical(), 0.37, 0.9) == 0.37
-    expo = curve_eval(Curve.exponential(), 0.5, 0.05)
-    assert expo == pytest.approx(0.5 - math.exp(-20.0), abs=1e-15)
-    assert curve_eval(Curve.exponential(), 0.5, 0.0) == 0.5
 
 
 def test_curve_eval_vectorized():
     t = np.linspace(0.0, 1.0, 11)
     out = curve_eval(Curve.power(theta=2.0, kappa=1.0), 0.0, t)
     assert np.allclose(out, -2.0 * t)
-
-
-def test_lipschitz_check_linear_and_power():
-    x = np.linspace(0.0, 1.0, 41)
-    t = np.linspace(0.0, 1.0, 41)
-    c1, c2, ok = lipschitz_check(Curve.power(theta=1.0, kappa=1.0), x, t)
-    assert ok and c1 == pytest.approx(1.0, abs=1e-9) and c2 == pytest.approx(1.0, abs=1e-9)
-    c1, c2, ok = lipschitz_check(Curve.power(theta=1.0, kappa=2.0), x, t)
-    assert ok and c1 == pytest.approx(2.0, abs=0.1) and c2 == pytest.approx(1.0, abs=1e-9)
-
-
-def test_lipschitz_check_exponential():
-    x = np.linspace(0.0, 1.0, 21)
-    t = np.linspace(1e-3, 0.5, 400)
-    c1, c2, ok = lipschitz_check(Curve.exponential(), x, t)
-    assert ok and c2 == pytest.approx(1.0, abs=1e-9)
-    assert c1 == pytest.approx(4.0 * math.exp(-2.0), rel=0.05)
-
-
-def test_measure_of_ball_closed_forms():
-    assert measure_of_ball(AlphaMeasure(1.0), 0.5, 0.1) == pytest.approx(0.2, abs=1e-15)
-    assert measure_of_ball(AlphaMeasure(0.5), 0.0, 0.25) == pytest.approx(1.0, abs=1e-12)
-    val = measure_of_ball(AlphaMeasure(0.5), 0.5, 0.1)
-    assert val == pytest.approx((math.sqrt(0.6) - math.sqrt(0.4)) / 0.5, abs=1e-12)
 
 
 def test_frostman_constants():
@@ -60,12 +32,15 @@ def test_frostman_constants():
 
 
 def test_lq_mu_norm_closed_forms():
-    assert lq_mu_norm(lambda x: np.ones_like(x), AlphaMeasure(1.0), 2.0) == pytest.approx(1.0, abs=1e-12)
+    edges = np.linspace(0.0, 1.0, 4097)
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    ones = np.ones_like(mids)
+    assert lq_mu_norm(ones, AlphaMeasure(1.0), 2.0, edges) == pytest.approx(1.0, abs=1e-12)
     for alpha, q, c in ((0.5, 2.0, 3.0), (1.0, 4.0, 0.2)):
-        val = lq_mu_norm(lambda x, c=c: np.full_like(x, c), AlphaMeasure(alpha), q)
+        val = lq_mu_norm(c * ones, AlphaMeasure(alpha), q, edges)
         assert val == pytest.approx(c * (1.0 / alpha) ** (1.0 / q), abs=1e-12)
-    lin = lq_mu_norm(lambda x: x, AlphaMeasure(1.0), 2.0,
-                     edges=np.linspace(0.0, 1.0, 20001))
+    fine = np.linspace(0.0, 1.0, 20001)
+    lin = lq_mu_norm(0.5 * (fine[:-1] + fine[1:]), AlphaMeasure(1.0), 2.0, fine)
     assert lin == pytest.approx(math.sqrt(1.0 / 3.0), abs=1e-6)
 
 
@@ -88,8 +63,9 @@ def test_cantor_level_examples():
     assert two.intervals[-1] == pytest.approx((8.0 / 9.0, 1.0))
     three = cantor_level(0.25, 3)
     assert len(three.intervals) == 8
-    assert three.component_length == pytest.approx(0.25 ** 3, abs=1e-15)
-    assert three.total_length == pytest.approx(0.5 ** 3, abs=1e-15)
+    lengths = [hi - lo for lo, hi in three.intervals]
+    assert lengths == pytest.approx([0.25 ** 3] * 8, abs=1e-15)
+    assert sum(lengths) == pytest.approx(0.5 ** 3, abs=1e-15)
 
 
 def test_cantor_level_rejects_bad_ratio():
@@ -137,6 +113,8 @@ def test_bilinear_form_zero_and_full_mass():
     zero = lambda x, t: np.zeros_like(np.asarray(x, dtype=float))
     chk = bilinear_form_check(zero, zero, mu, 2.0, b=0.5)
     assert chk.form_value == 0.0
+    with pytest.raises(ValueError, match="width b > 0"):
+        bilinear_form_check(zero, zero, mu, 2.0, b=0.0)
     one = lambda x, t: np.ones_like(np.asarray(x, dtype=float))
     chk = bilinear_form_check(one, one, mu, 2.0, b=1.0, x_cells=256)
     # full mass minus the excluded diagonal cells
@@ -156,11 +134,3 @@ def test_bilinear_indicator_slope():
     slope = np.polyfit(logb, logf, 1)[0]
     assert slope >= 2.0 * 0.5 / 2.0   # at least the guaranteed decay rate
 
-
-def test_bilinear_power_variant_domain():
-    mu = AlphaMeasure(0.5)
-    one = lambda x, t: np.ones_like(np.asarray(x, dtype=float))
-    with pytest.raises(ValueError, match="HLS exponent out of range"):
-        bilinear_form_check(one, one, mu, 2.0, variant="power", rho=0.6)
-    chk = bilinear_form_check(one, one, mu, 2.0, variant="power", rho=0.3)
-    assert chk.form_value > 0.0 and np.isfinite(chk.form_value)

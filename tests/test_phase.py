@@ -7,9 +7,7 @@ import pytest
 from concave_phase_lab.phase import (EnvelopeParams, check_kernel_envelope,
                                      envelope_J_curve, envelope_J_vertical,
                                      phase_derivative_min,
-                                     phase_derivative_min_curve,
-                                     sample_derivative_constants, split_curve,
-                                     split_vertical)
+                                     sample_derivative_constants, split_vertical)
 from concave_phase_lab.spectral import kernel_K
 
 M_PSI2 = 0.7375356096845448
@@ -112,15 +110,6 @@ def test_split_vertical_degenerate_point():
         split_vertical(params, 0.0, 0.5)
 
 
-def test_split_curve_tags():
-    assert split_curve(1.0, 1.0, 0.0) == "V1"
-    assert split_curve(1.0, 0.0, 1.0) == "V2"
-    assert split_curve(2.0, 0.4, 0.1) == "V1"
-    assert split_curve(2.0, 0.39, 0.1) == "V2"
-    with pytest.raises(ValueError, match="steepness"):
-        split_curve(0.5, 1.0, 0.0)
-
-
 def test_mean_value_inequality_on_grid():
     t = np.linspace(0.0, 1.0, 101)
     for kappa in (1.0, 1.5, 2.0, 3.0, 4.5):
@@ -156,22 +145,6 @@ def test_phase_derivative_empty_region():
         phase_derivative_min(params, "V1", 0.1, 0.5)
     with pytest.raises(ValueError, match="region must be"):
         phase_derivative_min(params, "V3", 0.1, 0.5)
-
-
-def test_phase_derivative_curve_lower_bound():
-    params = EnvelopeParams.curve(2.0 ** 8, 0.5, 1.0, 2.0)
-    kappa, dx, dt = 1.0, 0.3, 0.05
-    assert split_curve(kappa, dx, dt) == "V1"
-    first, second = phase_derivative_min_curve(params, kappa, dx, dt)
-    floor = params.lam * (abs(dx) - (kappa + 2.0 * params.m) * abs(dt))
-    assert floor > 0
-    assert first >= floor
-    xi = np.linspace(0.5, 2.0, 10_007)
-    space = abs(dx) - kappa * abs(dt)
-    scan = np.min(np.abs(params.lam * space + params.m * params.lam ** params.m
-                         * dt * xi ** (params.m - 1.0)))
-    assert first == pytest.approx(scan, rel=1e-6)
-    assert second > 0
 
 
 def test_kernel_envelope_origin_sanity():

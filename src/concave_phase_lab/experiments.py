@@ -286,11 +286,10 @@ def _within(value, target, tol):
 
 def _run_kernel_envelope(cfg):
     report = check_kernel_envelope(cfg.variant, cfg.m, cfg.alpha, cfg.q,
-                                   _ladder(cfg), eps=cfg.eps, kappa=cfg.kappa,
-                                   grid_n=cfg.grid_n)
+                                   _ladder(cfg), eps=cfg.eps, grid_n=cfg.grid_n)
     exp = ScalingExperiment.from_points(
         "kernel-envelope", {"variant": cfg.variant, "m": cfg.m, "alpha": cfg.alpha,
-                            "q": cfg.q, "eps": cfg.eps, "kappa": cfg.kappa},
+                            "q": cfg.q, "eps": cfg.eps},
         report.lams, report.sup_ratios)
     rows = [{"lambda": lam, "value": val}
             for lam, val in zip(exp.lambdas, exp.values)]
@@ -527,7 +526,18 @@ def _run_exponent_table(cfg):
                           {"skipped": skipped})
 
 
+# Largest x_cells that bilinear-check accepts (grid_n <= 1024, b_count <= 8).
+# Each width b holds x_cells**2 cell distances and kernel entries; larger
+# requests are refused before anything is allocated.
+MAX_BILINEAR_CELLS = 2 ** 10
+
+
 def _run_bilinear(cfg):
+    if not (1 <= cfg.grid_n <= MAX_BILINEAR_CELLS
+            and 1 <= cfg.b_count <= math.log2(MAX_BILINEAR_CELLS) - 2):
+        raise ValueError(f"bilinear-check needs grid_n >= 1 and b_count >= 1 with "
+                         f"max(grid_n, 2**(b_count + 2)) <= {MAX_BILINEAR_CELLS} "
+                         f"x cells, got grid_n={cfg.grid_n}, b_count={cfg.b_count}")
     measure = AlphaMeasure(cfg.alpha)
     ones = lambda x, t: np.ones_like(np.asarray(x, dtype=float))
     bs = [2.0 ** -(j + 1) for j in range(cfg.b_count)]
@@ -557,10 +567,19 @@ _FAMILIES = {
 }
 
 
+# Largest grid_n that propagate accepts.  Each point is one batch integral
+# and one report row; larger requests are refused before anything is
+# allocated.
+MAX_PROPAGATE_POINTS = 2 ** 16
+
+
 def _run_propagate(cfg):
     if cfg.family not in _FAMILIES:
         raise ValueError(f"unknown family {cfg.family!r}; expected one of "
                          f"{sorted(_FAMILIES)}")
+    if not 1 <= cfg.grid_n <= MAX_PROPAGATE_POINTS:
+        raise ValueError(f"propagate needs 1 <= grid_n <= {MAX_PROPAGATE_POINTS} "
+                         f"points, got {cfg.grid_n}")
     datum = _FAMILIES[cfg.family](cfg)
     xs = np.linspace(0.0, 1.0, cfg.grid_n)
     values = np.abs(propagate_grid(datum, cfg.m, xs, np.full(cfg.grid_n, cfg.t)))

@@ -31,8 +31,8 @@ Where the screen acts depends on the base.  Several positions on a vertical
 path share an outer x-by-t base mesh; it is evaluated whole in one
 separable quadrature call, and the screen, against each position's best
 witness, then picks the candidates.  Everywhere else (line families, power
-and exponential curves, a single position, every refinement round) the
-screen skips samples before any quadrature.
+curves, a single position, every refinement round) the screen skips samples
+before any quadrature.
 """
 from __future__ import annotations
 

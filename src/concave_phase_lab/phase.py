@@ -160,7 +160,6 @@ class EnvelopeReport:
     alpha: float
     q: float
     eps: float
-    kappa: float
     lams: tuple[float, ...]
     sup_ratios: tuple[float, ...]
     failed_points: tuple[int, ...]
@@ -174,7 +173,7 @@ MAX_ENVELOPE_POINTS = 2 ** 20
 
 
 def check_kernel_envelope(variant: str, m: float, alpha: float, q: float,
-                          lam_ladder, eps: float = 0.05, kappa: float = 1.0,
+                          lam_ladder, eps: float = 0.05,
                           grid_n: int = 64) -> EnvelopeReport:
     """Measure sup over a space-time grid of |K_lam(x, t)| / J(x) per scale.
 
@@ -207,7 +206,7 @@ def check_kernel_envelope(variant: str, m: float, alpha: float, q: float,
         sups.append(float(ratio[ok].max()))
     fit = fit_loglog(lams, sups)
     return EnvelopeReport(variant=variant, m=m, alpha=alpha, q=q, eps=eps,
-                          kappa=kappa, lams=lams, sup_ratios=tuple(sups),
+                          lams=lams, sup_ratios=tuple(sups),
                           failed_points=tuple(fails), fit=fit)
 
 

@@ -226,11 +226,12 @@ def test_kernel_envelope_deterministic_across_blas_threads(tmp_path):
 
 
 def test_sharpness_vertical_deterministic_across_blas_threads(tmp_path):
-    # 41 x 129 base samples per rung: the separable base mesh spans two row
-    # groups of BUCKET // 129 rows (21 x 129 would fit in one).  A threaded
-    # zgemm contraction changes this report's bytes; 41 x 257 would not show it.
+    # 81 x 129 base samples per rung: the separable base mesh spans three row
+    # groups of BUCKET // 129 rows.  A threaded zgemm contraction in place of
+    # the einsum changes this report's bytes in repeated runs; 41 x 129 does
+    # not show it at the trapezoid rule's node counts.
     first, second = _reports_across_blas_threads(
-        tmp_path, ["sharpness-vertical", "--x-cells", "41", "--t-base", "129",
+        tmp_path, ["sharpness-vertical", "--x-cells", "81", "--t-base", "129",
                    "--lam-count", "5"])
     assert first == second
 
@@ -263,6 +264,45 @@ def test_cli_refuses_oversized_sharpness_vertical(tmp_path, capsys, monkeypatch)
         assert record["error"]["type"] == "ValueError"
         assert "x_cells * t_base" in record["error"]["message"]
         assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,work", [
+    (["bilinear-check", "--b-count", "9"], "bilinear_form_check"),
+    (["bilinear-check", "--b-count", "1000000000"], "bilinear_form_check"),
+    (["bilinear-check", "--b-count", "0"], "bilinear_form_check"),
+    (["bilinear-check", "--grid-n", "1025"], "bilinear_form_check"),
+    (["propagate", "--grid-n", "65537"], "propagate_grid"),
+    (["propagate", "--grid-n", "0"], "propagate_grid"),
+])
+def test_cli_refuses_grids_outside_budget(tmp_path, capsys, monkeypatch, argv, work):
+    def never(*args, **kwargs):
+        raise AssertionError("the oversized run must not start")
+
+    monkeypatch.setattr(experiments, work, never)
+    code = cli_main([*argv, "--out-dir", str(tmp_path)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["schema_version"] == SCHEMA_VERSION
+    assert record["error"]["type"] == "ValueError"
+    assert "grid_n" in record["error"]["message"]
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("overrides,work", [
+    ({"experiment": "bilinear-check", "b_count": 8, "grid_n": 1024},
+     "bilinear_form_check"),
+    ({"experiment": "propagate", "grid_n": 2 ** 16}, "propagate_grid"),
+])
+def test_grid_budgets_accept_their_limit(monkeypatch, overrides, work):
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(experiments, work, reached)
+    with pytest.raises(Reached):
+        run_experiment(RunConfig(**overrides), write=False)
 
 
 def test_pipeline_registry_is_complete():

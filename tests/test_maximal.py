@@ -80,7 +80,9 @@ def test_witness_value_is_certified_floor():
 def test_array_positions_match_scalar_calls_on_vertical_path(monkeypatch):
     # 40 x 129 base samples exceed BUCKET, so the one separable base call
     # spans several row groups; each position must still get the floor of its
-    # own scalar call, and never less than its best witness
+    # own scalar call, and never less than its best witness.  A position's
+    # witnesses may get another node count in its group than alone, so floors
+    # far below the call's largest one differ by rounding at that scale.
     grid = GridSpec(t_base=129)
     xs = np.geomspace(1e-3, 1.0, 40)
     lam, m = 2.0 ** 6, 0.5
@@ -103,7 +105,8 @@ def test_array_positions_match_scalar_calls_on_vertical_path(monkeypatch):
         assert calls[:2] == [((40, 1), witnesses.shape), ((40, 1), (1, 129))]
         each = [maximal_in_time(datum, m, Curve.vertical(), x, grid, extra_t=w)
                 for x, w in zip(xs, witnesses)]
-        np.testing.assert_allclose(sups, each, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(sups, each, rtol=1e-12,
+                                   atol=1e-13 * np.max(each))
         floors = np.abs(propagate_grid(datum, m, xs[:, None], witnesses)).max(axis=1)
         assert np.all(sups >= floors)
 

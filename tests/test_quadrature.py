@@ -1,12 +1,17 @@
 """Oscillatory quadrature: adaptive engine, Simpson oracle, batch rule."""
+import json
+
 import numpy as np
 import pytest
 
-from concave_phase_lab import quadrature
+from concave_phase_lab import experiments, quadrature
+from concave_phase_lab.cli import main as cli_main
+from concave_phase_lab.experiments import RunConfig
 from concave_phase_lab.quadrature import (InvalidIntegrandError, QuadratureSpec,
-                                          SmoothFunction1D, ToleranceNotMetError,
-                                          integrate, oracle_integrate,
-                                          simpson_weights, two_phase_batch)
+                                          ResolutionLimitError, SmoothFunction1D,
+                                          ToleranceNotMetError, integrate,
+                                          oracle_integrate, simpson_weights,
+                                          two_phase_batch)
 from concave_phase_lab.spectral import BUMP, BUMP_SQUARED
 
 # Composite-Simpson value of the reference band bump, 10^6+1 nodes,
@@ -124,7 +129,83 @@ def test_batch_rule_matches_oracle_across_scales():
     for i in range(n):
         phase = lambda v, i=i: P[i] * v + T[i] * v ** m
         ref = oracle_integrate(BUMP, phase, BAND)
-        assert abs(vals[i] - ref) <= 1e-6 * (1.0 + abs(ref))
+        assert abs(vals[i] - ref) <= 1e-12 * (BAND[1] - BAND[0])
+
+
+@pytest.mark.parametrize("family", sorted(experiments._FAMILIES))
+def test_batch_rule_matches_oracle_on_cli_families(family):
+    # the band integrals of `propagate --family ...` at the CLI defaults
+    # (m = 0.5, kappa = theta = 1) for lambda = 2^4..2^12, at six (x, t)
+    # points each, wherever W <= 1e4 rad; the oracle runs 16 Simpson nodes
+    # per radian, far past the trapezoid rule's one
+    x, t = (g.ravel() for g in np.meshgrid([-0.7, 0.0, 0.6], [0.25, 0.9]))
+    checked = 0
+    for lam in 2.0 ** np.arange(4, 13):
+        cfg = RunConfig(lam=float(lam))
+        datum = experiments._FAMILIES[family](cfg)
+        L_of, S_of = datum.band_maps(cfg.m)
+        P, T = x + datum.linear_phase, t + datum.fractional_phase
+        W = (np.abs(P) * abs(L_of(BAND[1]) - L_of(BAND[0]))
+             + np.abs(T) * abs(S_of(BAND[1]) - S_of(BAND[0])))
+        keep = W <= 1e4
+        P, T, W = P[keep], T[keep], W[keep]
+        vals = two_phase_batch(P, T, L_of, S_of, BUMP, BAND)
+        for i in range(len(P)):
+            phase = lambda v, i=i: P[i] * L_of(v) + T[i] * S_of(v)
+            ref = oracle_integrate(BUMP, phase, BAND, node_count=int(16 * W[i]) + 10001)
+            assert abs(vals[i] - ref) <= 1e-12 * (BAND[1] - BAND[0])
+        checked += len(P)
+    assert checked >= 18
+
+
+def test_batch_rule_refuses_past_node_limit(monkeypatch):
+    # W = 1.5 * |P| on the band with T = 0: 3000 rad needs 3001 nodes
+    monkeypatch.setattr(quadrature, "N_MAX", 1025)
+    linear = lambda v: v
+    for P, T in ((np.array([10.0, 2000.0]), np.zeros(2)),
+                 (np.array([[10.0], [2000.0]]), np.zeros((1, 3)))):
+        with pytest.raises(ResolutionLimitError, match=r"W = 3000 rad.*N_MAX = 1025"):
+            two_phase_batch(P, T, linear, linear, BUMP, BAND)
+
+
+def test_batch_rule_runs_just_under_node_limit(monkeypatch):
+    # W = 1024.5 rad needs 1025 nodes: exactly the patched limit
+    P = np.array([1.0, 1024.5 / 1.5])
+    linear = lambda v: v
+    flat = two_phase_batch(P, np.zeros(2), linear, linear, BUMP, BAND)
+    mesh = two_phase_batch(P[:, None], np.zeros((1, 3)), linear, linear, BUMP, BAND)
+    monkeypatch.setattr(quadrature, "N_MAX", 1025)
+    assert np.array_equal(two_phase_batch(P, np.zeros(2), linear, linear, BUMP, BAND),
+                          flat)
+    assert np.array_equal(two_phase_batch(P[:, None], np.zeros((1, 3)), linear,
+                                          linear, BUMP, BAND), mesh)
+
+
+def test_cli_exits_2_past_node_limit(tmp_path, capsys, monkeypatch):
+    argv = ["sharpness-vertical", "--data", "temporal", "--x-cells", "5",
+            "--t-base", "33", "--lam-count", "5", "--out-dir", str(tmp_path)]
+    widths = []
+    batch_rule = quadrature._batch_rule
+
+    def spy(w_max, *args):
+        widths.append(w_max)
+        return batch_rule(w_max, *args)
+
+    monkeypatch.setattr(quadrature, "_batch_rule", spy)
+    assert cli_main(argv) in (0, 1)
+    monkeypatch.undo()
+    capsys.readouterr()
+    for path in tmp_path.iterdir():
+        path.unlink()
+    # the largest odd node count below the run's widest rule, above the floor
+    limit = (int(np.ceil(max(widths))) | 1) - 2
+    assert limit > quadrature.N_MIN
+    monkeypatch.setattr(quadrature, "N_MAX", limit)
+    assert cli_main(argv) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"]["type"] == "ResolutionLimitError"
+    assert f"N_MAX = {limit}" in record["error"]["message"]
+    assert not list(tmp_path.iterdir())
 
 
 def test_batch_rule_mesh_has_broadcast_shape_and_matches_flat():

@@ -48,6 +48,10 @@ __all__ = ["GridSpec", "MAX_BASE_SAMPLES", "maximal_in_time", "maximal_over_line
 _SCREEN_NUMERATOR = 4.0  # >= TV(bump) + sup(bump) = 3; margin for squared bumps
 _REFINE_FACTOR = 8
 _TOP_SEEDS = 3
+# Samples screened at once.  Temporaries of 2**13 floats (64 KiB) stay below
+# the C allocator's initial mmap threshold (128 KiB), so they are reused from
+# the heap instead of being mapped and faulted in afresh on every call.
+_SCREEN_BLOCK = 2 ** 13
 # Largest len(x) * t_base that maximal_in_time accepts.  One call holds a
 # screen bound and a value per base sample, and the separable route one sum
 # each; larger requests are refused before anything is allocated.
@@ -168,15 +172,18 @@ def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses, label):
         """Evaluate rows (1 or len, n, d), shared or one set each, for xs[sel]."""
         ids = range(k)[sel]
         shape = (len(ids), rows.shape[1])
-        positions, times = locate(xs[sel, None], rows)
+        keep = np.ones(shape, dtype=bool)
         if screen:
-            keep = _screen_bounds(datum, m, positions, times) > best[sel, None]
-        else:
-            keep = np.ones(shape, dtype=bool)
+            step = max(1, _SCREEN_BLOCK // len(ids))
+            for lo in range(0, shape[1], step):
+                part = slice(lo, lo + step)
+                bounds = _screen_bounds(datum, m, *locate(xs[sel, None], rows[:, part]))
+                keep[:, part] = bounds > best[sel, None]
         for i in ids:
             attempted[i] += shape[1]
         if not np.any(keep):
             return
+        positions, times = locate(xs[sel, None], rows)
         if len(ids) > 1 and positions.shape[1] == 1:
             # positions fixed along the rows: evaluate whole (an outer mesh
             # when the rows are shared), then keep what the screen passed

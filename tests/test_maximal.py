@@ -241,3 +241,37 @@ def test_cantor_endpoint_keeps_datum_mass():
                              extra=[(point.theta, point.t)])
     floor = lam_k ** (1.0 / m) * M_PSI / (2.0 * math.pi)
     assert sup >= floor * (1.0 - 1e-8)
+
+
+def test_screen_blocks_do_not_change_results(monkeypatch):
+    # blocks of 7 samples (one column per block for 4+ positions) must keep
+    # exactly the samples the default blocks keep
+    r, k, m = 0.25, 3, 0.5
+    prefractal = cantor_level(r, k)
+    datum = cantor_data(r ** -k, m)
+    theta = next(hi for lo, hi in prefractal.intervals if hi > 0.5)
+    point = cantor_selectors(theta, prefractal)
+    xs = np.array([0.05, 0.3, 0.55, 0.9])
+    calls = [
+        lambda: maximal_over_lines(datum, m, prefractal.intervals, theta,
+                                   GridSpec(t_base=33), extra=[(point.theta, point.t)]),
+        lambda: maximal_in_time(BAND, m, Curve.power(theta=0.5, kappa=2.0), xs,
+                                small_grid(), extra_t=np.zeros((4, 1))),
+        lambda: maximal_in_time(BAND, m, Curve.vertical(), xs, small_grid(),
+                                extra_t=np.zeros((4, 1))),
+    ]
+    evaluated = []
+
+    def spy(datum, m, positions, times):
+        evaluated[-1] += np.broadcast(positions, times).size
+        return propagate_grid(datum, m, positions, times)
+
+    monkeypatch.setattr(maximal, "propagate_grid", spy)
+    results = []
+    for block in (maximal._SCREEN_BLOCK, 7):
+        monkeypatch.setattr(maximal, "_SCREEN_BLOCK", block)
+        evaluated.append(0)
+        results.append([np.asarray(call()) for call in calls])
+    for default, small in zip(*results):
+        assert np.array_equal(default, small)
+    assert evaluated[0] == evaluated[1]

@@ -50,10 +50,6 @@ class TaylorCoefficients:
     kappa: float
     coefficients: tuple[float, ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.coefficients)
-
 
 def taylor_coeffs(kappa: float, order: int) -> TaylorCoefficients:
     """First ``order`` binomial coefficients by the product recursion."""

@@ -280,6 +280,25 @@ def _within(value, target, tol):
     return abs(value - target) <= tol
 
 
+# Cost budgets checked before a pipeline starts: cantor_level builds 2**k
+# tuples, and the top sharpness-lines rung screens 2**(2k - 1) * t_base
+# samples (MAX_BASE_SAMPLES bounds the vertical and curve rungs).
+MAX_CANTOR_LEVEL = 16
+MAX_SCREENED_SAMPLES = 2 ** 26
+
+
+def _check_cantor_level(name, cfg):
+    if not 0 <= cfg.k <= MAX_CANTOR_LEVEL:
+        raise ValueError(f"{name} needs 0 <= k <= {MAX_CANTOR_LEVEL}, got k={cfg.k}")
+
+
+def _check_base_samples(name, cfg):
+    if not (cfg.x_cells >= 1 and cfg.x_cells * cfg.t_base <= MAX_BASE_SAMPLES):
+        raise ValueError(f"{name} needs x_cells >= 1 with x_cells * t_base <= "
+                         f"{MAX_BASE_SAMPLES} base samples per rung, got "
+                         f"{cfg.x_cells} * {cfg.t_base}")
+
+
 # --------------------------------------------------------------------------
 # pipelines
 
@@ -300,6 +319,7 @@ def _run_kernel_envelope(cfg):
 
 
 def _run_sharpness_curve(cfg):
+    _check_base_samples("sharpness-curve", cfg)
     order = matching_order(cfg.m)
     coeffs = taylor_coeffs(cfg.kappa, order)
     curve = Curve.power(theta=cfg.theta, kappa=cfg.kappa)
@@ -309,19 +329,16 @@ def _run_sharpness_curve(cfg):
         datum = knapp_curve(lam, cfg.m, cfg.kappa, cfg.theta)
         tau_cap = lam ** -cfg.m / 100.0
         x_max = cfg.theta * h_N_eval(tau_cap, coeffs)
-        if cfg.x_cells < 1 or not x_max > 0:
-            raise ValueError(f"sharpness-curve cells need x_cells >= 1 and theta > 0 "
-                             f"(got x_cells={cfg.x_cells}, cells ending at x={x_max})")
+        if not x_max > 0:
+            raise ValueError(f"sharpness-curve cells need theta > 0 "
+                             f"(got cells ending at x={x_max})")
         edges = np.linspace(0.0, x_max, cfg.x_cells + 1)
         reps = _jitter(cfg, 0.5 * (edges[:-1] + edges[1:]), edges)
-        sups, resid = [], 0.0
-        for x in reps:
-            point, residual = matched_point_curve(x, lam, cfg.m, cfg.kappa,
-                                                  theta=cfg.theta)
-            resid = max(resid, residual)
-            sups.append(maximal_in_time(datum, cfg.m, curve, x, grid,
-                                        extra_t=(point.t,)))
-        return lam, datum, sups, edges, resid
+        matched = [matched_point_curve(x, lam, cfg.m, cfg.kappa, theta=cfg.theta)
+                   for x in reps]
+        t_w = np.array([[point.t] for point, _ in matched])
+        sups = maximal_in_time(datum, cfg.m, curve, reps, grid, extra_t=t_w)
+        return lam, datum, sups, edges, max(residual for _, residual in matched)
 
     params = {"m": cfg.m, "alpha": cfg.alpha, "q": cfg.q, "kappa": cfg.kappa,
               "theta": cfg.theta, "s": cfg.s}
@@ -342,10 +359,7 @@ def _run_sharpness_curve(cfg):
 def _run_sharpness_vertical(cfg):
     if cfg.data not in ("spatial", "temporal"):
         raise ValueError(f"data must be 'spatial' or 'temporal', got {cfg.data!r}")
-    if not (cfg.x_cells >= 1 and cfg.x_cells * cfg.t_base <= MAX_BASE_SAMPLES):
-        raise ValueError(f"sharpness-vertical needs x_cells >= 1 with x_cells * "
-                         f"t_base <= {MAX_BASE_SAMPLES} base samples per rung, got "
-                         f"{cfg.x_cells} * {cfg.t_base}")
+    _check_base_samples("sharpness-vertical", cfg)
     curve = Curve.vertical()
     edges, reps = _geometric_cells(cfg)
     grid = _grid(cfg)
@@ -381,6 +395,11 @@ def _run_sharpness_vertical(cfg):
 
 
 def _run_sharpness_lines(cfg):
+    if not (1 <= cfg.k <= MAX_CANTOR_LEVEL
+            and 2 ** (2 * cfg.k - 1) * cfg.t_base <= MAX_SCREENED_SAMPLES):
+        raise ValueError(f"sharpness-lines needs 1 <= k <= {MAX_CANTOR_LEVEL} with "
+                         f"2**(2k - 1) * t_base <= {MAX_SCREENED_SAMPLES} screened "
+                         f"samples per rung, got k={cfg.k}, t_base={cfg.t_base}")
     beta = math.log(2.0) / math.log(1.0 / cfg.r)
     grid = _grid(cfg)
 
@@ -389,12 +408,12 @@ def _run_sharpness_lines(cfg):
         prefractal = cantor_level(cfg.r, level)
         comps = [c for c in prefractal.intervals if c[0] >= 0.5 - 1e-12]
         datum = cantor_data(lam, cfg.m)
+        xs = np.array([0.5 * (lo + hi) for lo, hi in comps])
+        points = [cantor_selectors(x, prefractal) for x in xs]
+        sups = maximal_over_lines(datum, cfg.m, comps, xs, grid,
+                                  extra=[[(p.theta, p.t)] for p in points])
         edges, values = [comps[0][0]], []
-        for lo, hi in comps:
-            x = 0.5 * (lo + hi)
-            point = cantor_selectors(x, prefractal)
-            sup = maximal_over_lines(datum, cfg.m, comps, x, grid,
-                                     extra=((point.theta, point.t),))
+        for (lo, hi), sup in zip(comps, sups):
             if edges[-1] != lo:          # gap cell carries no sampled value
                 edges.append(lo)
                 values.append(0.0)
@@ -423,14 +442,10 @@ def _run_proposition_lines(cfg):
     def rung(lam):
         theta_max = lam ** (-cfg.q * s_star / cfg.alpha)
         datum = FourierDatum(scale=1.0 / lam, fractional_phase=-0.5, m=cfg.m)
-        sups = []
-        for x in reps:
-            if 2.0 * x <= theta_max:
-                extra = ((2.0 * x, 0.5),)
-            else:
-                extra = ((theta_max, min(1.0, x / theta_max)),)
-            sups.append(maximal_over_lines(datum, cfg.m, [(0.0, theta_max)], x,
-                                           grid, extra=extra))
+        extra = [[(2.0 * x, 0.5)] if 2.0 * x <= theta_max
+                 else [(theta_max, min(1.0, x / theta_max))] for x in reps]
+        sups = maximal_over_lines(datum, cfg.m, [(0.0, theta_max)], reps, grid,
+                                  extra=extra)
         return lam, datum, sups, edges, None
 
     params = {"m": cfg.m, "alpha": cfg.alpha, "q": cfg.q, "s_star": s_star}
@@ -444,6 +459,7 @@ def _run_proposition_lines(cfg):
 
 
 def _run_covering(cfg):
+    _check_cantor_level("covering", cfg)
     s_star = exponents.s_star_lines(cfg.m, cfg.alpha, cfg.q)
     expo = cfg.q * s_star / cfg.alpha
     beta = math.log(2.0) / math.log(1.0 / cfg.r)
@@ -475,6 +491,7 @@ def _run_frostman(cfg):
 
 
 def _run_cantor(cfg):
+    _check_cantor_level("cantor", cfg)
     prefractal = cantor_level(cfg.r, cfg.k)
     rows, ok = [], True
     for j in range(cfg.k + 1):

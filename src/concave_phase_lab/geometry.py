@@ -91,10 +91,6 @@ class AlphaMeasure:
         out = (np.power(hi, self.alpha) - np.power(lo, self.alpha)) / self.alpha
         return np.maximum(out, 0.0)
 
-    @property
-    def total(self) -> float:
-        return 1.0 / self.alpha
-
 
 def frostman_bound(alpha: float) -> float:
     """Closed-form ceiling 2*3^alpha/alpha for sup mu(B(a,r))/r^alpha."""
@@ -120,13 +116,6 @@ def frostman_constant(measure: AlphaMeasure, radius_grid=None, center_grid=None)
     return float(ratio.max())
 
 
-def _cell_edges(edges):
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
-        raise ValueError("edges must be strictly increasing with >= 2 nodes")
-    return edges
-
-
 def lq_mu_norm(samples, measure: AlphaMeasure, q: float, edges) -> float:
     """Weighted counting norm (sum_cells |value|^q * mu(cell))^(1/q).
 
@@ -135,7 +124,9 @@ def lq_mu_norm(samples, measure: AlphaMeasure, q: float, edges) -> float:
     """
     if q < 1:
         raise ValueError("q must be >= 1")
-    edges = _cell_edges(edges)
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
+        raise ValueError("edges must be strictly increasing with >= 2 nodes")
     values = np.asarray(samples, dtype=float)
     if values.shape != (len(edges) - 1,):
         raise ValueError("need one sample per cell")

@@ -32,7 +32,9 @@ path share an outer x-by-t base mesh; it is evaluated whole in one
 separable quadrature call, and the screen, against each position's best
 witness, then picks the candidates.  Everywhere else (line families, power
 curves, a single position, every refinement round) the screen skips samples
-before any quadrature.
+before any quadrature, and the engine holds index lists of only the
+(position, row) pairs that pass.  The base mesh is fed in groups of at most
+``MAX_BASE_SAMPLES`` samples (one position at least).
 """
 from __future__ import annotations
 
@@ -52,9 +54,9 @@ _TOP_SEEDS = 3
 # the C allocator's initial mmap threshold (128 KiB), so they are reused from
 # the heap instead of being mapped and faulted in afresh on every call.
 _SCREEN_BLOCK = 2 ** 13
-# Largest len(x) * t_base that maximal_in_time accepts.  One call holds a
-# screen bound and a value per base sample, and the separable route one sum
-# each; larger requests are refused before anything is allocated.
+# Largest len(x) * t_base that maximal_in_time accepts, and the most base
+# samples fed at once.  The separable route holds a sum per base sample;
+# larger maximal_in_time requests are refused before anything is allocated.
 MAX_BASE_SAMPLES = 2 ** 20
 
 
@@ -145,17 +147,18 @@ def _in_unit_time(coords):
     return (coords[:, -1] >= 0.0) & (coords[:, -1] <= 1.0)
 
 
-def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses, label):
+def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses, fixed):
     """Grid suprema of |u| over a mesh of path coordinates, one per position.
 
     ``axes`` holds one (nodes, spacing) pair per coordinate; their mesh is the
     base grid of every position in ``xs``.  ``locate(x, rows)`` maps
     coordinate rows (last axis) to (positions, times) on the paths through x,
-    which broadcasts against the rows' leading axes; ``inside`` tells which
-    refined rows lie in the domain, and ``witnesses[i]`` are the rows of
-    position i, evaluated first and unscreened.  Screening as in the module
-    docstring.  Each refinement round feeds the deduplicated union of one
-    position's top seeds' local meshes once.
+    which broadcasts against the rows' leading axes; ``fixed`` paths keep their
+    position at every t.  ``inside`` tells which refined rows lie in the
+    domain, and ``witnesses[i]`` are the rows of position i, evaluated first
+    and unscreened.  Screening and base groups as in the module docstring.
+    Each refinement round feeds the deduplicated union of one position's top
+    seeds' local meshes once.
     """
     need = grid.required_t_base(datum)
     if grid.t_base < need and not witnesses.shape[1]:
@@ -166,43 +169,43 @@ def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses, label):
     coords = [[] for _ in range(k)]   # evaluated samples per position, one entry per feed
     values = [[] for _ in range(k)]
     best = np.zeros(k)
-    attempted, failed = [0] * k, [0] * k
 
-    def feed(sel, rows, screen=True):
-        """Evaluate rows (1 or len, n, d), shared or one set each, for xs[sel]."""
-        ids = range(k)[sel]
-        shape = (len(ids), rows.shape[1])
-        keep = np.ones(shape, dtype=bool)
+    def feed(ids, rows, screen=True):
+        """Evaluate rows (1 or len(ids), n, d), shared or one set each, for xs[ids]."""
+        n = rows.shape[1]
         if screen:
             step = max(1, _SCREEN_BLOCK // len(ids))
-            for lo in range(0, shape[1], step):
-                part = slice(lo, lo + step)
-                bounds = _screen_bounds(datum, m, *locate(xs[sel, None], rows[:, part]))
-                keep[:, part] = bounds > best[sel, None]
-        for i in ids:
-            attempted[i] += shape[1]
-        if not np.any(keep):
-            return
-        positions, times = locate(xs[sel, None], rows)
-        if len(ids) > 1 and positions.shape[1] == 1:
-            # positions fixed along the rows: evaluate whole (an outer mesh
-            # when the rows are shared), then keep what the screen passed
-            vals = np.abs(propagate_grid(datum, m, positions, times))
+            j, r = [], []
+            for lo in range(0, n, step):
+                bounds = _screen_bounds(datum, m, *locate(xs[ids, None],
+                                                          rows[:, lo:lo + step]))
+                hit_j, hit_r = np.nonzero(bounds > best[ids, None])
+                j.append(hit_j)
+                r.append(hit_r + lo)
+            order = np.argsort(np.concatenate(j), kind="stable")   # by position
+            j, r = np.concatenate(j)[order], np.concatenate(r)[order]
         else:
-            vals = np.zeros(shape)
-            vals[keep] = np.abs(propagate_grid(
-                datum, m, *(np.broadcast_to(a, shape)[keep] for a in (positions, times))))
-        for j, i in enumerate(ids):
-            kept = vals[j][keep[j]]
-            ok = np.isfinite(kept)
-            failed[i] += len(kept) - int(np.count_nonzero(ok))
-            if np.any(ok):
-                coords[i].append(rows[j % len(rows)][keep[j]][ok])
-                values[i].append(kept[ok])
-                best[i] = max(best[i], kept[ok].max())
+            j, r = np.divmod(np.arange(len(ids) * n), n)
+        if not len(j):
+            return
+        if fixed and len(ids) > 1:   # an outer mesh: one separable call
+            vals = np.abs(propagate_grid(datum, m, *locate(xs[ids, None], rows)))[j, r]
+        else:
+            vals = np.abs(propagate_grid(datum, m, *locate(xs[ids][j],
+                                                           rows[j % len(rows), r])))
+        cuts = np.searchsorted(j, np.arange(len(ids) + 1))
+        for q, i in enumerate(ids):
+            if cuts[q] < cuts[q + 1]:
+                part = slice(cuts[q], cuts[q + 1])
+                coords[i].append(rows[q % len(rows)][r[part]])
+                values[i].append(vals[part])
+                best[i] = max(best[i], vals[part].max())
 
-    feed(slice(None), witnesses, screen=False)
-    feed(slice(None), _mesh(*(nodes for nodes, _ in axes))[None])
+    feed(np.arange(k), witnesses, screen=False)
+    base = _mesh(*(nodes for nodes, _ in axes))
+    group = max(1, MAX_BASE_SAMPLES // len(base))
+    for lo in range(0, k, group):
+        feed(np.arange(lo, min(k, lo + group)), base[None])
     for i in range(k):
         spacings = [spacing for _, spacing in axes]
         for _ in range(grid.refine_depth):
@@ -211,13 +214,20 @@ def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses, label):
                 seeds = np.concatenate(coords[i])[order[:_TOP_SEEDS]]
                 fresh = _unique_rows(np.concatenate(
                     [_mesh(*map(_local_mesh, seed, spacings)) for seed in seeds]))
-                feed(slice(i, i + 1), fresh[inside(fresh)][None])
+                feed(np.array([i]), fresh[inside(fresh)][None])
             spacings = [spacing / _REFINE_FACTOR for spacing in spacings]
-    for i in range(k):
-        if failed[i] > 0.01 * attempted[i]:
-            raise ArithmeticError(f"{label} at x={xs[i]}: {failed[i]} of "
-                                  f"{attempted[i]} samples failed quadrature")
     return best
+
+
+def _positions(x, extra, name, d):
+    """x, a scalar or 1-D, and its witnesses as rows of shape (len(x), w, d)."""
+    xs, rows = np.asarray(x, dtype=float), np.asarray(extra, dtype=float)
+    rows = rows[..., None] if d == 1 else rows
+    if xs.ndim > 1 or (rows.size and (rows.shape[:-2] != xs.shape or rows.shape[-1] != d)):
+        tail = "(w,)" if d == 1 else f"(w, {d})"
+        raise ValueError(f"x must be a scalar or 1-D, with {name} of shape x.shape + "
+                         f"{tail}; got {xs.shape} and {np.shape(extra)}")
+    return xs, rows.reshape(xs.size, -1, d)
 
 
 def maximal_in_time(datum: FourierDatum, m: float, curve: Curve, x,
@@ -226,21 +236,16 @@ def maximal_in_time(datum: FourierDatum, m: float, curve: Curve, x,
 
     x is one position (returns a float) or a 1-D array of positions (returns
     an array, one floor per position); extra_t holds witness times, a
-    sequence for a scalar x and one row per position for an array x.
+    sequence for a scalar x and shape x.shape + (w,) for an array x.
     Witnesses are evaluated first (unscreened) and count for the sampling
     rule.  On a vertical path an array of positions shares one outer base
     mesh, evaluated in one separable call and screened afterwards; other
     paths and a scalar x screen samples before quadrature.  Refinement adds
     factor-8 finer local grids around each position's top maxima, so a
-    value never decreases with depth.  Samples failing quadrature are
-    skipped; more than 1% failing at a position is an error.  len(x) *
-    t_base may not exceed ``MAX_BASE_SAMPLES``.
+    value never decreases with depth.  len(x) * t_base may not exceed
+    ``MAX_BASE_SAMPLES``.
     """
-    xs = np.asarray(x, dtype=float)
-    t_w = np.asarray(extra_t, dtype=float)
-    if xs.ndim > 1 or (t_w.size and t_w.shape[:-1] != xs.shape):
-        raise ValueError(f"x must be a scalar or 1-D, with extra_t of shape "
-                         f"x.shape + (w,); got {xs.shape} and {t_w.shape}")
+    xs, t_w = _positions(x, extra_t, "extra_t", 1)
     if xs.size * grid.t_base > MAX_BASE_SAMPLES:
         raise ValueError(f"len(x) * t_base must be <= {MAX_BASE_SAMPLES} base "
                          f"samples, got {xs.size} * {grid.t_base}")
@@ -250,7 +255,7 @@ def maximal_in_time(datum: FourierDatum, m: float, curve: Curve, x,
         return (x if curve.kind == "vertical" else curve_eval(curve, x, t)), t
 
     sups = _grid_sup(datum, m, grid, xs.reshape(-1), [_time_axis(grid)], locate,
-                     _in_unit_time, t_w.reshape(xs.size, -1, 1), "maximal_in_time")
+                     _in_unit_time, t_w, curve.kind == "vertical")
     return float(sups[0]) if xs.ndim == 0 else sups
 
 
@@ -269,21 +274,25 @@ def _in_intervals(values, bounds):
     return (i >= 0) & (values <= reach[np.maximum(i, 0)])
 
 
-def maximal_over_lines(datum: FourierDatum, m: float, theta_intervals, x: float,
-                       grid: GridSpec, extra=()) -> float:
-    """Grid supremum over (theta, t) of |u(x - theta*t, t)|.
+def maximal_over_lines(datum: FourierDatum, m: float, theta_intervals, x,
+                       grid: GridSpec, extra=()):
+    """Grid supremum over (theta, t) of |u(x - theta*t, t)|, per position.
 
     theta ranges over a union of intervals (points allowed), sampled at
     theta_per_component nodes each; refined directions stay inside the
-    union.  extra holds injected (theta, t) witness pairs.  Refinement and
-    failure handling as in :func:`maximal_in_time`.
+    union.  x is one position (returns a float) or a 1-D array of positions
+    (returns an array, one floor per position); extra holds (theta, t)
+    witness pairs, a sequence of pairs for a scalar x and shape
+    x.shape + (w, 2) for an array x.  Samples are screened before
+    quadrature, and the base mesh is fed in groups of at most
+    ``MAX_BASE_SAMPLES`` samples.  Refinement as in :func:`maximal_in_time`.
     """
+    xs, pairs = _positions(x, extra, "extra", 2)
     bounds = np.asarray(theta_intervals, dtype=float).reshape(-1, 2)
     thetas = _theta_nodes(bounds, grid.theta_per_component)
     d_theta = float(np.max(np.diff(thetas))) if len(thetas) > 1 else 0.0
-    return float(_grid_sup(
-        datum, m, grid, np.array([x], dtype=float), [(thetas, d_theta), _time_axis(grid)],
+    sups = _grid_sup(
+        datum, m, grid, xs.reshape(-1), [(thetas, d_theta), _time_axis(grid)],
         lambda x, c: (x - c[..., 0] * c[..., 1], c[..., 1]),
-        lambda c: _in_unit_time(c) & _in_intervals(c[:, 0], bounds),
-        np.asarray(tuple(extra), dtype=float).reshape(1, -1, 2),
-        "maximal_over_lines")[0])
+        lambda c: _in_unit_time(c) & _in_intervals(c[:, 0], bounds), pairs, False)
+    return float(sups[0]) if xs.ndim == 0 else sups

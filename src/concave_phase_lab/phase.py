@@ -222,19 +222,6 @@ class DerivativeBoundSample:
     c_first: tuple[float, ...]
     c_second: tuple[float, ...]
 
-    @staticmethod
-    def _cv(values) -> float:
-        arr = np.asarray(values, dtype=float)
-        return float(arr.std() / arr.mean())
-
-    @property
-    def cv_first(self) -> float:
-        return self._cv(self.c_first)
-
-    @property
-    def cv_second(self) -> float:
-        return self._cv(self.c_second)
-
 
 def sample_derivative_constants(count: int = 100, seed: int = 20240801,
                                 n_grid: int = 10_001,

@@ -344,30 +344,17 @@ def two_phase_batch(P, T, L_of, S_of, amplitude, interval) -> np.ndarray:
     """Vectorized ``I = int amp(v) exp(i*(P*L(v) + T*S(v))) dv`` over broadcast P, T.
 
     P and T must broadcast against each other; the result has their broadcast
-    shape.  Each integral gets a trapezoid rule on
-    ``max(N_MIN, ceil(NODES_PER_RADIAN * W) | 1)`` uniform nodes, one per
-    radian of its phase-variation bound ``W = |P|*span L + |T|*span S``
-    above a floor of 257.  For amplitudes that vanish with all derivatives at
-    the interval ends, such as the band bumps, the rule converges
-    super-algebraically; on band integrals with W up to 1e4 rad it measured
-    within 1.6e-13 absolute of the dense oracle.  A rule of more
-    than ``N_MAX`` nodes raises :class:`ResolutionLimitError`.  Intended for
-    grid scans; single contract-grade values should use :func:`integrate`.
-
-    When P and T vary along disjoint axes (an outer mesh such as P of shape
-    (r, 1) and T of shape (1, c)), the entries of P are rows and those of T
-    columns.  Rows are sorted by |P| and split into groups of at most
-    ``BUCKET`` points (``BUCKET // c`` rows, at least one); a group's sums
-    are the matrix product ``exp(i*P*L) @ (amp_w * exp(i*T*S)).T`` under the
-    rule of the group's largest W, contracted by ``np.einsum`` in blocks of
-    nodes, so the result does not depend on the BLAS thread count.  A mesh
-    of at most ``BUCKET`` points is one group and gets the node count the
-    flat route would give it.  Any other input is raveled and evaluated
-    flat: points are sorted by W and buckets of ``BUCKET`` points share the
-    rule of their largest W.
-
-    L_of and S_of must be monotone profiles on the interval (only their
-    endpoint values feed the W bound).
+    shape.  Routes and rule are those of the module docstring: trapezoid
+    weights on ``max(N_MIN, ceil(NODES_PER_RADIAN * W) | 1)`` uniform nodes,
+    with ``W = |P|*span L + |T|*span S`` the phase-variation bound of a flat
+    bucket or a mesh row group, and an outer mesh (P and T on disjoint axes)
+    on the separable route.  Every returned value is finite: a NaN or
+    infinite coefficient raises :class:`InvalidIntegrandError` before any
+    rule is sized, and a rule of more than ``N_MAX`` nodes raises
+    :class:`ResolutionLimitError`.  Intended for grid scans; single
+    contract-grade values should use :func:`integrate`.  L_of and S_of must
+    be monotone profiles on the interval (only their endpoint values feed
+    the W bound).
     """
     P = np.asarray(P, dtype=float)
     T = np.asarray(T, dtype=float)
@@ -376,6 +363,8 @@ def two_phase_batch(P, T, L_of, S_of, amplitude, interval) -> np.ndarray:
     except ValueError:
         raise ValueError(f"P and T must broadcast, got shapes {P.shape} "
                          f"and {T.shape}") from None
+    if not (np.all(np.isfinite(P)) and np.all(np.isfinite(T))):
+        raise InvalidIntegrandError("phase coefficients P and T must be finite")
     a, b = float(interval[0]), float(interval[1])
     ends = np.array([a, b])
     spanL = abs(float(L_of(ends)[1] - L_of(ends)[0]))
@@ -398,20 +387,27 @@ def two_phase_batch(P, T, L_of, S_of, amplitude, interval) -> np.ndarray:
         rows = max(1, CHUNK_ELEMS // len(v))
         for k in range(0, len(idx), rows):
             sel = idx[k:k + rows]
-            ph = P[sel, None] * L[None, :] + T[sel, None] * S[None, :]
-            out[sel] = (np.exp(1j * ph) * amp_w[None, :]).sum(axis=1)
+            e = _unit_phase(P[sel], L, T[sel], S)
+            e *= amp_w
+            out[sel] = e.sum(axis=1)
         i = j
     return out.reshape(shape)
 
 
-def _unit_phase(coeffs, profile):
-    """``exp(1j * coeffs[..., None] * profile)``, built in its own output array.
+def _unit_phase(coeffs, profile, coeffs2=None, profile2=None):
+    """``exp(1j * (coeffs[..., None] * profile [+ coeffs2[..., None] * profile2]))``.
 
-    One complex temporary instead of three keeps a group's peak memory at
-    16 bytes per element; the values are those of the expression.
+    Built in its own output array, the optional second product in its real
+    part: one complex temporary instead of three or more keeps the peak
+    memory at 16 bytes per element, and the values are those of the
+    expression.
     """
     out = np.zeros(coeffs.shape + profile.shape, dtype=complex)
     np.multiply(coeffs[..., None], profile, out=out.imag)
+    if coeffs2 is not None:
+        np.multiply(coeffs2[..., None], profile2, out=out.real)
+        out.imag += out.real
+        out.real = 0.0
     return np.exp(out, out=out)
 
 

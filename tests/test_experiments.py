@@ -288,10 +288,50 @@ def test_cli_refuses_grids_outside_budget(tmp_path, capsys, monkeypatch, argv, w
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv,work,fragment", [
+    (["sharpness-lines", "--k", "10"], "cantor_level", "2**(2k - 1) * t_base"),
+    (["sharpness-lines", "--k", "9", "--t-base", "513"], "cantor_level",
+     "2**(2k - 1) * t_base"),
+    (["sharpness-lines", "--k", "1000000000"], "cantor_level", "k <= 16"),
+    (["sharpness-lines", "--k", "-1"], "cantor_level", "1 <= k"),
+    (["covering", "--k", "17"], "cantor_level", "k <= 16"),
+    (["covering", "--k", "1000000000"], "cantor_level", "k <= 16"),
+    (["cantor", "--k", "17"], "cantor_level", "k <= 16"),
+    (["sharpness-curve", "--x-cells", "100000"], "matched_point_curve",
+     "x_cells * t_base"),
+    (["sharpness-curve", "--x-cells", "24", "--t-base", "100000"],
+     "matched_point_curve", "x_cells * t_base"),
+    (["sharpness-curve", "--x-cells", "-3"], "matched_point_curve", "x_cells >= 1"),
+])
+def test_cli_refuses_ladders_outside_budget(tmp_path, capsys, monkeypatch, argv,
+                                            work, fragment):
+    def never(*args, **kwargs):
+        raise AssertionError("the oversized run must not start")
+
+    monkeypatch.setattr(experiments, work, never)
+    monkeypatch.setattr(experiments, "knapp_curve", never)   # a curve rung's first step
+    code = cli_main([*argv, "--out-dir", str(tmp_path)])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["schema_version"] == SCHEMA_VERSION
+    assert record["error"]["type"] == "ValueError"
+    assert fragment in record["error"]["message"]
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("overrides,work", [
     ({"experiment": "bilinear-check", "b_count": 8, "grid_n": 1024},
      "bilinear_form_check"),
     ({"experiment": "propagate", "grid_n": 2 ** 16}, "propagate_grid"),
+    ({"experiment": "sharpness-lines", "k": 8}, "cantor_level"),       # benchmark
+    ({"experiment": "sharpness-lines"}, "cantor_level"),               # criterion 07
+    ({"experiment": "sharpness-lines", "k": 9, "t_base": 512}, "cantor_level"),
+    ({"experiment": "covering"}, "cantor_level"),
+    ({"experiment": "covering", "k": 16}, "cantor_level"),
+    ({"experiment": "cantor", "k": 8}, "cantor_level"),                # criterion 09
+    ({"experiment": "cantor", "k": 16}, "cantor_level"),
+    ({"experiment": "sharpness-curve", "x_cells": 4096, "t_base": 256},
+     "matched_point_curve"),
 ])
 def test_grid_budgets_accept_their_limit(monkeypatch, overrides, work):
     class Reached(Exception):

@@ -1,16 +1,18 @@
 """Grid suprema with screening and witness injection, and mixed-norm quotients."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from concave_phase_lab import maximal
+from concave_phase_lab import experiments, maximal
 from concave_phase_lab.counterexamples import (cantor_data, cantor_selectors,
                                                knapp_curve, knapp_vertical_spatial,
                                                knapp_vertical_temporal,
                                                matched_point_curve)
 from concave_phase_lab.geometry import Curve, cantor_level
 from concave_phase_lab.maximal import GridSpec, maximal_in_time, maximal_over_lines
+from concave_phase_lab.experiments import RunConfig, run_experiment
 from concave_phase_lab.spectral import FourierDatum, propagate_grid
 
 M_PSI = 0.905175241828407
@@ -123,6 +125,82 @@ def test_array_positions_match_scalar_calls_on_power_curve():
         np.testing.assert_allclose(sups, each, rtol=1e-12, atol=0.0)
 
 
+def _cantor_rung(level, r=0.25, m=0.5, per_component=1):
+    """A sharpness-lines style rung: its datum, direction intervals, positions
+    (``per_component`` in each interval of the right half) and one selector
+    witness per position."""
+    prefractal = cantor_level(r, level)
+    comps = [c for c in prefractal.intervals if c[0] >= 0.5 - 1e-12]
+    fractions = (np.arange(per_component) + 0.5) / per_component
+    xs = np.array([lo + f * (hi - lo) for lo, hi in comps for f in fractions])
+    points = [cantor_selectors(x, prefractal) for x in xs]
+    witnesses = np.array([[(p.theta, p.t)] for p in points])
+    return cantor_data(r ** -level, m), comps, xs, witnesses
+
+
+def test_array_positions_match_scalar_calls_on_lines():
+    # a Cantor rung with its selector witnesses, and the small-ball direction
+    # set [0, theta_max] with the proposition-lines witnesses: the array call
+    # screens and evaluates all positions together, each position must get
+    # the floor of its own scalar call
+    m = 0.5
+    datum, comps, xs, witnesses = _cantor_rung(4, m=m)
+    lam, theta_max = 64.0, 0.05
+    reps = np.geomspace(1e-3, 1.0, 12)
+    cases = [(datum, comps, xs, witnesses, GridSpec(t_base=65)),
+             (FourierDatum(scale=1.0 / lam, fractional_phase=-0.5, m=m),
+              [(0.0, theta_max)], reps,
+              np.array([[(2.0 * x, 0.5)] if 2.0 * x <= theta_max
+                        else [(theta_max, min(1.0, x / theta_max))] for x in reps]),
+              GridSpec(t_base=33, theta_per_component=5))]
+    for datum, intervals, xs, witnesses, grid in cases:
+        sups = maximal_over_lines(datum, m, intervals, xs, grid, extra=witnesses)
+        assert sups.shape == xs.shape
+        each = [maximal_over_lines(datum, m, intervals, x, grid, extra=w)
+                for x, w in zip(xs, witnesses)]
+        np.testing.assert_allclose(sups, each, rtol=1e-12,
+                                   atol=1e-13 * np.max(each))
+
+
+def test_lines_call_holds_only_kept_samples():
+    # 64 positions x (64 directions x 257 times) base samples, of which the
+    # screen drops nearly all: the call must never hold a full
+    # (positions x base samples) array, even a boolean one of a quarter size
+    datum, comps, xs, witnesses = _cantor_rung(6, per_component=2)
+    grid = GridSpec(t_base=257)
+    n_base = len(maximal._theta_nodes(np.array(comps), 2)) * grid.t_base
+    assert (len(xs), n_base) == (64, 16448)
+    tracemalloc.start()
+    try:
+        maximal_over_lines(datum, 0.5, comps, xs, grid, extra=witnesses)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 16448 * 8 / 4
+
+
+@pytest.mark.parametrize("overrides,positions", [
+    ({"experiment": "sharpness-vertical", "x_cells": 5, "t_base": 33}, [5] * 5),
+    ({"experiment": "sharpness-curve", "x_cells": 4, "t_base": 33}, [4] * 5),
+    ({"experiment": "sharpness-lines", "k": 5, "t_base": 33}, [1, 2, 4, 8, 16]),
+    ({"experiment": "proposition-lines", "x_cells": 5, "t_base": 33,
+      "theta_nodes": 3}, [5] * 5),
+])
+def test_maxima_pipelines_make_one_engine_call_per_rung(monkeypatch, overrides,
+                                                        positions):
+    # one engine call per rung, holding every cell of the rung
+    calls = []
+    grid_sup = maximal._grid_sup
+
+    def spy(datum, m, grid, xs, *args):
+        calls.append(len(xs))
+        return grid_sup(datum, m, grid, xs, *args)
+
+    monkeypatch.setattr(maximal, "_grid_sup", spy)
+    run_experiment(RunConfig(lam_count=5, **overrides), write=False)
+    assert calls == positions
+
+
 def test_array_positions_validation(monkeypatch):
     vertical = Curve.vertical()
     with pytest.raises(ValueError, match="extra_t"):
@@ -130,6 +208,12 @@ def test_array_positions_validation(monkeypatch):
                         extra_t=(0.0, 0.0))
     with pytest.raises(ValueError, match="1-D"):
         maximal_in_time(BAND, 0.5, vertical, np.zeros((2, 2)), small_grid())
+    with pytest.raises(ValueError, match="extra"):
+        maximal_over_lines(BAND, 0.5, [(0.1, 0.2)], np.array([0.1, 0.2]),
+                           small_grid(), extra=[(0.1, 0.5)])
+    with pytest.raises(ValueError, match="extra"):
+        maximal_over_lines(BAND, 0.5, [(0.1, 0.2)], 0.3, small_grid(),
+                           extra=[(0.1, 0.5, 0.7)])
 
     def never(*args, **kwargs):
         raise AssertionError("an oversized call must not start")
@@ -244,17 +328,20 @@ def test_cantor_endpoint_keeps_datum_mass():
 
 
 def test_screen_blocks_do_not_change_results(monkeypatch):
-    # blocks of 7 samples (one column per block for 4+ positions) must keep
-    # exactly the samples the default blocks keep
+    # blocks of 7 samples (one column per block for 4+ positions) and base
+    # groups of one position must keep exactly the samples the defaults keep
     r, k, m = 0.25, 3, 0.5
     prefractal = cantor_level(r, k)
     datum = cantor_data(r ** -k, m)
     theta = next(hi for lo, hi in prefractal.intervals if hi > 0.5)
     point = cantor_selectors(theta, prefractal)
     xs = np.array([0.05, 0.3, 0.55, 0.9])
+    rung, comps, line_xs, line_witnesses = _cantor_rung(k, r, m, per_component=2)
     calls = [
         lambda: maximal_over_lines(datum, m, prefractal.intervals, theta,
                                    GridSpec(t_base=33), extra=[(point.theta, point.t)]),
+        lambda: maximal_over_lines(rung, m, comps, line_xs, GridSpec(t_base=33),
+                                   extra=line_witnesses),
         lambda: maximal_in_time(BAND, m, Curve.power(theta=0.5, kappa=2.0), xs,
                                 small_grid(), extra_t=np.zeros((4, 1))),
         lambda: maximal_in_time(BAND, m, Curve.vertical(), xs, small_grid(),
@@ -268,10 +355,15 @@ def test_screen_blocks_do_not_change_results(monkeypatch):
 
     monkeypatch.setattr(maximal, "propagate_grid", spy)
     results = []
-    for block in (maximal._SCREEN_BLOCK, 7):
+    # 4 x 33 base samples keep each curve call in one group; the lines base
+    # of 8 directions x 33 times goes one position a group
+    for block, max_base in ((maximal._SCREEN_BLOCK, maximal.MAX_BASE_SAMPLES),
+                            (7, maximal.MAX_BASE_SAMPLES), (maximal._SCREEN_BLOCK, 4 * 33)):
         monkeypatch.setattr(maximal, "_SCREEN_BLOCK", block)
+        monkeypatch.setattr(maximal, "MAX_BASE_SAMPLES", max_base)
         evaluated.append(0)
         results.append([np.asarray(call()) for call in calls])
-    for default, small in zip(*results):
-        assert np.array_equal(default, small)
-    assert evaluated[0] == evaluated[1]
+    for default, *variants in zip(*results):
+        for variant in variants:
+            assert np.array_equal(default, variant)
+    assert evaluated[0] == evaluated[1] == evaluated[2]

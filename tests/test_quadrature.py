@@ -126,9 +126,10 @@ def test_batch_rule_matches_oracle_across_scales():
     T = rng.uniform(-1.0, 1.0, size=n) * np.sqrt(lam)
     m = 0.5
     vals = two_phase_batch(P, T, lambda v: v, lambda v: v ** m, BUMP, BAND)
+    W = np.abs(P) * (BAND[1] - BAND[0]) + np.abs(T) * (BAND[1] ** m - BAND[0] ** m)
     for i in range(n):
         phase = lambda v, i=i: P[i] * v + T[i] * v ** m
-        ref = oracle_integrate(BUMP, phase, BAND)
+        ref = oracle_integrate(BUMP, phase, BAND, node_count=int(16 * W[i]) + 10001)
         assert abs(vals[i] - ref) <= 1e-12 * (BAND[1] - BAND[0])
 
 
@@ -156,6 +157,22 @@ def test_batch_rule_matches_oracle_on_cli_families(family):
             assert abs(vals[i] - ref) <= 1e-12 * (BAND[1] - BAND[0])
         checked += len(P)
     assert checked >= 18
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_batch_rule_refuses_non_finite_coefficients(monkeypatch, bad):
+    def never(*args):
+        raise AssertionError("no rule may be sized for a non-finite coefficient")
+
+    monkeypatch.setattr(quadrature, "_batch_rule", never)
+    linear = lambda v: v
+    good = np.array([1.0, 2.0, 3.0])
+    for P, T in ((np.array([1.0, bad, 3.0]), good),              # flat
+                 (good, np.array([0.5, 0.5, bad])),
+                 (np.array([[1.0], [bad]]), np.zeros((1, 3))),   # mesh
+                 (good[:, None], np.array([[0.0, bad]]))):
+        with pytest.raises(InvalidIntegrandError, match="finite"):
+            two_phase_batch(P, T, linear, linear, BUMP, BAND)
 
 
 def test_batch_rule_refuses_past_node_limit(monkeypatch):

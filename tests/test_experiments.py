@@ -289,19 +289,24 @@ def test_cli_refuses_grids_outside_budget(tmp_path, capsys, monkeypatch, argv, w
 
 
 @pytest.mark.parametrize("argv,work,fragment", [
-    (["sharpness-lines", "--k", "10"], "cantor_level", "2**(2k - 1) * t_base"),
-    (["sharpness-lines", "--k", "9", "--t-base", "513"], "cantor_level",
-     "2**(2k - 1) * t_base"),
-    (["sharpness-lines", "--k", "1000000000"], "cantor_level", "k <= 16"),
-    (["sharpness-lines", "--k", "-1"], "cantor_level", "1 <= k"),
-    (["covering", "--k", "17"], "cantor_level", "k <= 16"),
-    (["covering", "--k", "1000000000"], "cantor_level", "k <= 16"),
-    (["cantor", "--k", "17"], "cantor_level", "k <= 16"),
-    (["sharpness-curve", "--x-cells", "100000"], "matched_point_curve",
-     "x_cells * t_base"),
-    (["sharpness-curve", "--x-cells", "24", "--t-base", "100000"],
-     "matched_point_curve", "x_cells * t_base"),
-    (["sharpness-curve", "--x-cells", "-3"], "matched_point_curve", "x_cells >= 1"),
+    pytest.param(["sharpness-lines", "--k", "10"], "cantor_level",
+                 "2**(2k - 1) * t_base", id="lines-k10"),
+    pytest.param(["sharpness-lines", "--k", "9", "--t-base", "513"], "cantor_level",
+                 "2**(2k - 1) * t_base", id="lines-k9-t513"),
+    pytest.param(["sharpness-lines", "--k", "1000000000"], "cantor_level", "k <= 16",
+                 id="lines-k1e9"),
+    pytest.param(["sharpness-lines", "--k", "-1"], "cantor_level", "1 <= k",
+                 id="lines-k-1"),
+    pytest.param(["covering", "--k", "17"], "cantor_level", "k <= 16", id="covering-k17"),
+    pytest.param(["covering", "--k", "1000000000"], "cantor_level", "k <= 16",
+                 id="covering-k1e9"),
+    pytest.param(["cantor", "--k", "17"], "cantor_level", "k <= 16", id="cantor-k17"),
+    pytest.param(["sharpness-curve", "--x-cells", "100000"], "matched_point_curve",
+                 "x_cells * t_base", id="curve-x100000"),
+    pytest.param(["sharpness-curve", "--x-cells", "24", "--t-base", "100000"],
+                 "matched_point_curve", "x_cells * t_base", id="curve-t100000"),
+    pytest.param(["sharpness-curve", "--x-cells", "-3"], "matched_point_curve",
+                 "x_cells >= 1", id="curve-x-3"),
 ])
 def test_cli_refuses_ladders_outside_budget(tmp_path, capsys, monkeypatch, argv,
                                             work, fragment):

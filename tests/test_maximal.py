@@ -5,14 +5,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from concave_phase_lab import experiments, maximal
+from concave_phase_lab import maximal
 from concave_phase_lab.counterexamples import (cantor_data, cantor_selectors,
                                                knapp_curve, knapp_vertical_spatial,
                                                knapp_vertical_temporal,
                                                matched_point_curve)
+from concave_phase_lab.experiments import RunConfig, run_experiment
 from concave_phase_lab.geometry import Curve, cantor_level
 from concave_phase_lab.maximal import GridSpec, maximal_in_time, maximal_over_lines
-from concave_phase_lab.experiments import RunConfig, run_experiment
 from concave_phase_lab.spectral import FourierDatum, propagate_grid
 
 M_PSI = 0.905175241828407
@@ -164,8 +164,8 @@ def test_array_positions_match_scalar_calls_on_lines():
 
 def test_lines_call_holds_only_kept_samples():
     # 64 positions x (64 directions x 257 times) base samples, of which the
-    # screen drops nearly all: the call must never hold a full
-    # (positions x base samples) array, even a boolean one of a quarter size
+    # screen drops nearly all: the call's peak must stay below a quarter of
+    # one (positions x base samples) float array
     datum, comps, xs, witnesses = _cantor_rung(6, per_component=2)
     grid = GridSpec(t_base=257)
     n_base = len(maximal._theta_nodes(np.array(comps), 2)) * grid.t_base

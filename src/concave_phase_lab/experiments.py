@@ -31,7 +31,8 @@ from .geometry import (AlphaMeasure, Curve, bilinear_form_check, cantor_level,
                        covering_number, frostman_bound, frostman_constant, lq_mu_norm)
 from .maximal import MAX_BASE_SAMPLES, GridSpec, maximal_in_time, maximal_over_lines
 from .phase import check_kernel_envelope
-from .spectral import FourierDatum, propagate_grid, sobolev_norm
+from .quadrature import batch_nodes
+from .spectral import BUMP_SUPPORT, FourierDatum, propagate_grid, sobolev_norm
 
 SCHEMA_VERSION = 1
 
@@ -281,8 +282,8 @@ def _within(value, target, tol):
 
 
 # Cost budgets checked before a pipeline starts: cantor_level builds 2**k
-# tuples, and the top sharpness-lines rung screens 2**(2k - 1) * t_base
-# samples (MAX_BASE_SAMPLES bounds the vertical and curve rungs).
+# tuples, and the top sharpness-lines rung has a base mesh of 2**(2k - 1) *
+# t_base samples (MAX_BASE_SAMPLES bounds the vertical and curve rungs).
 MAX_CANTOR_LEVEL = 16
 MAX_SCREENED_SAMPLES = 2 ** 26
 
@@ -398,7 +399,7 @@ def _run_sharpness_lines(cfg):
     if not (1 <= cfg.k <= MAX_CANTOR_LEVEL
             and 2 ** (2 * cfg.k - 1) * cfg.t_base <= MAX_SCREENED_SAMPLES):
         raise ValueError(f"sharpness-lines needs 1 <= k <= {MAX_CANTOR_LEVEL} with "
-                         f"2**(2k - 1) * t_base <= {MAX_SCREENED_SAMPLES} screened "
+                         f"2**(2k - 1) * t_base <= {MAX_SCREENED_SAMPLES} base-mesh "
                          f"samples per rung, got k={cfg.k}, t_base={cfg.t_base}")
     beta = math.log(2.0) / math.log(1.0 / cfg.r)
     grid = _grid(cfg)
@@ -584,10 +585,11 @@ _FAMILIES = {
 }
 
 
-# Largest grid_n that propagate accepts.  Each point is one batch integral
-# and one report row; larger requests are refused before anything is
-# allocated.
+# Most points and batch-rule nodes propagate accepts, checked before any work.
+# About 7 s of CPU at the node limit on a 2-CPU x86-64 host: 64 cantor points
+# at lam=1024 (5.0e7 nodes) took 5.1 s, 2**16 band points (1.7e7) 0.7 s.
 MAX_PROPAGATE_POINTS = 2 ** 16
+MAX_PROPAGATE_NODES = 2 ** 26
 
 
 def _run_propagate(cfg):
@@ -599,6 +601,11 @@ def _run_propagate(cfg):
                          f"points, got {cfg.grid_n}")
     datum = _FAMILIES[cfg.family](cfg)
     xs = np.linspace(0.0, 1.0, cfg.grid_n)
+    nodes = batch_nodes(xs + datum.linear_phase, cfg.t + datum.fractional_phase,
+                        *datum.band_maps(cfg.m), BUMP_SUPPORT)
+    if nodes > MAX_PROPAGATE_NODES:
+        raise ValueError(f"propagate needs at most {MAX_PROPAGATE_NODES} trapezoid "
+                         f"nodes, got {nodes:.3g} for grid_n={cfg.grid_n}")
     values = np.abs(propagate_grid(datum, cfg.m, xs, np.full(cfg.grid_n, cfg.t)))
     rows = [{"x": float(x), "value": float(v)} for x, v in zip(xs, values)]
     return PipelineResult(None, ("x", "value"), rows, None, None, True,

@@ -13,28 +13,28 @@ Each returned value is a floor on the supremum, the largest sample
 evaluated, never a ceiling; root finding is never used.  Two rules keep this
 both honest and affordable:
 
-* Witness injection.  A base grid dense enough to resolve the oscillation
-  scale of a large-frequency datum is usually impractical; sharpness
-  experiments instead inject analytically matched sample points, making the
-  computed supremum a certified lower bound (exactly what those ladders
-  need).  A grid that is neither dense enough nor carrying witnesses is
+* Witness injection.  A base grid that resolves a large-frequency datum is
+  usually impractical, so sharpness experiments inject analytically matched
+  sample points; a grid neither dense enough nor carrying witnesses is
   rejected.
-* Certified screening.  Every candidate sample gets a rigorous upper bound
-  on |u| from integration by parts: the band amplitude has total variation
-  2 and peak 1, so |u| <= 4*|amplitude| / (2*pi*A) with A the minimum
-  |d/dxi phase| over the support (the phase derivative is monotone there,
-  so A comes from the endpoint values; A = 0 disables the screen).  Samples
-  whose bound cannot beat their position's best value so far are not
-  candidates; the reported supremum still dominates every grid point.
+* Certified screening.  Integration by parts bounds |u| by
+  4*|amplitude| / (2*pi*A), A the least |p' + s(xi)| over the support, where
+  p' = p + linear_phase, s = tau*m*|xi|^(m-1)*sgn(xi) and tau = t +
+  fractional_phase (the band amplitude has total variation 2 and peak 1, and
+  s is monotone, so A comes from the ends).  The bound beats a position's
+  best value iff -R - s+ < p' < R - s-, with R = 4*|amplitude| / (2*pi*best)
+  and s-, s+ the smaller and larger end values of s.  No bound is computed:
+  a sample is a candidate iff it lies in this window, two comparisons.
 
 Where the screen acts depends on the base.  Several positions on a vertical
 path share an outer x-by-t base mesh; it is evaluated whole in one
-separable quadrature call, and the screen, against each position's best
-witness, then picks the candidates.  Everywhere else (line families, power
-curves, a single position, every refinement round) the screen skips samples
-before any quadrature, and the engine holds index lists of only the
-(position, row) pairs that pass.  The base mesh is fed in groups of at most
-``MAX_BASE_SAMPLES`` samples (one position at least).
+separable quadrature call, and the window, against each position's best
+witness, then picks the candidates.  Everywhere else the window skips
+samples before any quadrature, and only index lists of the (position, row)
+pairs that pass are held.  On a line family's base mesh p = x - theta*t, so
+at each t > 0 a position's window is one theta-interval, found by binary
+search in the sorted directions; a t = 0 row passes whole or not at all.
+The base mesh is fed in groups of at most ``MAX_BASE_SAMPLES`` samples.
 """
 from __future__ import annotations
 
@@ -50,7 +50,7 @@ __all__ = ["GridSpec", "MAX_BASE_SAMPLES", "maximal_in_time", "maximal_over_line
 _SCREEN_NUMERATOR = 4.0  # >= TV(bump) + sup(bump) = 3; margin for squared bumps
 _REFINE_FACTOR = 8
 _TOP_SEEDS = 3
-# Samples screened at once.  Temporaries of 2**13 floats (64 KiB) stay below
+# Samples, or lines-mesh rows, screened at once.  2**13 floats (64 KiB) stay below
 # the C allocator's initial mmap threshold (128 KiB), so they are reused from
 # the heap instead of being mapped and faulted in afresh on every call.
 _SCREEN_BLOCK = 2 ** 13
@@ -88,33 +88,50 @@ class GridSpec:
         return int(np.ceil(4.0 * max(abs(lo), abs(hi)) * (hi - lo)))
 
 
-def _phase_derivative_endpoints(datum: FourierDatum, m: float, positions, times):
-    """d/dxi of the total phase at the two support endpoints; vectorized."""
+def _slopes(datum: FourierDatum, m: float, times):
+    """s-, s+: min and max over the support ends xi of tau*m|xi|^(m-1)*sgn(xi),
+    tau = times + fractional_phase; sgn(tau)*sgn(support)*inf at xi = 0."""
     lo, hi = datum.support
-    p = positions + datum.linear_phase
-    t = times + datum.fractional_phase
-    sigma = 1.0 if lo >= 0 else -1.0  # sign of xi on the support interior
-    out = []
-    for xi in (lo, hi):
-        if xi == 0.0:
-            # |xi|^(m-1) blows up at a touching endpoint
-            with np.errstate(invalid="ignore"):
-                limit = np.sign(t) * sigma * np.inf
-            out.append(np.where(t == 0.0, p, limit))
-        else:
-            out.append(p + t * m * np.abs(xi) ** (m - 1.0) * np.sign(xi))
-    return out[0], out[1]
+    tau = times + datum.fractional_phase
+    s = [np.where(tau == 0.0, 0.0, np.copysign(np.inf, tau * (lo + hi))) if xi == 0.0
+         else tau * m * np.abs(xi) ** (m - 1.0) * np.sign(xi) for xi in (lo, hi)]
+    return np.minimum(*s), np.maximum(*s)
 
 
-def _screen_bounds(datum: FourierDatum, m: float, positions, times):
-    """Per-sample rigorous upper bounds on |u|; inf where the screen is blind."""
-    d_lo, d_hi = _phase_derivative_endpoints(datum, m, positions, times)
-    same_sign = np.sign(d_lo) == np.sign(d_hi)
-    floor = np.where(same_sign, np.minimum(np.abs(d_lo), np.abs(d_hi)), 0.0)
+def _reach(datum: FourierDatum, best):
+    """R = 4|amplitude| / (2*pi*best), inf at best = 0, widened by 1e-12 relative."""
     with np.errstate(divide="ignore"):
-        return np.where(floor > 0.0,
-                        _SCREEN_NUMERATOR * abs(datum.amplitude) / (2.0 * np.pi * floor),
-                        np.inf)
+        return _SCREEN_NUMERATOR * abs(datum.amplitude) / (2.0 * np.pi * best) * (1 + 1e-12)
+
+
+def _passes(datum: FourierDatum, m: float, reach, positions, times):
+    """The screen window: -R - s+ < p' < R - s-, with p' = positions + linear_phase."""
+    s_lo, s_hi = _slopes(datum, m, times)
+    p = positions + datum.linear_phase
+    return (p + s_lo < reach) & (p + s_hi > -reach)
+
+
+def _line_window(datum: FourierDatum, m: float, locate, xs, reach, base, n):
+    """(j, r) of the samples base[r] at xs[j] that pass, base the mesh of n
+    sorted directions by times: each row's theta-interval widened by a node
+    each side (more than its ends' rounding unless directions are a few ulps
+    apart), then the window test on just those candidates."""
+    thetas, times = base[:n, 0], base[::n, 1]
+    s_lo, s_hi = _slopes(datum, m, times)
+    hits, rows = [], len(xs) * len(times)
+    for lo in range(0, rows, _SCREEN_BLOCK):
+        q, it = np.divmod(np.arange(lo, min(rows, lo + _SCREEN_BLOCK)), len(times))
+        p, t = xs[q] + datum.linear_phase, times[it]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            first = np.searchsorted(thetas[1:], (p + s_lo[it] - reach[q]) / t, "right")
+            stop = np.searchsorted(thetas[:-1], (p + s_hi[it] + reach[q]) / t) + 1
+        count = np.maximum(stop - first, 0)
+        q = np.repeat(q, count)
+        cand = (np.repeat(it * n + first - np.cumsum(count) + count, count)
+                + np.arange(len(q)))
+        keep = _passes(datum, m, reach[q], *locate(xs[q], base[cand]))
+        hits.append((q[keep], cand[keep]))
+    return tuple(map(np.concatenate, zip(*hits)))
 
 
 def _local_mesh(center, spacing, points_per_side=8):
@@ -147,17 +164,18 @@ def _in_unit_time(coords):
     return (coords[:, -1] >= 0.0) & (coords[:, -1] <= 1.0)
 
 
-def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses, fixed):
+def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses, kind):
     """Grid suprema of |u| over a mesh of path coordinates, one per position.
 
     ``axes`` holds one (nodes, spacing) pair per coordinate; their mesh is the
     base grid of every position in ``xs``.  ``locate(x, rows)`` maps
     coordinate rows (last axis) to (positions, times) on the paths through x,
-    which broadcasts against the rows' leading axes; ``fixed`` paths keep their
-    position at every t.  ``inside`` tells which refined rows lie in the
-    domain, and ``witnesses[i]`` are the rows of position i, evaluated first
-    and unscreened.  Screening and base groups as in the module docstring.
-    Each refinement round feeds the deduplicated union of one position's top
+    which broadcasts against the rows' leading axes; ``kind`` is "vertical"
+    (paths keep their position at every t), "power" or "lines" (axes
+    (theta, t)).  ``inside`` tells which refined rows lie in the domain, and
+    ``witnesses[i]`` are the rows of position i, evaluated first and
+    unscreened.  Screening and base groups as in the module docstring.  Each
+    refinement round feeds the deduplicated union of one position's top
     seeds' local meshes once.
     """
     need = grid.required_t_base(datum)
@@ -170,25 +188,24 @@ def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses, fixed):
     values = [[] for _ in range(k)]
     best = np.zeros(k)
 
-    def feed(ids, rows, screen=True):
-        """Evaluate rows (1 or len(ids), n, d), shared or one set each, for xs[ids]."""
-        n = rows.shape[1]
-        if screen:
+    def feed(ids, rows, hits=None):
+        """Evaluate the samples rows[j % len(rows), r] at xs[ids][j] of hits
+        (j, r), by position; by default those of rows that pass the window."""
+        if hits is None:
+            reach = _reach(datum, best[ids, None])
             step = max(1, _SCREEN_BLOCK // len(ids))
             j, r = [], []
-            for lo in range(0, n, step):
-                bounds = _screen_bounds(datum, m, *locate(xs[ids, None],
-                                                          rows[:, lo:lo + step]))
-                hit_j, hit_r = np.nonzero(bounds > best[ids, None])
+            for lo in range(0, rows.shape[1], step):
+                hit_j, hit_r = np.nonzero(_passes(datum, m, reach, *locate(
+                    xs[ids, None], rows[:, lo:lo + step])))
                 j.append(hit_j)
                 r.append(hit_r + lo)
             order = np.argsort(np.concatenate(j), kind="stable")   # by position
-            j, r = np.concatenate(j)[order], np.concatenate(r)[order]
-        else:
-            j, r = np.divmod(np.arange(len(ids) * n), n)
+            hits = np.concatenate(j)[order], np.concatenate(r)[order]
+        j, r = hits
         if not len(j):
             return
-        if fixed and len(ids) > 1:   # an outer mesh: one separable call
+        if kind == "vertical" and len(ids) > 1:   # an outer mesh: one separable call
             vals = np.abs(propagate_grid(datum, m, *locate(xs[ids, None], rows)))[j, r]
         else:
             vals = np.abs(propagate_grid(datum, m, *locate(xs[ids][j],
@@ -201,11 +218,14 @@ def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses, fixed):
                 values[i].append(vals[part])
                 best[i] = max(best[i], vals[part].max())
 
-    feed(np.arange(k), witnesses, screen=False)
+    feed(np.arange(k), witnesses, np.divmod(np.arange(k * witnesses.shape[1]),
+                                            witnesses.shape[1]))
     base = _mesh(*(nodes for nodes, _ in axes))
     group = max(1, MAX_BASE_SAMPLES // len(base))
     for lo in range(0, k, group):
-        feed(np.arange(lo, min(k, lo + group)), base[None])
+        ids = np.arange(lo, min(k, lo + group))
+        feed(ids, base[None], _line_window(datum, m, locate, xs[ids], _reach(
+            datum, best[ids]), base, len(axes[0][0])) if kind == "lines" else None)
     for i in range(k):
         spacings = [spacing for _, spacing in axes]
         for _ in range(grid.refine_depth):
@@ -255,7 +275,7 @@ def maximal_in_time(datum: FourierDatum, m: float, curve: Curve, x,
         return (x if curve.kind == "vertical" else curve_eval(curve, x, t)), t
 
     sups = _grid_sup(datum, m, grid, xs.reshape(-1), [_time_axis(grid)], locate,
-                     _in_unit_time, t_w, curve.kind == "vertical")
+                     _in_unit_time, t_w, curve.kind)
     return float(sups[0]) if xs.ndim == 0 else sups
 
 
@@ -294,5 +314,5 @@ def maximal_over_lines(datum: FourierDatum, m: float, theta_intervals, x,
     sups = _grid_sup(
         datum, m, grid, xs.reshape(-1), [(thetas, d_theta), _time_axis(grid)],
         lambda x, c: (x - c[..., 0] * c[..., 1], c[..., 1]),
-        lambda c: _in_unit_time(c) & _in_intervals(c[:, 0], bounds), pairs, False)
+        lambda c: _in_unit_time(c) & _in_intervals(c[:, 0], bounds), pairs, "lines")
     return float(sups[0]) if xs.ndim == 0 else sups

@@ -31,11 +31,10 @@ the shapes of P and T alone:
   column part, and every trapezoid sum is an entry of the product
   ``E_row @ (amp_w * E_col).T`` with ``E_row = exp(i*P*L)`` (r x n) and
   ``E_col = exp(i*T*S)`` (c x n): (r + c)*n complex exponentials instead of
-  r*c*n.  The bucket rule applies to rows: rows are sorted by |P| and split
-  into groups of at most ``BUCKET`` points (``BUCKET // c`` rows, at least
-  one), and each group gets its own rule, sized from the group's largest W
-  exactly as a flat bucket's is, and its own ``E_col``.  A mesh of at most
-  ``BUCKET`` points is one group.
+  r*c*n.  Rows are sorted by |P| into groups of at most ``BUCKET`` points
+  (``BUCKET // c`` rows, at least one), each sized from its largest W as a
+  flat bucket is.  Groups with one node count are consecutive and share one
+  rule and one ``E_col``, built once for them all.
 
 Both routes use the same rule: trapezoid weights h*(1/2, 1, ..., 1, 1/2) on
 n = max(``N_MIN``, ceil(``NODES_PER_RADIAN`` * W) | 1) uniform nodes, one per
@@ -53,6 +52,7 @@ summation order, so its sums do not depend on the BLAS thread count (a BLAS
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -69,6 +69,7 @@ __all__ = [
     "integrate",
     "oracle_integrate",
     "two_phase_batch",
+    "batch_nodes",
     "simpson_weights",
 ]
 
@@ -324,9 +325,21 @@ BUCKET = 4096
 CHUNK_ELEMS = 2 ** 23
 
 
+def _rule_nodes(w):
+    """Node counts max(N_MIN, ceil(NODES_PER_RADIAN * w) | 1), as floats, for bounds w."""
+    n = np.ceil(np.multiply(w, NODES_PER_RADIAN))
+    return np.maximum(N_MIN, n + (n % 2 == 0))
+
+
+def batch_nodes(P, T, L_of, S_of, interval) -> float:
+    """Trapezoid nodes of one batch rule per integral of ``two_phase_batch``, summed."""
+    spans = [np.ptp(f(np.asarray(interval, dtype=float))) for f in (L_of, S_of)]
+    return float(_rule_nodes(np.abs(P) * spans[0] + np.abs(T) * spans[1]).sum())
+
+
 def _batch_rule(w_max, amplitude, a, b):
     """Trapezoid nodes and weighted amplitude sized for phase variation ``w_max``."""
-    n = max(N_MIN, int(np.ceil(w_max * NODES_PER_RADIAN)) | 1)
+    n = int(_rule_nodes(w_max))
     if n > N_MAX:
         raise ResolutionLimitError(
             f"phase variation W = {w_max:.6g} rad needs {n} trapezoid nodes, "
@@ -366,9 +379,7 @@ def two_phase_batch(P, T, L_of, S_of, amplitude, interval) -> np.ndarray:
     if not (np.all(np.isfinite(P)) and np.all(np.isfinite(T))):
         raise InvalidIntegrandError("phase coefficients P and T must be finite")
     a, b = float(interval[0]), float(interval[1])
-    ends = np.array([a, b])
-    spanL = abs(float(L_of(ends)[1] - L_of(ends)[0]))
-    spanS = abs(float(S_of(ends)[1] - S_of(ends)[0]))
+    spanL, spanS = (float(np.ptp(f(np.array([a, b])))) for f in (L_of, S_of))
     if P.shape != T.shape:
         if P.size > 1 and T.size > 1 and P.size * T.size == math.prod(shape):
             return _mesh_batch(P, T, L_of, S_of, amplitude, a, b, spanL, spanS)
@@ -415,24 +426,26 @@ def _mesh_batch(P, T, L_of, S_of, amplitude, a, b, spanL, spanS):
     """Mesh route of :func:`two_phase_batch`: P and T vary on disjoint axes.
 
     Entries of P are rows and entries of T columns; rows go by |P| into
-    groups of at most ``BUCKET`` points, one rule and one ``E_col`` each.
+    groups of at most ``BUCKET`` points.  Groups with the same node count are
+    consecutive and share one rule and one ``E_col`` (per block of nodes).
     """
     rows, cols = P.reshape(-1, 1), T.reshape(1, -1)
     t_part = float(np.abs(T).max()) * spanS
     order = np.argsort(np.abs(rows[:, 0]), kind="stable")
     per_group = max(1, BUCKET // cols.size)
-    sums = np.empty((rows.size, cols.size), dtype=complex)
-    for i in range(0, len(order), per_group):
-        idx = order[i:i + per_group]
-        v, amp_w = _batch_rule(abs(rows[idx[-1], 0]) * spanL + t_part, amplitude, a, b)
+    groups = [order[i:i + per_group] for i in range(0, len(order), per_group)]
+    widths = [abs(rows[idx[-1], 0]) * spanL + t_part for idx in groups]
+    block = max(1, CHUNK_ELEMS // (len(groups[0]) + cols.size))
+    sums = np.zeros((rows.size, cols.size), dtype=complex)
+    for _, run in itertools.groupby(zip(widths, groups), key=lambda g: _rule_nodes(g[0])):
+        run = list(run)
+        v, amp_w = _batch_rule(run[-1][0], amplitude, a, b)
         L = np.asarray(L_of(v), dtype=float)
         S = np.asarray(S_of(v), dtype=float)
-        block = max(1, CHUNK_ELEMS // (len(idx) + cols.size))
-        out = 0.0
         for k in range(0, len(v), block):
             sl = slice(k, k + block)
             e_col = _unit_phase(cols, S[sl])
             e_col *= amp_w[sl]
-            out = out + np.einsum("...n,...n->...", _unit_phase(rows[idx], L[sl]), e_col)
-        sums[idx] = out
+            for _, idx in run:
+                sums[idx] += np.einsum("...n,...n->...", _unit_phase(rows[idx], L[sl]), e_col)
     return sums[np.arange(P.size).reshape(P.shape), np.arange(T.size).reshape(T.shape)]

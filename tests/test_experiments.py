@@ -194,6 +194,18 @@ def test_sharpness_vertical_deterministic_across_thread_counts(tmp_path, monkeyp
     assert outputs[0] == outputs[1]
 
 
+def test_sharpness_lines_deterministic_across_thread_counts(tmp_path, monkeypatch):
+    cfg = RunConfig.from_mapping({"experiment": "sharpness-lines", "k": "6",
+                                  "out_dir": str(tmp_path)})
+    outputs = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("CPL_THREADS", threads)
+        run_experiment(cfg)
+        outputs.append([(tmp_path / f"sharpness-lines.{ext}").read_bytes()
+                        for ext in ("json", "csv")])
+    assert outputs[0] == outputs[1]
+
+
 def _reports_across_blas_threads(tmp_path, argv):
     """Report bytes of one CLI run with OPENBLAS_NUM_THREADS=1 and one unset.
 
@@ -236,6 +248,12 @@ def test_sharpness_vertical_deterministic_across_blas_threads(tmp_path):
     assert first == second
 
 
+def test_sharpness_lines_deterministic_across_blas_threads(tmp_path):
+    first, second = _reports_across_blas_threads(
+        tmp_path, ["sharpness-lines", "--k", "6"])
+    assert first == second
+
+
 def test_cli_refuses_oversized_kernel_envelope(tmp_path, capsys, monkeypatch):
     def never(*args, **kwargs):
         raise AssertionError("the oversized scan must not start")
@@ -273,6 +291,11 @@ def test_cli_refuses_oversized_sharpness_vertical(tmp_path, capsys, monkeypatch)
     (["bilinear-check", "--grid-n", "1025"], "bilinear_form_check"),
     (["propagate", "--grid-n", "65537"], "propagate_grid"),
     (["propagate", "--grid-n", "0"], "propagate_grid"),
+    # 5.2e10 trapezoid nodes (about two hours), and 1.0e8 nodes
+    (["propagate", "--family", "cantor", "--lam", "1024", "--grid-n", "65536"],
+     "propagate_grid"),
+    (["propagate", "--family", "cantor", "--lam", "1024", "--grid-n", "128"],
+     "propagate_grid"),
 ])
 def test_cli_refuses_grids_outside_budget(tmp_path, capsys, monkeypatch, argv, work):
     def never(*args, **kwargs):
@@ -337,6 +360,10 @@ def test_cli_refuses_ladders_outside_budget(tmp_path, capsys, monkeypatch, argv,
     ({"experiment": "cantor", "k": 16}, "cantor_level"),
     ({"experiment": "sharpness-curve", "x_cells": 4096, "t_base": 256},
      "matched_point_curve"),
+    ({"experiment": "propagate", "family": "curve-knapp", "lam": 256.0, "t": 0.5},
+     "propagate_grid"),                                                # README
+    ({"experiment": "propagate", "family": "cantor", "lam": 1024.0, "grid_n": 64},
+     "propagate_grid"),                                                # 5.0e7 nodes
 ])
 def test_grid_budgets_accept_their_limit(monkeypatch, overrides, work):
     class Reached(Exception):

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concave_phase_lab import maximal
 from concave_phase_lab.counterexamples import (cantor_data, cantor_selectors,
@@ -367,3 +369,78 @@ def test_screen_blocks_do_not_change_results(monkeypatch):
         for variant in variants:
             assert np.array_equal(default, variant)
     assert evaluated[0] == evaluated[1] == evaluated[2]
+
+
+def _per_sample_bound(datum, m, positions, times):
+    """The screen's per-sample bound 4|amplitude| / (2*pi*A), A the least
+    |d/dxi phase| at the support ends (0 where they differ in sign; inf
+    bound then), each sample on its own: the oracle for the window."""
+    lo, hi = datum.support
+    p = positions + datum.linear_phase
+    t = times + datum.fractional_phase
+    sigma = 1.0 if lo >= 0 else -1.0
+    ends = []
+    for xi in (lo, hi):
+        if xi == 0.0:
+            with np.errstate(invalid="ignore"):
+                ends.append(np.where(t == 0.0, p, np.sign(t) * sigma * np.inf))
+        else:
+            ends.append(p + t * m * np.abs(xi) ** (m - 1.0) * np.sign(xi))
+    same_sign = np.sign(ends[0]) == np.sign(ends[1])
+    floor = np.where(same_sign, np.minimum(np.abs(ends[0]), np.abs(ends[1])), 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(floor > 0.0, 4.0 * abs(datum.amplitude) / (2.0 * np.pi * floor),
+                        np.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scale=st.sampled_from([1.0, 0.25, 1 / 64, 4.0]), mirrored=st.booleans(),
+       shift=st.sampled_from([0.0, 0.5, 2.0, -1.0]),   # 0.5 and 2.0 touch xi = 0
+       amplitude=st.floats(0.1, 10.0), linear_phase=st.floats(-2.0, 2.0),
+       fractional_phase=st.sampled_from([0.0, -0.5, 0.3, -1.0]) | st.floats(-1.5, 1.5),
+       m=st.floats(0.1, 0.9),
+       xs=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=4),
+       reach=st.lists(st.sampled_from([np.inf]) | st.floats(1e-3, 10.0),
+                      min_size=4, max_size=4),
+       intervals=st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 20)),
+                          min_size=1, max_size=3),
+       per_component=st.integers(1, 4), t_count=st.sampled_from([2, 3, 5, 9]),
+       block=st.sampled_from([3, maximal._SCREEN_BLOCK]))
+def test_screen_window_keeps_exactly_what_the_bound_keeps(
+        scale, mirrored, shift, amplitude, linear_phase, fractional_phase, m, xs,
+        reach, intervals, per_component, t_count, block):
+    # Against the per-sample bound: no sample whose bound beats best is
+    # dropped, and none whose bound is below best * (1 - 1e-9) is kept, on
+    # the lines base mesh (t = 0 rows included; theta-windows by binary
+    # search) and through the per-sample window test.  best = 0 where reach
+    # is inf; tau = t + fractional_phase takes both signs and 0.
+    datum = FourierDatum(amplitude=amplitude, scale=-scale if mirrored else scale,
+                         shift=shift, linear_phase=linear_phase,
+                         fractional_phase=fractional_phase, m=m)
+    xs = np.array(xs)
+    best = 4.0 * amplitude / (2.0 * np.pi * np.array(reach[:len(xs)]))
+    bounds = np.array([(lo / 50, lo / 50 + width / 100) for lo, width in intervals])
+    thetas = maximal._theta_nodes(bounds, per_component)
+    times = np.linspace(0.0, 1.0, t_count)
+    base = maximal._mesh(thetas, times)
+
+    def locate(x, c):
+        return x - c[..., 0] * c[..., 1], c[..., 1]
+
+    positions, t = locate(xs[:, None], base[None])
+    bound = _per_sample_bound(datum, m, positions, t)
+    must = bound > best[:, None]
+    may = bound >= best[:, None] * (1.0 - 1e-9)
+    saved = maximal._SCREEN_BLOCK
+    maximal._SCREEN_BLOCK = block
+    try:
+        j, r = maximal._line_window(datum, m, locate, xs, maximal._reach(datum, best),
+                                    base, len(thetas))
+    finally:
+        maximal._SCREEN_BLOCK = saved
+    kept = np.zeros_like(must)
+    kept[j, r] = True
+    assert len(j) == kept.sum() and np.all(np.diff(j * len(base) + r) > 0)
+    assert np.all(kept[must]) and np.all(may[kept])
+    passes = maximal._passes(datum, m, maximal._reach(datum, best[:, None]), positions, t)
+    assert np.array_equal(passes, kept)

@@ -12,6 +12,9 @@ from concave_phase_lab.quadrature import (InvalidIntegrandError, QuadratureSpec,
                                           ToleranceNotMetError, integrate,
                                           oracle_integrate, simpson_weights,
                                           two_phase_batch)
+from concave_phase_lab.counterexamples import knapp_vertical_spatial
+from concave_phase_lab.geometry import Curve
+from concave_phase_lab.maximal import GridSpec, maximal_in_time
 from concave_phase_lab.spectral import BUMP, BUMP_SQUARED
 
 # Composite-Simpson value of the reference band bump, 10^6+1 nodes,
@@ -281,6 +284,38 @@ def test_batch_rule_mesh_row_groups_match_flat(monkeypatch):
                            lambda v: v ** m, BUMP, BAND).reshape(r, c)
     assert mesh.shape == (r, c)
     assert np.abs(mesh - flat).max() <= 1e-10 * (BAND[1] - BAND[0])
+
+
+def test_mesh_builds_one_e_col_per_node_count(monkeypatch):
+    # A vertical rung of 121 positions x 257 times goes into groups of
+    # BUCKET // 257 rows by |P|.  Near x = 0 several groups get the node
+    # floor; groups with one node count must share one column factor E_col.
+    expected, e_cols, groups = [0], [0], [0]
+    mesh_batch, unit_phase = quadrature._mesh_batch, quadrature._unit_phase
+
+    def mesh_spy(P, T, L_of, S_of, amplitude, a, b, spanL, spanS):
+        order = np.argsort(np.abs(P.ravel()), kind="stable")
+        per_group = quadrature.BUCKET // T.size
+        widths = [np.abs(P.ravel()[order[i:i + per_group]]).max() * spanL
+                  + np.abs(T).max() * spanS for i in range(0, P.size, per_group)]
+        nodes = {max(quadrature.N_MIN, int(np.ceil(w)) | 1) for w in widths}
+        assert max(nodes) * (per_group + T.size) <= quadrature.CHUNK_ELEMS  # one block
+        expected[0] += len(nodes)
+        groups[0] += len(widths)
+        return mesh_batch(P, T, L_of, S_of, amplitude, a, b, spanL, spanS)
+
+    def unit_spy(coeffs, profile, *rest):
+        if coeffs.ndim == 2 and coeffs.shape[0] == 1 and coeffs.shape[1] > 1:
+            e_cols[0] += 1
+        return unit_phase(coeffs, profile, *rest)
+
+    monkeypatch.setattr(quadrature, "_mesh_batch", mesh_spy)
+    monkeypatch.setattr(quadrature, "_unit_phase", unit_spy)
+    xs = np.geomspace(1e-6, 1.0, 121)
+    maximal_in_time(knapp_vertical_spatial(2.0 ** 10), 0.5, Curve.vertical(), xs,
+                    GridSpec(t_base=257), extra_t=np.zeros((121, 1)))
+    assert groups[0] == 9 and 1 < expected[0] < groups[0]
+    assert e_cols[0] == expected[0]
 
 
 def test_batch_rule_rejects_shapes_that_do_not_broadcast():

@@ -115,12 +115,12 @@ def _line_window(datum: FourierDatum, m: float, locate, xs, reach, base, n):
     """(j, r) of the samples base[r] at xs[j] that pass, base the mesh of n
     sorted directions by times: each row's theta-interval widened by a node
     each side (more than its ends' rounding unless directions are a few ulps
-    apart), then the window test on just those candidates."""
+    apart), then the window test on those candidates, _SCREEN_BLOCK a block."""
     thetas, times = base[:n, 0], base[::n, 1]
     s_lo, s_hi = _slopes(datum, m, times)
-    hits, rows = [], len(xs) * len(times)
-    for lo in range(0, rows, _SCREEN_BLOCK):
-        q, it = np.divmod(np.arange(lo, min(rows, lo + _SCREEN_BLOCK)), len(times))
+    hits, rows, step = [], len(xs) * len(times), max(1, _SCREEN_BLOCK // 2)
+    for lo in range(0, rows, step):   # a row adds up to 2 widened candidates
+        q, it = np.divmod(np.arange(lo, min(rows, lo + step)), len(times))
         p, t = xs[q] + datum.linear_phase, times[it]
         with np.errstate(divide="ignore", invalid="ignore"):
             first = np.searchsorted(thetas[1:], (p + s_lo[it] - reach[q]) / t, "right")

@@ -115,7 +115,7 @@ def _line_window(datum: FourierDatum, m: float, locate, xs, reach, base, n):
     """(j, r) of the samples base[r] at xs[j] that pass, base the mesh of n
     sorted directions by times: each row's theta-interval widened by a node
     each side (more than its ends' rounding unless directions are a few ulps
-    apart), then the window test on those candidates, _SCREEN_BLOCK a block."""
+    apart), then the window test on those candidates, in blocks of rows."""
     thetas, times = base[:n, 0], base[::n, 1]
     s_lo, s_hi = _slopes(datum, m, times)
     hits, rows, step = [], len(xs) * len(times), max(1, _SCREEN_BLOCK // 2)

@@ -5,10 +5,14 @@ t alone for a curve (x, t) -> path(x, t), and (theta, t) for the lines
 x - theta*t with theta in a union of intervals.  The engine takes one or
 more positions x, each with its own row of witnesses.  It evaluates the
 witnesses of all positions in one call, then the base mesh, then
-``refine_depth`` rounds per position of factor-8 finer local meshes around
-that position's leading maxima.  Refined coordinates are kept only inside
-the domain: t in [0, 1] and, for lines, theta in the union of the direction
-intervals, so a line maximum is a floor for the stated direction set.
+``refine_depth`` refinement rounds.  A round builds factor-8 finer local
+meshes around every position's leading maxima, screens each against that
+position's best value, and evaluates what passes for all positions in one
+call; a local mesh's centre is its seed, recorded again with the seed's
+value instead of being evaluated twice.  Refined coordinates are kept only
+inside the domain: t in [0, 1] and, for lines, theta in the union of the
+direction intervals, so a line maximum is a floor for the stated direction
+set.
 Each returned value is a floor on the supremum, the largest sample
 evaluated, never a ceiling; root finding is never used.  Two rules keep this
 both honest and affordable:
@@ -32,8 +36,10 @@ separable quadrature call, and the window, against each position's best
 witness, then picks the candidates.  Everywhere else the window skips
 samples before any quadrature, and only index lists of the (position, row)
 pairs that pass are held.  On a line family's base mesh p = x - theta*t, so
-at each t > 0 a position's window is one theta-interval, found by binary
-search in the sorted directions; a t = 0 row passes whole or not at all.
+in each (position, t) row the window is one run of the sorted directions
+(a t = 0 row passes whole or not at all): its ends are guessed by binary
+search and confirmed, or else found by bisection, with the window test
+itself, so the kept samples are exactly those of the per-sample test.
 The base mesh is fed in groups of at most ``MAX_BASE_SAMPLES`` samples.
 """
 from __future__ import annotations
@@ -50,9 +56,10 @@ __all__ = ["GridSpec", "MAX_BASE_SAMPLES", "maximal_in_time", "maximal_over_line
 _SCREEN_NUMERATOR = 4.0  # >= TV(bump) + sup(bump) = 3; margin for squared bumps
 _REFINE_FACTOR = 8
 _TOP_SEEDS = 3
-# Samples, or lines-mesh rows, screened at once.  2**13 floats (64 KiB) stay below
-# the C allocator's initial mmap threshold (128 KiB), so they are reused from
-# the heap instead of being mapped and faulted in afresh on every call.
+# Samples, lines-mesh rows or local-mesh samples screened at once.  2**13
+# floats (64 KiB) stay below the C allocator's initial mmap threshold
+# (128 KiB), so they are reused from the heap instead of being mapped and
+# faulted in afresh on every call.
 _SCREEN_BLOCK = 2 ** 13
 # Largest len(x) * t_base that maximal_in_time accepts, and the most base
 # samples fed at once.  The separable route holds a sum per base sample;
@@ -111,32 +118,64 @@ def _passes(datum: FourierDatum, m: float, reach, positions, times):
     return (p + s_lo < reach) & (p + s_hi > -reach)
 
 
+def _ranked(owners, values):
+    """Indices by owner, then by value descending, the later of equal values first."""
+    return len(owners) - 1 - np.lexsort((-values[::-1], owners[::-1]))
+
+
+def _first_true(test, guess, n):
+    """Per row, the least k in [0, n] where ``test(rows, k)`` holds, n where it
+    never does, for a test that is false and then true along each row: the
+    guess where the test confirms it, else a vectorised bisection."""
+    rows = np.arange(len(guess))
+    k = np.clip(guess, 0, n)
+    sure = ((k == 0) | ~test(rows, np.maximum(k - 1, 0))) & (
+        (k == n) | test(rows, np.minimum(k, n - 1)))
+    rows = rows[~sure]
+    lo, hi = np.zeros(len(rows), dtype=np.intp), np.full(len(rows), n)
+    for _ in range(n.bit_length() if len(rows) else 0):
+        mid = (lo + hi) // 2
+        ok, open_ = test(rows, np.minimum(mid, n - 1)), lo < hi
+        hi = np.where(open_ & ok, mid, hi)
+        lo = np.where(open_ & ~ok, mid + 1, lo)
+    k[rows] = lo
+    return k
+
+
 def _line_window(datum: FourierDatum, m: float, locate, xs, reach, base, n):
     """(j, r) of the samples base[r] at xs[j] that pass, base the mesh of n
-    sorted directions by times: each row's theta-interval widened by a node
-    each side (more than its ends' rounding unless directions are a few ulps
-    apart), then the window test on those candidates, in blocks of rows."""
+    sorted directions by times, in blocks of rows.  Along a row (one position,
+    one t >= 0) every rounded step of p' = x - theta*t + linear_phase is
+    monotone in theta, so each side of the window test is one cut in the row:
+    guessed by binary search on the solved inequality, and confirmed, or else
+    found by bisection, with the test itself.  The kept set is exactly that of
+    the per-sample test."""
     thetas, times = base[:n, 0], base[::n, 1]
     s_lo, s_hi = _slopes(datum, m, times)
-    hits, rows, step = [], len(xs) * len(times), max(1, _SCREEN_BLOCK // 2)
-    for lo in range(0, rows, step):   # a row adds up to 2 widened candidates
-        q, it = np.divmod(np.arange(lo, min(rows, lo + step)), len(times))
-        p, t = xs[q] + datum.linear_phase, times[it]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            first = np.searchsorted(thetas[1:], (p + s_lo[it] - reach[q]) / t, "right")
-            stop = np.searchsorted(thetas[:-1], (p + s_hi[it] + reach[q]) / t) + 1
+    hits, rows = [], len(xs) * len(times)
+    for lo in range(0, rows, _SCREEN_BLOCK):
+        q, it = np.divmod(np.arange(lo, min(rows, lo + _SCREEN_BLOCK)), len(times))
+
+        def p(sel, k):   # p' of direction k in the rows sel
+            return locate(xs[q[sel]], base[it[sel] * n + k])[0] + datum.linear_phase
+
+        def below(sel, k):   # p' + s- < R: false, then true as theta grows
+            return p(sel, k) + s_lo[it[sel]] < reach[q[sel]]
+
+        def beyond(sel, k):   # not p' + s+ > -R: false, then true
+            return ~(p(sel, k) + s_hi[it[sel]] > -reach[q[sel]])
+
+        x, t = xs[q] + datum.linear_phase, times[it]
+        with np.errstate(divide="ignore", invalid="ignore"):   # t = 0 rows guess anything
+            first = _first_true(below, np.searchsorted(
+                thetas, (x + s_lo[it] - reach[q]) / t, "right"), n)
+            stop = _first_true(beyond, np.searchsorted(
+                thetas, (x + s_hi[it] + reach[q]) / t), n)
         count = np.maximum(stop - first, 0)
         q = np.repeat(q, count)
-        cand = (np.repeat(it * n + first - np.cumsum(count) + count, count)
-                + np.arange(len(q)))
-        keep = _passes(datum, m, reach[q], *locate(xs[q], base[cand]))
-        hits.append((q[keep], cand[keep]))
+        hits.append((q, np.repeat(it * n + first - np.cumsum(count) + count, count)
+                     + np.arange(len(q))))
     return tuple(map(np.concatenate, zip(*hits)))
-
-
-def _local_mesh(center, spacing, points_per_side=8):
-    offsets = np.arange(-points_per_side, points_per_side + 1) * (spacing / _REFINE_FACTOR)
-    return center + offsets
 
 
 def _mesh(*axes):
@@ -148,12 +187,6 @@ def _mesh(*axes):
     for j, a in enumerate(axes):
         rows[..., j] = np.reshape(a, (-1,) + (1,) * j)
     return rows.reshape(-1, len(axes))
-
-
-def _unique_rows(rows):
-    """Distinct rows in lexicographic order, as ``np.unique(rows, axis=0)``."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    return rows[np.concatenate([[True], np.any(rows[1:] != rows[:-1], axis=1)])]
 
 
 def _time_axis(grid: GridSpec):
@@ -175,67 +208,99 @@ def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses, kind):
     (theta, t)).  ``inside`` tells which refined rows lie in the domain, and
     ``witnesses[i]`` are the rows of position i, evaluated first and
     unscreened.  Screening and base groups as in the module docstring.  Each
-    refinement round feeds the deduplicated union of one position's top
-    seeds' local meshes once.
+    refinement round screens every position's local meshes against that
+    position's best and feeds what passes in one call; a mesh's offset-0
+    row is its seed, recorded again with the seed's value.
     """
     need = grid.required_t_base(datum)
     if grid.t_base < need and not witnesses.shape[1]:
         raise ValueError(
             f"time grid under-resolved for this datum (have {grid.t_base}, "
             f"need {need}) and no witness points were injected")
-    k = len(xs)
-    coords = [[] for _ in range(k)]   # evaluated samples per position, one entry per feed
-    values = [[] for _ in range(k)]
+    k, d = len(xs), len(axes)
     best = np.zeros(k)
+    # (position, row, value) of each position's _TOP_SEEDS leading samples so
+    # far, in the order they were recorded
+    lead = np.empty(0, dtype=np.intp), np.empty((0, d)), np.empty(0)
 
-    def feed(ids, rows, hits=None):
-        """Evaluate the samples rows[j % len(rows), r] at xs[ids][j] of hits
-        (j, r), by position; by default those of rows that pass the window."""
-        if hits is None:
-            reach = _reach(datum, best[ids, None])
-            step = max(1, _SCREEN_BLOCK // len(ids))
-            j, r = [], []
-            for lo in range(0, rows.shape[1], step):
-                hit_j, hit_r = np.nonzero(_passes(datum, m, reach, *locate(
-                    xs[ids, None], rows[:, lo:lo + step])))
-                j.append(hit_j)
-                r.append(hit_r + lo)
-            order = np.argsort(np.concatenate(j), kind="stable")   # by position
-            hits = np.concatenate(j)[order], np.concatenate(r)[order]
-        j, r = hits
+    def record(j, rows, vals):
+        """Take evaluated samples into best and into the leading samples."""
+        nonlocal lead
+        np.maximum.at(best, j, vals)
+        j, rows, vals = map(np.concatenate, zip(lead, (j, rows, vals)))
+        order = _ranked(j, vals)
+        rank = np.arange(len(j)) - np.searchsorted(j[order], j[order])
+        keep = np.sort(order[rank < _TOP_SEEDS])
+        lead = j[keep], rows[keep], vals[keep]
+
+    def evaluate(positions, rows):
+        return np.abs(propagate_grid(datum, m, *locate(positions, rows)))
+
+    def screen(ids, rows):
+        """(j, r) of the samples rows[r] at xs[ids[j]] in the window, by position."""
+        reach = _reach(datum, best[ids, None])
+        step = max(1, _SCREEN_BLOCK // len(ids))
+        j, r = [], []
+        for lo in range(0, len(rows), step):
+            hit_j, hit_r = np.nonzero(_passes(datum, m, reach, *locate(
+                xs[ids, None], rows[lo:lo + step])))
+            j.append(hit_j)
+            r.append(hit_r + lo)
+        order = np.argsort(np.concatenate(j), kind="stable")
+        return np.concatenate(j)[order], np.concatenate(r)[order]
+
+    def feed(ids, rows, j, r):
+        """Evaluate and record the samples rows[j % len(rows), r] at xs[ids[j]]."""
         if not len(j):
             return
         if kind == "vertical" and len(ids) > 1:   # an outer mesh: one separable call
-            vals = np.abs(propagate_grid(datum, m, *locate(xs[ids, None], rows)))[j, r]
+            vals = evaluate(xs[ids, None], rows)[j, r]
         else:
-            vals = np.abs(propagate_grid(datum, m, *locate(xs[ids][j],
-                                                           rows[j % len(rows), r])))
-        cuts = np.searchsorted(j, np.arange(len(ids) + 1))
-        for q, i in enumerate(ids):
-            if cuts[q] < cuts[q + 1]:
-                part = slice(cuts[q], cuts[q + 1])
-                coords[i].append(rows[q % len(rows)][r[part]])
-                values[i].append(vals[part])
-                best[i] = max(best[i], vals[part].max())
+            vals = evaluate(xs[ids][j], rows[j % len(rows), r])
+        record(ids[j], rows[j % len(rows), r], vals)
 
-    feed(np.arange(k), witnesses, np.divmod(np.arange(k * witnesses.shape[1]),
-                                            witnesses.shape[1]))
+    w = witnesses.shape[1]
+    feed(np.arange(k), witnesses, *np.divmod(np.arange(k * w), w))
     base = _mesh(*(nodes for nodes, _ in axes))
     group = max(1, MAX_BASE_SAMPLES // len(base))
     for lo in range(0, k, group):
         ids = np.arange(lo, min(k, lo + group))
-        feed(ids, base[None], _line_window(datum, m, locate, xs[ids], _reach(
-            datum, best[ids]), base, len(axes[0][0])) if kind == "lines" else None)
-    for i in range(k):
-        spacings = [spacing for _, spacing in axes]
-        for _ in range(grid.refine_depth):
-            if values[i]:
-                order = np.argsort(np.concatenate(values[i]), kind="stable")[::-1]
-                seeds = np.concatenate(coords[i])[order[:_TOP_SEEDS]]
-                fresh = _unique_rows(np.concatenate(
-                    [_mesh(*map(_local_mesh, seed, spacings)) for seed in seeds]))
-                feed(np.array([i]), fresh[inside(fresh)][None])
-            spacings = [spacing / _REFINE_FACTOR for spacing in spacings]
+        feed(ids, base[None], *(_line_window(
+            datum, m, locate, xs[ids], _reach(datum, best[ids]), base, len(axes[0][0]))
+            if kind == "lines" else screen(ids, base)))
+    spacings = [spacing for _, spacing in axes]
+    for _ in range(grid.refine_depth):
+        # local meshes _REFINE_FACTOR times finer across one spacing each side of
+        # every leading sample, screened a block of seeds at a time
+        order = _ranked(lead[0], lead[2])
+        owners, seeds, seed_vals = (part[order] for part in lead)
+        offsets = _mesh(*(np.arange(-_REFINE_FACTOR, _REFINE_FACTOR + 1)
+                          * (spacing / _REFINE_FACTOR) for spacing in spacings))
+        per_block = max(1, _SCREEN_BLOCK // len(offsets))
+        parts = []
+        for lo in range(0, len(seeds), per_block):
+            rows = (seeds[lo:lo + per_block, None] + offsets).reshape(-1, d)
+            j = np.repeat(owners[lo:lo + per_block], len(offsets))
+            known = np.full(len(rows), np.nan)   # offset 0: the seed's value
+            known[len(offsets) // 2::len(offsets)] = seed_vals[lo:lo + per_block]
+            keep = inside(rows)
+            keep[keep] = _passes(datum, m, _reach(datum, best[j[keep]]),
+                                 *locate(xs[j[keep]], rows[keep]))
+            parts.append((j[keep], rows[keep], known[keep]))
+        if not parts:
+            break
+        j, rows, known = map(np.concatenate, zip(*parts))
+        # one row per distinct sample of a position, lexicographic, a seed's own first
+        order = np.lexsort((np.isnan(known), *rows.T[::-1], j))
+        j, rows, known = j[order], rows[order], known[order]
+        first = np.concatenate([[True], (j[1:] != j[:-1])
+                                | np.any(rows[1:] != rows[:-1], axis=1)])
+        j, rows, known = j[first], rows[first], known[first]
+        new = np.isnan(known)
+        if new.any():
+            known[new] = evaluate(xs[j[new]], rows[new])
+        record(j, rows, known)
+        spacings = [spacing / _REFINE_FACTOR for spacing in spacings]
     return best
 
 

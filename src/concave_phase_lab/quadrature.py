@@ -24,8 +24,12 @@ the shapes of P and T alone:
 
 * flat -- P and T hold one coefficient pair per integral (same shape, or any
   broadcast that is not an outer mesh).  Points are sorted by their total
-  phase variation W and grouped into buckets of ``BUCKET`` points that share
-  one trapezoid rule.
+  phase variation W and grouped into buckets that share one trapezoid rule,
+  sized from the bucket's largest W.  A bucket holds at most ``BUCKET``
+  points and ends before its rule passes twice the node count of its first
+  point, so every point gets at least its own rule and at most twice its
+  nodes, whatever else shares the call; a point's sum depends only on the
+  node count it gets.
 * mesh -- P and T vary along disjoint axes, e.g. P of shape (r, 1) and T of
   shape (1, c).  Then ``exp(i*(P*L + T*S))`` factors into a row part and a
   column part, and every trapezoid sum is an entry of the product
@@ -312,8 +316,8 @@ def simpson_weights(n: int) -> np.ndarray:
 
 # Rule of the batch route: trapezoid nodes per radian of the phase-variation
 # bound W, the amplitude-resolving node floor, the node-count limit past which
-# the rule refuses (ResolutionLimitError), the points that share one rule on
-# the flat route, and the element budget of one block of temporaries.  The
+# the rule refuses (ResolutionLimitError), the most points that share one rule
+# on the flat route, and the element budget of one block of temporaries.  The
 # band amplitudes vanish with all derivatives at both ends, so the trapezoid
 # rule converges super-algebraically once the spacing is below the Nyquist
 # spacing; at this rule its error measured at most 1.6e-13 absolute against
@@ -388,9 +392,10 @@ def two_phase_batch(P, T, L_of, S_of, amplitude, interval) -> np.ndarray:
     W = np.abs(P) * spanL + np.abs(T) * spanS
     out = np.empty(P.shape, dtype=complex)
     order = np.argsort(W, kind="stable")
+    nodes = _rule_nodes(W[order])
     i = 0
-    while i < len(order):
-        j = min(len(order), i + BUCKET)
+    while i < len(order):   # a bucket ends before its rule doubles its first point's
+        j = min(i + BUCKET, int(np.searchsorted(nodes, 2.0 * nodes[i], "right")))
         idx = order[i:j]
         v, amp_w = _batch_rule(W[order[j - 1]], amplitude, a, b)
         L = np.asarray(L_of(v), dtype=float)

@@ -444,3 +444,77 @@ def test_screen_window_keeps_exactly_what_the_bound_keeps(
     assert np.all(kept[must]) and np.all(may[kept])
     passes = maximal._passes(datum, m, maximal._reach(datum, best[:, None]), positions, t)
     assert np.array_equal(passes, kept)
+
+
+def test_line_window_is_exact_for_directions_ulps_apart():
+    # Directions 1e-16 to 1e-15 apart, times down to 1e-3 (so many directions
+    # share one rounded p'), and each position's R within 3 ulps of some
+    # sample's p' + s- or -(p' + s+): the kept set must be the per-sample
+    # window's over the full mesh, t = 0 rows included.
+    rng = np.random.default_rng(11)
+    m = 0.5
+
+    def locate(x, c):
+        return x - c[..., 0] * c[..., 1], c[..., 1]
+
+    trials = 0
+    while trials < 400:
+        datum = FourierDatum(linear_phase=rng.uniform(-1.0, 1.0),
+                             fractional_phase=rng.uniform(-1.0, 1.0), m=m)
+        thetas = np.unique(rng.uniform(-1.0, 1.0)
+                           + np.cumsum(rng.uniform(1e-16, 1e-15, 40)))
+        times = np.concatenate([[0.0], np.sort(rng.choice([1e-3, 1e-2, 0.1, 0.5, 1.0], 3))])
+        base = maximal._mesh(thetas, times)
+        xs = rng.uniform(-2.0, 2.0, 3)
+        positions, t = locate(xs[:, None], base[None])
+        s_lo, s_hi = maximal._slopes(datum, m, t)
+        p = positions + datum.linear_phase
+        edges = np.concatenate([(p + s_lo).ravel(), -(p + s_hi).ravel()])
+        edges = edges[np.isfinite(edges) & (edges > 0.0)]
+        if not len(edges):
+            continue
+        trials += 1
+        reach = rng.choice(edges, len(xs))
+        for q, steps in enumerate(rng.integers(-3, 4, len(xs))):
+            for _ in range(abs(steps)):
+                reach[q] = np.nextafter(reach[q], np.inf if steps > 0 else 0.0)
+        j, r = maximal._line_window(datum, m, locate, xs, reach, base, len(thetas))
+        kept = np.zeros(p.shape, dtype=bool)
+        kept[j, r] = True
+        assert len(j) == kept.sum() and np.all(np.diff(j * len(base) + r) > 0)
+        assert np.array_equal(kept, maximal._passes(datum, m, reach[:, None], positions, t))
+
+
+@pytest.mark.parametrize("case,per_group", [("lines", None), ("lines", 3), ("power", None)])
+def test_each_refinement_round_is_one_feed(monkeypatch, case, per_group):
+    # several positions refine together: the engine calls the evaluator once
+    # for the witnesses, at most once per base group (a group whose samples
+    # the screen all drops makes no call) and at most once per round
+    calls = []
+
+    def spy(datum, m, positions, times):
+        calls.append(np.broadcast(positions, times).size)
+        return propagate_grid(datum, m, positions, times)
+
+    if case == "lines":
+        datum, comps, xs, witnesses = _cantor_rung(4, per_component=2)
+        grid = GridSpec(t_base=65, refine_depth=3)
+        base_samples = len(maximal._theta_nodes(np.array(comps), 2)) * grid.t_base
+
+        def call():
+            return maximal_over_lines(datum, 0.5, comps, xs, grid, extra=witnesses)
+    else:
+        xs = np.linspace(0.05, 0.9, 6)
+        grid = GridSpec(t_base=33, refine_depth=3)
+        base_samples = grid.t_base
+
+        def call():
+            return maximal_in_time(BAND, 0.5, Curve.power(theta=0.5, kappa=2.0), xs,
+                                   grid, extra_t=np.zeros((len(xs), 1)))
+    per_group = per_group or len(xs)   # positions a base group
+    monkeypatch.setattr(maximal, "MAX_BASE_SAMPLES", per_group * base_samples)
+    monkeypatch.setattr(maximal, "propagate_grid", spy)
+    call()
+    groups = -(-len(xs) // per_group)
+    assert len(xs) > 2 and calls[0] == len(xs)
+    assert len(calls) <= 1 + groups + grid.refine_depth < len(xs) * grid.refine_depth

@@ -318,6 +318,39 @@ def test_mesh_builds_one_e_col_per_node_count(monkeypatch):
     assert e_cols[0] == expected[0]
 
 
+def test_flat_buckets_stay_within_twice_each_rule(monkeypatch):
+    # 600 flat points with W spread over 1e2..1e4 rad, shuffled: a bucket ends
+    # before its rule passes twice its first point's node count, so every
+    # point gets at least its own node count and at most twice it, and its
+    # value is that of a call on the point alone up to that rule's error (up
+    # to 2.5e-13 here, for points with W close to their own node count)
+    rng = np.random.default_rng(5)
+    m, n = 0.5, 600
+    L_of, S_of = (lambda v: v), (lambda v: v ** m)
+    span_l, span_s = (float(np.ptp(f(np.array(BAND)))) for f in (L_of, S_of))
+    W = rng.permutation(np.geomspace(1e2, 1e4, n))
+    share = rng.uniform(0.0, 1.0, n)
+    P = share * W / span_l * rng.choice([-1.0, 1.0], n)
+    T = (1.0 - share) * W / span_s
+    W = np.abs(P) * span_l + np.abs(T) * span_s
+    widths = []
+    batch_rule = quadrature._batch_rule
+
+    def spy(w_max, *args):
+        widths.append(w_max)
+        return batch_rule(w_max, *args)
+
+    monkeypatch.setattr(quadrature, "_batch_rule", spy)
+    values = two_phase_batch(P, T, L_of, S_of, BUMP, BAND)
+    monkeypatch.undo()
+    assert len(widths) > 1 and np.all(np.diff(widths) > 0)
+    nodes = quadrature._rule_nodes(np.array(widths))[np.searchsorted(widths, W)]
+    own = quadrature._rule_nodes(W)
+    assert np.all(own <= nodes) and np.all(nodes <= 2 * own)
+    alone = [two_phase_batch(p, t, L_of, S_of, BUMP, BAND) for p, t in zip(P, T)]
+    assert np.abs(values - np.array(alone)).max() <= 1e-12
+
+
 def test_batch_rule_rejects_shapes_that_do_not_broadcast():
     with pytest.raises(ValueError, match="broadcast"):
         two_phase_batch(np.zeros(3), np.zeros(4), lambda v: v, lambda v: v,

@@ -586,8 +586,10 @@ _FAMILIES = {
 
 
 # Most points and batch-rule nodes propagate accepts, checked before any work.
-# About 7 s of CPU at the node limit on a 2-CPU x86-64 host: 64 cantor points
-# at lam=1024 (5.0e7 nodes) took 5.1 s, 2**16 band points (1.7e7) 0.7 s.
+# The nodes are each point's own rule, summed; the flat route builds up to
+# twice that (64 cantor points at lam=1024: 5.04e7 counted, 6.66e7 built).
+# About 7 s of CPU at the node limit on a 2-CPU x86-64 host: those 64 points
+# took 5.1 s, 2**16 band points (1.7e7 nodes) 0.7 s.
 MAX_PROPAGATE_POINTS = 2 ** 16
 MAX_PROPAGATE_NODES = 2 ** 26
 

@@ -1,7 +1,7 @@
 """Paths, fractal measures, Cantor prefractals, and singular-weight sums.
 
 Geometric side of the maximal-function experiments: the convergence paths
-x - theta*t^kappa and vertical lines, the alpha-dimensional weights
+x - theta*t^kappa (vertical lines at theta = 0), the alpha-dimensional weights
 |x|^(alpha-1)dx on the unit interval with exact interval masses,
 middle-removal Cantor prefractals with covering counts and Minkowski slope
 estimation, and the discrete bilinear forms with a near-diagonal indicator
@@ -34,23 +34,18 @@ __all__ = [
     "BilinearCheck",
 ]
 
-_KINDS = ("vertical", "power")
-
-
 @dataclass(frozen=True)
 class Curve:
-    """A convergence path t -> position, anchored at x when t = 0.
+    """The convergence path t -> x - theta*t^kappa, anchored at x when t = 0.
 
-    Kinds: "vertical" (constant x) and "power" (x - theta*t^kappa).
+    Every path is a translate of the one through 0; theta = 0 is the
+    vertical line.
     """
 
-    kind: str
     theta: float = 0.0
     kappa: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown curve kind {self.kind!r}")
         if self.theta < 0:
             raise ValueError("theta must be nonnegative")
         if self.kappa <= 0:
@@ -58,19 +53,17 @@ class Curve:
 
     @classmethod
     def vertical(cls):
-        return cls(kind="vertical")
+        return cls()
 
     @classmethod
     def power(cls, theta: float, kappa: float):
-        return cls(kind="power", theta=theta, kappa=kappa)
+        return cls(theta=theta, kappa=kappa)
 
 
 def curve_eval(curve: Curve, x, t):
-    """Position of the path through x at time t; vectorized."""
+    """Position x - theta*t^kappa of the path through x at time t; vectorized."""
     x = np.asarray(x, dtype=float)
     t = np.asarray(t, dtype=float)
-    if curve.kind == "vertical":
-        return np.broadcast_arrays(x, t)[0].copy()
     return x - curve.theta * np.power(t, curve.kappa)
 
 

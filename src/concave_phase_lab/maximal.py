@@ -30,17 +30,20 @@ both honest and affordable:
   and s-, s+ the smaller and larger end values of s.  No bound is computed:
   a sample is a candidate iff it lies in this window, two comparisons.
 
-Where the screen acts depends on the base.  Several positions on a vertical
-path share an outer x-by-t base mesh; it is evaluated whole in one
-separable quadrature call, and the window, against each position's best
-witness, then picks the candidates.  Everywhere else the window skips
-samples before any quadrature, and only index lists of the (position, row)
-pairs that pass are held.  On a line family's base mesh p = x - theta*t, so
-in each (position, t) row the window is one run of the sorted directions
-(a t = 0 row passes whole or not at all): its ends are guessed by binary
-search and confirmed, or else found by bisection, with the window test
-itself, so the kept samples are exactly those of the per-sample test.
-The base mesh is fed in groups of at most ``MAX_BASE_SAMPLES`` samples.
+Every path is a translate: the path through x sits at x + c, with c =
+-theta*t^kappa on a curve and -theta*t on a line depending only on the base
+mesh's column, so every base mesh is separable.  The base mesh is fed in
+groups of at most ``MAX_BASE_SAMPLES`` samples.  For a group of g positions
+and n mesh points, the window against each position's best witness first
+gives the kept (position, point) pairs: on a curve by the per-sample test; on
+a line family, where p = x - theta*t, as one run of the sorted directions
+per (position, t) row (a t = 0 row passes whole or not at all), its ends
+guessed by binary search and confirmed, or else found by bisection, with the
+window test itself, so the kept set is exactly the per-sample test's.  Then
+the engine counts work per quadrature node: the kept samples flat cost one
+complex exponential each, the whole group in one separable call g + n
+exponentials and g*n contraction multiply-adds.  It takes the cheaper, so a
+lone position always goes flat.
 """
 from __future__ import annotations
 
@@ -61,6 +64,9 @@ _TOP_SEEDS = 3
 # (128 KiB), so they are reused from the heap instead of being mapped and
 # faulted in afresh on every call.
 _SCREEN_BLOCK = 2 ** 13
+# Cost of one `einsum` multiply-add of the separable contraction in complex
+# exponentials: 1.5-3.4 ns against 50-61 ns measured, numpy 2.4 on a 2-CPU Xeon.
+_CONTRACT_WEIGHT = 1.0 / 18.0
 # Largest len(x) * t_base that maximal_in_time accepts, and the most base
 # samples fed at once.  The separable route holds a sum per base sample;
 # larger maximal_in_time requests are refused before anything is allocated.
@@ -197,20 +203,21 @@ def _in_unit_time(coords):
     return (coords[:, -1] >= 0.0) & (coords[:, -1] <= 1.0)
 
 
-def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses, kind):
+def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses):
     """Grid suprema of |u| over a mesh of path coordinates, one per position.
 
-    ``axes`` holds one (nodes, spacing) pair per coordinate; their mesh is the
-    base grid of every position in ``xs``.  ``locate(x, rows)`` maps
-    coordinate rows (last axis) to (positions, times) on the paths through x,
-    which broadcasts against the rows' leading axes; ``kind`` is "vertical"
-    (paths keep their position at every t), "power" or "lines" (axes
-    (theta, t)).  ``inside`` tells which refined rows lie in the domain, and
-    ``witnesses[i]`` are the rows of position i, evaluated first and
-    unscreened.  Screening and base groups as in the module docstring.  Each
-    refinement round screens every position's local meshes against that
-    position's best and feeds what passes in one call; a mesh's offset-0
-    row is its seed, recorded again with the seed's value.
+    ``axes`` holds one (nodes, spacing) pair per coordinate, (t,) for a curve
+    or (theta, t) for lines; their mesh is the base grid of every position in
+    ``xs``.  ``locate(x, rows)`` maps coordinate rows (last axis) to
+    (positions, times) on the paths through x, which broadcasts against the
+    rows' leading axes; every path is a translate, locate(x, rows) =
+    x + locate(0.0, rows)[0].  ``inside`` tells which refined rows lie in
+    the domain, and ``witnesses[i]`` are the rows of position i, evaluated
+    first and unscreened.  Screening, base groups and the choice of route as
+    in the module docstring.  Each refinement round screens every position's
+    local meshes against that position's best and feeds what passes in one
+    call; a mesh's offset-0 row is its seed, recorded again with the seed's
+    value.
     """
     need = grid.required_t_base(datum)
     if grid.t_base < need and not witnesses.shape[1]:
@@ -253,8 +260,10 @@ def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses, kind):
         """Evaluate and record the samples rows[j % len(rows), r] at xs[ids[j]]."""
         if not len(j):
             return
-        if kind == "vertical" and len(ids) > 1:   # an outer mesh: one separable call
-            vals = evaluate(xs[ids, None], rows)[j, r]
+        g, n = len(ids), rows.shape[1]
+        if len(rows) == 1 and len(j) > g + n + _CONTRACT_WEIGHT * g * n:
+            shift, t = locate(0.0, rows[0])   # shared rows: one separable call
+            vals = np.abs(propagate_grid(datum, m, xs[ids, None], t[None], shift[None])[j, r])
         else:
             vals = evaluate(xs[ids][j], rows[j % len(rows), r])
         record(ids[j], rows[j % len(rows), r], vals)
@@ -267,7 +276,7 @@ def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses, kind):
         ids = np.arange(lo, min(k, lo + group))
         feed(ids, base[None], *(_line_window(
             datum, m, locate, xs[ids], _reach(datum, best[ids]), base, len(axes[0][0]))
-            if kind == "lines" else screen(ids, base)))
+            if d == 2 else screen(ids, base)))
     spacings = [spacing for _, spacing in axes]
     for _ in range(grid.refine_depth):
         # local meshes _REFINE_FACTOR times finer across one spacing each side of
@@ -323,9 +332,9 @@ def maximal_in_time(datum: FourierDatum, m: float, curve: Curve, x,
     an array, one floor per position); extra_t holds witness times, a
     sequence for a scalar x and shape x.shape + (w,) for an array x.
     Witnesses are evaluated first (unscreened) and count for the sampling
-    rule.  On a vertical path an array of positions shares one outer base
-    mesh, evaluated in one separable call and screened afterwards; other
-    paths and a scalar x screen samples before quadrature.  Refinement adds
+    rule.  The base mesh is screened first; a group of positions is then
+    evaluated whole in one separable call where that counts as less work
+    than its kept samples (never for a scalar x).  Refinement adds
     factor-8 finer local grids around each position's top maxima, so a
     value never decreases with depth.  len(x) * t_base may not exceed
     ``MAX_BASE_SAMPLES``.
@@ -337,10 +346,10 @@ def maximal_in_time(datum: FourierDatum, m: float, curve: Curve, x,
 
     def locate(x, c):
         t = c[..., 0]
-        return (x if curve.kind == "vertical" else curve_eval(curve, x, t)), t
+        return curve_eval(curve, x, t), t
 
     sups = _grid_sup(datum, m, grid, xs.reshape(-1), [_time_axis(grid)], locate,
-                     _in_unit_time, t_w, curve.kind)
+                     _in_unit_time, t_w)
     return float(sups[0]) if xs.ndim == 0 else sups
 
 
@@ -368,9 +377,9 @@ def maximal_over_lines(datum: FourierDatum, m: float, theta_intervals, x,
     union.  x is one position (returns a float) or a 1-D array of positions
     (returns an array, one floor per position); extra holds (theta, t)
     witness pairs, a sequence of pairs for a scalar x and shape
-    x.shape + (w, 2) for an array x.  Samples are screened before
-    quadrature, and the base mesh is fed in groups of at most
-    ``MAX_BASE_SAMPLES`` samples.  Refinement as in :func:`maximal_in_time`.
+    x.shape + (w, 2) for an array x.  The base mesh is fed in groups of at
+    most ``MAX_BASE_SAMPLES`` samples, screened and evaluated as in
+    :func:`maximal_in_time`, and so is refinement.
     """
     xs, pairs = _positions(x, extra, "extra", 2)
     bounds = np.asarray(theta_intervals, dtype=float).reshape(-1, 2)
@@ -379,5 +388,5 @@ def maximal_over_lines(datum: FourierDatum, m: float, theta_intervals, x,
     sups = _grid_sup(
         datum, m, grid, xs.reshape(-1), [(thetas, d_theta), _time_axis(grid)],
         lambda x, c: (x - c[..., 0] * c[..., 1], c[..., 1]),
-        lambda c: _in_unit_time(c) & _in_intervals(c[:, 0], bounds), pairs, "lines")
+        lambda c: _in_unit_time(c) & _in_intervals(c[:, 0], bounds), pairs)
     return float(sups[0]) if xs.ndim == 0 else sups

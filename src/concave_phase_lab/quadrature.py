@@ -17,28 +17,30 @@ The two routes share no code beyond function evaluation, so their agreement is
 a meaningful certificate.
 
 A third entry point, :func:`two_phase_batch`, evaluates whole families of
-integrals whose phases are linear combinations ``P*L(v) + T*S(v)`` of two fixed
-profiles.  Grid scans (kernel grids, time scans in the maximal-function
-experiments) are dominated by such families.  It has two routes, chosen from
-the shapes of P and T alone:
+integrals whose phases are linear combinations ``(P + shift)*L(v) + T*S(v)``
+of two fixed profiles.  Grid scans (kernel grids, time scans in the
+maximal-function experiments) are dominated by such families.  It has two
+routes, chosen from the shapes of P, T and shift alone:
 
-* flat -- P and T hold one coefficient pair per integral (same shape, or any
-  broadcast that is not an outer mesh).  Points are sorted by their total
-  phase variation W and grouped into buckets that share one trapezoid rule,
-  sized from the bucket's largest W.  A bucket holds at most ``BUCKET``
-  points and ends before its rule passes twice the node count of its first
-  point, so every point gets at least its own rule and at most twice its
-  nodes, whatever else shares the call; a point's sum depends only on the
-  node count it gets.
-* mesh -- P and T vary along disjoint axes, e.g. P of shape (r, 1) and T of
-  shape (1, c).  Then ``exp(i*(P*L + T*S))`` factors into a row part and a
-  column part, and every trapezoid sum is an entry of the product
-  ``E_row @ (amp_w * E_col).T`` with ``E_row = exp(i*P*L)`` (r x n) and
-  ``E_col = exp(i*T*S)`` (c x n): (r + c)*n complex exponentials instead of
-  r*c*n.  Rows are sorted by |P| into groups of at most ``BUCKET`` points
-  (``BUCKET // c`` rows, at least one), each sized from its largest W as a
-  flat bucket is.  Groups with one node count are consecutive and share one
-  rule and one ``E_col``, built once for them all.
+* flat -- the coefficients pair up per integral (same shape, or any
+  broadcast that is not an outer mesh), with P + shift in place of P.
+  Points are sorted by their total phase variation W and grouped into
+  buckets that share one trapezoid rule, sized from the bucket's largest W.
+  A bucket holds at most ``BUCKET`` points and ends before its rule passes
+  twice the node count of its first point, so every point gets at least its
+  own rule and at most twice its nodes, whatever else shares the call; a
+  point's sum depends only on the node count it gets.
+* mesh -- P varies along other axes than T and shift, e.g. P of shape
+  (r, 1) and T and shift of shape (1, c).  Then
+  ``exp(i*((P + shift)*L + T*S))`` factors into a row part and a column
+  part, and every trapezoid sum is an entry of ``E_row @ (amp_w * E_col).T``
+  with ``E_row = exp(i*P*L)`` (r x n) and ``E_col = exp(i*(shift*L + T*S))``
+  (c x n): (r + c)*n complex exponentials instead of r*c*n.  Rows are sorted
+  by |P| into groups of at most ``BUCKET`` points (``BUCKET // c`` rows, at
+  least one), each sized from W = |P|*span L of its last row plus the
+  largest |shift|*span L + |T|*span S of a column.  Groups with one node
+  count are consecutive and share one rule and one ``E_col``; at shift = 0
+  it is exactly ``exp(i*T*S)``.
 
 Both routes use the same rule: trapezoid weights h*(1/2, 1, ..., 1, 1/2) on
 n = max(``N_MIN``, ceil(``NODES_PER_RADIAN`` * W) | 1) uniform nodes, one per
@@ -47,9 +49,11 @@ derivatives at both ends, so the trapezoid rule converges super-algebraically
 once the spacing is below the Nyquist spacing (Trefethen & Weideman 2014).
 Against the dense oracle its error measured at most 1.6e-13 absolute on the
 band integrals of the five CLI data families with W up to 1e4 rad, largest
-where W is close to the node count.  A rule that would need more than
-``N_MAX`` nodes raises :class:`ResolutionLimitError` instead of losing
-accuracy.  Both routes hold their temporaries to ``CHUNK_ELEMS`` elements.
+where W is close to the node count; off those families, random (P, T) at
+m = 0.3 deviated by up to 3.8e-13 at W near 257.  A rule that would need
+more than ``N_MAX`` nodes raises :class:`ResolutionLimitError` instead of
+losing accuracy.  Both routes hold their temporaries to ``CHUNK_ELEMS``
+elements.
 The mesh contraction is ``np.einsum``, a single-threaded loop with a fixed
 summation order, so its sums do not depend on the BLAS thread count (a BLAS
 ``zgemm`` may regroup the sum when it changes how it splits the work).
@@ -139,21 +143,17 @@ class QuadratureSpec:
 
     rel_tol, abs_tol : target ``|error| <= max(abs_tol, rel_tol*|I|)``.
     max_subdivisions : total number of cell bisections before giving up.
-    oracle_nodes : node count for :func:`oracle_integrate` (made odd if needed).
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
     max_subdivisions: int = 50_000
-    oracle_nodes: int = 1_000_001
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise ValueError("tolerances must be positive")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
-        if self.oracle_nodes < 3:
-            raise ValueError("oracle_nodes must be >= 3")
 
 
 # Gauss-Kronrod 7/15 on [-1, 1]: Kronrod nodes (odd indices are the embedded
@@ -278,15 +278,13 @@ def integrate(amplitude, phase, interval, spec: QuadratureSpec | None = None) ->
         lo, hi = nlo, nhi
 
 
-def oracle_integrate(amplitude, phase, interval, node_count: int | None = None,
-                     spec: QuadratureSpec | None = None) -> complex:
-    """Composite-Simpson cross-check on a dense uniform grid.
+def oracle_integrate(amplitude, phase, interval, node_count: int = 1_000_001) -> complex:
+    """Composite-Simpson cross-check on a dense uniform grid of ``node_count``
+    nodes (made odd if needed).
 
     Intentionally has no adaptivity and shares nothing with :func:`integrate`
     beyond the integrand itself.
     """
-    if node_count is None:
-        node_count = (spec or QuadratureSpec()).oracle_nodes
     n = int(node_count)
     if n % 2 == 0:
         n += 1
@@ -321,7 +319,8 @@ def simpson_weights(n: int) -> np.ndarray:
 # band amplitudes vanish with all derivatives at both ends, so the trapezoid
 # rule converges super-algebraically once the spacing is below the Nyquist
 # spacing; at this rule its error measured at most 1.6e-13 absolute against
-# the dense oracle for W up to 1e4 rad.
+# the dense oracle for W up to 1e4 rad on the five CLI families, and up to
+# 3.8e-13 off them (m = 0.3, W near 257).
 NODES_PER_RADIAN = 1.0
 N_MIN = 257
 N_MAX = 2_097_153
@@ -336,7 +335,8 @@ def _rule_nodes(w):
 
 
 def batch_nodes(P, T, L_of, S_of, interval) -> float:
-    """Trapezoid nodes of one batch rule per integral of ``two_phase_batch``, summed."""
+    """Trapezoid nodes of each integral's own batch rule, summed: a floor on what
+    ``two_phase_batch`` builds (a flat bucket gives a point up to twice its own)."""
     spans = [np.ptp(f(np.asarray(interval, dtype=float))) for f in (L_of, S_of)]
     return float(_rule_nodes(np.abs(P) * spans[0] + np.abs(T) * spans[1]).sum())
 
@@ -357,38 +357,38 @@ def _batch_rule(w_max, amplitude, a, b):
     return v, amp_w
 
 
-def two_phase_batch(P, T, L_of, S_of, amplitude, interval) -> np.ndarray:
-    """Vectorized ``I = int amp(v) exp(i*(P*L(v) + T*S(v))) dv`` over broadcast P, T.
+def two_phase_batch(P, T, L_of, S_of, amplitude, interval, shift=0.0) -> np.ndarray:
+    """Vectorized ``I = int amp(v) exp(i*((P + shift)*L(v) + T*S(v))) dv``.
 
-    P and T must broadcast against each other; the result has their broadcast
-    shape.  Routes and rule are those of the module docstring: trapezoid
-    weights on ``max(N_MIN, ceil(NODES_PER_RADIAN * W) | 1)`` uniform nodes,
-    with ``W = |P|*span L + |T|*span S`` the phase-variation bound of a flat
-    bucket or a mesh row group, and an outer mesh (P and T on disjoint axes)
-    on the separable route.  Every returned value is finite: a NaN or
-    infinite coefficient raises :class:`InvalidIntegrandError` before any
-    rule is sized, and a rule of more than ``N_MAX`` nodes raises
+    P, T and shift must broadcast against each other; the result has their
+    broadcast shape.  Routes and rule are those of the module docstring:
+    trapezoid weights on ``max(N_MIN, ceil(NODES_PER_RADIAN * W) | 1)``
+    uniform nodes, with ``W = |P + shift|*span L + |T|*span S`` the
+    phase-variation bound of a flat bucket (a mesh row group's is in the
+    module docstring), and an outer mesh (P on other axes than T and shift)
+    on the separable route.  Every returned value is finite: a NaN or infinite
+    coefficient raises :class:`InvalidIntegrandError` before any rule is
+    sized, and a rule of more than ``N_MAX`` nodes raises
     :class:`ResolutionLimitError`.  Intended for grid scans; single
     contract-grade values should use :func:`integrate`.  L_of and S_of must
     be monotone profiles on the interval (only their endpoint values feed
     the W bound).
     """
-    P = np.asarray(P, dtype=float)
-    T = np.asarray(T, dtype=float)
+    P, T, shift = (np.asarray(c, dtype=float) for c in (P, T, shift))
     try:
-        shape = np.broadcast(P, T).shape
+        shape = np.broadcast(P, T, shift).shape
     except ValueError:
-        raise ValueError(f"P and T must broadcast, got shapes {P.shape} "
-                         f"and {T.shape}") from None
-    if not (np.all(np.isfinite(P)) and np.all(np.isfinite(T))):
-        raise InvalidIntegrandError("phase coefficients P and T must be finite")
+        raise ValueError(f"P, T and shift must broadcast, got shapes {P.shape}, "
+                         f"{T.shape} and {shift.shape}") from None
+    if not all(np.all(np.isfinite(c)) for c in (P, T, shift)):
+        raise InvalidIntegrandError("phase coefficients P, T and shift must be finite")
     a, b = float(interval[0]), float(interval[1])
     spanL, spanS = (float(np.ptp(f(np.array([a, b])))) for f in (L_of, S_of))
-    if P.shape != T.shape:
-        if P.size > 1 and T.size > 1 and P.size * T.size == math.prod(shape):
-            return _mesh_batch(P, T, L_of, S_of, amplitude, a, b, spanL, spanS)
-        P, T = np.broadcast_arrays(P, T)
-    P, T = P.ravel(), T.ravel()
+    cols = np.broadcast(T, shift).size
+    if P.size > 1 and cols > 1 and P.size * cols == math.prod(shape):
+        return _mesh_batch(P, T, shift, L_of, S_of, amplitude, a, b, spanL, spanS)
+    P, T, shift = np.broadcast_arrays(P, T, shift)
+    P, T = (P + shift).ravel(), T.ravel()
     W = np.abs(P) * spanL + np.abs(T) * spanS
     out = np.empty(P.shape, dtype=complex)
     order = np.argsort(W, kind="stable")
@@ -427,21 +427,24 @@ def _unit_phase(coeffs, profile, coeffs2=None, profile2=None):
     return np.exp(out, out=out)
 
 
-def _mesh_batch(P, T, L_of, S_of, amplitude, a, b, spanL, spanS):
-    """Mesh route of :func:`two_phase_batch`: P and T vary on disjoint axes.
+def _mesh_batch(P, T, shift, L_of, S_of, amplitude, a, b, spanL, spanS):
+    """Mesh route of :func:`two_phase_batch`: P on other axes than T and shift.
 
-    Entries of P are rows and entries of T columns; rows go by |P| into
-    groups of at most ``BUCKET`` points.  Groups with the same node count are
-    consecutive and share one rule and one ``E_col`` (per block of nodes).
+    Entries of P are rows and entries of (T, shift) columns; rows go by |P|
+    into groups of at most ``BUCKET`` points.  Groups with the same node
+    count are consecutive and share one rule and one
+    ``E_col = exp(i*(shift*L + T*S))`` (per block of nodes).
     """
-    rows, cols = P.reshape(-1, 1), T.reshape(1, -1)
-    t_part = float(np.abs(T).max()) * spanS
+    col_shape = np.broadcast(T, shift).shape
+    rows = P.reshape(-1, 1)
+    T, shift = (c.reshape(1, -1) for c in np.broadcast_arrays(T, shift))
+    col_part = float((np.abs(shift) * spanL + np.abs(T) * spanS).max())
     order = np.argsort(np.abs(rows[:, 0]), kind="stable")
-    per_group = max(1, BUCKET // cols.size)
+    per_group = max(1, BUCKET // T.size)
     groups = [order[i:i + per_group] for i in range(0, len(order), per_group)]
-    widths = [abs(rows[idx[-1], 0]) * spanL + t_part for idx in groups]
-    block = max(1, CHUNK_ELEMS // (len(groups[0]) + cols.size))
-    sums = np.zeros((rows.size, cols.size), dtype=complex)
+    widths = [abs(rows[idx[-1], 0]) * spanL + col_part for idx in groups]
+    block = max(1, CHUNK_ELEMS // (len(groups[0]) + T.size))
+    sums = np.zeros((rows.size, T.size), dtype=complex)
     for _, run in itertools.groupby(zip(widths, groups), key=lambda g: _rule_nodes(g[0])):
         run = list(run)
         v, amp_w = _batch_rule(run[-1][0], amplitude, a, b)
@@ -449,8 +452,8 @@ def _mesh_batch(P, T, L_of, S_of, amplitude, a, b, spanL, spanS):
         S = np.asarray(S_of(v), dtype=float)
         for k in range(0, len(v), block):
             sl = slice(k, k + block)
-            e_col = _unit_phase(cols, S[sl])
+            e_col = _unit_phase(shift, L[sl], T, S[sl])
             e_col *= amp_w[sl]
             for _, idx in run:
                 sums[idx] += np.einsum("...n,...n->...", _unit_phase(rows[idx], L[sl]), e_col)
-    return sums[np.arange(P.size).reshape(P.shape), np.arange(T.size).reshape(T.shape)]
+    return sums[np.arange(P.size).reshape(P.shape), np.arange(T.size).reshape(col_shape)]

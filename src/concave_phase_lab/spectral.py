@@ -11,7 +11,7 @@ Every frequency integral here reduces to the fixed band [1/2, 2] by the
 substitution v = scale*xi + shift, after which the phase is a two-term
 combination P*L(v) + T*S(v) of a linear and a concave-power profile.  Single
 contract-grade values go through the adaptive engine; grid scans go through
-the batch rule, whose mesh route evaluates an x-by-t mesh separably.  The
+the batch rule, whose mesh route evaluates an x-by-column mesh separably.  The
 raw-variable oracle route (dense Simpson in xi, unimodular factors kept
 inside the amplitude) is retained as an independent cross-check.
 """
@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (
-    QuadratureSpec,
-    SmoothFunction1D,
-    integrate,
-    oracle_integrate,
-    two_phase_batch,
-)
+from .quadrature import SmoothFunction1D, integrate, oracle_integrate, two_phase_batch
 
 __all__ = [
     "BUMP",
@@ -157,7 +151,7 @@ def _check_exponent(datum: FourierDatum, m: float):
 
 
 def propagate(datum: FourierDatum, m: float, x: float, t: float,
-              spec: QuadratureSpec | None = None, method: str = "adaptive") -> complex:
+              method: str = "adaptive") -> complex:
     """Evaluate the propagator u(x, t) for a band-limited datum.
 
     Computes (2*pi)^{-1} * int exp(i*(x*xi + t*|xi|^m)) * fhat(xi) dxi.  At
@@ -171,7 +165,6 @@ def propagate(datum: FourierDatum, m: float, x: float, t: float,
         exponent when the datum carries one.
     x, t : float
         Space-time point.
-    spec : QuadratureSpec, optional
     method : {"adaptive", "oracle"}
         "adaptive" substitutes v = scale*xi + shift and runs the fast engine
         on the fixed band; "oracle" runs dense Simpson in the raw frequency
@@ -191,38 +184,38 @@ def propagate(datum: FourierDatum, m: float, x: float, t: float,
         def phase(v):
             return p_coef * linear(v) + t_coef * power(v)
 
-        value = integrate(BUMP, phase, BUMP_SUPPORT, spec)
+        value = integrate(BUMP, phase, BUMP_SUPPORT)
         return datum.amplitude * value / (2.0 * np.pi * abs(datum.scale))
     if method == "oracle":
         def phase(xi):
             return x * xi + t * np.abs(xi) ** m
 
-        value = oracle_integrate(datum.fourier_transform, phase, datum.support, spec=spec)
+        value = oracle_integrate(datum.fourier_transform, phase, datum.support)
         return value / (2.0 * np.pi)
     raise ValueError(f"unknown method {method!r}")
 
 
-def propagate_grid(datum: FourierDatum, m: float, x, t) -> np.ndarray:
-    """Propagator values on broadcast arrays of space-time points.
+def propagate_grid(datum: FourierDatum, m: float, x, t, shift=0.0) -> np.ndarray:
+    """Propagator values u(x + shift, t) on broadcast arrays.
 
     Same reduction as :func:`propagate` with ``method="adaptive"``, but the
     band integrals for all points are evaluated together by
-    :func:`two_phase_batch`, and the result has the broadcast shape of x and
-    t.  The shapes pass through unchanged, so an x-by-t mesh (x of shape
-    (r, 1), t of shape (1, c)) takes the batch rule's separable mesh route
-    and paired arrays of one shape take its flat route.
+    :func:`two_phase_batch`, and the result has the broadcast shape of x, t
+    and shift.  The shapes pass through unchanged, so an x-by-column mesh (x
+    of shape (r, 1), t and shift of shape (1, c)) takes the batch rule's
+    separable mesh route, a path's offset from x riding with its time, and
+    paired arrays of one shape take its flat route.
     """
     _check_exponent(datum, m)
     linear, power = datum.band_maps(m)
     values = two_phase_batch(
         np.asarray(x, dtype=float) + datum.linear_phase,
         np.asarray(t, dtype=float) + datum.fractional_phase,
-        linear, power, BUMP, BUMP_SUPPORT)
+        linear, power, BUMP, BUMP_SUPPORT, shift)
     return datum.amplitude / (2.0 * np.pi * abs(datum.scale)) * values
 
 
-def sobolev_norm(datum: FourierDatum, s: float,
-                 spec: QuadratureSpec | None = None) -> float:
+def sobolev_norm(datum: FourierDatum, s: float) -> float:
     """Inhomogeneous Sobolev norm ((2*pi)^{-1} int (1+xi^2)^s |fhat|^2 dxi)^{1/2}.
 
     The phase factors are unimodular so they never enter: the integrand is
@@ -234,12 +227,12 @@ def sobolev_norm(datum: FourierDatum, s: float,
     def weight(xi):
         return (1.0 + xi ** 2) ** s * bump_profile(datum.scale * xi + datum.shift) ** 2
 
-    value = integrate(weight, lambda xi: np.zeros_like(xi), (lo, hi), spec)
+    value = integrate(weight, lambda xi: np.zeros_like(xi), (lo, hi))
     return abs(datum.amplitude) * float(np.sqrt(value.real / (2.0 * np.pi)))
 
 
 def kernel_K(lam: float, m: float, x: float, t: float,
-             spec: QuadratureSpec | None = None, method: str = "adaptive") -> complex:
+             method: str = "adaptive") -> complex:
     """Localized kernel lam * int exp(i*(lam*x*xi + lam^m*t*|xi|^m)) bump(xi)^2 dxi.
 
     The single-scale building block of the maximal-function estimates: its
@@ -254,7 +247,6 @@ def kernel_K(lam: float, m: float, x: float, t: float,
     m : float
         Dispersion exponent in (0, 1).
     x, t : float
-    spec : QuadratureSpec, optional
     method : {"adaptive", "oracle"}
     """
     if not lam >= 1.0:
@@ -266,9 +258,9 @@ def kernel_K(lam: float, m: float, x: float, t: float,
         return lam * x * xi + lam ** m * t * np.abs(xi) ** m
 
     if method == "adaptive":
-        value = integrate(BUMP_SQUARED, phase, BUMP_SUPPORT, spec)
+        value = integrate(BUMP_SQUARED, phase, BUMP_SUPPORT)
     elif method == "oracle":
-        value = oracle_integrate(BUMP_SQUARED, phase, BUMP_SUPPORT, spec=spec)
+        value = oracle_integrate(BUMP_SQUARED, phase, BUMP_SUPPORT)
     else:
         raise ValueError(f"unknown method {method!r}")
     return lam * value

@@ -206,6 +206,19 @@ def test_sharpness_lines_deterministic_across_thread_counts(tmp_path, monkeypatc
     assert outputs[0] == outputs[1]
 
 
+def test_proposition_lines_deterministic_across_thread_counts(tmp_path, monkeypatch):
+    # every rung's base mesh goes through one separable lines call
+    cfg = RunConfig.from_mapping({"experiment": "proposition-lines", "x_cells": "31",
+                                  "lam_count": "5", "out_dir": str(tmp_path)})
+    outputs = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("CPL_THREADS", threads)
+        run_experiment(cfg)
+        outputs.append([(tmp_path / f"proposition-lines.{ext}").read_bytes()
+                        for ext in ("json", "csv")])
+    assert outputs[0] == outputs[1]
+
+
 def _reports_across_blas_threads(tmp_path, argv):
     """Report bytes of one CLI run with OPENBLAS_NUM_THREADS=1 and one unset.
 
@@ -251,6 +264,14 @@ def test_sharpness_vertical_deterministic_across_blas_threads(tmp_path):
 def test_sharpness_lines_deterministic_across_blas_threads(tmp_path):
     first, second = _reports_across_blas_threads(
         tmp_path, ["sharpness-lines", "--k", "6"])
+    assert first == second
+
+
+def test_proposition_lines_deterministic_across_blas_threads(tmp_path):
+    # the separable lines mesh of each rung (31 positions x 1 x 2193 columns
+    # at the last one) spans one row a group
+    first, second = _reports_across_blas_threads(
+        tmp_path, ["proposition-lines", "--x-cells", "31", "--lam-count", "5"])
     assert first == second
 
 

@@ -82,11 +82,12 @@ def test_witness_value_is_certified_floor():
 
 
 def test_array_positions_match_scalar_calls_on_vertical_path(monkeypatch):
-    # 40 x 129 base samples exceed BUCKET, so the one separable base call
-    # spans several row groups; each position must still get the floor of its
-    # own scalar call, and never less than its best witness.  A position's
-    # witnesses may get another node count in its group than alone, so floors
-    # far below the call's largest one differ by rounding at that scale.
+    # The witnesses go flat.  40 x 129 base samples exceed BUCKET, so the one
+    # separable base call spans several row groups; each position must still
+    # get the floor of its own scalar call, and never less than its best
+    # witness.  A position's witnesses may get another node count in its
+    # group than alone, so floors far below the call's largest one differ by
+    # rounding at that scale.
     grid = GridSpec(t_base=129)
     xs = np.geomspace(1e-3, 1.0, 40)
     lam, m = 2.0 ** 6, 0.5
@@ -95,9 +96,9 @@ def test_array_positions_match_scalar_calls_on_vertical_path(monkeypatch):
     t_stat = np.minimum(1.0, xs / (m * abs(0.5 * (lo + hi)) ** (m - 1.0)))
     calls = []
 
-    def spy(datum, m, positions, times):
+    def spy(datum, m, positions, times, shift=0.0):
         calls.append((np.shape(positions), np.shape(times)))
-        return propagate_grid(datum, m, positions, times)
+        return propagate_grid(datum, m, positions, times, shift)
 
     for datum, witnesses in ((knapp_vertical_spatial(lam), np.zeros((40, 1))),
                              (temporal, np.stack([t_stat, 0.5 * t_stat], axis=1))):
@@ -106,7 +107,7 @@ def test_array_positions_match_scalar_calls_on_vertical_path(monkeypatch):
         sups = maximal_in_time(datum, m, Curve.vertical(), xs, grid, extra_t=witnesses)
         monkeypatch.undo()
         assert sups.shape == xs.shape
-        assert calls[:2] == [((40, 1), witnesses.shape), ((40, 1), (1, 129))]
+        assert calls[:2] == [((witnesses.size,),) * 2, ((40, 1), (1, 129))]
         each = [maximal_in_time(datum, m, Curve.vertical(), x, grid, extra_t=w)
                 for x, w in zip(xs, witnesses)]
         np.testing.assert_allclose(sups, each, rtol=1e-12,
@@ -203,6 +204,31 @@ def test_maxima_pipelines_make_one_engine_call_per_rung(monkeypatch, overrides,
     assert calls == positions
 
 
+def test_base_route_is_chosen_by_counting_work(monkeypatch):
+    # Without witnesses every position's best is 0, so the window keeps the
+    # whole base mesh: g + n + w*g*n is less than g*n, and the group takes
+    # one separable (g, 1) x (1, n) call.  On sharpness-lines the screen
+    # keeps a small share of the base, and no call is separable.
+    shapes = []
+
+    def spy(datum, m, positions, times, shift=0.0):
+        shapes.append(tuple(np.shape(a) for a in (positions, times, shift)))
+        return propagate_grid(datum, m, positions, times, shift)
+
+    xs, grid, comps = np.linspace(0.1, 0.9, 5), small_grid(), [(0.0, 0.5)]
+    n = len(maximal._theta_nodes(np.array(comps), grid.theta_per_component)) * grid.t_base
+    monkeypatch.setattr(maximal, "propagate_grid", spy)
+    sups = maximal_over_lines(BAND, 0.5, comps, xs, grid)
+    monkeypatch.undo()
+    assert [s for s in shapes if len(s[0]) == 2] == [((5, 1), (1, n), (1, n))]
+    each = [maximal_over_lines(BAND, 0.5, comps, x, grid) for x in xs]
+    np.testing.assert_allclose(sups, each, rtol=1e-12)
+    shapes.clear()
+    monkeypatch.setattr(maximal, "propagate_grid", spy)
+    run_experiment(RunConfig(experiment="sharpness-lines", k=6), write=False)
+    assert shapes and all(len(s[0]) == 1 for s in shapes)
+
+
 def test_array_positions_validation(monkeypatch):
     vertical = Curve.vertical()
     with pytest.raises(ValueError, match="extra_t"):
@@ -268,9 +294,9 @@ def test_line_refinement_stays_in_the_direction_set(monkeypatch):
     intervals = [(0.1, 0.2), (0.5, 0.6), (0.9, 0.9)]
     seen = []
 
-    def spy(datum, m, positions, times):
+    def spy(datum, m, positions, times, shift=0.0):
         seen.append((np.array(positions), np.array(times)))
-        return propagate_grid(datum, m, positions, times)
+        return propagate_grid(datum, m, positions, times, shift)
 
     monkeypatch.setattr(maximal, "propagate_grid", spy)
     for x in (0.3, 0.55, 0.95):
@@ -351,9 +377,9 @@ def test_screen_blocks_do_not_change_results(monkeypatch):
     ]
     evaluated = []
 
-    def spy(datum, m, positions, times):
+    def spy(datum, m, positions, times, shift=0.0):
         evaluated[-1] += np.broadcast(positions, times).size
-        return propagate_grid(datum, m, positions, times)
+        return propagate_grid(datum, m, positions, times, shift)
 
     monkeypatch.setattr(maximal, "propagate_grid", spy)
     results = []
@@ -492,9 +518,9 @@ def test_each_refinement_round_is_one_feed(monkeypatch, case, per_group):
     # the screen all drops makes no call) and at most once per round
     calls = []
 
-    def spy(datum, m, positions, times):
+    def spy(datum, m, positions, times, shift=0.0):
         calls.append(np.broadcast(positions, times).size)
-        return propagate_grid(datum, m, positions, times)
+        return propagate_grid(datum, m, positions, times, shift)
 
     if case == "lines":
         datum, comps, xs, witnesses = _cantor_rung(4, per_component=2)

@@ -170,12 +170,14 @@ def test_batch_rule_refuses_non_finite_coefficients(monkeypatch, bad):
     monkeypatch.setattr(quadrature, "_batch_rule", never)
     linear = lambda v: v
     good = np.array([1.0, 2.0, 3.0])
-    for P, T in ((np.array([1.0, bad, 3.0]), good),              # flat
-                 (good, np.array([0.5, 0.5, bad])),
-                 (np.array([[1.0], [bad]]), np.zeros((1, 3))),   # mesh
-                 (good[:, None], np.array([[0.0, bad]]))):
+    for P, T, shift in ((np.array([1.0, bad, 3.0]), good, 0.0),              # flat
+                        (good, np.array([0.5, 0.5, bad]), 0.0),
+                        (good, good, np.array([0.0, bad, 0.0])),
+                        (np.array([[1.0], [bad]]), np.zeros((1, 3)), 0.0),   # mesh
+                        (good[:, None], np.array([[0.0, bad]]), 0.0),
+                        (good[:, None], np.zeros((1, 3)), np.array([[0.0, 0.0, bad]]))):
         with pytest.raises(InvalidIntegrandError, match="finite"):
-            two_phase_batch(P, T, linear, linear, BUMP, BAND)
+            two_phase_batch(P, T, linear, linear, BUMP, BAND, shift)
 
 
 def test_batch_rule_refuses_past_node_limit(monkeypatch):
@@ -245,6 +247,28 @@ def test_batch_rule_mesh_has_broadcast_shape_and_matches_flat():
         assert np.abs(mesh - layout).max() <= 1e-12 * scale
 
 
+def test_batch_rule_column_shift():
+    # shift = 0 changes no bit on either route; a mesh with a column shift
+    # (150 x 64 points: three row groups) matches the flat route on P + shift
+    rng = np.random.default_rng(17)
+    r, c, m = 150, 64, 0.5
+    L_of, S_of = (lambda v: v), (lambda v: v ** m)
+    P = rng.uniform(-300.0, 300.0, r)
+    T = rng.uniform(0.0, 20.0, c)
+    shift = rng.uniform(-200.0, 200.0, c)
+    for Pm, Tm, zero in ((P[:, None], T[None, :], np.zeros((1, c))),
+                         (np.repeat(P, c), np.tile(T, r), np.zeros(r * c))):
+        plain = two_phase_batch(Pm, Tm, L_of, S_of, BUMP, BAND)
+        for z in (0.0, zero):
+            assert np.array_equal(two_phase_batch(Pm, Tm, L_of, S_of, BUMP, BAND, z),
+                                  plain)
+    mesh = two_phase_batch(P[:, None], T[None, :], L_of, S_of, BUMP, BAND, shift[None, :])
+    flat = two_phase_batch((P[:, None] + shift).ravel(), np.tile(T, r), L_of, S_of,
+                           BUMP, BAND).reshape(r, c)
+    assert mesh.shape == (r, c)
+    assert np.abs(mesh - flat).max() <= 1e-12 * (BAND[1] - BAND[0])
+
+
 def test_batch_rule_mesh_blocks_of_nodes_agree(monkeypatch):
     P = np.linspace(-600.0, 600.0, 7)[:, None]
     T = np.linspace(0.0, 30.0, 4)[None, :]
@@ -266,10 +290,10 @@ def test_batch_rule_mesh_row_groups_match_flat(monkeypatch):
     row_factors = []
     unit_phase = quadrature._unit_phase
 
-    def spy(coeffs, profile):
+    def spy(coeffs, profile, *rest):
         if coeffs.shape[1] == 1:
             row_factors.append(coeffs.ravel().copy())
-        return unit_phase(coeffs, profile)
+        return unit_phase(coeffs, profile, *rest)
 
     monkeypatch.setattr(quadrature, "_unit_phase", spy)
     mesh = two_phase_batch(P[:, None], T[None, :], lambda v: v, lambda v: v ** m,
@@ -293,7 +317,7 @@ def test_mesh_builds_one_e_col_per_node_count(monkeypatch):
     expected, e_cols, groups = [0], [0], [0]
     mesh_batch, unit_phase = quadrature._mesh_batch, quadrature._unit_phase
 
-    def mesh_spy(P, T, L_of, S_of, amplitude, a, b, spanL, spanS):
+    def mesh_spy(P, T, shift, L_of, S_of, amplitude, a, b, spanL, spanS):
         order = np.argsort(np.abs(P.ravel()), kind="stable")
         per_group = quadrature.BUCKET // T.size
         widths = [np.abs(P.ravel()[order[i:i + per_group]]).max() * spanL
@@ -302,7 +326,7 @@ def test_mesh_builds_one_e_col_per_node_count(monkeypatch):
         assert max(nodes) * (per_group + T.size) <= quadrature.CHUNK_ELEMS  # one block
         expected[0] += len(nodes)
         groups[0] += len(widths)
-        return mesh_batch(P, T, L_of, S_of, amplitude, a, b, spanL, spanS)
+        return mesh_batch(P, T, shift, L_of, S_of, amplitude, a, b, spanL, spanS)
 
     def unit_spy(coeffs, profile, *rest):
         if coeffs.ndim == 2 and coeffs.shape[0] == 1 and coeffs.shape[1] > 1:

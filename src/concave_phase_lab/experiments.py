@@ -31,8 +31,7 @@ from .geometry import (AlphaMeasure, Curve, bilinear_form_check, cantor_level,
                        covering_number, frostman_bound, frostman_constant, lq_mu_norm)
 from .maximal import MAX_BASE_SAMPLES, GridSpec, maximal_in_time, maximal_over_lines
 from .phase import check_kernel_envelope
-from .quadrature import batch_nodes
-from .spectral import BUMP_SUPPORT, FourierDatum, propagate_grid, sobolev_norm
+from .spectral import FourierDatum, grid_work, propagate_grid, sobolev_norm
 
 SCHEMA_VERSION = 1
 
@@ -603,8 +602,7 @@ def _run_propagate(cfg):
                          f"points, got {cfg.grid_n}")
     datum = _FAMILIES[cfg.family](cfg)
     xs = np.linspace(0.0, 1.0, cfg.grid_n)
-    nodes = batch_nodes(xs + datum.linear_phase, cfg.t + datum.fractional_phase,
-                        *datum.band_maps(cfg.m), BUMP_SUPPORT)
+    nodes = grid_work(datum, cfg.m, xs, cfg.t)
     if nodes > MAX_PROPAGATE_NODES:
         raise ValueError(f"propagate needs at most {MAX_PROPAGATE_NODES} trapezoid "
                          f"nodes, got {nodes:.3g} for grid_n={cfg.grid_n}")

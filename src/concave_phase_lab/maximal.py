@@ -32,18 +32,16 @@ both honest and affordable:
 
 Every path is a translate: the path through x sits at x + c, with c =
 -theta*t^kappa on a curve and -theta*t on a line depending only on the base
-mesh's column, so every base mesh is separable.  The base mesh is fed in
-groups of at most ``MAX_BASE_SAMPLES`` samples.  For a group of g positions
-and n mesh points, the window against each position's best witness first
-gives the kept (position, point) pairs: on a curve by the per-sample test; on
-a line family, where p = x - theta*t, as one run of the sorted directions
-per (position, t) row (a t = 0 row passes whole or not at all), its ends
-guessed by binary search and confirmed, or else found by bisection, with the
-window test itself, so the kept set is exactly the per-sample test's.  Then
-the engine counts work per quadrature node: the kept samples flat cost one
-complex exponential each, the whole group in one separable call g + n
-exponentials and g*n contraction multiply-adds.  It takes the cheaper, so a
-lone position always goes flat.
+mesh's column, so every base mesh is separable.  It is fed in groups of at
+most ``MAX_BASE_SAMPLES`` samples.  For each group the window against each
+position's best witness first gives the kept (position, point) pairs: on a
+curve by the per-sample test; on a line family, where p = x - theta*t, as
+one run of the sorted directions per (position, t) row (a t = 0 row passes
+whole or not at all), its ends guessed by binary search and confirmed, or
+else found by bisection, with the window test itself, so the kept set is
+exactly the per-sample test's.  The engine then takes the cheaper call as
+``grid_work`` counts it: the kept samples flat, or the whole group as one
+separable mesh (never for a lone position).
 """
 from __future__ import annotations
 
@@ -52,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Curve, curve_eval
-from .spectral import FourierDatum, propagate_grid
+from .spectral import FourierDatum, grid_work, propagate_grid
 
 __all__ = ["GridSpec", "MAX_BASE_SAMPLES", "maximal_in_time", "maximal_over_lines"]
 
@@ -64,9 +62,6 @@ _TOP_SEEDS = 3
 # (128 KiB), so they are reused from the heap instead of being mapped and
 # faulted in afresh on every call.
 _SCREEN_BLOCK = 2 ** 13
-# Cost of one `einsum` multiply-add of the separable contraction in complex
-# exponentials: 1.5-3.4 ns against 50-61 ns measured, numpy 2.4 on a 2-CPU Xeon.
-_CONTRACT_WEIGHT = 1.0 / 18.0
 # Largest len(x) * t_base that maximal_in_time accepts, and the most base
 # samples fed at once.  The separable route holds a sum per base sample;
 # larger maximal_in_time requests are refused before anything is allocated.
@@ -209,15 +204,11 @@ def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses):
     ``axes`` holds one (nodes, spacing) pair per coordinate, (t,) for a curve
     or (theta, t) for lines; their mesh is the base grid of every position in
     ``xs``.  ``locate(x, rows)`` maps coordinate rows (last axis) to
-    (positions, times) on the paths through x, which broadcasts against the
-    rows' leading axes; every path is a translate, locate(x, rows) =
-    x + locate(0.0, rows)[0].  ``inside`` tells which refined rows lie in
-    the domain, and ``witnesses[i]`` are the rows of position i, evaluated
-    first and unscreened.  Screening, base groups and the choice of route as
-    in the module docstring.  Each refinement round screens every position's
-    local meshes against that position's best and feeds what passes in one
-    call; a mesh's offset-0 row is its seed, recorded again with the seed's
-    value.
+    (positions, times) on the paths through x, broadcasting against the rows'
+    leading axes, with locate(x, rows) = x + locate(0.0, rows)[0].  ``inside``
+    tells which refined rows lie in the domain; ``witnesses[i]`` are the rows
+    of position i, evaluated first and unscreened.  Screening, base groups,
+    routes and refinement rounds are those of the module docstring.
     """
     need = grid.required_t_base(datum)
     if grid.t_base < need and not witnesses.shape[1]:
@@ -240,9 +231,6 @@ def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses):
         keep = np.sort(order[rank < _TOP_SEEDS])
         lead = j[keep], rows[keep], vals[keep]
 
-    def evaluate(positions, rows):
-        return np.abs(propagate_grid(datum, m, *locate(positions, rows)))
-
     def screen(ids, rows):
         """(j, r) of the samples rows[r] at xs[ids[j]] in the window, by position."""
         reach = _reach(datum, best[ids, None])
@@ -260,12 +248,13 @@ def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses):
         """Evaluate and record the samples rows[j % len(rows), r] at xs[ids[j]]."""
         if not len(j):
             return
-        g, n = len(ids), rows.shape[1]
-        if len(rows) == 1 and len(j) > g + n + _CONTRACT_WEIGHT * g * n:
-            shift, t = locate(0.0, rows[0])   # shared rows: one separable call
-            vals = np.abs(propagate_grid(datum, m, xs[ids, None], t[None], shift[None])[j, r])
+        points = locate(xs[ids][j], rows[j % len(rows), r])
+        shift, t = locate(0.0, rows[0])   # shared rows: the group as one mesh
+        mesh = xs[ids, None], t[None], shift[None]
+        if len(rows) == 1 and grid_work(datum, m, *mesh) < grid_work(datum, m, *points):
+            vals = np.abs(propagate_grid(datum, m, *mesh)[j, r])
         else:
-            vals = evaluate(xs[ids][j], rows[j % len(rows), r])
+            vals = np.abs(propagate_grid(datum, m, *points))
         record(ids[j], rows[j % len(rows), r], vals)
 
     w = witnesses.shape[1]
@@ -307,7 +296,7 @@ def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses):
         j, rows, known = j[first], rows[first], known[first]
         new = np.isnan(known)
         if new.any():
-            known[new] = evaluate(xs[j[new]], rows[new])
+            known[new] = np.abs(propagate_grid(datum, m, *locate(xs[j[new]], rows[new])))
         record(j, rows, known)
         spacings = [spacing / _REFINE_FACTOR for spacing in spacings]
     return best

@@ -31,16 +31,14 @@ routes, chosen from the shapes of P, T and shift alone:
   own rule and at most twice its nodes, whatever else shares the call; a
   point's sum depends only on the node count it gets.
 * mesh -- P varies along other axes than T and shift, e.g. P of shape
-  (r, 1) and T and shift of shape (1, c).  Then
-  ``exp(i*((P + shift)*L + T*S))`` factors into a row part and a column
-  part, and every trapezoid sum is an entry of ``E_row @ (amp_w * E_col).T``
-  with ``E_row = exp(i*P*L)`` (r x n) and ``E_col = exp(i*(shift*L + T*S))``
-  (c x n): (r + c)*n complex exponentials instead of r*c*n.  Rows are sorted
-  by |P| into groups of at most ``BUCKET`` points (``BUCKET // c`` rows, at
-  least one), each sized from W = |P|*span L of its last row plus the
-  largest |shift|*span L + |T|*span S of a column.  Groups with one node
-  count are consecutive and share one rule and one ``E_col``; at shift = 0
-  it is exactly ``exp(i*T*S)``.
+  (r, 1) and T and shift of shape (1, c).  Then every trapezoid sum is an
+  entry of ``E_row @ (amp_w * E_col).T``, ``E_row = exp(i*P*L)`` (r x n)
+  and ``E_col = exp(i*(shift*L + T*S))`` (c x n): (r + c)*n complex
+  exponentials instead of r*c*n.  Rows go by |P| into groups of at most
+  ``BUCKET`` points (``BUCKET // c`` rows, at least one), each sized from
+  W = |P|*span L of its last row plus the largest |shift|*span L +
+  |T|*span S of a column; groups with one node count share one rule and
+  one ``E_col``.  :func:`batch_work` counts either route's work up front.
 
 Both routes use the same rule: trapezoid weights h*(1/2, 1, ..., 1, 1/2) on
 n = max(``N_MIN``, ceil(``NODES_PER_RADIAN`` * W) | 1) uniform nodes, one per
@@ -61,7 +59,6 @@ summation order, so its sums do not depend on the BLAS thread count (a BLAS
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -77,7 +74,7 @@ __all__ = [
     "integrate",
     "oracle_integrate",
     "two_phase_batch",
-    "batch_nodes",
+    "batch_work",
     "simpson_weights",
 ]
 
@@ -316,16 +313,16 @@ def simpson_weights(n: int) -> np.ndarray:
 # bound W, the amplitude-resolving node floor, the node-count limit past which
 # the rule refuses (ResolutionLimitError), the most points that share one rule
 # on the flat route, and the element budget of one block of temporaries.  The
-# band amplitudes vanish with all derivatives at both ends, so the trapezoid
-# rule converges super-algebraically once the spacing is below the Nyquist
-# spacing; at this rule its error measured at most 1.6e-13 absolute against
-# the dense oracle for W up to 1e4 rad on the five CLI families, and up to
-# 3.8e-13 off them (m = 0.3, W near 257).
+# rule's measured error, 1.6e-13 on the CLI families and up to 3.8e-13 off
+# them, is stated in the module docstring.
 NODES_PER_RADIAN = 1.0
 N_MIN = 257
 N_MAX = 2_097_153
 BUCKET = 4096
 CHUNK_ELEMS = 2 ** 23
+# One multiply-add of the mesh route's `einsum` contraction, in complex
+# exponentials: 1.5-3.4 ns against 50-61 ns measured, numpy 2.4 on a 2-CPU Xeon.
+CONTRACT_WEIGHT = 1.0 / 18.0
 
 
 def _rule_nodes(w):
@@ -334,11 +331,20 @@ def _rule_nodes(w):
     return np.maximum(N_MIN, n + (n % 2 == 0))
 
 
-def batch_nodes(P, T, L_of, S_of, interval) -> float:
-    """Trapezoid nodes of each integral's own batch rule, summed: a floor on what
-    ``two_phase_batch`` builds (a flat bucket gives a point up to twice its own)."""
-    spans = [np.ptp(f(np.asarray(interval, dtype=float))) for f in (L_of, S_of)]
-    return float(_rule_nodes(np.abs(P) * spans[0] + np.abs(T) * spans[1]).sum())
+def batch_work(P, T, L_of, S_of, interval, shift=0.0) -> float:
+    """Work of ``two_phase_batch`` on these coefficients in complex exponentials,
+    before any rule is built.  Flat: each integral's own rule (a bucket gives
+    a point up to twice its own).  Mesh: per run of row groups with one node
+    count N, N*c exponentials for ``E_col`` and, per row, N for ``E_row`` and
+    N*c multiply-adds at ``CONTRACT_WEIGHT``, c the column count."""
+    P, T, shift = (np.asarray(c, dtype=float) for c in (P, T, shift))
+    spans = [float(np.ptp(f(np.asarray(interval, dtype=float)))) for f in (L_of, S_of)]
+    if not _is_mesh(P, T, shift):
+        return float(_rule_nodes(np.abs(P + shift) * spans[0] + np.abs(T) * spans[1]).sum())
+    _, T, _, runs = _mesh_runs(P, T, shift, *spans)
+    return float(sum(_rule_nodes(run[-1][0]) * (T.size + (1 + CONTRACT_WEIGHT * T.size)
+                                                * sum(len(idx) for _, idx in run))
+                     for run in runs))
 
 
 def _batch_rule(w_max, amplitude, a, b):
@@ -361,18 +367,12 @@ def two_phase_batch(P, T, L_of, S_of, amplitude, interval, shift=0.0) -> np.ndar
     """Vectorized ``I = int amp(v) exp(i*((P + shift)*L(v) + T*S(v))) dv``.
 
     P, T and shift must broadcast against each other; the result has their
-    broadcast shape.  Routes and rule are those of the module docstring:
-    trapezoid weights on ``max(N_MIN, ceil(NODES_PER_RADIAN * W) | 1)``
-    uniform nodes, with ``W = |P + shift|*span L + |T|*span S`` the
-    phase-variation bound of a flat bucket (a mesh row group's is in the
-    module docstring), and an outer mesh (P on other axes than T and shift)
-    on the separable route.  Every returned value is finite: a NaN or infinite
-    coefficient raises :class:`InvalidIntegrandError` before any rule is
-    sized, and a rule of more than ``N_MAX`` nodes raises
-    :class:`ResolutionLimitError`.  Intended for grid scans; single
-    contract-grade values should use :func:`integrate`.  L_of and S_of must
-    be monotone profiles on the interval (only their endpoint values feed
-    the W bound).
+    broadcast shape.  Routes and rule are those of the module docstring.
+    Every returned value is finite: a NaN or infinite coefficient raises
+    :class:`InvalidIntegrandError` before any rule is sized, and a rule of
+    more than ``N_MAX`` nodes raises :class:`ResolutionLimitError`.  For grid
+    scans; single contract-grade values should use :func:`integrate`.  L_of
+    and S_of must be monotone on the interval (their end values give W).
     """
     P, T, shift = (np.asarray(c, dtype=float) for c in (P, T, shift))
     try:
@@ -384,8 +384,7 @@ def two_phase_batch(P, T, L_of, S_of, amplitude, interval, shift=0.0) -> np.ndar
         raise InvalidIntegrandError("phase coefficients P, T and shift must be finite")
     a, b = float(interval[0]), float(interval[1])
     spanL, spanS = (float(np.ptp(f(np.array([a, b])))) for f in (L_of, S_of))
-    cols = np.broadcast(T, shift).size
-    if P.size > 1 and cols > 1 and P.size * cols == math.prod(shape):
+    if _is_mesh(P, T, shift):
         return _mesh_batch(P, T, shift, L_of, S_of, amplitude, a, b, spanL, spanS)
     P, T, shift = np.broadcast_arrays(P, T, shift)
     P, T = (P + shift).ravel(), T.ravel()
@@ -427,15 +426,15 @@ def _unit_phase(coeffs, profile, coeffs2=None, profile2=None):
     return np.exp(out, out=out)
 
 
-def _mesh_batch(P, T, shift, L_of, S_of, amplitude, a, b, spanL, spanS):
-    """Mesh route of :func:`two_phase_batch`: P on other axes than T and shift.
+def _is_mesh(P, T, shift):
+    """Whether P varies on other axes than T and shift: the mesh route."""
+    cols = np.broadcast(T, shift).size
+    return P.size > 1 and cols > 1 and P.size * cols == np.broadcast(P, T, shift).size
 
-    Entries of P are rows and entries of (T, shift) columns; rows go by |P|
-    into groups of at most ``BUCKET`` points.  Groups with the same node
-    count are consecutive and share one rule and one
-    ``E_col = exp(i*(shift*L + T*S))`` (per block of nodes).
-    """
-    col_shape = np.broadcast(T, shift).shape
+
+def _mesh_runs(P, T, shift, spanL, spanS):
+    """Rows, columns and runs of the mesh route: the row groups of one node
+    count, consecutive, as (W, row indices) pairs."""
     rows = P.reshape(-1, 1)
     T, shift = (c.reshape(1, -1) for c in np.broadcast_arrays(T, shift))
     col_part = float((np.abs(shift) * spanL + np.abs(T) * spanS).max())
@@ -443,17 +442,24 @@ def _mesh_batch(P, T, shift, L_of, S_of, amplitude, a, b, spanL, spanS):
     per_group = max(1, BUCKET // T.size)
     groups = [order[i:i + per_group] for i in range(0, len(order), per_group)]
     widths = [abs(rows[idx[-1], 0]) * spanL + col_part for idx in groups]
-    block = max(1, CHUNK_ELEMS // (len(groups[0]) + T.size))
-    shifted = shift.any()   # its product took ~4% of a 64 x 64 mesh call
+    runs = itertools.groupby(zip(widths, groups), key=lambda g: _rule_nodes(g[0]))
+    return rows, T, shift, [list(run) for _, run in runs]
+
+
+def _mesh_batch(P, T, shift, L_of, S_of, amplitude, a, b, spanL, spanS):
+    """Mesh route of :func:`two_phase_batch`: one rule and one ``E_col`` (per
+    block of nodes) for each run of :func:`_mesh_runs`."""
+    col_shape = np.broadcast(T, shift).shape
+    rows, T, shift, runs = _mesh_runs(P, T, shift, spanL, spanS)
+    block = max(1, CHUNK_ELEMS // (len(runs[0][0][1]) + T.size))
     sums = np.zeros((rows.size, T.size), dtype=complex)
-    for _, run in itertools.groupby(zip(widths, groups), key=lambda g: _rule_nodes(g[0])):
-        run = list(run)
+    for run in runs:
         v, amp_w = _batch_rule(run[-1][0], amplitude, a, b)
         L = np.asarray(L_of(v), dtype=float)
         S = np.asarray(S_of(v), dtype=float)
         for k in range(0, len(v), block):
             sl = slice(k, k + block)
-            e_col = _unit_phase(T, S[sl], *((shift, L[sl]) if shifted else ()))
+            e_col = _unit_phase(T, S[sl], shift, L[sl])
             e_col *= amp_w[sl]
             for _, idx in run:
                 sums[idx] += np.einsum("...n,...n->...", _unit_phase(rows[idx], L[sl]), e_col)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import SmoothFunction1D, integrate, oracle_integrate, two_phase_batch
+from .quadrature import (SmoothFunction1D, batch_work, integrate, oracle_integrate,
+                         two_phase_batch)
 
 __all__ = [
     "BUMP",
@@ -31,6 +32,7 @@ __all__ = [
     "bump_profile",
     "propagate",
     "propagate_grid",
+    "grid_work",
     "sobolev_norm",
     "kernel_K",
     "kernel_grid",
@@ -195,24 +197,28 @@ def propagate(datum: FourierDatum, m: float, x: float, t: float,
     raise ValueError(f"unknown method {method!r}")
 
 
+def _band_coefficients(datum: FourierDatum, m: float, x, t):
+    """P, T, L and S of the band integrals of u at broadcast (x, t)."""
+    _check_exponent(datum, m)
+    return (np.asarray(x, dtype=float) + datum.linear_phase,
+            np.asarray(t, dtype=float) + datum.fractional_phase, *datum.band_maps(m))
+
+
 def propagate_grid(datum: FourierDatum, m: float, x, t, shift=0.0) -> np.ndarray:
     """Propagator values u(x + shift, t) on broadcast arrays.
 
-    Same reduction as :func:`propagate` with ``method="adaptive"``, but the
-    band integrals for all points are evaluated together by
-    :func:`two_phase_batch`, and the result has the broadcast shape of x, t
-    and shift.  The shapes pass through unchanged, so an x-by-column mesh (x
-    of shape (r, 1), t and shift of shape (1, c)) takes the batch rule's
-    separable mesh route, a path's offset from x riding with its time, and
-    paired arrays of one shape take its flat route.
+    Same reduction as :func:`propagate` with ``method="adaptive"``, all band
+    integrals in one :func:`two_phase_batch` call, whose routes follow the
+    shapes: an x-by-column mesh (x of shape (r, 1), t and shift of shape
+    (1, c)) is separable, paired arrays of one shape are flat.
     """
-    _check_exponent(datum, m)
-    linear, power = datum.band_maps(m)
-    values = two_phase_batch(
-        np.asarray(x, dtype=float) + datum.linear_phase,
-        np.asarray(t, dtype=float) + datum.fractional_phase,
-        linear, power, BUMP, BUMP_SUPPORT, shift)
+    values = two_phase_batch(*_band_coefficients(datum, m, x, t), BUMP, BUMP_SUPPORT, shift)
     return datum.amplitude / (2.0 * np.pi * abs(datum.scale)) * values
+
+
+def grid_work(datum: FourierDatum, m: float, x, t, shift=0.0) -> float:
+    """Work of ``propagate_grid(datum, m, x, t, shift)``, as :func:`batch_work`."""
+    return batch_work(*_band_coefficients(datum, m, x, t), BUMP_SUPPORT, shift)
 
 
 def sobolev_norm(datum: FourierDatum, s: float) -> float:

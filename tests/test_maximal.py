@@ -15,7 +15,7 @@ from concave_phase_lab.counterexamples import (cantor_data, cantor_selectors,
 from concave_phase_lab.experiments import RunConfig, run_experiment
 from concave_phase_lab.geometry import Curve, cantor_level
 from concave_phase_lab.maximal import GridSpec, maximal_in_time, maximal_over_lines
-from concave_phase_lab.spectral import FourierDatum, propagate_grid
+from concave_phase_lab.spectral import FourierDatum, grid_work, propagate_grid
 
 M_PSI = 0.905175241828407
 
@@ -117,7 +117,9 @@ def test_array_positions_match_scalar_calls_on_vertical_path(monkeypatch):
 
 
 def test_array_positions_match_scalar_calls_on_power_curve():
-    # positions move with t: no outer mesh, the base is screened and flat
+    # without witnesses the window keeps the whole base, which goes in one
+    # (4, 1) x (1, 33) call with a nonzero column shift; with witnesses the
+    # base is screened and flat.  Both match scalar calls.
     grid = small_grid()
     curve = Curve.power(theta=0.5, kappa=2.0)
     xs = np.array([0.05, 0.3, 0.55, 0.9])
@@ -206,9 +208,12 @@ def test_maxima_pipelines_make_one_engine_call_per_rung(monkeypatch, overrides,
 
 def test_base_route_is_chosen_by_counting_work(monkeypatch):
     # Without witnesses every position's best is 0, so the window keeps the
-    # whole base mesh: g + n + w*g*n is less than g*n, and the group takes
-    # one separable (g, 1) x (1, n) call.  On sharpness-lines the screen
-    # keeps a small share of the base, and no call is separable.
+    # whole base mesh, which counts as less work in one separable
+    # (g, 1) x (1, n) call.  On sharpness-lines the screen keeps a small share
+    # of the base, and no call is separable.  With n > BUCKET / 2 columns
+    # every row is its own group, and rows far apart in |x| get their own
+    # node counts and column factors: the whole base then counts as less
+    # work flat, although it is kept whole.
     shapes = []
 
     def spy(datum, m, positions, times, shift=0.0):
@@ -227,6 +232,15 @@ def test_base_route_is_chosen_by_counting_work(monkeypatch):
     monkeypatch.setattr(maximal, "propagate_grid", spy)
     run_experiment(RunConfig(experiment="sharpness-lines", k=6), write=False)
     assert shapes and all(len(s[0]) == 1 for s in shapes)
+    shapes.clear()
+    xs, grid = np.array([0.0, 300.0, 600.0, 900.0]), small_grid(2049)
+    mesh = xs[:, None], np.linspace(0.0, 1.0, 2049)[None]
+    assert grid_work(BAND, 0.5, *mesh) > grid_work(BAND, 0.5, *np.broadcast_arrays(*mesh))
+    sups = maximal_in_time(BAND, 0.5, Curve.vertical(), xs, grid)
+    assert shapes and all(len(s[0]) == 1 for s in shapes)
+    monkeypatch.undo()
+    each = [maximal_in_time(BAND, 0.5, Curve.vertical(), x, grid) for x in xs]
+    np.testing.assert_allclose(sups, each, rtol=1e-12, atol=1e-13 * np.max(each))
 
 
 def test_array_positions_validation(monkeypatch):

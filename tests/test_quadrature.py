@@ -269,6 +269,35 @@ def test_batch_rule_column_shift():
     assert np.abs(mesh - flat).max() <= 1e-12 * (BAND[1] - BAND[0])
 
 
+def test_batch_work_counts_what_the_routes_build(monkeypatch):
+    # 6 rows x 3000 columns: every row is its own group (3000 > BUCKET / 2),
+    # and the rows' |P| give five node counts, the first two rows sharing one
+    # rule and one column factor.  The mesh count is the exponentials built
+    # plus the contraction's multiply-adds at CONTRACT_WEIGHT; the flat count
+    # is each point's own rule, at least half of what its bucket builds.
+    built = {"col": 0, "row": 0}
+    unit_phase = quadrature._unit_phase
+
+    def spy(coeffs, profile, *rest):
+        out = unit_phase(coeffs, profile, *rest)
+        built["col" if rest else "row"] += out.size
+        return out
+
+    L_of, S_of = (lambda v: v), (lambda v: v ** 0.5)
+    P = np.array([0.0, 10.0, 300.0, 310.0, 600.0, 900.0])[:, None]
+    T, shift = np.linspace(0.0, 5.0, 3000)[None], np.linspace(-1.0, 1.0, 3000)[None]
+    monkeypatch.setattr(quadrature, "_unit_phase", spy)
+    two_phase_batch(P, T, L_of, S_of, BUMP, BAND, shift)
+    assert len(set(quadrature._rule_nodes(np.abs(P.ravel()) * 1.5 + 5.0))) == 5
+    assert quadrature.batch_work(P, T, L_of, S_of, BAND, shift) == pytest.approx(
+        built["col"] + built["row"] * (1 + quadrature.CONTRACT_WEIGHT * T.size), rel=1e-12)
+    flat = np.broadcast_arrays(P + shift[:, ::60], T[:, ::60])
+    built.update(col=0, row=0)
+    two_phase_batch(*flat, L_of, S_of, BUMP, BAND)
+    work = quadrature.batch_work(*flat, L_of, S_of, BAND)
+    assert built["row"] == 0 and work <= built["col"] <= 2 * work
+
+
 def test_batch_rule_mesh_blocks_of_nodes_agree(monkeypatch):
     P = np.linspace(-600.0, 600.0, 7)[:, None]
     T = np.linspace(0.0, 30.0, 4)[None, :]

@@ -248,14 +248,16 @@ def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses):
         """Evaluate and record the samples rows[j % len(rows), r] at xs[ids[j]]."""
         if not len(j):
             return
-        points = locate(xs[ids][j], rows[j % len(rows), r])
-        shift, t = locate(0.0, rows[0])   # shared rows: the group as one mesh
-        mesh = xs[ids, None], t[None], shift[None]
-        if len(rows) == 1 and grid_work(datum, m, *mesh) < grid_work(datum, m, *points):
-            vals = np.abs(propagate_grid(datum, m, *mesh)[j, r])
-        else:
-            vals = np.abs(propagate_grid(datum, m, *points))
-        record(ids[j], rows[j % len(rows), r], vals)
+        points, vals = locate(xs[ids][j], rows[j % len(rows), r]), None
+        # shared rows: the group as one mesh, whose column factor alone gives
+        # each column a kept sample's rule at least, so count it only past n
+        if len(rows) == 1 and len(j) > rows.shape[1]:
+            shift, t = locate(0.0, rows[0])
+            mesh = xs[ids, None], t[None], shift[None]
+            if grid_work(datum, m, *mesh) < grid_work(datum, m, *points):
+                vals = propagate_grid(datum, m, *mesh)[j, r]
+        vals = propagate_grid(datum, m, *points) if vals is None else vals
+        record(ids[j], rows[j % len(rows), r], np.abs(vals))
 
     w = witnesses.shape[1]
     feed(np.arange(k), witnesses, *np.divmod(np.arange(k * w), w))
@@ -321,12 +323,11 @@ def maximal_in_time(datum: FourierDatum, m: float, curve: Curve, x,
     an array, one floor per position); extra_t holds witness times, a
     sequence for a scalar x and shape x.shape + (w,) for an array x.
     Witnesses are evaluated first (unscreened) and count for the sampling
-    rule.  The base mesh is screened first; a group of positions is then
-    evaluated whole in one separable call where that counts as less work
-    than its kept samples (never for a scalar x).  Refinement adds
-    factor-8 finer local grids around each position's top maxima, so a
-    value never decreases with depth.  len(x) * t_base may not exceed
-    ``MAX_BASE_SAMPLES``.
+    rule.  The base mesh is screened, then its kept samples or, where that
+    counts as less work, the whole group go in one call (flat for a scalar
+    x).  Refinement adds factor-8 finer local grids around each position's
+    top maxima, so a value never decreases with depth.  len(x) * t_base may
+    not exceed ``MAX_BASE_SAMPLES``.
     """
     xs, t_w = _positions(x, extra_t, "extra_t", 1)
     if xs.size * grid.t_base > MAX_BASE_SAMPLES:

@@ -249,8 +249,8 @@ def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses):
         if not len(j):
             return
         points, vals = locate(xs[ids][j], rows[j % len(rows), r]), None
-        # shared rows: the group as one mesh, whose column factor alone gives
-        # each column a kept sample's rule at least, so count it only past n
+        # shared rows as one mesh: its column factor alone gives every column
+        # a rule no smaller than a kept sample's, so it can only win past n
         if len(rows) == 1 and len(j) > rows.shape[1]:
             shift, t = locate(0.0, rows[0])
             mesh = xs[ids, None], t[None], shift[None]

@@ -117,9 +117,9 @@ def test_array_positions_match_scalar_calls_on_vertical_path(monkeypatch):
 
 
 def test_array_positions_match_scalar_calls_on_power_curve():
-    # without witnesses the window keeps the whole base, which goes in one
-    # (4, 1) x (1, 33) call with a nonzero column shift; with witnesses the
-    # base is screened and flat.  Both match scalar calls.
+    # with or without witnesses the window keeps enough of this small base
+    # that it goes in one (4, 1) x (1, 33) call with a nonzero column shift;
+    # the values match scalar calls
     grid = small_grid()
     curve = Curve.power(theta=0.5, kappa=2.0)
     xs = np.array([0.05, 0.3, 0.55, 0.9])

@@ -12,9 +12,14 @@ with a smooth compactly supported amplitude and a real phase:
   cells are bisected until the Kronrod error estimate meets the tolerance.
 * :func:`oracle_integrate` -- the deliberately naive cross-check: a single
   composite Simpson rule on a dense uniform grid.  Slow, simple, trustworthy.
+  It keeps the last grid and amplitude * weights, so a sweep of phases
+  against one amplitude evaluates the amplitude once.
 
 The two routes share no code beyond function evaluation, so their agreement is
-a meaningful certificate.
+a meaningful certificate.  ``spectral.propagate`` settles non-stationary band
+integrals before it calls :func:`integrate`, with an integration-by-parts
+bound that meets this engine's ``abs_tol``; the generic callable API here does
+not, since only the band form knows its phase slope in closed form.
 
 A third entry point, :func:`two_phase_batch`, evaluates whole families of
 integrals whose phases are linear combinations ``(P + shift)*L(v) + T*S(v)``
@@ -280,7 +285,10 @@ def oracle_integrate(amplitude, phase, interval, node_count: int = 1_000_001) ->
     nodes (made odd if needed).
 
     Intentionally has no adaptivity and shares nothing with :func:`integrate`
-    beyond the integrand itself.
+    beyond the integrand itself.  The grid and amplitude * Simpson weights of
+    the last call are kept for the next call with an equal amplitude, interval
+    and node count, so the amplitude must be a fixed function: a sweep of
+    phases against one amplitude evaluates it once.
     """
     n = int(node_count)
     if n % 2 == 0:
@@ -288,15 +296,30 @@ def oracle_integrate(amplitude, phase, interval, node_count: int = 1_000_001) ->
     a, b = float(interval[0]), float(interval[1])
     if b <= a:
         return 0.0 + 0.0j
-    x = np.linspace(a, b, n)
-    amp = np.asarray(amplitude(x))  # may be complex (data carry unimodular phases)
+    x, amp_w = _oracle_grid(amplitude, a, b, n)
     ph = np.asarray(phase(x), dtype=float)
-    if not (np.all(np.isfinite(amp)) and np.all(np.isfinite(ph))):
+    if not np.all(np.isfinite(ph)):
         raise InvalidIntegrandError("integrand produced non-finite values")
-    f = amp * np.exp(1j * ph)
-    w = simpson_weights(n)
     h = (b - a) / (n - 1)
-    return complex(h * np.sum(w * f))
+    return complex(h * np.sum(amp_w * np.exp(1j * ph)))
+
+
+_oracle_memo = None   # (amplitude, a, b, n), grid, amplitude * Simpson weights
+
+
+def _oracle_grid(amplitude, a, b, n):
+    """Grid and amplitude * Simpson weights of :func:`oracle_integrate`, memoized
+    for one (amplitude, a, b, n)."""
+    global _oracle_memo
+    key = (amplitude, a, b, n)
+    memo = _oracle_memo
+    if memo is None or memo[0] != key:
+        x = np.linspace(a, b, n)
+        amp = np.asarray(amplitude(x))  # may be complex (data carry unimodular phases)
+        if not np.all(np.isfinite(amp)):
+            raise InvalidIntegrandError("integrand produced non-finite values")
+        memo = _oracle_memo = (key, x, amp * simpson_weights(n))
+    return memo[1], memo[2]
 
 
 def simpson_weights(n: int) -> np.ndarray:

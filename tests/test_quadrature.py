@@ -121,6 +121,31 @@ def test_oracle_even_node_count_is_bumped_to_odd():
     assert even == odd
 
 
+def test_oracle_evaluates_each_amplitude_once():
+    # a sweep of phases against one amplitude, interval and node count
+    # evaluates the amplitude once; any other key evaluates it afresh
+    sizes = []
+
+    def counted(v):
+        sizes.append(len(v))
+        return BUMP(v)
+
+    phases = [lambda v, p=p: p * v for p in (0.0, 3.0, -70.0)]
+    values = [oracle_integrate(counted, ph, BAND, node_count=2001) for ph in phases]
+    assert sizes == [2001]
+    v = np.linspace(*BAND, 2001)
+    h = (BAND[1] - BAND[0]) / 2000
+    for ph, value in zip(phases, values):
+        plain = h * np.sum(simpson_weights(2001) * BUMP(v) * np.exp(1j * ph(v)))
+        assert abs(value - plain) <= 1e-15
+    oracle_integrate(counted, phases[1], BAND, node_count=4001)
+    oracle_integrate(counted, phases[1], (0.75, 2.0), node_count=4001)
+    oracle_integrate(BUMP_SQUARED, phases[1], (0.75, 2.0), node_count=4001)
+    assert sizes == [2001, 4001, 4001]
+    assert oracle_integrate(counted, phases[1], (0.75, 2.0), node_count=4001) != (
+        oracle_integrate(BUMP_SQUARED, phases[1], (0.75, 2.0), node_count=4001))
+
+
 def test_batch_rule_matches_oracle_across_scales():
     rng = np.random.default_rng(3)
     n = 50

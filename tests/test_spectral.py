@@ -1,10 +1,17 @@
 """Reference bump, band-limited data, propagator, Sobolev norms, kernel."""
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from concave_phase_lab import experiments, spectral
 from concave_phase_lab.counterexamples import knapp_curve, knapp_vertical_spatial
+from concave_phase_lab.experiments import RunConfig
 from concave_phase_lab.fitting import fit_loglog
-from concave_phase_lab.spectral import (BUMP_SUPPORT, FourierDatum, bump_profile,
+from concave_phase_lab.quadrature import QuadratureSpec, integrate, oracle_integrate
+from concave_phase_lab.spectral import (BUMP, BUMP_SUPPORT, FourierDatum, bump_profile,
                                         kernel_K, kernel_grid, propagate,
                                         propagate_grid, sobolev_norm)
 
@@ -179,3 +186,142 @@ def test_propagate_grid_mesh_matches_propagate():
         for j in range(len(ts)):
             ref = propagate(datum, 0.5, xs[i], ts[j])
             assert abs(vals[i, j] - ref) <= 1e-6 * (1.0 + abs(ref))
+
+
+# --------------------------------------------------------------------------
+# the integration-by-parts certificate of propagate(..., method="adaptive")
+
+
+def _band_integral(datum, m, x, t):
+    """Band phase of propagate(datum, m, x, t), exactly as propagate builds it,
+    its variation W and its slope phi' at the two band ends (the limit where
+    the support touches xi = 0)."""
+    L, S = datum.band_maps(m)
+    P, T = x + datum.linear_phase, t + datum.fractional_phase
+    W = (abs(P) * abs(L(BUMP_SUPPORT[1]) - L(BUMP_SUPPORT[0]))
+         + abs(T) * abs(S(BUMP_SUPPORT[1]) - S(BUMP_SUPPORT[0])))
+    inner = np.sign((1.25 - datum.shift) / datum.scale)
+    slopes = []
+    for v in BUMP_SUPPORT:
+        xi = (v - datum.shift) / datum.scale
+        power = np.inf * inner if xi == 0.0 else np.sign(xi) * abs(xi) ** (m - 1.0)
+        slopes.append((P + (T * m * power if T != 0.0 else 0.0)) / datum.scale)
+    return (lambda v: P * L(v) + T * S(v)), float(W), slopes
+
+
+def _min_slope(slopes):
+    """min |phi'| over the band when phi' keeps one sign there, else 0."""
+    lo, hi = slopes
+    return min(abs(lo), abs(hi)) if np.sign(lo) == np.sign(hi) != 0 else 0.0
+
+
+@pytest.fixture
+def integrate_spy(monkeypatch):
+    """Records each band integral that propagate hands to the adaptive engine;
+    with ``run=False`` the engine is not run and the value is 0."""
+    seen = []
+
+    def install(run):
+        def spy(amplitude, phase, interval, spec=None):
+            seen.append(phase)
+            return integrate(amplitude, phase, interval, spec) if run else 0j
+        monkeypatch.setattr(spectral, "integrate", spy)
+        return seen
+    return install
+
+
+REFUSAL_SLOPE = 3.6e3   # smallest min|phi'| among the calls integrate gives up on
+
+
+@pytest.mark.parametrize("family", sorted(experiments._FAMILIES))
+def test_certificate_settles_non_stationary_cli_calls(family, integrate_spy):
+    # propagate on the CLI families at lambda = 2^4..2^12 and eight (x, t)
+    # points; the engine is stubbed out, since a call it gives up on costs
+    # about 170 ms.  No call with min|phi'| >= 3.6e3 reaches it, and every
+    # settled call is 0 within abs_tol of the band integral: against the
+    # oracle at 4 W + 10001 nodes wherever W <= 1e5 rad.
+    seen = integrate_spy(run=False)
+    tol = QuadratureSpec().abs_tol
+    settled = checked = 0
+    for lam in 2.0 ** np.arange(4, 13):
+        cfg = RunConfig(lam=float(lam))
+        datum = experiments._FAMILIES[family](cfg)
+        unit = abs(datum.amplitude) / (2.0 * np.pi * abs(datum.scale))
+        for x in (-0.98, -0.4, 0.53, 0.9):
+            for t in (0.1, 0.64):
+                phase, W, slopes = _band_integral(datum, cfg.m, x, t)
+                before = len(seen)
+                value = propagate(datum, cfg.m, x, t)
+                if len(seen) > before:
+                    assert _min_slope(slopes) < REFUSAL_SLOPE, (lam, x, t)
+                    continue
+                settled += 1
+                k, bound = spectral._nonstationary_bound(datum, cfg.m, x, t)
+                assert value == 0 and 1 <= k <= 8 and bound <= tol
+                if W <= 1e5:
+                    ref = oracle_integrate(BUMP, phase, BUMP_SUPPORT,
+                                           node_count=int(4 * W) + 10001)
+                    assert abs(value - unit * ref) <= 1e-12 * unit, (lam, x, t)
+                    checked += 1
+    if family in ("temporal-knapp", "cantor"):
+        assert settled >= 20 and checked >= 10
+
+
+def test_certificate_declines_and_leaves_the_engine_values(integrate_spy):
+    # phases whose slope changes sign on the band (from 0.2 to -0.15, and from
+    # 4e3 to -4e3), and a non-stationary one with a small slope: all reach the
+    # engine and keep its value bit for bit
+    seen = integrate_spy(run=True)
+    datum = FourierDatum()
+    for x, t, stationary in ((-0.5, 1.0, True), (-1.2e4, 1.6e4 * np.sqrt(2.0), True),
+                             (0.3, 0.7, False)):
+        phase, _, slopes = _band_integral(datum, 0.5, x, t)
+        assert (_min_slope(slopes) == 0.0) == stationary
+        assert spectral._nonstationary_bound(datum, 0.5, x, t) is None
+        before = len(seen)
+        value = propagate(datum, 0.5, x, t)
+        assert len(seen) == before + 1
+        engine = integrate(BUMP, phase, BUMP_SUPPORT)
+        assert value == datum.amplitude * engine / (2.0 * np.pi * abs(datum.scale))
+
+
+@pytest.mark.parametrize("scale, shift", [(1.0, 0.5), (-1.0, 2.0), (-0.25, 0.5),
+                                          (4.0, 2.0)])
+@pytest.mark.parametrize("t", [0.0, 1.0, -3.0])
+def test_certificate_on_support_touching_zero(scale, shift, t):
+    # |xi|^(m-1) is infinite at the end where the support touches xi = 0; the
+    # slope there is a limit, and no 0 * inf, warning or non-finite bound occurs
+    datum = FourierDatum(scale=scale, shift=shift)
+    inner = np.sign((1.25 - shift) / scale)   # sign of xi on the support
+    x = 2e4 * inner * (np.sign(t) or 1.0)     # P and T*sign(xi) agree: no stationary point
+    with warnings.catch_warnings(), np.errstate(divide="raise", over="raise",
+                                                invalid="raise"):
+        warnings.simplefilter("error")
+        k, bound = spectral._nonstationary_bound(datum, 0.5, x, t)
+        value = propagate(datum, 0.5, x, t)
+    assert np.isfinite(bound) and bound <= QuadratureSpec().abs_tol and value == 0
+    if t != 0.0:   # P against T*sign(xi): a stationary point next to the flat end
+        assert spectral._nonstationary_bound(datum, 0.5, -x, t) is None
+
+
+@settings(max_examples=80, deadline=None)
+@given(m=st.floats(0.1, 0.9), scale=st.sampled_from([1.0, 0.25, 1 / 64, 4.0]),
+       mirrored=st.booleans(),
+       shift=st.sampled_from([0.5, 2.0]) | st.floats(-3.0, 0.5) | st.floats(2.0, 5.0),
+       W=st.floats(1.0, 2e4), share=st.floats(0.0, 1.0),
+       signs=st.tuples(st.booleans(), st.booleans()))
+def test_certificate_bounds_dominate_the_oracle(m, scale, mirrored, shift, W, share, signs):
+    # every B_k the certificate computes bounds the band integral, up to the
+    # oracle's own rounding; shifts 0.5 and 2.0 make the support touch xi = 0
+    datum = FourierDatum(scale=-scale if mirrored else scale, shift=shift)
+    L, S = datum.band_maps(m)
+    spans = [abs(f(BUMP_SUPPORT[1]) - f(BUMP_SUPPORT[0])) for f in (L, S)]
+    P = (-1.0) ** signs[0] * share * W / spans[0]
+    T = (-1.0) ** signs[1] * (1.0 - share) * W / spans[1]
+    phase, W, slopes = _band_integral(datum, m, P, T)
+    assume(_min_slope(slopes) > 0.0)
+    ref = abs(oracle_integrate(BUMP, phase, BUMP_SUPPORT, node_count=int(4 * W) + 10001))
+    bounds = list(spectral._ibp_bounds(datum, m, P, T))
+    assert len(bounds) == 8
+    for bound in bounds:
+        assert ref <= bound * (1.0 + 1e-9) + 2.2e-16 * W

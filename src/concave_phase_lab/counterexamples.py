@@ -20,6 +20,7 @@ parameters that leave more than 0.6 radians.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -215,12 +216,16 @@ def cantor_selectors(x: float, cantor: CantorSet) -> MatchedPoint:
     For x in the level-k prefractal intersected with (1/2, 1), the direction
     theta(x) is the right endpoint of the component containing x (so it
     survives in every deeper level), tau(x) = (theta - x)/theta is in
-    [0, 2*r^k], and the matched time is t = 1 - tau.
+    [0, 2*r^k], and the matched time is t = 1 - tau.  The components are
+    in increasing order, as ``cantor_level`` builds them, so a bisection finds
+    the last one with lo - snap <= x; it or the one before it is the first
+    component within ``snap`` of x.
     """
     snap = 1e-12
     if not 0.5 < x < 1.0 + snap:
         raise ValueError(f"not in prefractal window: x={x} outside (1/2, 1)")
-    for lo, hi in cantor.intervals:
+    i = bisect.bisect_right(cantor.intervals, x, key=lambda iv: iv[0] - snap)
+    for lo, hi in cantor.intervals[max(i - 2, 0):i]:
         if lo - snap <= x <= hi + snap:
             tau = (hi - x) / hi
             return MatchedPoint(x=float(x), tau=float(tau), theta=float(hi),

@@ -7,9 +7,11 @@ Two independent evaluation routes for integrals of the form
 with a smooth compactly supported amplitude and a real phase:
 
 * :func:`integrate` -- the fast path: the interval is seeded with cells small
-  enough that the phase varies by at most ~2*pi per cell, each cell is handled
-  by a nested Gauss-Kronrod 7/15 rule (vectorized across cells), and the worst
-  cells are bisected until the Kronrod error estimate meets the tolerance.
+  enough that the phase varies by at most ~2*pi per cell, up to a cap of
+  16,384 cells (about 1e5 rad of phase variation; past it the cells are
+  silently coarser, see :func:`_seed_cells`), each cell is handled by a nested
+  Gauss-Kronrod 7/15 rule (vectorized across cells), and the worst cells are
+  bisected until the Kronrod error estimate meets the tolerance.
 * :func:`oracle_integrate` -- the deliberately naive cross-check: a single
   composite Simpson rule on a dense uniform grid.  Slow, simple, trustworthy.
   It keeps the last grid and amplitude * weights, so a sweep of phases
@@ -55,8 +57,8 @@ band integrals of the five CLI data families with W up to 1e4 rad, largest
 where W is close to the node count; off those families, random (P, T) at
 m = 0.3 deviated by up to 3.8e-13 at W near 257.  A rule that would need
 more than ``N_MAX`` nodes raises :class:`ResolutionLimitError` instead of
-losing accuracy.  Both routes hold their temporaries to ``CHUNK_ELEMS``
-elements.
+losing accuracy.  The mesh route holds its temporaries to ``CHUNK_ELEMS``
+elements and the flat route to ``FLAT_CHUNK_ELEMS``.
 The mesh contraction is ``np.einsum``, a single-threaded loop with a fixed
 summation order, so its sums do not depend on the BLAS thread count (a BLAS
 ``zgemm`` may regroup the sum when it changes how it splits the work).
@@ -197,7 +199,15 @@ def _eval_cells(amplitude, phase, lo, hi):
 
 
 def _seed_cells(phase, a, b, n_coarse=129, max_cells=16384):
-    """Split [a,b] so the sampled phase varies by <= ~2*pi per cell."""
+    """Split [a,b] so the sampled phase varies by <= ~2*pi per cell, up to a cap.
+
+    Each of the ``n_coarse - 1`` segments gets ceil(dphi/2pi) + 1 equal cells
+    for its sampled phase change dphi.  Past ``max_cells`` cells in all (a
+    sampled variation of about 1e5 rad) the counts are scaled down to fit,
+    without a warning, so cells then carry more than 2*pi; the cap is to go
+    with ROADMAP item 3's Route B.  Segment i's edges xs[i] + step_i * k,
+    k = 1..c_i, are built for all segments in one pass.
+    """
     xs = np.linspace(a, b, n_coarse)
     ph = np.asarray(phase(xs), dtype=float)
     if not np.all(np.isfinite(ph)):
@@ -207,11 +217,11 @@ def _seed_cells(phase, a, b, n_coarse=129, max_cells=16384):
     total = counts.sum()
     if total > max_cells:
         counts = np.maximum(1, (counts * (max_cells / total)).astype(int))
-    edges = [a]
-    for i, c in enumerate(counts):
-        step = (xs[i + 1] - xs[i]) / c
-        edges.extend(xs[i] + step * np.arange(1, c + 1))
-    edges = np.asarray(edges)
+    starts = np.repeat(np.cumsum(counts) - counts, counts)
+    offsets = np.arange(1, len(starts) + 1) - starts
+    steps = np.diff(xs) / counts
+    edges = np.concatenate(([a], np.repeat(xs[:-1], counts)
+                                 + np.repeat(steps, counts) * offsets))
     edges[-1] = b
     return edges
 
@@ -335,14 +345,17 @@ def simpson_weights(n: int) -> np.ndarray:
 # Rule of the batch route: trapezoid nodes per radian of the phase-variation
 # bound W, the amplitude-resolving node floor, the node-count limit past which
 # the rule refuses (ResolutionLimitError), the most points that share one rule
-# on the flat route, and the element budget of one block of temporaries.  The
-# rule's measured error, 1.6e-13 on the CLI families and up to 3.8e-13 off
-# them, is stated in the module docstring.
+# on the flat route, and the element budget of one block of temporaries: the
+# mesh route's (its sums depend on the block) and the flat route's, sized to
+# stay in cache (each flat row is summed on its own, so no value depends on
+# it).  The rule's measured error, 1.6e-13 on the CLI families and up to
+# 3.8e-13 off them, is stated in the module docstring.
 NODES_PER_RADIAN = 1.0
 N_MIN = 257
 N_MAX = 2_097_153
 BUCKET = 4096
 CHUNK_ELEMS = 2 ** 23
+FLAT_CHUNK_ELEMS = 2 ** 17
 # One multiply-add of the mesh route's `einsum` contraction, in complex
 # exponentials: 1.5-3.4 ns against 50-61 ns measured, numpy 2.4 on a 2-CPU Xeon.
 CONTRACT_WEIGHT = 1.0 / 18.0
@@ -422,7 +435,7 @@ def two_phase_batch(P, T, L_of, S_of, amplitude, interval, shift=0.0) -> np.ndar
         v, amp_w = _batch_rule(W[order[j - 1]], amplitude, a, b)
         L = np.asarray(L_of(v), dtype=float)
         S = np.asarray(S_of(v), dtype=float)
-        rows = max(1, CHUNK_ELEMS // len(v))
+        rows = max(1, FLAT_CHUNK_ELEMS // len(v))
         for k in range(0, len(idx), rows):
             sel = idx[k:k + rows]
             e = _unit_phase(P[sel], L, T[sel], S)

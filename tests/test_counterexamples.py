@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from concave_phase_lab.counterexamples import (cantor_data, cantor_selectors,
-                                               h_N_eval, h_N_invert, knapp_curve,
+from concave_phase_lab.counterexamples import (MatchedPoint, cantor_data,
+                                               cantor_selectors, h_N_eval, h_N_invert, knapp_curve,
                                                knapp_vertical_spatial,
                                                knapp_vertical_temporal,
                                                matched_point_curve, taylor_coeffs)
@@ -194,3 +194,43 @@ def test_cantor_selectors_rejects():
         cantor_selectors(0.3, prefractal)
     with pytest.raises(ValueError, match="not in prefractal window"):
         cantor_selectors(0.85, prefractal)   # gap between components
+
+
+def _cantor_selectors_scan(x, cantor):
+    """Reference for ``cantor_selectors``: the first component within snap of x."""
+    snap = 1e-12
+    if not 0.5 < x < 1.0 + snap:
+        raise ValueError(f"not in prefractal window: x={x} outside (1/2, 1)")
+    for lo, hi in cantor.intervals:
+        if lo - snap <= x <= hi + snap:
+            tau = (hi - x) / hi
+            return MatchedPoint(x=float(x), tau=float(tau), theta=float(hi),
+                                lam=cantor.ratio ** (-cantor.level), t=1.0 - float(tau))
+    raise ValueError(f"not in prefractal window: x={x} misses every component")
+
+
+def _selection(select, x, cantor):
+    try:
+        return select(x, cantor)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("ratio", [0.2, 0.3, 0.45])
+def test_cantor_selectors_bisection_matches_the_scan(ratio):
+    # midpoints, component ends -/+ snap/2 (inside the snap) and -/+ 2*snap
+    # (outside it), and points outside the window, up to level 10
+    snap = 1e-12
+    outcomes = {"point": 0, "error": 0}
+    for level in range(11):
+        prefractal = cantor_level(ratio, level)
+        xs = [0.3, 0.5, 0.5 + snap / 2, 1.0 + snap / 2, 1.0 + snap, 1.2]
+        for lo, hi in prefractal.intervals:
+            if hi >= 0.5:
+                xs += [0.5 * (lo + hi), lo - 2 * snap, lo - snap / 2, lo + snap / 2,
+                       hi - snap / 2, hi + snap / 2, hi + 2 * snap]
+        for x in xs:
+            expected = _selection(_cantor_selectors_scan, x, prefractal)
+            assert _selection(cantor_selectors, x, prefractal) == expected
+            outcomes["error" if isinstance(expected, str) else "point"] += 1
+    assert outcomes["point"] > 0 and outcomes["error"] > 0

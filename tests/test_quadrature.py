@@ -1,8 +1,11 @@
 """Oscillatory quadrature: adaptive engine, Simpson oracle, batch rule."""
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from concave_phase_lab import experiments, quadrature
 from concave_phase_lab.cli import main as cli_main
@@ -106,6 +109,64 @@ def test_tolerance_failure_carries_partial_result():
         assert err.error_bound > 0
     else:
         pytest.skip("engine met the tolerance; nothing to assert")
+
+
+def _seed_cells_loop(phase, a, b, n_coarse=129, max_cells=16384):
+    """Reference for ``quadrature._seed_cells``: its cells, one segment at a time."""
+    xs = np.linspace(a, b, n_coarse)
+    dph = np.abs(np.diff(np.asarray(phase(xs), dtype=float)))
+    counts = np.ceil(dph / (2.0 * np.pi)).astype(int) + 1
+    total = counts.sum()
+    if total > max_cells:
+        counts = np.maximum(1, (counts * (max_cells / total)).astype(int))
+    edges = [a]
+    for i, c in enumerate(counts):
+        step = (xs[i + 1] - xs[i]) / c
+        edges.extend(xs[i] + step * np.arange(1, c + 1))
+    edges = np.asarray(edges)
+    edges[-1] = b
+    return edges
+
+
+def _assert_seeding_matches_loop(phase, a, b):
+    edges = quadrature._seed_cells(phase, a, b)
+    assert np.array_equal(edges, _seed_cells_loop(phase, a, b))
+    assert edges[0] == a and edges[-1] == b
+    assert np.all(np.diff(edges) > 0)
+    return edges
+
+
+def test_seed_cells_zero_phase_is_one_cell_per_segment():
+    edges = _assert_seeding_matches_loop(_zero_phase, *BAND)
+    assert len(edges) == 129
+
+
+@settings(max_examples=200, deadline=None)
+@given(P=st.floats(-1e5, 1e5), T=st.floats(-1e5, 1e5), m=st.floats(0.1, 0.9))
+def test_seed_cells_matches_the_segment_loop(P, T, m):
+    # W = |P|*1.5 + |T|*(2^m - 0.5^m) reaches past the 16,384-cell cap (about
+    # 1e5 rad), so the clamped counts are drawn too
+    _assert_seeding_matches_loop(lambda v: P * v + T * np.abs(v) ** m, *BAND)
+
+
+@pytest.mark.parametrize("height", [1e3, 1e5])
+def test_seed_cells_phase_change_in_one_segment(height):
+    # almost all of the phase variation inside one coarse segment; at the
+    # larger height the uncapped counts pass 16,384 and the cap runs
+    h = (BAND[1] - BAND[0]) / 128
+    centre = BAND[0] + 77.3 * h
+
+    def phase(v):
+        return height * np.arctan((np.asarray(v) - centre) / (1e-3 * h))
+
+    dph = np.abs(np.diff(phase(np.linspace(*BAND, 129))))
+    assert dph.max() > 0.99 * dph.sum()
+    cells = len(_assert_seeding_matches_loop(phase, *BAND)) - 1
+    uncapped = int((np.ceil(dph / (2.0 * np.pi)) + 1).sum())
+    if height < 1e4:
+        assert cells == uncapped <= 16384
+    else:
+        assert uncapped > 16384 and cells < uncapped
 
 
 def test_simpson_weights_structure():
@@ -427,6 +488,30 @@ def test_flat_buckets_stay_within_twice_each_rule(monkeypatch):
     assert np.all(own <= nodes) and np.all(nodes <= 2 * own)
     alone = [two_phase_batch(p, t, L_of, S_of, BUMP, BAND) for p, t in zip(P, T)]
     assert np.abs(values - np.array(alone)).max() <= 1e-12
+
+
+def test_flat_blocks_hold_peak_memory_and_values(monkeypatch):
+    # one flat call of 4,096 points with W in 1.3e3..2e3 rad: one rule of up
+    # to 2,001 nodes.  In blocks of FLAT_CHUNK_ELEMS the temporaries stay a
+    # few MB (one 2^23-element block held all 4,096 rows, about 124 MB), and
+    # since each row is summed on its own the values keep every bit
+    rng = np.random.default_rng(17)
+    m, n = 0.5, 4096
+    L_of, S_of = (lambda v: v), (lambda v: v ** m)
+    span_l, span_s = (float(np.ptp(f(np.array(BAND)))) for f in (L_of, S_of))
+    W = rng.uniform(1.3e3, 2e3, n)
+    share = rng.uniform(0.0, 1.0, n)
+    P = share * W / span_l * rng.choice([-1.0, 1.0], n)
+    T = (1.0 - share) * W / span_s
+    tracemalloc.start()
+    try:
+        values = two_phase_batch(P, T, L_of, S_of, BUMP, BAND)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    monkeypatch.setattr(quadrature, "FLAT_CHUNK_ELEMS", 2 ** 23)
+    assert np.array_equal(two_phase_batch(P, T, L_of, S_of, BUMP, BAND), values)
 
 
 def test_batch_rule_rejects_shapes_that_do_not_broadcast():

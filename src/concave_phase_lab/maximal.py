@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Curve, curve_eval
-from .spectral import FourierDatum, grid_work, propagate_grid
+from .spectral import FourierDatum, _end_slopes, grid_work, propagate_grid
 
 __all__ = ["GridSpec", "MAX_BASE_SAMPLES", "maximal_in_time", "maximal_over_lines"]
 
@@ -97,12 +97,9 @@ class GridSpec:
 
 
 def _slopes(datum: FourierDatum, m: float, times):
-    """s-, s+: min and max over the support ends xi of tau*m|xi|^(m-1)*sgn(xi),
-    tau = times + fractional_phase; sgn(tau)*sgn(support)*inf at xi = 0."""
-    lo, hi = datum.support
-    tau = times + datum.fractional_phase
-    s = [np.where(tau == 0.0, 0.0, np.copysign(np.inf, tau * (lo + hi))) if xi == 0.0
-         else tau * m * np.abs(xi) ** (m - 1.0) * np.sign(xi) for xi in (lo, hi)]
+    """s-, s+: min and max over the support ends of ``spectral._end_slopes`` at
+    tau = times + fractional_phase."""
+    s = _end_slopes(datum, m, times + datum.fractional_phase)
     return np.minimum(*s), np.maximum(*s)
 
 

@@ -7,11 +7,13 @@ Two independent evaluation routes for integrals of the form
 with a smooth compactly supported amplitude and a real phase:
 
 * :func:`integrate` -- the fast path: the interval is seeded with cells small
-  enough that the phase varies by at most ~2*pi per cell, up to a cap of
-  16,384 cells (about 1e5 rad of phase variation; past it the cells are
-  silently coarser, see :func:`_seed_cells`), each cell is handled by a nested
-  Gauss-Kronrod 7/15 rule (vectorized across cells), and the worst cells are
-  bisected until the Kronrod error estimate meets the tolerance.
+  enough that the sampled phase varies by at most ~2*pi per cell, each cell
+  is handled by a nested Gauss-Kronrod 7/15 rule (vectorized across cells),
+  and the worst cells are bisected until the Kronrod error estimate meets
+  max(``ABS_TOL``, ``REL_TOL``*|I|), within ``MAX_SUBDIVISIONS`` bisections.
+  A phase that needs more than ``MAX_CELLS`` starting cells (about 1e5 rad of
+  sampled variation) raises :class:`ResolutionLimitError` before any cell is
+  laid out.
 * :func:`oracle_integrate` -- the deliberately naive cross-check: a single
   composite Simpson rule on a dense uniform grid.  Slow, simple, trustworthy.
   It keeps the last grid and amplitude * weights, so a sweep of phases
@@ -20,7 +22,7 @@ with a smooth compactly supported amplitude and a real phase:
 The two routes share no code beyond function evaluation, so their agreement is
 a meaningful certificate.  ``spectral.propagate`` settles non-stationary band
 integrals before it calls :func:`integrate`, with an integration-by-parts
-bound that meets this engine's ``abs_tol``; the generic callable API here does
+bound that meets this engine's ``ABS_TOL``; the generic callable API here does
 not, since only the band form knows its phase slope in closed form.
 
 A third entry point, :func:`two_phase_batch`, evaluates whole families of
@@ -45,7 +47,11 @@ routes, chosen from the shapes of P, T and shift alone:
   ``BUCKET`` points (``BUCKET // c`` rows, at least one), each sized from
   W = |P|*span L of its last row plus the largest |shift|*span L +
   |T|*span S of a column; groups with one node count share one rule and
-  one ``E_col``.  :func:`batch_work` counts either route's work up front.
+  one ``E_col``.
+
+One planner lays out the runs of both routes, the flat buckets or the mesh
+row groups of one node count, and :func:`batch_work` counts what those runs
+build before any rule is built.
 
 Both routes use the same rule: trapezoid weights h*(1/2, 1, ..., 1, 1/2) on
 n = max(``N_MIN``, ceil(``NODES_PER_RADIAN`` * W) | 1) uniform nodes, one per
@@ -77,7 +83,6 @@ __all__ = [
     "ToleranceNotMetError",
     "ResolutionLimitError",
     "SmoothFunction1D",
-    "QuadratureSpec",
     "integrate",
     "oracle_integrate",
     "two_phase_batch",
@@ -95,7 +100,8 @@ class InvalidIntegrandError(QuadratureError):
 
 
 class ResolutionLimitError(QuadratureError):
-    """A batch rule would need more than ``N_MAX`` nodes."""
+    """A rule would need more than ``N_MAX`` batch nodes or ``MAX_CELLS``
+    starting cells of the adaptive engine."""
 
 
 class ToleranceNotMetError(QuadratureError):
@@ -141,23 +147,14 @@ class SmoothFunction1D:
         return out
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tolerances and budgets for the adaptive engine.
-
-    rel_tol, abs_tol : target ``|error| <= max(abs_tol, rel_tol*|I|)``.
-    max_subdivisions : total number of cell bisections before giving up.
-    """
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 50_000
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+# The adaptive engine's target |error| <= max(ABS_TOL, REL_TOL*|I|), its cell
+# bisections before ToleranceNotMetError, and its most starting cells, past
+# which it raises ResolutionLimitError: cells of ~2*pi over 128 segments hold
+# a sampled variation of about 2*pi*(16,384 - 128) = 1.0e5 rad.
+REL_TOL = 1e-8
+ABS_TOL = 1e-12
+MAX_SUBDIVISIONS = 50_000
+MAX_CELLS = 16_384
 
 
 # Gauss-Kronrod 7/15 on [-1, 1]: Kronrod nodes (odd indices are the embedded
@@ -198,25 +195,26 @@ def _eval_cells(amplitude, phase, lo, hi):
     return k15, np.abs(k15 - g7)
 
 
-def _seed_cells(phase, a, b, n_coarse=129, max_cells=16384):
-    """Split [a,b] so the sampled phase varies by <= ~2*pi per cell, up to a cap.
+def _seed_cells(phase, a, b):
+    """Split [a,b] so the sampled phase varies by <= ~2*pi per cell.
 
-    Each of the ``n_coarse - 1`` segments gets ceil(dphi/2pi) + 1 equal cells
-    for its sampled phase change dphi.  Past ``max_cells`` cells in all (a
-    sampled variation of about 1e5 rad) the counts are scaled down to fit,
-    without a warning, so cells then carry more than 2*pi; the cap is to go
-    with ROADMAP item 3's Route B.  Segment i's edges xs[i] + step_i * k,
+    Each of 128 equal segments gets ceil(dphi/2pi) + 1 equal cells for its
+    sampled phase change dphi.  The cell count is summed in floats, so it
+    cannot wrap, and past ``MAX_CELLS`` it raises :class:`ResolutionLimitError`
+    before any edge is laid out.  Segment i's edges xs[i] + step_i * k,
     k = 1..c_i, are built for all segments in one pass.
     """
-    xs = np.linspace(a, b, n_coarse)
+    xs = np.linspace(a, b, 129)
     ph = np.asarray(phase(xs), dtype=float)
     if not np.all(np.isfinite(ph)):
         raise InvalidIntegrandError("phase produced non-finite values")
     dph = np.abs(np.diff(ph))
-    counts = np.ceil(dph / (2.0 * np.pi)).astype(int) + 1
-    total = counts.sum()
-    if total > max_cells:
-        counts = np.maximum(1, (counts * (max_cells / total)).astype(int))
+    counts = np.ceil(dph / (2.0 * np.pi)) + 1.0
+    if not counts.sum() <= MAX_CELLS:
+        raise ResolutionLimitError(
+            f"sampled phase variation {dph.sum():.6g} rad needs {counts.sum():.6g} "
+            f"starting cells, more than MAX_CELLS = {MAX_CELLS}")
+    counts = counts.astype(int)
     starts = np.repeat(np.cumsum(counts) - counts, counts)
     offsets = np.arange(1, len(starts) + 1) - starts
     steps = np.diff(xs) / counts
@@ -226,7 +224,7 @@ def _seed_cells(phase, a, b, n_coarse=129, max_cells=16384):
     return edges
 
 
-def integrate(amplitude, phase, interval, spec: QuadratureSpec | None = None) -> complex:
+def integrate(amplitude, phase, interval) -> complex:
     """Adaptive Gauss-Kronrod evaluation of ``int amp * exp(i*phase)``.
 
     Parameters
@@ -235,7 +233,6 @@ def integrate(amplitude, phase, interval, spec: QuadratureSpec | None = None) ->
     phase : callable
         Real-valued; evaluated only inside the (clipped) interval.
     interval : (float, float)
-    spec : QuadratureSpec, optional
 
     Returns
     -------
@@ -245,10 +242,11 @@ def integrate(amplitude, phase, interval, spec: QuadratureSpec | None = None) ->
     ------
     InvalidIntegrandError
         On NaN/inf from either factor.
+    ResolutionLimitError
+        If the phase needs more than ``MAX_CELLS`` starting cells.
     ToleranceNotMetError
-        If the subdivision budget is exhausted first.
+        If ``MAX_SUBDIVISIONS`` bisections do not meet the tolerance.
     """
-    spec = spec or QuadratureSpec()
     a, b = float(interval[0]), float(interval[1])
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("interval must be bounded")
@@ -264,7 +262,7 @@ def integrate(amplitude, phase, interval, spec: QuadratureSpec | None = None) ->
     while True:
         total = vals.sum()
         err = errs.sum()
-        tol = max(spec.abs_tol, spec.rel_tol * abs(total))
+        tol = max(ABS_TOL, REL_TOL * abs(total))
         if err <= tol:
             return complex(total)
         # bisect every cell holding more than its share of the error budget
@@ -273,7 +271,7 @@ def integrate(amplitude, phase, interval, spec: QuadratureSpec | None = None) ->
         if n_bad == 0:
             bad = errs == errs.max()
             n_bad = int(bad.sum())
-        if splits + n_bad > spec.max_subdivisions:
+        if splits + n_bad > MAX_SUBDIVISIONS:
             raise ToleranceNotMetError(
                 f"tolerance not met after {splits} subdivisions "
                 f"(estimate {total!r}, error bound {err:.3e})",
@@ -369,16 +367,15 @@ def _rule_nodes(w):
 
 def batch_work(P, T, L_of, S_of, interval, shift=0.0) -> float:
     """Work of ``two_phase_batch`` on these coefficients in complex exponentials,
-    before any rule is built.  Flat: each integral's own rule (a bucket gives
-    a point up to twice its own).  Mesh: per run of row groups with one node
-    count N, N*c exponentials for ``E_col`` and, per row, N for ``E_row`` and
-    N*c multiply-adds at ``CONTRACT_WEIGHT``, c the column count."""
+    counted from the runs it executes before any rule is built: a run of N
+    nodes and k points (rows on the mesh route) costs N*(c + (1 +
+    ``CONTRACT_WEIGHT``*c)*k), c the column count on the mesh route (N*c
+    exponentials for ``E_col``, and per row N for ``E_row`` and N*c
+    multiply-adds) and 0 on the flat route (N exponentials per point)."""
     P, T, shift = (np.asarray(c, dtype=float) for c in (P, T, shift))
     spans = [float(np.ptp(f(np.asarray(interval, dtype=float)))) for f in (L_of, S_of)]
-    if not _is_mesh(P, T, shift):
-        return float(_rule_nodes(np.abs(P + shift) * spans[0] + np.abs(T) * spans[1]).sum())
-    _, T, _, runs = _mesh_runs(P, T, shift, *spans)
-    return float(sum(_rule_nodes(run[-1][0]) * (T.size + (1 + CONTRACT_WEIGHT * T.size)
+    *_, c, runs = _plan(P, T, shift, *spans)
+    return float(sum(_rule_nodes(run[-1][0]) * (c + (1 + CONTRACT_WEIGHT * c)
                                                 * sum(len(idx) for _, idx in run))
                      for run in runs))
 
@@ -419,29 +416,23 @@ def two_phase_batch(P, T, L_of, S_of, amplitude, interval, shift=0.0) -> np.ndar
     if not all(np.all(np.isfinite(c)) for c in (P, T, shift)):
         raise InvalidIntegrandError("phase coefficients P, T and shift must be finite")
     a, b = float(interval[0]), float(interval[1])
-    spanL, spanS = (float(np.ptp(f(np.array([a, b])))) for f in (L_of, S_of))
-    if _is_mesh(P, T, shift):
-        return _mesh_batch(P, T, shift, L_of, S_of, amplitude, a, b, spanL, spanS)
-    P, T, shift = np.broadcast_arrays(P, T, shift)
-    P, T = (P + shift).ravel(), T.ravel()
-    W = np.abs(P) * spanL + np.abs(T) * spanS
-    out = np.empty(P.shape, dtype=complex)
-    order = np.argsort(W, kind="stable")
-    nodes = _rule_nodes(W[order])
-    i = 0
-    while i < len(order):   # a bucket ends before its rule doubles its first point's
-        j = min(i + BUCKET, int(np.searchsorted(nodes, 2.0 * nodes[i], "right")))
-        idx = order[i:j]
-        v, amp_w = _batch_rule(W[order[j - 1]], amplitude, a, b)
+    spans = (float(np.ptp(f(np.array([a, b])))) for f in (L_of, S_of))
+    col_shape = np.broadcast(T, shift).shape
+    rows, T, shift, c, runs = _plan(P, T, shift, *spans)
+    if c:
+        sums = _mesh_batch(rows, T, shift, runs, L_of, S_of, amplitude, a, b)
+        return sums[np.arange(P.size).reshape(P.shape), np.arange(c).reshape(col_shape)]
+    out = np.empty(rows.shape, dtype=complex)
+    for (w, idx), in runs:
+        v, amp_w = _batch_rule(w, amplitude, a, b)
         L = np.asarray(L_of(v), dtype=float)
         S = np.asarray(S_of(v), dtype=float)
-        rows = max(1, FLAT_CHUNK_ELEMS // len(v))
-        for k in range(0, len(idx), rows):
-            sel = idx[k:k + rows]
-            e = _unit_phase(P[sel], L, T[sel], S)
+        block = max(1, FLAT_CHUNK_ELEMS // len(v))
+        for k in range(0, len(idx), block):
+            sel = idx[k:k + block]
+            e = _unit_phase(rows[sel], L, T[sel], S)
             e *= amp_w
             out[sel] = e.sum(axis=1)
-        i = j
     return out.reshape(shape)
 
 
@@ -462,31 +453,43 @@ def _unit_phase(coeffs, profile, coeffs2=None, profile2=None):
     return np.exp(out, out=out)
 
 
-def _is_mesh(P, T, shift):
-    """Whether P varies on other axes than T and shift: the mesh route."""
+def _plan(P, T, shift, spanL, spanS):
+    """What :func:`two_phase_batch` runs, read by both routes and by
+    :func:`batch_work`: (P, T, shift, c, runs), a run being the (W, point
+    indices) groups of one rule, sized from its last W.
+
+    Mesh, when P varies on other axes than T and shift: P as (r, 1) rows, T
+    and shift as (1, c) columns, and runs of consecutive row groups with one
+    node count.  Flat (c = 0): P + shift and T raveled, shift None, and one
+    bucket per run.
+    """
     cols = np.broadcast(T, shift).size
-    return P.size > 1 and cols > 1 and P.size * cols == np.broadcast(P, T, shift).size
+    if P.size > 1 and cols > 1 and P.size * cols == np.broadcast(P, T, shift).size:
+        rows = P.reshape(-1, 1)
+        T, shift = (c.reshape(1, -1) for c in np.broadcast_arrays(T, shift))
+        col_part = float((np.abs(shift) * spanL + np.abs(T) * spanS).max())
+        order = np.argsort(np.abs(rows[:, 0]), kind="stable")
+        per_group = max(1, BUCKET // T.size)
+        groups = [order[i:i + per_group] for i in range(0, len(order), per_group)]
+        widths = [abs(rows[idx[-1], 0]) * spanL + col_part for idx in groups]
+        runs = itertools.groupby(zip(widths, groups), key=lambda g: _rule_nodes(g[0]))
+        return rows, T, shift, T.size, [list(run) for _, run in runs]
+    P, T, shift = np.broadcast_arrays(P, T, shift)
+    P, T = (P + shift).ravel(), T.ravel()
+    W = np.abs(P) * spanL + np.abs(T) * spanS
+    order = np.argsort(W, kind="stable")
+    nodes = _rule_nodes(W[order])
+    runs, i = [], 0
+    while i < len(order):   # a bucket ends before its rule doubles its first point's
+        j = min(i + BUCKET, int(np.searchsorted(nodes, 2.0 * nodes[i], "right")))
+        runs.append([(W[order[j - 1]], order[i:j])])
+        i = j
+    return P, T, None, 0, runs
 
 
-def _mesh_runs(P, T, shift, spanL, spanS):
-    """Rows, columns and runs of the mesh route: the row groups of one node
-    count, consecutive, as (W, row indices) pairs."""
-    rows = P.reshape(-1, 1)
-    T, shift = (c.reshape(1, -1) for c in np.broadcast_arrays(T, shift))
-    col_part = float((np.abs(shift) * spanL + np.abs(T) * spanS).max())
-    order = np.argsort(np.abs(rows[:, 0]), kind="stable")
-    per_group = max(1, BUCKET // T.size)
-    groups = [order[i:i + per_group] for i in range(0, len(order), per_group)]
-    widths = [abs(rows[idx[-1], 0]) * spanL + col_part for idx in groups]
-    runs = itertools.groupby(zip(widths, groups), key=lambda g: _rule_nodes(g[0]))
-    return rows, T, shift, [list(run) for _, run in runs]
-
-
-def _mesh_batch(P, T, shift, L_of, S_of, amplitude, a, b, spanL, spanS):
-    """Mesh route of :func:`two_phase_batch`: one rule and one ``E_col`` (per
-    block of nodes) for each run of :func:`_mesh_runs`."""
-    col_shape = np.broadcast(T, shift).shape
-    rows, T, shift, runs = _mesh_runs(P, T, shift, spanL, spanS)
+def _mesh_batch(rows, T, shift, runs, L_of, S_of, amplitude, a, b):
+    """Mesh route of :func:`two_phase_batch` on a plan of :func:`_plan`: the
+    (r, c) sums, with one rule and one ``E_col`` (per block of nodes) per run."""
     block = max(1, CHUNK_ELEMS // (len(runs[0][0][1]) + T.size))
     sums = np.zeros((rows.size, T.size), dtype=complex)
     for run in runs:
@@ -499,4 +502,4 @@ def _mesh_batch(P, T, shift, L_of, S_of, amplitude, a, b, spanL, spanS):
             e_col *= amp_w[sl]
             for _, idx in run:
                 sums[idx] += np.einsum("...n,...n->...", _unit_phase(rows[idx], L[sl]), e_col)
-    return sums[np.arange(P.size).reshape(P.shape), np.arange(T.size).reshape(col_shape)]
+    return sums

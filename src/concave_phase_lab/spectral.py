@@ -19,7 +19,7 @@ Ahead of the adaptive engine, :func:`propagate` tries an integration-by-parts
 certificate.  Its phase slope phi' is monotone on the band, so when phi' has
 one sign at both ends the band integral is bounded by B_k = int |D^k a| dv,
 D f = (f/phi')', for k = 1..8 (every boundary term vanishes on the flat-ended
-bump).  When some B_k meets ``QuadratureSpec().abs_tol``, the engine's own
+bump).  When some B_k meets ``quadrature.ABS_TOL``, the engine's own
 absolute tolerance, the value is 0 with that error bound.  Otherwise the
 engine integrates as before.  On 180 calls on the CLI data families it
 settles the 53 with min |phi'| >= 1.27e3 in under a millisecond each, among
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (QuadratureSpec, SmoothFunction1D, batch_work, integrate,
+from .quadrature import (ABS_TOL, SmoothFunction1D, batch_work, integrate,
                          oracle_integrate, two_phase_batch)
 
 __all__ = [
@@ -111,24 +111,17 @@ def _bump_taylor():
     return v, h, a, norms
 
 
-def _phase_slope_at_ends(datum, m, p, t):
-    """phi'(1/2) and phi'(2) of the band phase p*xi + t*|xi|^m, xi = (v - shift)/scale.
+def _end_slopes(datum, m, tau):
+    """tau*m*|xi|^(m-1)*sgn(xi), the time part of the phase slope in xi, at
+    the lower and upper support ends xi, for tau a scalar or an array.
 
     At an end where the support touches xi = 0, |xi|^(m-1) is infinite: the
-    slope there is its limit, p/scale when t = 0 and signed infinity otherwise.
+    value there is its limit, 0 at tau = 0 and sgn(tau)*sgn(support)*inf
+    otherwise.
     """
-    inner = math.copysign(1.0, (1.25 - datum.shift) / datum.scale)   # sign of xi
-    slopes = []
-    for v in BUMP_SUPPORT:
-        xi = (v - datum.shift) / datum.scale
-        if t == 0.0:
-            slope = p
-        elif xi == 0.0:
-            slope = math.copysign(math.inf, t * inner)
-        else:
-            slope = p + t * m * math.copysign(abs(xi) ** (m - 1.0), xi)
-        slopes.append(slope / datum.scale)
-    return slopes
+    lo, hi = datum.support
+    return [np.where(tau == 0.0, 0.0, np.copysign(np.inf, tau * (lo + hi))) if xi == 0.0
+            else tau * m * np.abs(xi) ** (m - 1.0) * np.sign(xi) for xi in (lo, hi)]
 
 
 def _ibp_bounds(datum, m, p, t):
@@ -154,7 +147,7 @@ def _ibp_bounds(datum, m, p, t):
 
 
 def _nonstationary_bound(datum: FourierDatum, m: float, x: float, t: float):
-    """(k, B_k) with B_k <= ``QuadratureSpec().abs_tol`` bounding the band
+    """(k, B_k) with B_k <= ``ABS_TOL`` bounding the band
     integral of ``propagate(datum, m, x, t)``, or None.
 
     Declines when phi' changes sign on the band, when no leading term
@@ -163,17 +156,16 @@ def _nonstationary_bound(datum: FourierDatum, m: float, x: float, t: float):
     stops falling.  A decline only costs time: the caller integrates.
     """
     p, t = x + datum.linear_phase, t + datum.fractional_phase
-    lo, hi = _phase_slope_at_ends(datum, m, p, t)
+    lo, hi = (float(p + s) / datum.scale for s in _end_slopes(datum, m, t))   # phi' at ends
     slope = min(abs(lo), abs(hi))
     if not (lo * hi > 0.0 and slope < math.inf):
         return None
-    tol = QuadratureSpec().abs_tol
     norms = _bump_taylor()[3]
-    if all(norms[k] * (1.0 / slope) ** k > tol for k in range(1, _IBP_ORDER + 1)):
+    if all(norms[k] * (1.0 / slope) ** k > ABS_TOL for k in range(1, _IBP_ORDER + 1)):
         return None
     previous = math.inf
     for k, bound in enumerate(_ibp_bounds(datum, m, p, t), 1):
-        if bound <= tol:
+        if bound <= ABS_TOL:
             return k, bound
         if not bound < previous:
             return None
@@ -296,7 +288,7 @@ def propagate(datum: FourierDatum, m: float, x: float, t: float,
         "adaptive" substitutes v = scale*xi + shift and runs the fast engine
         on the fixed band, unless the band phase is non-stationary and an
         integration-by-parts bound B_k (module docstring) meets the engine's
-        absolute tolerance ``QuadratureSpec().abs_tol``: then the value is 0,
+        absolute tolerance ``quadrature.ABS_TOL``: then the value is 0,
         with |band integral| <= B_k <= abs_tol.  "oracle" runs dense Simpson
         in the raw frequency variable with the datum's phase kept inside the
         amplitude.  The two share no reduction steps.

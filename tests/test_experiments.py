@@ -312,10 +312,13 @@ def test_cli_refuses_oversized_sharpness_vertical(tmp_path, capsys, monkeypatch)
     (["bilinear-check", "--grid-n", "1025"], "bilinear_form_check"),
     (["propagate", "--grid-n", "65537"], "propagate_grid"),
     (["propagate", "--grid-n", "0"], "propagate_grid"),
-    # 5.2e10 trapezoid nodes (about two hours), and 1.0e8 nodes
+    # 5.5e10 trapezoid nodes built (about two hours), 1.3e8 nodes, and 6.72e7
+    # nodes, just past 2**26 (each point's own rule would count 5.1e7)
     (["propagate", "--family", "cantor", "--lam", "1024", "--grid-n", "65536"],
      "propagate_grid"),
     (["propagate", "--family", "cantor", "--lam", "1024", "--grid-n", "128"],
+     "propagate_grid"),
+    (["propagate", "--family", "cantor", "--lam", "1024", "--grid-n", "65"],
      "propagate_grid"),
 ])
 def test_cli_refuses_grids_outside_budget(tmp_path, capsys, monkeypatch, argv, work):
@@ -384,7 +387,7 @@ def test_cli_refuses_ladders_outside_budget(tmp_path, capsys, monkeypatch, argv,
     ({"experiment": "propagate", "family": "curve-knapp", "lam": 256.0, "t": 0.5},
      "propagate_grid"),                                                # README
     ({"experiment": "propagate", "family": "cantor", "lam": 1024.0, "grid_n": 64},
-     "propagate_grid"),                                                # 5.0e7 nodes
+     "propagate_grid"),                                                # 6.66e7 nodes
 ])
 def test_grid_budgets_accept_their_limit(monkeypatch, overrides, work):
     class Reached(Exception):

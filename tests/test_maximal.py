@@ -211,8 +211,9 @@ def test_base_route_is_chosen_by_counting_work(monkeypatch):
     # whole base mesh, which counts as less work in one separable
     # (g, 1) x (1, n) call.  On sharpness-lines the screen keeps a small share
     # of the base, and no call is separable.  With n > BUCKET / 2 columns
-    # every row is its own group, and rows far apart in |x| get their own
-    # node counts and column factors: the whole base then counts as less
+    # every row is its own group, and rows whose node counts more than double
+    # from one to the next get their own node counts and column factors on
+    # the mesh and their own buckets flat: the whole base then counts as less
     # work flat, although it is kept whole.
     shapes = []
 
@@ -233,7 +234,7 @@ def test_base_route_is_chosen_by_counting_work(monkeypatch):
     run_experiment(RunConfig(experiment="sharpness-lines", k=6), write=False)
     assert shapes and all(len(s[0]) == 1 for s in shapes)
     shapes.clear()
-    xs, grid = np.array([0.0, 300.0, 600.0, 900.0]), small_grid(2049)
+    xs, grid = np.array([0.0, 600.0, 1800.0]), small_grid(2049)
     mesh = xs[:, None], np.linspace(0.0, 1.0, 2049)[None]
     assert grid_work(BAND, 0.5, *mesh) > grid_work(BAND, 0.5, *np.broadcast_arrays(*mesh))
     sups = maximal_in_time(BAND, 0.5, Curve.vertical(), xs, grid)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from concave_phase_lab import experiments, quadrature
 from concave_phase_lab.cli import main as cli_main
 from concave_phase_lab.experiments import RunConfig
-from concave_phase_lab.quadrature import (InvalidIntegrandError, QuadratureSpec,
+from concave_phase_lab.quadrature import (InvalidIntegrandError, QuadratureError,
                                           ResolutionLimitError, SmoothFunction1D,
                                           ToleranceNotMetError, integrate,
                                           oracle_integrate, simpson_weights,
@@ -99,26 +99,50 @@ def test_invalid_integrand_rejected():
         integrate(bad, _zero_phase, BAND)
 
 
-def test_tolerance_failure_carries_partial_result():
-    # a kink the cell seeding cannot resolve at an absurd tolerance
-    spec = QuadratureSpec(rel_tol=1e-16, abs_tol=1e-300, max_subdivisions=4)
-    try:
-        integrate(BUMP, lambda v: 1e7 * np.abs(v - 1.1), BAND, spec=spec)
-    except ToleranceNotMetError as err:
-        assert np.isfinite(err.estimate.real)
-        assert err.error_bound > 0
-    else:
-        pytest.skip("engine met the tolerance; nothing to assert")
+def test_tolerance_failure_carries_partial_result(monkeypatch):
+    # a kink of 1.5e4 rad, well inside MAX_CELLS, at an absurd tolerance and
+    # a budget of four bisections
+    monkeypatch.setattr(quadrature, "REL_TOL", 1e-16)
+    monkeypatch.setattr(quadrature, "ABS_TOL", 1e-300)
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 4)
+    with pytest.raises(ToleranceNotMetError) as err:
+        integrate(BUMP, lambda v: 1e4 * np.abs(v - 1.1), BAND)
+    assert np.isfinite(err.value.estimate.real)
+    assert err.value.error_bound > 0
 
 
-def _seed_cells_loop(phase, a, b, n_coarse=129, max_cells=16384):
-    """Reference for ``quadrature._seed_cells``: its cells, one segment at a time."""
+@pytest.mark.parametrize("scale", [1e6, 1e19, 1e20, 1e21])
+def test_integrate_refuses_past_the_cell_limit(monkeypatch, scale):
+    # W = 1.5*scale rad, past MAX_CELLS (about 1e5 rad): a typed refusal
+    # before any cell is laid out or evaluated.  At 1e20 and 1e21 an int64
+    # cell count wraps, which once skipped a cap or sized a negative array.
+    def never(*args):
+        raise AssertionError("no cell may be evaluated past MAX_CELLS")
+
+    monkeypatch.setattr(quadrature, "_eval_cells", never)
+    with pytest.raises(ResolutionLimitError, match="MAX_CELLS = 16384") as err:
+        integrate(BUMP, lambda v: scale * v, BAND)
+    assert isinstance(err.value, QuadratureError)
+
+
+def test_seed_cells_limit_is_inclusive():
+    # a linear phase of 126.5 turns per coarse segment seeds 128 * 128 =
+    # MAX_CELLS cells (W = 1.02e5 rad); 127.5 turns would seed 16,512
+    step = (BAND[1] - BAND[0]) / 128
+    at, past = (lambda v, c=2.0 * np.pi * turns / step: c * v for turns in (126.5, 127.5))
+    assert len(quadrature._seed_cells(at, *BAND)) == quadrature.MAX_CELLS + 1
+    with pytest.raises(ResolutionLimitError, match="needs 16512 starting cells"):
+        integrate(BUMP, past, BAND)
+
+
+def _seed_cells_loop(phase, a, b, n_coarse=129):
+    """Reference for ``quadrature._seed_cells``: its cells, one segment at a
+    time, or None past ``MAX_CELLS``."""
     xs = np.linspace(a, b, n_coarse)
     dph = np.abs(np.diff(np.asarray(phase(xs), dtype=float)))
     counts = np.ceil(dph / (2.0 * np.pi)).astype(int) + 1
-    total = counts.sum()
-    if total > max_cells:
-        counts = np.maximum(1, (counts * (max_cells / total)).astype(int))
+    if counts.sum() > quadrature.MAX_CELLS:
+        return None
     edges = [a]
     for i, c in enumerate(counts):
         step = (xs[i + 1] - xs[i]) / c
@@ -129,8 +153,13 @@ def _seed_cells_loop(phase, a, b, n_coarse=129, max_cells=16384):
 
 
 def _assert_seeding_matches_loop(phase, a, b):
+    reference = _seed_cells_loop(phase, a, b)
+    if reference is None:
+        with pytest.raises(ResolutionLimitError, match="MAX_CELLS"):
+            quadrature._seed_cells(phase, a, b)
+        return None
     edges = quadrature._seed_cells(phase, a, b)
-    assert np.array_equal(edges, _seed_cells_loop(phase, a, b))
+    assert np.array_equal(edges, reference)
     assert edges[0] == a and edges[-1] == b
     assert np.all(np.diff(edges) > 0)
     return edges
@@ -144,15 +173,15 @@ def test_seed_cells_zero_phase_is_one_cell_per_segment():
 @settings(max_examples=200, deadline=None)
 @given(P=st.floats(-1e5, 1e5), T=st.floats(-1e5, 1e5), m=st.floats(0.1, 0.9))
 def test_seed_cells_matches_the_segment_loop(P, T, m):
-    # W = |P|*1.5 + |T|*(2^m - 0.5^m) reaches past the 16,384-cell cap (about
-    # 1e5 rad), so the clamped counts are drawn too
+    # W = |P|*1.5 + |T|*(2^m - 0.5^m) reaches past MAX_CELLS (about 1e5 rad),
+    # so refusals are drawn too
     _assert_seeding_matches_loop(lambda v: P * v + T * np.abs(v) ** m, *BAND)
 
 
 @pytest.mark.parametrize("height", [1e3, 1e5])
 def test_seed_cells_phase_change_in_one_segment(height):
     # almost all of the phase variation inside one coarse segment; at the
-    # larger height the uncapped counts pass 16,384 and the cap runs
+    # larger height the counts pass MAX_CELLS and the seeding refuses
     h = (BAND[1] - BAND[0]) / 128
     centre = BAND[0] + 77.3 * h
 
@@ -161,12 +190,12 @@ def test_seed_cells_phase_change_in_one_segment(height):
 
     dph = np.abs(np.diff(phase(np.linspace(*BAND, 129))))
     assert dph.max() > 0.99 * dph.sum()
-    cells = len(_assert_seeding_matches_loop(phase, *BAND)) - 1
-    uncapped = int((np.ceil(dph / (2.0 * np.pi)) + 1).sum())
+    edges = _assert_seeding_matches_loop(phase, *BAND)
+    cells = int((np.ceil(dph / (2.0 * np.pi)) + 1).sum())
     if height < 1e4:
-        assert cells == uncapped <= 16384
+        assert len(edges) - 1 == cells <= quadrature.MAX_CELLS
     else:
-        assert uncapped > 16384 and cells < uncapped
+        assert cells > quadrature.MAX_CELLS and edges is None
 
 
 def test_simpson_weights_structure():
@@ -360,7 +389,7 @@ def test_batch_work_counts_what_the_routes_build(monkeypatch):
     # and the rows' |P| give five node counts, the first two rows sharing one
     # rule and one column factor.  The mesh count is the exponentials built
     # plus the contraction's multiply-adds at CONTRACT_WEIGHT; the flat count
-    # is each point's own rule, at least half of what its bucket builds.
+    # is the exponentials its buckets build.
     built = {"col": 0, "row": 0}
     unit_phase = quadrature._unit_phase
 
@@ -381,7 +410,11 @@ def test_batch_work_counts_what_the_routes_build(monkeypatch):
     built.update(col=0, row=0)
     two_phase_batch(*flat, L_of, S_of, BUMP, BAND)
     work = quadrature.batch_work(*flat, L_of, S_of, BAND)
-    assert built["row"] == 0 and work <= built["col"] <= 2 * work
+    assert built["row"] == 0 and work == built["col"]
+    # more than each point's own rule: buckets share their largest point's rule
+    span_s = 2.0 ** 0.5 - 0.5 ** 0.5
+    own = quadrature._rule_nodes(np.abs(flat[0]) * 1.5 + np.abs(flat[1]) * span_s)
+    assert work > own.sum()
 
 
 def test_batch_rule_mesh_blocks_of_nodes_agree(monkeypatch):
@@ -432,7 +465,8 @@ def test_mesh_builds_one_e_col_per_node_count(monkeypatch):
     expected, e_cols, groups = [0], [0], [0]
     mesh_batch, unit_phase = quadrature._mesh_batch, quadrature._unit_phase
 
-    def mesh_spy(P, T, shift, L_of, S_of, amplitude, a, b, spanL, spanS):
+    def mesh_spy(P, T, shift, runs, L_of, S_of, amplitude, a, b):
+        spanL, spanS = (np.ptp(f(np.array([a, b]))) for f in (L_of, S_of))
         order = np.argsort(np.abs(P.ravel()), kind="stable")
         per_group = quadrature.BUCKET // T.size
         widths = [np.abs(P.ravel()[order[i:i + per_group]]).max() * spanL
@@ -441,7 +475,7 @@ def test_mesh_builds_one_e_col_per_node_count(monkeypatch):
         assert max(nodes) * (per_group + T.size) <= quadrature.CHUNK_ELEMS  # one block
         expected[0] += len(nodes)
         groups[0] += len(widths)
-        return mesh_batch(P, T, shift, L_of, S_of, amplitude, a, b, spanL, spanS)
+        return mesh_batch(P, T, shift, runs, L_of, S_of, amplitude, a, b)
 
     def unit_spy(coeffs, profile, *rest):
         if coeffs.ndim == 2 and coeffs.shape[0] == 1 and coeffs.shape[1] > 1:

@@ -1,4 +1,5 @@
 """Reference bump, band-limited data, propagator, Sobolev norms, kernel."""
+import math
 import warnings
 
 import numpy as np
@@ -6,11 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from concave_phase_lab import experiments, spectral
+from concave_phase_lab import experiments, maximal, spectral
 from concave_phase_lab.counterexamples import knapp_curve, knapp_vertical_spatial
 from concave_phase_lab.experiments import RunConfig
 from concave_phase_lab.fitting import fit_loglog
-from concave_phase_lab.quadrature import QuadratureSpec, integrate, oracle_integrate
+from concave_phase_lab.quadrature import ABS_TOL, integrate, oracle_integrate
 from concave_phase_lab.spectral import (BUMP, BUMP_SUPPORT, FourierDatum, bump_profile,
                                         kernel_K, kernel_grid, propagate,
                                         propagate_grid, sobolev_norm)
@@ -222,9 +223,9 @@ def integrate_spy(monkeypatch):
     seen = []
 
     def install(run):
-        def spy(amplitude, phase, interval, spec=None):
+        def spy(amplitude, phase, interval):
             seen.append(phase)
-            return integrate(amplitude, phase, interval, spec) if run else 0j
+            return integrate(amplitude, phase, interval) if run else 0j
         monkeypatch.setattr(spectral, "integrate", spy)
         return seen
     return install
@@ -241,7 +242,7 @@ def test_certificate_settles_non_stationary_cli_calls(family, integrate_spy):
     # settled call is 0 within abs_tol of the band integral: against the
     # oracle at 4 W + 10001 nodes wherever W <= 1e5 rad.
     seen = integrate_spy(run=False)
-    tol = QuadratureSpec().abs_tol
+    tol = ABS_TOL
     settled = checked = 0
     for lam in 2.0 ** np.arange(4, 13):
         cfg = RunConfig(lam=float(lam))
@@ -299,9 +300,59 @@ def test_certificate_on_support_touching_zero(scale, shift, t):
         warnings.simplefilter("error")
         k, bound = spectral._nonstationary_bound(datum, 0.5, x, t)
         value = propagate(datum, 0.5, x, t)
-    assert np.isfinite(bound) and bound <= QuadratureSpec().abs_tol and value == 0
+    assert np.isfinite(bound) and bound <= ABS_TOL and value == 0
     if t != 0.0:   # P against T*sign(xi): a stationary point next to the flat end
         assert spectral._nonstationary_bound(datum, 0.5, -x, t) is None
+
+
+def _certificate_slopes_by_end(datum, m, p, t):
+    """phi' at the band ends v = 1/2, 2 in Python floats, the form the
+    certificate used before it shared ``spectral._end_slopes`` with the screen."""
+    inner = math.copysign(1.0, (1.25 - datum.shift) / datum.scale)   # sign of xi
+    slopes = []
+    for v in BUMP_SUPPORT:
+        xi = (v - datum.shift) / datum.scale
+        if t == 0.0:
+            slope = p
+        elif xi == 0.0:
+            slope = math.copysign(math.inf, t * inner)
+        else:
+            slope = p + t * m * math.copysign(abs(xi) ** (m - 1.0), xi)
+        slopes.append(slope / datum.scale)
+    return slopes
+
+
+def _screen_slopes_inline(datum, m, times):
+    """s-, s+ as the screen computed them before sharing ``_end_slopes``."""
+    lo, hi = datum.support
+    tau = times + datum.fractional_phase
+    s = [np.where(tau == 0.0, 0.0, np.copysign(np.inf, tau * (lo + hi))) if xi == 0.0
+         else tau * m * np.abs(xi) ** (m - 1.0) * np.sign(xi) for xi in (lo, hi)]
+    return np.minimum(*s), np.maximum(*s)
+
+
+@settings(max_examples=400, deadline=None)
+@given(m=st.floats(0.05, 0.95), scale=st.floats(1e-3, 1e3), mirrored=st.booleans(),
+       shift=st.sampled_from([0.5, 2.0]) | st.floats(-50.0, 0.5) | st.floats(2.0, 50.0),
+       p=st.sampled_from([0.0, -0.0]) | st.floats(-1e6, 1e6),
+       tau=st.sampled_from([0.0]) | st.floats(-1e6, 1e6),
+       frac=st.sampled_from([0.0]) | st.floats(-1e3, 1e3))
+def test_end_slopes_keep_certificate_and_screen_decisions(m, scale, mirrored, shift, p,
+                                                          tau, frac):
+    # one function gives both callers the slope at the support ends, with the
+    # xi = 0 limit (shifts 0.5 and 2.0) and tau = 0; the certificate reads
+    # the sign at both ends and min |phi'|, the screen s- and s+, bit for bit
+    datum = FourierDatum(scale=-scale if mirrored else scale, shift=shift,
+                         fractional_phase=frac, m=m)
+    old = _certificate_slopes_by_end(datum, m, p, tau)
+    new = [float(p + s) / datum.scale for s in spectral._end_slopes(datum, m, tau)]
+    assert (old[0] * old[1] > 0.0) == (new[0] * new[1] > 0.0)
+    assert min(map(abs, old)).hex() == min(map(abs, new)).hex()
+    assert sorted(old) == sorted(new)
+    times = np.array([tau, 0.0, -tau, 0.5 * tau, 1.0])
+    for before, after in zip(_screen_slopes_inline(datum, m, times),
+                             maximal._slopes(datum, m, times)):
+        assert before.tobytes() == after.tobytes()
 
 
 @settings(max_examples=80, deadline=None)

@@ -25,8 +25,8 @@ from .phase import (EnvelopeParams, check_kernel_envelope, envelope_J_curve,
                     envelope_J_vertical, phase_derivative_min,
                     sample_derivative_constants, split_vertical)
 from .quadrature import (InvalidIntegrandError, QuadratureError, ResolutionLimitError,
-                         SmoothFunction1D, ToleranceNotMetError, integrate,
-                         oracle_integrate, two_phase_batch)
+                         ToleranceNotMetError, integrate, oracle_integrate,
+                         two_phase_batch)
 from .spectral import (BUMP, BUMP_SUPPORT, FourierDatum, bump_profile, kernel_K,
                        kernel_grid, propagate, propagate_grid, sobolev_norm)
 

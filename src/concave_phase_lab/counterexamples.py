@@ -39,6 +39,7 @@ __all__ = [
     "knapp_vertical_spatial",
     "knapp_curve",
     "matched_point_curve",
+    "matching_order",
     "cantor_data",
     "cantor_selectors",
 ]
@@ -164,14 +165,25 @@ def matching_order(m: float) -> int:
     return math.ceil(1.0 / m) + 1
 
 
+def _band_residual(a: float, b: float, m: float) -> float:
+    """max over v in [1/2, 2] of |a*v + b*v^m|, b >= 0: the function is
+    concave, so the ends, or v* = (-a/(b*m))^(1/(m-1)) when a < 0 < b."""
+    ends = [0.5, 2.0]
+    if a < 0.0 < b:
+        v_star = (-a / (b * m)) ** (1.0 / (m - 1.0))
+        if 0.5 < v_star < 2.0:
+            ends.append(v_star)
+    return float(max(abs(a * v + b * v ** m) for v in ends))
+
+
 def matched_point_curve(x: float, lam: float, m: float, kappa: float,
-                        theta: float = 1.0, n_grid: int = 1001):
+                        theta: float = 1.0):
     """Select the time at which the curve datum's phase nearly cancels at x.
 
     Solves theta*h(tau) = x for tau in [0, lam^-m/100] and sets t = 1/2+tau.
     Returns (MatchedPoint, residual) where residual is the maximum over the
-    datum band of the absolute total phase; the construction keeps it well
-    under 1/2 and anything above 0.6 is rejected as a mismatch.
+    datum band of the absolute total phase, taken exactly; the construction
+    keeps it well under 1/2 and anything above 0.6 is rejected as a mismatch.
     """
     if not lam >= 1:
         raise ValueError(f"scale must be >= 1, got {lam}")
@@ -189,8 +201,7 @@ def matched_point_curve(x: float, lam: float, m: float, kappa: float,
     # total phase of the propagated datum along the path, in band coordinates
     linear_coef = lam * (x - theta * t ** kappa + 2.0 ** (-kappa) * theta)
     frac_coef = lam ** m * tau
-    v = np.linspace(0.5, 2.0, n_grid)
-    residual = float(np.max(np.abs(linear_coef * v + frac_coef * v ** m)))
+    residual = _band_residual(linear_coef, frac_coef, m)
     if residual > 0.6:
         raise ArithmeticError(f"phase mismatch: residual {residual:.3g} > 0.6")
     return MatchedPoint(x=float(x), tau=tau, theta=float(theta),

@@ -223,8 +223,23 @@ def _map_ordered(fn, items):
         return list(pool.map(fn, items))
 
 
+# Most rungs a ladder accepts.  Every rung is a full pipeline run, so the count
+# bounds the work; 32 doublings span 2**31 in lambda, past every engine's limit.
+MAX_LADDER_RUNGS = 32
+
+
 def _ladder(cfg):
-    lams = cfg.lam_min * cfg.lam_ratio ** np.arange(cfg.lam_count)
+    """lam_min * lam_ratio**j, j < lam_count, refused before any rung runs
+    unless it is 5 to ``MAX_LADDER_RUNGS`` finite, positive, increasing rungs."""
+    lams = np.zeros(1)
+    if 5 <= cfg.lam_count <= MAX_LADDER_RUNGS:
+        with np.errstate(over="ignore"):
+            lams = cfg.lam_min * cfg.lam_ratio ** np.arange(cfg.lam_count)
+    if not (lams[0] > 0 and np.isfinite(lams[-1]) and np.all(np.diff(lams) > 0)):
+        raise ValueError(f"a ladder needs 5 <= lam_count <= {MAX_LADDER_RUNGS} finite, "
+                         f"positive, increasing rungs lam_min * lam_ratio**j, got "
+                         f"lam_count={cfg.lam_count}, lam_min={cfg.lam_min}, "
+                         f"lam_ratio={cfg.lam_ratio}")
     return [float(v) for v in lams]
 
 

@@ -52,7 +52,8 @@ import numpy as np
 from .geometry import Curve, curve_eval
 from .spectral import FourierDatum, _end_slopes, grid_work, propagate_grid
 
-__all__ = ["GridSpec", "MAX_BASE_SAMPLES", "maximal_in_time", "maximal_over_lines"]
+__all__ = ["GridSpec", "MAX_BASE_SAMPLES", "MAX_REFINE_DEPTH", "maximal_in_time",
+           "maximal_over_lines"]
 
 _SCREEN_NUMERATOR = 4.0  # >= TV(bump) + sup(bump) = 3; margin for squared bumps
 _REFINE_FACTOR = 8
@@ -66,6 +67,10 @@ _SCREEN_BLOCK = 2 ** 13
 # samples fed at once.  The separable route holds a sum per base sample;
 # larger maximal_in_time requests are refused before anything is allocated.
 MAX_BASE_SAMPLES = 2 ** 20
+# Most refinement rounds a GridSpec accepts: round k steps 8^-k of a spacing of
+# at most 1, so from round 18 on a step is at most half the spacing of doubles
+# in [1/2, 1) and finds nothing new, yet costs about 1 ms per ladder rung.
+MAX_REFINE_DEPTH = 17
 
 
 @dataclass(frozen=True)
@@ -74,8 +79,9 @@ class GridSpec:
 
     t_base is the uniform time resolution on [0, 1]; the sampling rule
     requires t_base >= 4 * (max frequency magnitude) * (support diameter)
-    unless the caller injects witness points.  refine_depth (>= 2) rounds of
-    factor-8 local refinement run around the leading maxima.
+    unless the caller injects witness points.  refine_depth (2 to
+    ``MAX_REFINE_DEPTH``) rounds of factor-8 local refinement run around the
+    leading maxima.
     theta_per_component direction nodes sample each direction interval.
     """
 
@@ -86,8 +92,9 @@ class GridSpec:
     def __post_init__(self):
         if self.t_base < 2:
             raise ValueError("t_base must be >= 2")
-        if self.refine_depth < 2:
-            raise ValueError("refine_depth must be >= 2")
+        if not 2 <= self.refine_depth <= MAX_REFINE_DEPTH:
+            raise ValueError(f"refine_depth must lie in [2, {MAX_REFINE_DEPTH}], "
+                             f"got {self.refine_depth}")
         if self.theta_per_component < 1:
             raise ValueError("theta_per_component must be >= 1")
 
@@ -269,8 +276,7 @@ def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses):
     for _ in range(grid.refine_depth):
         # local meshes _REFINE_FACTOR times finer across one spacing each side of
         # every leading sample, screened a block of seeds at a time
-        order = _ranked(lead[0], lead[2])
-        owners, seeds, seed_vals = (part[order] for part in lead)
+        owners, seeds, seed_vals = lead
         offsets = _mesh(*(np.arange(-_REFINE_FACTOR, _REFINE_FACTOR + 1)
                           * (spacing / _REFINE_FACTOR) for spacing in spacings))
         per_block = max(1, _SCREEN_BLOCK // len(offsets))

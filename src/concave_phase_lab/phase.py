@@ -8,8 +8,8 @@ each realized here numerically:
   its complement (first-derivative lower bound applies);
 * explicit decay envelopes J(x) = lam * (near-field indicator + algebraic
   tail) that are claimed to dominate |K_lam(x, t)| uniformly in t;
-* scans certifying the advertised first/second phase-derivative lower
-  bounds with stable fitted constants.
+* exact first/second phase-derivative minima over the split pieces,
+  certifying the advertised lower bounds with stable fitted constants.
 
 The envelope's singular tail is clamped at its value on the indicator
 boundary |x| = lam^(-q*s_star/alpha): inside that region the indicator term
@@ -125,19 +125,13 @@ def envelope_J_curve(params: EnvelopeParams, x):
     return _envelope(params, x, -2.0 * params.s_star + params.eps)
 
 
-def _band_derivatives(lam, m, space_coef, time_coef, interval, n_grid):
-    xi = np.linspace(interval[0], interval[1], n_grid)
-    first = lam * space_coef + m * lam ** m * time_coef * xi ** (m - 1.0)
-    second = m * (m - 1.0) * lam ** m * time_coef * xi ** (m - 2.0)
-    return float(np.min(np.abs(first))), float(np.min(np.abs(second)))
+def phase_derivative_min(params: EnvelopeParams, region: str, x: float, t: float):
+    """Exact min |phi'| and min |phi''| over one piece of the vertical split.
 
-
-def phase_derivative_min(params: EnvelopeParams, region: str, x: float, t: float,
-                         n_grid: int = 10_000):
-    """Scan min |phi'| and min |phi''| over one piece of the vertical split.
-
-    phi(xi) = lam*x*xi + lam^m*t*xi^m on the band.  ``region`` picks "V1" or
-    "V2" from :func:`split_vertical`; an empty piece raises.
+    phi(xi) = lam*x*xi + lam^m*t*xi^m on the band.  Both phi' and |phi''| are
+    monotone in xi > 0, so the minima come from the piece's two ends, and
+    min |phi'| is 0 when phi' changes sign between them.  ``region`` picks
+    "V1" or "V2" from :func:`split_vertical`; an empty piece raises.
     """
     v1, v2 = split_vertical(params, x, t)
     if region == "V1":
@@ -148,7 +142,11 @@ def phase_derivative_min(params: EnvelopeParams, region: str, x: float, t: float
         raise ValueError(f"region must be 'V1' or 'V2', got {region!r}")
     if interval is None:
         raise ValueError(f"empty region: {region} is empty at this (x, t)")
-    return _band_derivatives(params.lam, params.m, x, t, interval, n_grid)
+    lam, m, xi = params.lam, params.m, np.array(interval, dtype=float)
+    first = lam * x + m * lam ** m * t * xi ** (m - 1.0)
+    second = m * (m - 1.0) * lam ** m * t * xi ** (m - 2.0)
+    min_first = 0.0 if np.sign(first[0]) != np.sign(first[1]) else np.min(np.abs(first))
+    return float(min_first), float(np.min(np.abs(second)))
 
 
 @dataclass(frozen=True)
@@ -224,7 +222,6 @@ class DerivativeBoundSample:
 
 
 def sample_derivative_constants(count: int = 100, seed: int = 20240801,
-                                n_grid: int = 10_001,
                                 max_tries: int = 10_000) -> DerivativeBoundSample:
     """Draw configurations with both split regions active and fit the constants.
 
@@ -259,8 +256,8 @@ def sample_derivative_constants(count: int = 100, seed: int = 20240801,
             continue
         t = t_abs * float(rng.choice([-1.0, 1.0]))
         params = EnvelopeParams(lam=lam, m=m, alpha=alpha, q=q, eps=0.05, s_star=s_star)
-        min_first = phase_derivative_min(params, "V2", x, t, n_grid)[0]
-        min_second = phase_derivative_min(params, "V1", x, t, n_grid)[1]
+        min_first = phase_derivative_min(params, "V2", x, t)[0]
+        min_second = phase_derivative_min(params, "V1", x, t)[1]
         configs.append((m, alpha, q, lam, x, t))
         c_first.append(min_first / (lam * abs(x)))
         c_second.append(min_second / strength)

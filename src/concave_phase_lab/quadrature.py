@@ -63,8 +63,9 @@ band integrals of the five CLI data families with W up to 1e4 rad, largest
 where W is close to the node count; off those families, random (P, T) at
 m = 0.3 deviated by up to 3.8e-13 at W near 257.  A rule that would need
 more than ``N_MAX`` nodes raises :class:`ResolutionLimitError` instead of
-losing accuracy.  The mesh route holds its temporaries to ``CHUNK_ELEMS``
-elements and the flat route to ``FLAT_CHUNK_ELEMS``.
+losing accuracy.  Both routes build their exponentials in blocks of at most
+``CHUNK_ELEMS`` elements, small enough to stay in cache: flat rows, or mesh
+nodes.
 The mesh contraction is ``np.einsum``, a single-threaded loop with a fixed
 summation order, so its sums do not depend on the BLAS thread count (a BLAS
 ``zgemm`` may regroup the sum when it changes how it splits the work).
@@ -72,8 +73,6 @@ summation order, so its sums do not depend on the BLAS thread count (a BLAS
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -82,7 +81,6 @@ __all__ = [
     "InvalidIntegrandError",
     "ToleranceNotMetError",
     "ResolutionLimitError",
-    "SmoothFunction1D",
     "integrate",
     "oracle_integrate",
     "two_phase_batch",
@@ -115,36 +113,6 @@ class ToleranceNotMetError(QuadratureError):
         super().__init__(message)
         self.estimate = estimate
         self.error_bound = error_bound
-
-
-@dataclass(frozen=True)
-class SmoothFunction1D:
-    """A smooth function with an explicit compact support interval.
-
-    Parameters
-    ----------
-    fn : callable
-        Vectorized rule; only ever queried inside ``support``.
-    support : (float, float)
-        Closed interval outside of which the function is exactly zero.
-    """
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    support: tuple[float, float]
-
-    def __post_init__(self):
-        lo, hi = self.support
-        if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-            raise ValueError(f"support must be a bounded interval, got {self.support}")
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        lo, hi = self.support
-        inside = (x >= lo) & (x <= hi)
-        out = np.zeros(x.shape, dtype=float)
-        if np.any(inside):
-            out[inside] = self.fn(x[inside])
-        return out
 
 
 # The adaptive engine's target |error| <= max(ABS_TOL, REL_TOL*|I|), its cell
@@ -229,9 +197,11 @@ def integrate(amplitude, phase, interval) -> complex:
 
     Parameters
     ----------
-    amplitude : SmoothFunction1D or callable
+    amplitude : callable
+        Vectorised and real-valued on the interval, e.g. ``spectral.BUMP``
+        on ``spectral.BUMP_SUPPORT``.
     phase : callable
-        Real-valued; evaluated only inside the (clipped) interval.
+        Real-valued; evaluated only inside the interval.
     interval : (float, float)
 
     Returns
@@ -250,9 +220,6 @@ def integrate(amplitude, phase, interval) -> complex:
     a, b = float(interval[0]), float(interval[1])
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("interval must be bounded")
-    if isinstance(amplitude, SmoothFunction1D):
-        a = max(a, amplitude.support[0])
-        b = min(b, amplitude.support[1])
     if b <= a:
         return 0.0 + 0.0j
     edges = _seed_cells(phase, a, b)
@@ -343,17 +310,16 @@ def simpson_weights(n: int) -> np.ndarray:
 # Rule of the batch route: trapezoid nodes per radian of the phase-variation
 # bound W, the amplitude-resolving node floor, the node-count limit past which
 # the rule refuses (ResolutionLimitError), the most points that share one rule
-# on the flat route, and the element budget of one block of temporaries: the
-# mesh route's (its sums depend on the block) and the flat route's, sized to
-# stay in cache (each flat row is summed on its own, so no value depends on
-# it).  The rule's measured error, 1.6e-13 on the CLI families and up to
-# 3.8e-13 off them, is stated in the module docstring.
+# on the flat route, and the element budget of one block of temporaries on
+# both routes, sized to stay in cache.  Each flat row is summed on its own, so
+# no flat value depends on the block; a mesh sum adds its node blocks in turn.
+# The rule's measured error, 1.6e-13 on the CLI families and up to 3.8e-13
+# off them, is stated in the module docstring.
 NODES_PER_RADIAN = 1.0
 N_MIN = 257
 N_MAX = 2_097_153
 BUCKET = 4096
-CHUNK_ELEMS = 2 ** 23
-FLAT_CHUNK_ELEMS = 2 ** 17
+CHUNK_ELEMS = 2 ** 17
 # One multiply-add of the mesh route's `einsum` contraction, in complex
 # exponentials: 1.5-3.4 ns against 50-61 ns measured, numpy 2.4 on a 2-CPU Xeon.
 CONTRACT_WEIGHT = 1.0 / 18.0
@@ -427,7 +393,7 @@ def two_phase_batch(P, T, L_of, S_of, amplitude, interval, shift=0.0) -> np.ndar
         v, amp_w = _batch_rule(w, amplitude, a, b)
         L = np.asarray(L_of(v), dtype=float)
         S = np.asarray(S_of(v), dtype=float)
-        block = max(1, FLAT_CHUNK_ELEMS // len(v))
+        block = max(1, CHUNK_ELEMS // len(v))
         for k in range(0, len(idx), block):
             sel = idx[k:k + block]
             e = _unit_phase(rows[sel], L, T[sel], S)

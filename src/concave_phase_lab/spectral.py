@@ -33,8 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (ABS_TOL, SmoothFunction1D, batch_work, integrate,
-                         oracle_integrate, two_phase_batch)
+from .quadrature import (ABS_TOL, batch_work, integrate, oracle_integrate,
+                         two_phase_batch)
 
 __all__ = [
     "BUMP",
@@ -66,6 +66,15 @@ def _eta(u):
 def bump_profile(xi):
     """Reference bump: smooth, positive exactly on (1/2, 2), equal to 1 at 5/4."""
     return _eta((np.asarray(xi, dtype=float) - 1.25) / 0.75)
+
+
+# Band amplitudes, zero off BUMP_SUPPORT; fixed objects, so the oracle memo keys on them.
+BUMP = bump_profile
+
+
+def BUMP_SQUARED(xi):
+    """Squared reference bump, the amplitude of the localized kernel."""
+    return bump_profile(xi) ** 2
 
 
 # Integration-by-parts certificate for band integrals I = int a*exp(i*phi) dv
@@ -171,10 +180,6 @@ def _nonstationary_bound(datum: FourierDatum, m: float, x: float, t: float):
             return None
         previous = bound
     return None
-
-
-BUMP = SmoothFunction1D(bump_profile, BUMP_SUPPORT)
-BUMP_SQUARED = SmoothFunction1D(lambda xi: bump_profile(xi) ** 2, BUMP_SUPPORT)
 
 
 @dataclass(frozen=True)
@@ -289,9 +294,9 @@ def propagate(datum: FourierDatum, m: float, x: float, t: float,
         on the fixed band, unless the band phase is non-stationary and an
         integration-by-parts bound B_k (module docstring) meets the engine's
         absolute tolerance ``quadrature.ABS_TOL``: then the value is 0,
-        with |band integral| <= B_k <= abs_tol.  "oracle" runs dense Simpson
-        in the raw frequency variable with the datum's phase kept inside the
-        amplitude.  The two share no reduction steps.
+        with |band integral| <= B_k <= ``ABS_TOL``.  "oracle" runs dense
+        Simpson in the raw frequency variable with the datum's phase kept
+        inside the amplitude.  The two share no reduction steps.
 
     Returns
     -------
@@ -359,8 +364,7 @@ def sobolev_norm(datum: FourierDatum, s: float) -> float:
     return abs(datum.amplitude) * float(np.sqrt(value.real / (2.0 * np.pi)))
 
 
-def kernel_K(lam: float, m: float, x: float, t: float,
-             method: str = "adaptive") -> complex:
+def kernel_K(lam: float, m: float, x: float, t: float) -> complex:
     """Localized kernel lam * int exp(i*(lam*x*xi + lam^m*t*|xi|^m)) bump(xi)^2 dxi.
 
     The single-scale building block of the maximal-function estimates: its
@@ -375,7 +379,6 @@ def kernel_K(lam: float, m: float, x: float, t: float,
     m : float
         Dispersion exponent in (0, 1).
     x, t : float
-    method : {"adaptive", "oracle"}
     """
     if not lam >= 1.0:
         raise ValueError(f"scale must be >= 1, got {lam}")
@@ -385,13 +388,7 @@ def kernel_K(lam: float, m: float, x: float, t: float,
     def phase(xi):
         return lam * x * xi + lam ** m * t * np.abs(xi) ** m
 
-    if method == "adaptive":
-        value = integrate(BUMP_SQUARED, phase, BUMP_SUPPORT)
-    elif method == "oracle":
-        value = oracle_integrate(BUMP_SQUARED, phase, BUMP_SUPPORT)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return lam * value
+    return lam * integrate(BUMP_SQUARED, phase, BUMP_SUPPORT)
 
 
 def kernel_grid(lam: float, m: float, x, t) -> np.ndarray:

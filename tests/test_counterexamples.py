@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from concave_phase_lab.counterexamples import (MatchedPoint, cantor_data,
+from concave_phase_lab.counterexamples import (MatchedPoint, _band_residual, cantor_data,
                                                cantor_selectors, h_N_eval, h_N_invert, knapp_curve,
                                                knapp_vertical_spatial,
                                                knapp_vertical_temporal,
@@ -132,6 +132,40 @@ def test_matched_residual_grows_with_x():
     residuals = [matched_point_curve(float(x), lam, 0.5, 1.0)[1] for x in xs]
     assert all(b >= a - 1e-12 for a, b in zip(residuals, residuals[1:]))
     assert residuals[-1] <= 0.5
+
+
+def test_band_residual_matches_brute_force():
+    # max over [1/2, 2] of |a*v + b*v^m| against 10^6 nodes: random signs and
+    # sizes, and concave cases built with the maximum at an interior v*
+    rng = np.random.default_rng(29)
+    v = np.linspace(0.5, 2.0, 1_000_001)
+    cases = [(rng.normal() * 10.0 ** rng.uniform(-3, 2), 10.0 ** rng.uniform(-3, 2),
+              rng.uniform(0.1, 0.9)) for _ in range(12)]
+    for _ in range(12):
+        m, b = rng.uniform(0.1, 0.9), 10.0 ** rng.uniform(-3, 2)
+        v_star = rng.uniform(0.6, 1.9)                       # f'(v_star) = 0
+        cases.append((-b * m * v_star ** (m - 1.0), b, m))
+    cases += [(0.0, 0.0, 0.5), (-1.0, 0.0, 0.5), (3.0, 2.0, 0.5)]
+    interior = 0
+    for a, b, m in cases:
+        f = np.abs(a * v + b * v ** m)
+        brute = f.max()
+        interior += 0 < f.argmax() < len(v) - 1
+        exact = _band_residual(a, b, m)
+        assert brute <= exact * (1 + 1e-15)
+        assert exact - brute <= 1e-10 * max(exact, 1e-300)
+    assert interior >= 12
+
+
+def test_matched_point_residual_matches_brute_force():
+    v = np.linspace(0.5, 2.0, 1_000_001)
+    for lam, kappa in ((2.0 ** 8, 1.0), (2.0 ** 6, 2.0), (2.0 ** 10, 1.5)):
+        for x in np.linspace(0.0, 0.9, 5) * h_N_eval(
+                lam ** -0.5 / 100.0, taylor_coeffs(kappa, 3)):
+            point, residual = matched_point_curve(float(x), lam, 0.5, kappa)
+            a = lam * (x - point.t ** kappa + 2.0 ** (-kappa))
+            brute = np.abs(a * v + lam ** 0.5 * point.tau * v ** 0.5).max()
+            assert residual == pytest.approx(brute, rel=1e-12, abs=1e-15)
 
 
 def test_matched_point_phase_mismatch():

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import concave_phase_lab
-from concave_phase_lab import experiments
+from concave_phase_lab import experiments, maximal, spectral
 from concave_phase_lab.cli import main as cli_main
 from concave_phase_lab.experiments import (PIPELINES, SCHEMA_VERSION, RunConfig,
                                            ScalingExperiment, resolve_config,
@@ -369,6 +369,69 @@ def test_cli_refuses_ladders_outside_budget(tmp_path, capsys, monkeypatch, argv,
     assert record["error"]["type"] == "ValueError"
     assert fragment in record["error"]["message"]
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    pytest.param(["sharpness-vertical", "--x-cells", "4", "--refine-depth", "18"],
+                 "refine_depth", id="vertical-depth18"),
+    pytest.param(["sharpness-vertical", "--x-cells", "4", "--refine-depth", "3000"],
+                 "refine_depth", id="vertical-depth3000"),
+    pytest.param(["sharpness-lines", "--refine-depth", "18"], "refine_depth",
+                 id="lines-depth18"),
+    pytest.param(["proposition-lines", "--refine-depth", "1"], "refine_depth",
+                 id="proposition-depth1"),
+    pytest.param(["kernel-envelope", "--lam-ratio", "1", "--lam-count", "200"],
+                 "lam_count <= 32", id="envelope-ratio1-count200"),
+    pytest.param(["kernel-envelope", "--lam-ratio", "1"], "increasing",
+                 id="envelope-ratio1"),
+    pytest.param(["kernel-envelope", "--lam-ratio", "0.5"], "increasing",
+                 id="envelope-ratio0.5"),
+    pytest.param(["kernel-envelope", "--lam-ratio", "nan"], "increasing",
+                 id="envelope-ratio-nan"),
+    pytest.param(["kernel-envelope", "--lam-ratio", "1e300"], "finite",
+                 id="envelope-ratio1e300"),
+    pytest.param(["kernel-envelope", "--lam-count", "33"], "lam_count <= 32",
+                 id="envelope-count33"),
+    pytest.param(["sharpness-curve", "--lam-count", "4"], "5 <= lam_count",
+                 id="curve-count4"),
+    pytest.param(["sharpness-vertical", "--lam-min", "0"], "positive",
+                 id="vertical-min0"),
+    pytest.param(["proposition-lines", "--lam-count", "1000000000"], "lam_count <= 32",
+                 id="proposition-count1e9"),
+])
+def test_cli_refuses_depths_and_ladders_before_quadrature(tmp_path, capsys, monkeypatch,
+                                                          argv, fragment):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("no quadrature may run")
+
+    for name in ("integrate", "oracle_integrate", "two_phase_batch"):
+        monkeypatch.setattr(spectral, name, spy)
+    code = cli_main([*argv, "--out-dir", str(tmp_path)])
+    assert code == 2 and calls == []
+    record = json.loads(capsys.readouterr().err)
+    assert record["schema_version"] == SCHEMA_VERSION
+    assert record["error"]["type"] == "ValueError"
+    assert fragment in record["error"]["message"]
+    assert not list(tmp_path.iterdir())
+
+
+def test_depth_and_ladder_budgets_accept_every_default():
+    # every pipeline's resolved defaults, the acceptance ladders (9 rungs) and
+    # the limits themselves pass both checks
+    for name in PIPELINES:
+        cfg = resolve_config(RunConfig(experiment=name))
+        if cfg.t_base:
+            experiments._grid(cfg)
+        if cfg.lam_count:
+            assert len(experiments._ladder(cfg)) == cfg.lam_count
+    for lam_count in (5, 9, experiments.MAX_LADDER_RUNGS):
+        lams = experiments._ladder(RunConfig(lam_count=lam_count))
+        assert lams[0] == 16.0 and len(lams) == lam_count
+    assert experiments._ladder(RunConfig(lam_count=5, lam_ratio=1.5, lam_min=1.0))
+    experiments._grid(RunConfig(t_base=65, refine_depth=maximal.MAX_REFINE_DEPTH))
 
 
 @pytest.mark.parametrize("overrides,work", [

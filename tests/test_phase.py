@@ -139,6 +139,37 @@ def test_phase_derivative_v2_bound_and_scan():
     assert first == pytest.approx(scan, rel=1e-6)
 
 
+def test_phase_derivative_vanishing_inside_v2_is_zero():
+    # phi'(xi) = 2048*(1 - sqrt(1.2345/xi)) vanishes at xi = 1.2345, inside
+    # V2 = [0.5, 2]; a 10,000-node scan reported a false floor of 0.0220
+    params = EnvelopeParams.vertical(4096.0, 0.5, 1.0, 2.0)
+    x, t = 0.5, -64.0 * math.sqrt(1.2345)
+    assert split_vertical(params, x, t) == (None, (0.5, 2.0))
+    assert phase_derivative_min(params, "V2", x, t)[0] == 0.0
+
+
+def test_phase_derivative_minima_match_dense_scans():
+    # away from sign changes both minima sit at an end of the piece, so the
+    # exact values are at most a dense scan's, and the scan comes close
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        m = rng.uniform(0.2, 0.9)
+        params = EnvelopeParams.vertical(2.0 ** rng.integers(4, 13), m, 1.0, 2.0)
+        x, t = rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)
+        for region, piece in zip(("V1", "V2"), split_vertical(params, x, t)):
+            if piece is None:
+                continue
+            xi = np.linspace(*piece, 100_001)
+            lam_m = params.lam ** m
+            first = params.lam * x + m * lam_m * t * xi ** (m - 1.0)
+            second = m * (m - 1.0) * lam_m * t * xi ** (m - 2.0)
+            exact = phase_derivative_min(params, region, x, t)
+            scans = (np.abs(first).min(), np.abs(second).min())
+            for value, scan, f in zip(exact, scans, (first, second)):
+                assert value <= scan
+                assert scan - value <= 1e-4 * np.abs(f).max()
+
+
 def test_phase_derivative_empty_region():
     params = EnvelopeParams.vertical(2.0 ** 8, 0.5, 1.0, 2.0)
     with pytest.raises(ValueError, match="empty region"):

@@ -11,10 +11,9 @@ from concave_phase_lab import experiments, quadrature
 from concave_phase_lab.cli import main as cli_main
 from concave_phase_lab.experiments import RunConfig
 from concave_phase_lab.quadrature import (InvalidIntegrandError, QuadratureError,
-                                          ResolutionLimitError, SmoothFunction1D,
-                                          ToleranceNotMetError, integrate,
-                                          oracle_integrate, simpson_weights,
-                                          two_phase_batch)
+                                          ResolutionLimitError, ToleranceNotMetError,
+                                          integrate, oracle_integrate,
+                                          simpson_weights, two_phase_batch)
 from concave_phase_lab.counterexamples import knapp_vertical_spatial
 from concave_phase_lab.geometry import Curve
 from concave_phase_lab.maximal import GridSpec, maximal_in_time
@@ -33,7 +32,7 @@ def _zero_phase(v):
 
 
 def test_zero_amplitude_integrates_to_zero():
-    zero = SmoothFunction1D(lambda v: np.zeros_like(np.asarray(v, float)), BAND)
+    zero = lambda v: np.zeros_like(np.asarray(v, float))
     assert integrate(zero, lambda v: 7.0 * v, BAND) == 0.0
 
 
@@ -44,13 +43,12 @@ def test_bump_mass_against_frozen_oracle_value():
 
 
 def test_oracle_constant_unit_interval():
-    one = SmoothFunction1D(lambda v: np.ones_like(np.asarray(v, float)), (0.0, 1.0))
+    one = lambda v: np.ones_like(np.asarray(v, float))
     assert abs(oracle_integrate(one, _zero_phase, (0.0, 1.0)) - 1.0) < 1e-12
 
 
 def test_oracle_full_period_cancels():
-    one = SmoothFunction1D(lambda v: np.ones_like(np.asarray(v, float)),
-                           (0.0, 2.0 * np.pi))
+    one = lambda v: np.ones_like(np.asarray(v, float))
     val = oracle_integrate(one, lambda v: v, (0.0, 2.0 * np.pi))
     assert abs(val) < 1e-8
 
@@ -83,7 +81,7 @@ def test_linearity():
     phase = lambda v: 30.0 * v + 11.0 * np.sqrt(v)
     f = integrate(BUMP, phase, BAND)
     g = integrate(BUMP_SQUARED, phase, BAND)
-    both = SmoothFunction1D(lambda v: 2.0 * BUMP(v) - 3.0 * BUMP_SQUARED(v), BAND)
+    both = lambda v: 2.0 * BUMP(v) - 3.0 * BUMP_SQUARED(v)
     assert abs(integrate(both, phase, BAND) - (2.0 * f - 3.0 * g)) < 1e-9
 
 
@@ -94,7 +92,7 @@ def test_conjugation():
 
 
 def test_invalid_integrand_rejected():
-    bad = SmoothFunction1D(lambda v: np.where(np.asarray(v) > 1.0, np.nan, 1.0), BAND)
+    bad = lambda v: np.where(np.asarray(v) > 1.0, np.nan, 1.0)
     with pytest.raises(InvalidIntegrandError):
         integrate(bad, _zero_phase, BAND)
 
@@ -461,8 +459,9 @@ def test_batch_rule_mesh_row_groups_match_flat(monkeypatch):
 def test_mesh_builds_one_e_col_per_node_count(monkeypatch):
     # A vertical rung of 121 positions x 257 times goes into groups of
     # BUCKET // 257 rows by |P|.  Near x = 0 several groups get the node
-    # floor; groups with one node count must share one column factor E_col.
-    expected, e_cols, groups = [0], [0], [0]
+    # floor; groups with one node count must share one column factor E_col
+    # per block of CHUNK_ELEMS // (first group's rows + columns) nodes.
+    expected, e_cols, groups, counts = [0], [0], [0], [0]
     mesh_batch, unit_phase = quadrature._mesh_batch, quadrature._unit_phase
 
     def mesh_spy(P, T, shift, runs, L_of, S_of, amplitude, a, b):
@@ -472,8 +471,9 @@ def test_mesh_builds_one_e_col_per_node_count(monkeypatch):
         widths = [np.abs(P.ravel()[order[i:i + per_group]]).max() * spanL
                   + np.abs(T).max() * spanS for i in range(0, P.size, per_group)]
         nodes = {max(quadrature.N_MIN, int(np.ceil(w)) | 1) for w in widths}
-        assert max(nodes) * (per_group + T.size) <= quadrature.CHUNK_ELEMS  # one block
-        expected[0] += len(nodes)
+        block = quadrature.CHUNK_ELEMS // (min(per_group, P.size) + T.size)
+        expected[0] += sum(-(-n // block) for n in nodes)
+        counts[0] += len(nodes)
         groups[0] += len(widths)
         return mesh_batch(P, T, shift, runs, L_of, S_of, amplitude, a, b)
 
@@ -487,8 +487,27 @@ def test_mesh_builds_one_e_col_per_node_count(monkeypatch):
     xs = np.geomspace(1e-6, 1.0, 121)
     maximal_in_time(knapp_vertical_spatial(2.0 ** 10), 0.5, Curve.vertical(), xs,
                     GridSpec(t_base=257), extra_t=np.zeros((121, 1)))
-    assert groups[0] == 9 and 1 < expected[0] < groups[0]
+    assert groups[0] == 9 and 1 < counts[0] < groups[0] and counts[0] < expected[0]
     assert e_cols[0] == expected[0]
+
+
+def test_mesh_blocks_hold_peak_memory(monkeypatch):
+    # one mesh call of 64 rows x 4,096 columns on one rule of 2,001 nodes:
+    # groups of one row, so blocks of CHUNK_ELEMS // 4,097 nodes keep E_col at
+    # a few MB (a 2^23-element block held an E_col of about 130 MB)
+    L_of, S_of = (lambda v: v), (lambda v: v ** 0.5)
+    span_s = float(np.ptp(S_of(np.array(BAND))))
+    P = np.linspace(-0.1, 0.1, 64)[:, None]
+    T = np.linspace(0.0, 1999.5 / span_s, 4096)[None, :]
+    assert set(quadrature._rule_nodes(np.abs(P.ravel()) * 1.5 + 1999.5)) == {2001}
+    tracemalloc.start()
+    try:
+        values = two_phase_batch(P, T, L_of, S_of, BUMP, BAND)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (64, 4096) and np.all(np.isfinite(values))
+    assert peak < 16 * 2 ** 20
 
 
 def test_flat_buckets_stay_within_twice_each_rule(monkeypatch):
@@ -526,7 +545,7 @@ def test_flat_buckets_stay_within_twice_each_rule(monkeypatch):
 
 def test_flat_blocks_hold_peak_memory_and_values(monkeypatch):
     # one flat call of 4,096 points with W in 1.3e3..2e3 rad: one rule of up
-    # to 2,001 nodes.  In blocks of FLAT_CHUNK_ELEMS the temporaries stay a
+    # to 2,001 nodes.  In blocks of CHUNK_ELEMS the temporaries stay a
     # few MB (one 2^23-element block held all 4,096 rows, about 124 MB), and
     # since each row is summed on its own the values keep every bit
     rng = np.random.default_rng(17)
@@ -544,7 +563,7 @@ def test_flat_blocks_hold_peak_memory_and_values(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
-    monkeypatch.setattr(quadrature, "FLAT_CHUNK_ELEMS", 2 ** 23)
+    monkeypatch.setattr(quadrature, "CHUNK_ELEMS", 2 ** 23)
     assert np.array_equal(two_phase_batch(P, T, L_of, S_of, BUMP, BAND), values)
 
 

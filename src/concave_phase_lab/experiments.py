@@ -609,6 +609,8 @@ MAX_PROPAGATE_NODES = 2 ** 26
 
 
 def _run_propagate(cfg):
+    if not (math.isfinite(cfg.lam) and cfg.lam >= 1):
+        raise ValueError(f"propagate needs a finite scale lam >= 1, got {cfg.lam}")
     if cfg.family not in _FAMILIES:
         raise ValueError(f"unknown family {cfg.family!r}; expected one of "
                          f"{sorted(_FAMILIES)}")
@@ -664,6 +666,11 @@ def _report_dict(cfg, result):
 
 
 def _write_outputs(cfg, result, report):
+    try:   # before any file is opened, so a refused report leaves none behind
+        text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        raise ValueError("the report holds a NaN or an infinity, which strict JSON "
+                         "cannot carry") from None
     os.makedirs(cfg.out_dir, exist_ok=True)
     base = os.path.join(cfg.out_dir, cfg.experiment)
     with open(base + ".csv", "w", newline="") as fh:
@@ -671,8 +678,7 @@ def _write_outputs(cfg, result, report):
         writer.writeheader()
         writer.writerows(result.rows)
     with open(base + ".json", "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def run_experiment(config: RunConfig, write=True):

@@ -66,9 +66,11 @@ more than ``N_MAX`` nodes raises :class:`ResolutionLimitError` instead of
 losing accuracy.  Both routes build their exponentials in blocks of at most
 ``CHUNK_ELEMS`` elements, small enough to stay in cache: flat rows, or mesh
 nodes.
-The mesh contraction is ``np.einsum``, a single-threaded loop with a fixed
-summation order, so its sums do not depend on the BLAS thread count (a BLAS
-``zgemm`` may regroup the sum when it changes how it splits the work).
+The mesh contraction is one BLAS ``zdotc`` per (row, column) pair and block
+(``np.vecdot`` of the conjugated row factor).  A block holds at most
+``DOT_NODES`` nodes, and OpenBLAS runs a dot product that short on one
+thread, so the sums do not depend on the BLAS thread count (a threaded
+``zgemm`` or a longer dot product may regroup the sum when it splits the work).
 """
 from __future__ import annotations
 
@@ -320,9 +322,15 @@ N_MIN = 257
 N_MAX = 2_097_153
 BUCKET = 4096
 CHUNK_ELEMS = 2 ** 17
-# One multiply-add of the mesh route's `einsum` contraction, in complex
-# exponentials: 1.5-3.4 ns against 50-61 ns measured, numpy 2.4 on a 2-CPU Xeon.
-CONTRACT_WEIGHT = 1.0 / 18.0
+# Most nodes in one mesh block.  Each mesh sum is one BLAS `zdotc` per block,
+# and OpenBLAS (0.3.31) runs a dot product of at most 10,000 elements on one
+# thread; a longer one is split across threads and its sum regrouped, so its
+# bits would depend on OPENBLAS_NUM_THREADS.
+DOT_NODES = 8192
+# One multiply-add of the mesh route's `zdotc` contraction, in complex
+# exponentials: 0.32-0.60 ns against 32-35 ns measured on mesh-route shapes,
+# numpy 2.4.6 and OpenBLAS 0.3.31 on a 2-CPU Xeon; 1/53 at the dearest pair.
+CONTRACT_WEIGHT = 1.0 / 50.0
 
 
 def _rule_nodes(w):
@@ -455,8 +463,10 @@ def _plan(P, T, shift, spanL, spanS):
 
 def _mesh_batch(rows, T, shift, runs, L_of, S_of, amplitude, a, b):
     """Mesh route of :func:`two_phase_batch` on a plan of :func:`_plan`: the
-    (r, c) sums, with one rule and one ``E_col`` (per block of nodes) per run."""
-    block = max(1, CHUNK_ELEMS // (len(runs[0][0][1]) + T.size))
+    (r, c) sums, with one rule and one ``E_col`` (per block of nodes) per run.
+    Each sum adds one single-threaded ``zdotc`` of ``E_row`` and
+    ``amp_w * E_col`` per block of at most ``DOT_NODES`` nodes."""
+    block = min(DOT_NODES, max(1, CHUNK_ELEMS // (len(runs[0][0][1]) + T.size)))
     sums = np.zeros((rows.size, T.size), dtype=complex)
     for run in runs:
         v, amp_w = _batch_rule(run[-1][0], amplitude, a, b)
@@ -467,5 +477,5 @@ def _mesh_batch(rows, T, shift, runs, L_of, S_of, amplitude, a, b):
             e_col = _unit_phase(T, S[sl], shift, L[sl])
             e_col *= amp_w[sl]
             for _, idx in run:
-                sums[idx] += np.einsum("...n,...n->...", _unit_phase(rows[idx], L[sl]), e_col)
+                sums[idx] += np.vecdot(_unit_phase(rows[idx], L[sl]).conj(), e_col)
     return sums

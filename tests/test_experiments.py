@@ -1,14 +1,18 @@
 """Configuration handling, pipeline reports, and the command-line front end."""
+import contextlib
 import inspect
+import io
 import json
 import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import concave_phase_lab
 from concave_phase_lab import experiments, maximal, spectral
@@ -244,7 +248,8 @@ def _reports_across_blas_threads(tmp_path, argv):
 
 def test_kernel_envelope_deterministic_across_blas_threads(tmp_path):
     # The 64x64 mesh is the smallest tried on which a threaded zgemm
-    # contraction changes report bytes (a 16x16 mesh does not).
+    # contraction changes report bytes (a 16x16 mesh does not); the mesh
+    # route's zdotc of at most DOT_NODES nodes stays on one thread.
     first, second = _reports_across_blas_threads(
         tmp_path, ["kernel-envelope", "--grid-n", "64", "--lam-count", "5"])
     assert first == second
@@ -253,8 +258,9 @@ def test_kernel_envelope_deterministic_across_blas_threads(tmp_path):
 def test_sharpness_vertical_deterministic_across_blas_threads(tmp_path):
     # 81 x 129 base samples per rung: the separable base mesh spans three row
     # groups of BUCKET // 129 rows.  A threaded zgemm contraction in place of
-    # the einsum changes this report's bytes in repeated runs; 41 x 129 does
-    # not show it at the trapezoid rule's node counts.
+    # the single-threaded zdotc per sum and node block changes this report's
+    # bytes in repeated runs; 41 x 129 does not show it at the trapezoid
+    # rule's node counts.
     first, second = _reports_across_blas_threads(
         tmp_path, ["sharpness-vertical", "--x-cells", "81", "--t-base", "129",
                    "--lam-count", "5"])
@@ -416,6 +422,86 @@ def test_cli_refuses_depths_and_ladders_before_quadrature(tmp_path, capsys, monk
     assert record["error"]["type"] == "ValueError"
     assert fragment in record["error"]["message"]
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "-4", "0", "0.5"])
+def test_propagate_refuses_bad_scales_before_quadrature(tmp_path, capsys, monkeypatch,
+                                                        lam):
+    # every family, the band one included, which does not read lam
+    def spy(*args, **kwargs):
+        raise AssertionError("no quadrature may run")
+
+    for name in ("integrate", "oracle_integrate", "two_phase_batch"):
+        monkeypatch.setattr(spectral, name, spy)
+    for family in experiments._FAMILIES:
+        code = cli_main(["propagate", "--family", family, "--lam", lam,
+                         "--out-dir", str(tmp_path)])
+        assert code == 2
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"]["type"] == "ValueError"
+        assert "lam >= 1" in record["error"]["message"]
+    assert not list(tmp_path.iterdir())
+
+
+def _strict_json(text):
+    """``json.loads`` that refuses NaN, Infinity and -Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv", [["cantor", "--theta", "nan"],
+                                  ["covering", "--eps", "inf"],
+                                  ["exponent-table", "--m", "-inf"]])
+def test_cli_refuses_reports_that_are_not_strict_json(tmp_path, capsys, argv):
+    # each pipeline echoes its whole config, read or not
+    assert cli_main([*argv, "--out-dir", str(tmp_path)]) == 2
+    record = _strict_json(capsys.readouterr().err)
+    assert "strict JSON" in record["error"]["message"]
+    assert not list(tmp_path.iterdir())
+
+
+# Cheap pipelines at small sizes, the numeric fields each reads, and values
+# for them: non-finite, zero, negative, small integers and small floats.
+_CHEAP_RUNS = {
+    "propagate": (["--grid-n=4"], ["lam", "t", "m", "kappa", "theta", "grid_n"]),
+    "kernel-envelope": (["--grid-n=8", "--lam-count=5"],
+                        ["m", "alpha", "q", "eps", "lam_min", "lam_ratio", "lam_count",
+                         "grid_n"]),
+    "cantor": ([], ["r", "k"]),
+    "covering": ([], ["r", "k", "m", "alpha", "q", "eps"]),
+    "exponent-table": ([], ["m", "s", "seed"]),
+}
+_SPECIAL = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "-4"])
+_NUMBERS = st.one_of(_SPECIAL, _SPECIAL, st.integers(-4, 6).map(str),
+                     st.floats(-8.0, 8.0).map(repr))
+_OVERRIDES = st.sampled_from(sorted(_CHEAP_RUNS)).flatmap(lambda name: st.tuples(
+    st.just(name), st.dictionaries(st.sampled_from(_CHEAP_RUNS[name][1]), _NUMBERS,
+                                   min_size=1, max_size=3)))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=_OVERRIDES)
+def test_cli_numeric_overrides_end_in_a_strict_report_or_a_record(tmp_path_factory, case):
+    # exit 0 or 1 with a report that parses as strict JSON, or exit 2 with
+    # the JSON error record and no files
+    experiment, overrides = case
+    out_dir = tmp_path_factory.mktemp("run")
+    argv = [experiment, *_CHEAP_RUNS[experiment][0],
+            *(f"--{key}={value}" for key, value in overrides.items()),
+            "--out-dir", str(out_dir)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli_main(argv)
+    if code == 2:
+        record = _strict_json(stderr.getvalue())
+        assert record["experiment"] == experiment and record["error"]["message"]
+        assert not list(out_dir.iterdir())
+    else:
+        assert code in (0, 1)
+        report = _strict_json((out_dir / f"{experiment}.json").read_text())
+        assert report["experiment"] == experiment
 
 
 def test_depth_and_ladder_budgets_accept_every_default():

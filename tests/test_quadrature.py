@@ -1,6 +1,10 @@
 """Oscillatory quadrature: adaptive engine, Simpson oracle, batch rule."""
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -424,6 +428,66 @@ def test_batch_rule_mesh_blocks_of_nodes_agree(monkeypatch):
     assert np.abs(blocks - whole).max() <= 1e-12 * np.abs(whole).max()
 
 
+def _einsum_mesh(rows, T, shift, runs, L_of, S_of, amplitude, a, b):
+    """The mesh route with an ``np.einsum`` contraction over each whole rule."""
+    sums = np.zeros((rows.size, T.size), dtype=complex)
+    for run in runs:
+        v, amp_w = quadrature._batch_rule(run[-1][0], amplitude, a, b)
+        L, S = L_of(v), S_of(v)
+        e_col = np.exp(1j * (T[..., None] * S + shift[..., None] * L)) * amp_w
+        for _, idx in run:
+            sums[idx] += np.einsum("...n,...n->...",
+                                   np.exp(1j * rows[idx][..., None] * L), e_col)
+    return sums
+
+
+def test_mesh_dot_contraction_matches_einsum(monkeypatch):
+    # Random meshes of 1 to 64 rows and columns (a single row or column takes
+    # the flat route), with rules of 257 to about 4.6e4 nodes, so some sums
+    # add several node blocks.  No |I| exceeds the band mass M_PSI.
+    rng = np.random.default_rng(20)
+    L_of, S_of = (lambda v: v), (lambda v: v ** 0.5)
+    cases = []
+    for _ in range(12):
+        r, c = rng.integers(1, 65, 2)
+        reach = 10.0 ** rng.uniform(1, 4.5)
+        cases.append((rng.uniform(-reach, reach, (r, 1)), rng.uniform(0, reach, (1, c)),
+                      rng.uniform(-reach, reach, (1, c))))
+    dot = [two_phase_batch(P, T, L_of, S_of, BUMP, BAND, shift) for P, T, shift in cases]
+    monkeypatch.setattr(quadrature, "_mesh_batch", _einsum_mesh)
+    for (P, T, shift), new in zip(cases, dot):
+        old = two_phase_batch(P, T, L_of, S_of, BUMP, BAND, shift)
+        assert np.abs(new - old).max() <= 1e-14 * M_PSI
+
+
+def test_mesh_sums_do_not_depend_on_blas_threads():
+    # One 2 x 2 mesh on a rule of 21,001 nodes, which one block would hold
+    # whole.  OpenBLAS splits a dot product of more than 10,000 elements
+    # across threads and regroups its sum, so the mesh route caps its node
+    # blocks at DOT_NODES; without the cap these bytes differ between one
+    # BLAS thread and two.
+    src = str(Path(quadrature.__file__).resolve().parents[1])
+    code = ("import numpy as np\n"
+            "from concave_phase_lab.quadrature import _rule_nodes, two_phase_batch\n"
+            "from concave_phase_lab.spectral import BUMP\n"
+            "P, T = np.array([[-1.3e4], [1.4e4]]), np.array([[0.0, 10.0]])\n"
+            "assert _rule_nodes(1.4e4 * 1.5 + 10.0 * (2 ** 0.5 - 0.5 ** 0.5)) > 20_000\n"
+            "out = two_phase_batch(P, T, lambda v: v, lambda v: v ** 0.5, BUMP, (0.5, 2.0))\n"
+            "print(out.tobytes().hex())\n")
+    base = dict(os.environ)
+    base["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([base["PYTHONPATH"]] if base.get("PYTHONPATH") else []))
+    base.pop("OPENBLAS_NUM_THREADS", None)
+    outputs = []
+    for blas_threads in ("1", None):
+        env = dict(base)
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        outputs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                      capture_output=True, text=True, timeout=120).stdout)
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
 def test_batch_rule_mesh_row_groups_match_flat(monkeypatch):
     # 150 x 64 points > BUCKET: rows are sorted by |P| into groups of
     # BUCKET // 64 rows, each with its own rule.  Rows come in shuffled |P|
@@ -460,7 +524,8 @@ def test_mesh_builds_one_e_col_per_node_count(monkeypatch):
     # A vertical rung of 121 positions x 257 times goes into groups of
     # BUCKET // 257 rows by |P|.  Near x = 0 several groups get the node
     # floor; groups with one node count must share one column factor E_col
-    # per block of CHUNK_ELEMS // (first group's rows + columns) nodes.
+    # per block of CHUNK_ELEMS // (first group's rows + columns) nodes, at most
+    # DOT_NODES.
     expected, e_cols, groups, counts = [0], [0], [0], [0]
     mesh_batch, unit_phase = quadrature._mesh_batch, quadrature._unit_phase
 
@@ -471,7 +536,8 @@ def test_mesh_builds_one_e_col_per_node_count(monkeypatch):
         widths = [np.abs(P.ravel()[order[i:i + per_group]]).max() * spanL
                   + np.abs(T).max() * spanS for i in range(0, P.size, per_group)]
         nodes = {max(quadrature.N_MIN, int(np.ceil(w)) | 1) for w in widths}
-        block = quadrature.CHUNK_ELEMS // (min(per_group, P.size) + T.size)
+        block = min(quadrature.DOT_NODES,
+                    quadrature.CHUNK_ELEMS // (min(per_group, P.size) + T.size))
         expected[0] += sum(-(-n // block) for n in nodes)
         counts[0] += len(nodes)
         groups[0] += len(widths)

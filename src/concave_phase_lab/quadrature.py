@@ -477,5 +477,6 @@ def _mesh_batch(rows, T, shift, runs, L_of, S_of, amplitude, a, b):
             e_col = _unit_phase(T, S[sl], shift, L[sl])
             e_col *= amp_w[sl]
             for _, idx in run:
-                sums[idx] += np.vecdot(_unit_phase(rows[idx], L[sl]).conj(), e_col)
+                e_row = _unit_phase(rows[idx], L[sl])
+                sums[idx] += np.vecdot(np.conjugate(e_row, out=e_row), e_col)
     return sums

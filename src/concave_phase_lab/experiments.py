@@ -611,6 +611,8 @@ MAX_PROPAGATE_NODES = 2 ** 26
 def _run_propagate(cfg):
     if not (math.isfinite(cfg.lam) and cfg.lam >= 1):
         raise ValueError(f"propagate needs a finite scale lam >= 1, got {cfg.lam}")
+    if not math.isfinite(cfg.t):
+        raise ValueError(f"propagate needs a finite time t, got {cfg.t}")
     if cfg.family not in _FAMILIES:
         raise ValueError(f"unknown family {cfg.family!r}; expected one of "
                          f"{sorted(_FAMILIES)}")

@@ -424,9 +424,12 @@ def test_cli_refuses_depths_and_ladders_before_quadrature(tmp_path, capsys, monk
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("lam", ["nan", "inf", "-inf", "-4", "0", "0.5"])
-def test_propagate_refuses_bad_scales_before_quadrature(tmp_path, capsys, monkeypatch,
-                                                        lam):
+@pytest.mark.parametrize("key,value,fragment", [
+    *(("lam", lam, "lam >= 1") for lam in ("nan", "inf", "-inf", "-4", "0", "0.5")),
+    *(("t", t, "finite time t") for t in ("nan", "inf", "-inf")),
+])
+def test_propagate_refuses_bad_points_before_quadrature(tmp_path, capsys, monkeypatch,
+                                                        key, value, fragment):
     # every family, the band one included, which does not read lam
     def spy(*args, **kwargs):
         raise AssertionError("no quadrature may run")
@@ -434,12 +437,12 @@ def test_propagate_refuses_bad_scales_before_quadrature(tmp_path, capsys, monkey
     for name in ("integrate", "oracle_integrate", "two_phase_batch"):
         monkeypatch.setattr(spectral, name, spy)
     for family in experiments._FAMILIES:
-        code = cli_main(["propagate", "--family", family, "--lam", lam,
+        code = cli_main(["propagate", "--family", family, f"--{key}", value,
                          "--out-dir", str(tmp_path)])
         assert code == 2
         record = json.loads(capsys.readouterr().err)
         assert record["error"]["type"] == "ValueError"
-        assert "lam >= 1" in record["error"]["message"]
+        assert fragment in record["error"]["message"]
     assert not list(tmp_path.iterdir())
 
 

@@ -153,6 +153,9 @@ _AUTO = {
 def resolve_config(config: RunConfig) -> RunConfig:
     if config.experiment not in _AUTO:
         raise ValueError(f"unknown experiment: {config.experiment!r}")
+    for f in fields(config):   # before any pipeline computes with a NaN or inf
+        if f.type == "float" and not math.isfinite(getattr(config, f.name)):
+            raise ValueError(f"{f.name} must be finite, got {getattr(config, f.name)}")
     auto = {key: value for key, value in _AUTO[config.experiment].items()
             if getattr(config, key) == 0}
     if not config.out_dir:
@@ -609,10 +612,8 @@ MAX_PROPAGATE_NODES = 2 ** 26
 
 
 def _run_propagate(cfg):
-    if not (math.isfinite(cfg.lam) and cfg.lam >= 1):
-        raise ValueError(f"propagate needs a finite scale lam >= 1, got {cfg.lam}")
-    if not math.isfinite(cfg.t):
-        raise ValueError(f"propagate needs a finite time t, got {cfg.t}")
+    if not cfg.lam >= 1:
+        raise ValueError(f"propagate needs a scale lam >= 1, got {cfg.lam}")
     if cfg.family not in _FAMILIES:
         raise ValueError(f"unknown family {cfg.family!r}; expected one of "
                          f"{sorted(_FAMILIES)}")

@@ -6,24 +6,22 @@ Two independent evaluation routes for integrals of the form
 
 with a smooth compactly supported amplitude and a real phase:
 
-* :func:`integrate` -- the fast path: the interval is seeded with cells small
-  enough that the sampled phase varies by at most ~2*pi per cell, each cell
-  is handled by a nested Gauss-Kronrod 7/15 rule (vectorized across cells),
-  and the worst cells are bisected until the Kronrod error estimate meets
-  max(``ABS_TOL``, ``REL_TOL``*|I|), within ``MAX_SUBDIVISIONS`` bisections.
-  A phase that needs more than ``MAX_CELLS`` starting cells (about 1e5 rad of
-  sampled variation) raises :class:`ResolutionLimitError` before any cell is
-  laid out.
+* :func:`integrate` -- single values: the batch rule below, doubled until
+  two successive trapezoid sums agree.  Its contract is a real amplitude
+  that vanishes with all its derivatives at both ends and a phase with a
+  monotone derivative.  Its reach is a first comparison of ``N_MAX`` nodes,
+  about 1e6 rad of sampled phase variation.
 * :func:`oracle_integrate` -- the deliberately naive cross-check: a single
   composite Simpson rule on a dense uniform grid.  Slow, simple, trustworthy.
   It keeps the last grid and amplitude * weights, so a sweep of phases
   against one amplitude evaluates the amplitude once.
 
-The two routes share no code beyond function evaluation, so their agreement is
-a meaningful certificate.  ``spectral.propagate`` settles non-stationary band
+:func:`integrate` and the batch routes share one rule; the oracle shares no
+code with either beyond function evaluation, so their agreement is a
+meaningful certificate.  ``spectral.propagate`` settles non-stationary band
 integrals before it calls :func:`integrate`, with an integration-by-parts
-bound that meets this engine's ``ABS_TOL``; the generic callable API here does
-not, since only the band form knows its phase slope in closed form.
+bound that meets ``ABS_TOL``; the generic callable API here does not, since
+only the band form knows its phase slope in closed form.
 
 A third entry point, :func:`two_phase_batch`, evaluates whole families of
 integrals whose phases are linear combinations ``(P + shift)*L(v) + T*S(v)``
@@ -100,15 +98,15 @@ class InvalidIntegrandError(QuadratureError):
 
 
 class ResolutionLimitError(QuadratureError):
-    """A rule would need more than ``N_MAX`` batch nodes or ``MAX_CELLS``
-    starting cells of the adaptive engine."""
+    """A rule, or the first comparison of :func:`integrate`, would need more
+    than ``N_MAX`` trapezoid nodes."""
 
 
 class ToleranceNotMetError(QuadratureError):
-    """The adaptive engine ran out of subdivisions.
+    """:func:`integrate` reached ``N_MAX`` nodes before two sums agreed.
 
-    Carries the best estimate and its error bound so callers can decide
-    whether the partial result is still usable.
+    Carries the finest sum and the difference from the one before it, so
+    callers can decide whether the partial result is still usable.
     """
 
     def __init__(self, message: str, estimate: complex, error_bound: float):
@@ -117,144 +115,68 @@ class ToleranceNotMetError(QuadratureError):
         self.error_bound = error_bound
 
 
-# The adaptive engine's target |error| <= max(ABS_TOL, REL_TOL*|I|), its cell
-# bisections before ToleranceNotMetError, and its most starting cells, past
-# which it raises ResolutionLimitError: cells of ~2*pi over 128 segments hold
-# a sampled variation of about 2*pi*(16,384 - 128) = 1.0e5 rad.
+# Target of integrate: successive sums within max(ABS_TOL, REL_TOL*|I|).
 REL_TOL = 1e-8
 ABS_TOL = 1e-12
-MAX_SUBDIVISIONS = 50_000
-MAX_CELLS = 16_384
 
 
-# Gauss-Kronrod 7/15 on [-1, 1]: Kronrod nodes (odd indices are the embedded
-# Gauss-7 nodes), Kronrod weights, Gauss-7 weights.
-_XK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
-])
-_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_WG = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
-
-
-def _eval_cells(amplitude, phase, lo, hi):
-    """Gauss-Kronrod 7/15 on each cell [lo_i, hi_i]; returns (values, errors)."""
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * _XK[None, :]
-    amp = np.asarray(amplitude(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    ph = np.asarray(phase(nodes.ravel()), dtype=float).reshape(nodes.shape)
-    if not (np.all(np.isfinite(amp)) and np.all(np.isfinite(ph))):
+def _weighted_sum(amp_w, phase, v):
+    """``sum(amp_w * exp(i*phase(v)))``, refusing non-finite factors."""
+    ph = np.asarray(phase(v), dtype=float)
+    if not (np.all(np.isfinite(amp_w)) and np.all(np.isfinite(ph))):
         raise InvalidIntegrandError("integrand produced non-finite values")
-    f = amp * np.exp(1j * ph)
-    k15 = (f * _WK[None, :]).sum(axis=1) * half
-    g7 = (f[:, 1::2] * _WG[None, :]).sum(axis=1) * half
-    return k15, np.abs(k15 - g7)
-
-
-def _seed_cells(phase, a, b):
-    """Split [a,b] so the sampled phase varies by <= ~2*pi per cell.
-
-    Each of 128 equal segments gets ceil(dphi/2pi) + 1 equal cells for its
-    sampled phase change dphi.  The cell count is summed in floats, so it
-    cannot wrap, and past ``MAX_CELLS`` it raises :class:`ResolutionLimitError`
-    before any edge is laid out.  Segment i's edges xs[i] + step_i * k,
-    k = 1..c_i, are built for all segments in one pass.
-    """
-    xs = np.linspace(a, b, 129)
-    ph = np.asarray(phase(xs), dtype=float)
-    if not np.all(np.isfinite(ph)):
-        raise InvalidIntegrandError("phase produced non-finite values")
-    dph = np.abs(np.diff(ph))
-    counts = np.ceil(dph / (2.0 * np.pi)) + 1.0
-    if not counts.sum() <= MAX_CELLS:
-        raise ResolutionLimitError(
-            f"sampled phase variation {dph.sum():.6g} rad needs {counts.sum():.6g} "
-            f"starting cells, more than MAX_CELLS = {MAX_CELLS}")
-    counts = counts.astype(int)
-    starts = np.repeat(np.cumsum(counts) - counts, counts)
-    offsets = np.arange(1, len(starts) + 1) - starts
-    steps = np.diff(xs) / counts
-    edges = np.concatenate(([a], np.repeat(xs[:-1], counts)
-                                 + np.repeat(steps, counts) * offsets))
-    edges[-1] = b
-    return edges
+    return complex(np.sum(amp_w * np.exp(1j * ph)))
 
 
 def integrate(amplitude, phase, interval) -> complex:
-    """Adaptive Gauss-Kronrod evaluation of ``int amp * exp(i*phase)``.
+    """Nested trapezoid value of ``int amplitude * exp(i*phase)`` on ``interval``.
 
-    Parameters
-    ----------
-    amplitude : callable
-        Vectorised and real-valued on the interval, e.g. ``spectral.BUMP``
-        on ``spectral.BUMP_SUPPORT``.
-    phase : callable
-        Real-valued; evaluated only inside the interval.
-    interval : (float, float)
+    The first sum is ``_batch_rule``'s for the phase variation W sampled at
+    129 points; each pass adds the midpoints of the last, and the finer sum
+    is returned once two successive sums differ by at most
+    max(``ABS_TOL``, ``REL_TOL``*|I|).  Contract, met by every caller: the
+    amplitude is real and vanishes with all its derivatives at both ends
+    (``spectral.BUMP``, ``BUMP_SQUARED``, the Sobolev weight), and the phase
+    has a monotone derivative, so 129 samples give W.  Under it the
+    difference bounds the coarser sum's error (module docstring).
 
-    Returns
-    -------
-    complex
-
-    Raises
-    ------
-    InvalidIntegrandError
-        On NaN/inf from either factor.
-    ResolutionLimitError
-        If the phase needs more than ``MAX_CELLS`` starting cells.
-    ToleranceNotMetError
-        If ``MAX_SUBDIVISIONS`` bisections do not meet the tolerance.
+    Raises :class:`InvalidIntegrandError` on NaN/inf from either factor,
+    :class:`ResolutionLimitError` before the amplitude is evaluated if the
+    first comparison needs more than ``N_MAX`` nodes, and
+    :class:`ToleranceNotMetError` if the sums still differ when the next pass
+    would exceed ``N_MAX``.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (np.isfinite(a) and np.isfinite(b)):
         raise ValueError("interval must be bounded")
     if b <= a:
         return 0.0 + 0.0j
-    edges = _seed_cells(phase, a, b)
-    lo, hi = edges[:-1], edges[1:]
-    vals, errs = _eval_cells(amplitude, phase, lo, hi)
-    splits = 0
+    ph = np.asarray(phase(np.linspace(a, b, 129)), dtype=float)
+    if not np.all(np.isfinite(ph)):
+        raise InvalidIntegrandError("phase produced non-finite values")
+    w = float(np.abs(np.diff(ph)).sum())
+    n = float(_rule_nodes(w))
+    if not 2.0 * n - 1.0 <= N_MAX:
+        raise ResolutionLimitError(
+            f"sampled phase variation {w:.6g} rad needs {2.0 * n - 1.0:.6g} trapezoid "
+            f"nodes for two sums, more than N_MAX = {N_MAX}")
+    n = int(n)
+    v, amp_w = _batch_rule(w, amplitude, a, b)
+    total = _weighted_sum(amp_w, phase, v)
     while True:
-        total = vals.sum()
-        err = errs.sum()
-        tol = max(ABS_TOL, REL_TOL * abs(total))
-        if err <= tol:
-            return complex(total)
-        # bisect every cell holding more than its share of the error budget
-        bad = errs > tol / max(len(errs), 1)
-        n_bad = int(bad.sum())
-        if n_bad == 0:
-            bad = errs == errs.max()
-            n_bad = int(bad.sum())
-        if splits + n_bad > MAX_SUBDIVISIONS:
+        h = (b - a) / (n - 1)
+        mid = np.linspace(a + 0.5 * h, b - 0.5 * h, n - 1)
+        amp_w = np.asarray(amplitude(mid), dtype=float) * (0.5 * h)
+        finer = 0.5 * total + _weighted_sum(amp_w, phase, mid)
+        err = abs(finer - total)
+        if err <= max(ABS_TOL, REL_TOL * abs(finer)):
+            return finer
+        n = 2 * n - 1
+        total = finer
+        if 2 * n - 1 > N_MAX:
             raise ToleranceNotMetError(
-                f"tolerance not met after {splits} subdivisions "
-                f"(estimate {total!r}, error bound {err:.3e})",
-                complex(total), float(err))
-        splits += n_bad
-        blo, bhi = lo[bad], hi[bad]
-        bmid = 0.5 * (blo + bhi)
-        nlo = np.concatenate([lo[~bad], blo, bmid])
-        nhi = np.concatenate([hi[~bad], bmid, bhi])
-        nvals, nerrs = _eval_cells(amplitude, phase, nlo[len(lo[~bad]):],
-                                   nhi[len(hi[~bad]):])
-        vals = np.concatenate([vals[~bad], nvals])
-        errs = np.concatenate([errs[~bad], nerrs])
-        lo, hi = nlo, nhi
+                f"sums still differ by {err:.3e} at {n} nodes, and the next pass would "
+                f"exceed N_MAX = {N_MAX} (estimate {finer!r})", finer, err)
 
 
 def oracle_integrate(amplitude, phase, interval, node_count: int = 1_000_001) -> complex:
@@ -345,13 +267,16 @@ def batch_work(P, T, L_of, S_of, interval, shift=0.0) -> float:
     nodes and k points (rows on the mesh route) costs N*(c + (1 +
     ``CONTRACT_WEIGHT``*c)*k), c the column count on the mesh route (N*c
     exponentials for ``E_col``, and per row N for ``E_row`` and N*c
-    multiply-adds) and 0 on the flat route (N exponentials per point)."""
+    multiply-adds) and 0 on the flat route (N exponentials per point).
+    Work past the float range counts as inf, without a warning, so that a
+    caller's budget refuses it."""
     P, T, shift = (np.asarray(c, dtype=float) for c in (P, T, shift))
     spans = [float(np.ptp(f(np.asarray(interval, dtype=float)))) for f in (L_of, S_of)]
-    *_, c, runs = _plan(P, T, shift, *spans)
-    return float(sum(_rule_nodes(run[-1][0]) * (c + (1 + CONTRACT_WEIGHT * c)
-                                                * sum(len(idx) for _, idx in run))
-                     for run in runs))
+    with np.errstate(over="ignore", invalid="ignore"):
+        *_, c, runs = _plan(P, T, shift, *spans)
+        return float(sum(_rule_nodes(run[-1][0]) * (c + (1 + CONTRACT_WEIGHT * c)
+                                                    * sum(len(idx) for _, idx in run))
+                         for run in runs))
 
 
 def _batch_rule(w_max, amplitude, a, b):

@@ -10,20 +10,22 @@ against the squared bump at a single dyadic scale.
 Every frequency integral here reduces to the fixed band [1/2, 2] by the
 substitution v = scale*xi + shift, after which the phase is a two-term
 combination P*L(v) + T*S(v) of a linear and a concave-power profile.  Single
-contract-grade values go through the adaptive engine; grid scans go through
-the batch rule, whose mesh route evaluates an x-by-column mesh separably.  The
-raw-variable oracle route (dense Simpson in xi, unimodular factors kept
-inside the amplitude) is retained as an independent cross-check.
+values go through ``quadrature.integrate``, the batch rule doubled until two
+sums agree; grid scans go through the batch rule itself, whose mesh route
+evaluates an x-by-column mesh separably.  The raw-variable oracle route
+(dense Simpson in xi, unimodular factors kept inside the amplitude) is
+retained as an independent cross-check.
 
-Ahead of the adaptive engine, :func:`propagate` tries an integration-by-parts
+Ahead of ``integrate``, :func:`propagate` tries an integration-by-parts
 certificate.  Its phase slope phi' is monotone on the band, so when phi' has
 one sign at both ends the band integral is bounded by B_k = int |D^k a| dv,
 D f = (f/phi')', for k = 1..8 (every boundary term vanishes on the flat-ended
-bump).  When some B_k meets ``quadrature.ABS_TOL``, the engine's own
-absolute tolerance, the value is 0 with that error bound.  Otherwise the
-engine integrates as before.  On 180 calls on the CLI data families it
-settles the 53 with min |phi'| >= 1.27e3 in under a millisecond each, among
-them the 28 that the engine gives up on after 50,000 bisections.
+bump).  When some B_k meets ``quadrature.ABS_TOL``, the absolute tolerance
+of ``integrate``, the value is 0 with that error bound.  Otherwise
+``integrate`` runs.  On 180 calls on the CLI data families it settles the 53
+with min |phi'| >= 1.27e3 in under a millisecond each; ``integrate`` would
+take up to 0.14 s on 46 of them (W up to 9.8e5 rad) and refuse the other 7
+(W from 1.5e6 rad) past ``N_MAX``.
 """
 from __future__ import annotations
 
@@ -83,10 +85,10 @@ def BUMP_SQUARED(xi):
 # ch. VIII).  D^k a is taken exactly in truncated Taylor arithmetic (Griewank &
 # Walther 2008, ch. 13) at the midpoints of _IBP_NODES cells of the band, and
 # B_k is their midpoint sum, for k up to _IBP_ORDER.  On the 28 CLI-family
-# calls that `integrate` gives up on (min |phi'| from 3.6e3 to 1.6e7), the
-# certificate stops at k = 2..5 with B_k <= 8.5e-13, and B_k on these 1,025
-# nodes is within 6.3e-4 relative of B_k on 30,001 nodes.  Calls with smaller
-# slopes need higher k: k = 8 settles one at min |phi'| = 1.27e3.
+# calls with min |phi'| from 3.6e3 to 1.6e7, the certificate stops at
+# k = 2..5 with B_k <= 8.5e-13, and B_k on these 1,025 nodes is within 6.3e-4
+# relative of B_k on 30,001 nodes.  Calls with smaller slopes need higher k:
+# k = 8 settles one at min |phi'| = 1.27e3.
 _IBP_ORDER = 8
 _IBP_NODES = 1025
 
@@ -290,13 +292,14 @@ def propagate(datum: FourierDatum, m: float, x: float, t: float,
     x, t : float
         Space-time point.
     method : {"adaptive", "oracle"}
-        "adaptive" substitutes v = scale*xi + shift and runs the fast engine
-        on the fixed band, unless the band phase is non-stationary and an
-        integration-by-parts bound B_k (module docstring) meets the engine's
-        absolute tolerance ``quadrature.ABS_TOL``: then the value is 0,
-        with |band integral| <= B_k <= ``ABS_TOL``.  "oracle" runs dense
-        Simpson in the raw frequency variable with the datum's phase kept
-        inside the amplitude.  The two share no reduction steps.
+        "adaptive" substitutes v = scale*xi + shift and runs
+        ``quadrature.integrate`` on the fixed band, unless the band phase is
+        non-stationary and an integration-by-parts bound B_k (module
+        docstring) meets its absolute tolerance ``quadrature.ABS_TOL``: then
+        the value is 0, with |band integral| <= B_k <= ``ABS_TOL``.
+        "oracle" runs dense Simpson in the raw frequency variable with the
+        datum's phase kept inside the amplitude.  The two share no reduction
+        steps.
 
     Returns
     -------

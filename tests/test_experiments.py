@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -392,7 +393,7 @@ def test_cli_refuses_ladders_outside_budget(tmp_path, capsys, monkeypatch, argv,
                  id="envelope-ratio1"),
     pytest.param(["kernel-envelope", "--lam-ratio", "0.5"], "increasing",
                  id="envelope-ratio0.5"),
-    pytest.param(["kernel-envelope", "--lam-ratio", "nan"], "increasing",
+    pytest.param(["kernel-envelope", "--lam-ratio", "nan"], "lam_ratio must be finite",
                  id="envelope-ratio-nan"),
     pytest.param(["kernel-envelope", "--lam-ratio", "1e300"], "finite",
                  id="envelope-ratio1e300"),
@@ -425,8 +426,9 @@ def test_cli_refuses_depths_and_ladders_before_quadrature(tmp_path, capsys, monk
 
 
 @pytest.mark.parametrize("key,value,fragment", [
-    *(("lam", lam, "lam >= 1") for lam in ("nan", "inf", "-inf", "-4", "0", "0.5")),
-    *(("t", t, "finite time t") for t in ("nan", "inf", "-inf")),
+    *(("lam", lam, "lam >= 1") for lam in ("-4", "0", "0.5")),
+    *((key, value, f"{key} must be finite") for key in ("lam", "t")
+      for value in ("nan", "inf", "-inf")),
 ])
 def test_propagate_refuses_bad_points_before_quadrature(tmp_path, capsys, monkeypatch,
                                                         key, value, fragment):
@@ -446,6 +448,42 @@ def test_propagate_refuses_bad_points_before_quadrature(tmp_path, capsys, monkey
     assert not list(tmp_path.iterdir())
 
 
+def _cli_quietly(argv):
+    """(exit code, stderr, warnings) of one CLI run, stdout discarded."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = cli_main(argv)
+    return code, stderr.getvalue(), caught
+
+
+def test_cli_refuses_non_finite_floats_quietly(tmp_path):
+    # every float setting of every pipeline, NaN or infinite: exit 2 with one
+    # JSON record and no warning before it, whether the pipeline reads it or not
+    floats = [f.name for f in fields(RunConfig) if f.type == "float"]
+    values = ["nan", "inf", "-inf"]
+    cases = [(experiment, key) for experiment in sorted(PIPELINES) for key in floats]
+    for i, (experiment, key) in enumerate(cases):
+        value = values[i % len(values)]
+        code, err, caught = _cli_quietly([experiment, f"--{key}={value}",
+                                          "--out-dir", str(tmp_path)])
+        assert code == 2 and not caught, (experiment, key, value)
+        assert json.loads(err)["error"]["message"] == f"{key} must be finite, got {value}"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("t", ["1e308", "-1e308"])
+def test_propagate_node_budget_refuses_huge_times_quietly(tmp_path, t):
+    # the work count overflows to inf without a warning, and the budget refuses it
+    for family in experiments._FAMILIES:
+        code, err, caught = _cli_quietly(["propagate", "--family", family, "--t", t,
+                                          "--out-dir", str(tmp_path)])
+        assert code == 2 and not caught, family
+        assert "trapezoid nodes, got inf" in json.loads(err)["error"]["message"]
+    assert not list(tmp_path.iterdir())
+
+
 def _strict_json(text):
     """``json.loads`` that refuses NaN, Infinity and -Infinity."""
     def refuse(constant):
@@ -454,11 +492,11 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
-@pytest.mark.parametrize("argv", [["cantor", "--theta", "nan"],
-                                  ["covering", "--eps", "inf"],
-                                  ["exponent-table", "--m", "-inf"]])
+@pytest.mark.parametrize("argv", [["frostman", "--alpha", "5e-324"],
+                                  ["frostman", "--alpha", "1e-320"],
+                                  ["frostman", "--alpha", "1e-310"]])
 def test_cli_refuses_reports_that_are_not_strict_json(tmp_path, capsys, argv):
-    # each pipeline echoes its whole config, read or not
+    # finite settings, but 2*3^alpha/alpha of a subnormal alpha overflows to inf
     assert cli_main([*argv, "--out-dir", str(tmp_path)]) == 2
     record = _strict_json(capsys.readouterr().err)
     assert "strict JSON" in record["error"]["message"]

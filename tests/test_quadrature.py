@@ -1,4 +1,4 @@
-"""Oscillatory quadrature: adaptive engine, Simpson oracle, batch rule."""
+"""Oscillatory quadrature: nested trapezoid engine, Simpson oracle, batch rule."""
 import json
 import os
 import subprocess
@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from concave_phase_lab import experiments, quadrature
@@ -101,103 +101,65 @@ def test_invalid_integrand_rejected():
         integrate(bad, _zero_phase, BAND)
 
 
-def test_tolerance_failure_carries_partial_result(monkeypatch):
-    # a kink of 1.5e4 rad, well inside MAX_CELLS, at an absurd tolerance and
-    # a budget of four bisections
-    monkeypatch.setattr(quadrature, "REL_TOL", 1e-16)
-    monkeypatch.setattr(quadrature, "ABS_TOL", 1e-300)
-    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 4)
-    with pytest.raises(ToleranceNotMetError) as err:
-        integrate(BUMP, lambda v: 1e4 * np.abs(v - 1.1), BAND)
-    assert np.isfinite(err.value.estimate.real)
-    assert err.value.error_bound > 0
+def test_tolerance_failure_carries_partial_result():
+    # a jump at v = 1.1 leaves every trapezoid sum O(h) off, so successive
+    # sums never agree within max(ABS_TOL, REL_TOL*|I|); when the next pass
+    # would exceed N_MAX the engine refuses with its finest sum and the
+    # difference from the sum before it
+    step = lambda v: BUMP(v) * (np.asarray(v) < 1.1)
+    with pytest.raises(ToleranceNotMetError, match="N_MAX") as err:
+        integrate(step, _zero_phase, BAND)
+    estimate, bound = err.value.estimate, err.value.error_bound
+    assert np.isfinite(estimate.real) and np.isfinite(estimate.imag)
+    assert 0 < bound < 1e-5
+    ref = oracle_integrate(BUMP, _zero_phase, (BAND[0], 1.1), node_count=200_001)
+    assert abs(estimate - ref) < 1e-5
 
 
 @pytest.mark.parametrize("scale", [1e6, 1e19, 1e20, 1e21])
-def test_integrate_refuses_past_the_cell_limit(monkeypatch, scale):
-    # W = 1.5*scale rad, past MAX_CELLS (about 1e5 rad): a typed refusal
-    # before any cell is laid out or evaluated.  At 1e20 and 1e21 an int64
-    # cell count wraps, which once skipped a cap or sized a negative array.
-    def never(*args):
-        raise AssertionError("no cell may be evaluated past MAX_CELLS")
+def test_integrate_refuses_past_the_cell_limit(scale):
+    # W = 1.5*scale rad: the first comparison needs 2W + 1 nodes (2W cells),
+    # past N_MAX from about 1.05e6 rad; a typed refusal before the amplitude
+    # is evaluated.  At 1e20 and 1e21 an int64 node count would wrap.
+    def never(v):
+        raise AssertionError("no amplitude may be evaluated past N_MAX")
 
-    monkeypatch.setattr(quadrature, "_eval_cells", never)
-    with pytest.raises(ResolutionLimitError, match="MAX_CELLS = 16384") as err:
-        integrate(BUMP, lambda v: scale * v, BAND)
+    with pytest.raises(ResolutionLimitError, match=f"N_MAX = {quadrature.N_MAX}") as err:
+        integrate(never, lambda v: scale * v, BAND)
     assert isinstance(err.value, QuadratureError)
 
 
-def test_seed_cells_limit_is_inclusive():
-    # a linear phase of 126.5 turns per coarse segment seeds 128 * 128 =
-    # MAX_CELLS cells (W = 1.02e5 rad); 127.5 turns would seed 16,512
-    step = (BAND[1] - BAND[0]) / 128
-    at, past = (lambda v, c=2.0 * np.pi * turns / step: c * v for turns in (126.5, 127.5))
-    assert len(quadrature._seed_cells(at, *BAND)) == quadrature.MAX_CELLS + 1
-    with pytest.raises(ResolutionLimitError, match="needs 16512 starting cells"):
+def test_integrate_node_limit_is_inclusive(monkeypatch):
+    # at N_MAX = 1025, W = 512.5 rad starts on 513 nodes and compares at
+    # 1025, the limit itself; W = 513.5 rad would compare at 1029
+    monkeypatch.setattr(quadrature, "N_MAX", 1025)
+    at, past = (lambda v, c=w / 1.5: c * v for w in (512.5, 513.5))
+    ref = oracle_integrate(BUMP, at, BAND, node_count=8 * 513 + 20_001)
+    assert abs(integrate(BUMP, at, BAND) - ref) <= 1e-13
+    with pytest.raises(ResolutionLimitError, match="needs 1029 trapezoid nodes"):
         integrate(BUMP, past, BAND)
 
 
-def _seed_cells_loop(phase, a, b, n_coarse=129):
-    """Reference for ``quadrature._seed_cells``: its cells, one segment at a
-    time, or None past ``MAX_CELLS``."""
-    xs = np.linspace(a, b, n_coarse)
-    dph = np.abs(np.diff(np.asarray(phase(xs), dtype=float)))
-    counts = np.ceil(dph / (2.0 * np.pi)).astype(int) + 1
-    if counts.sum() > quadrature.MAX_CELLS:
-        return None
-    edges = [a]
-    for i, c in enumerate(counts):
-        step = (xs[i + 1] - xs[i]) / c
-        edges.extend(xs[i] + step * np.arange(1, c + 1))
-    edges = np.asarray(edges)
-    edges[-1] = b
-    return edges
+def test_integrate_meets_abs_tol_at_1e5_rad():
+    # a linear phase of W = 1e5 rad: the bump's Fourier transform is far
+    # below roundoff there, so |I| is the engine's error
+    c = 1e5 / (BAND[1] - BAND[0])
+    assert abs(integrate(BUMP, lambda v: c * v, BAND)) <= quadrature.ABS_TOL
 
 
-def _assert_seeding_matches_loop(phase, a, b):
-    reference = _seed_cells_loop(phase, a, b)
-    if reference is None:
-        with pytest.raises(ResolutionLimitError, match="MAX_CELLS"):
-            quadrature._seed_cells(phase, a, b)
-        return None
-    edges = quadrature._seed_cells(phase, a, b)
-    assert np.array_equal(edges, reference)
-    assert edges[0] == a and edges[-1] == b
-    assert np.all(np.diff(edges) > 0)
-    return edges
-
-
-def test_seed_cells_zero_phase_is_one_cell_per_segment():
-    edges = _assert_seeding_matches_loop(_zero_phase, *BAND)
-    assert len(edges) == 129
-
-
-@settings(max_examples=200, deadline=None)
-@given(P=st.floats(-1e5, 1e5), T=st.floats(-1e5, 1e5), m=st.floats(0.1, 0.9))
-def test_seed_cells_matches_the_segment_loop(P, T, m):
-    # W = |P|*1.5 + |T|*(2^m - 0.5^m) reaches past MAX_CELLS (about 1e5 rad),
-    # so refusals are drawn too
-    _assert_seeding_matches_loop(lambda v: P * v + T * np.abs(v) ** m, *BAND)
-
-
-@pytest.mark.parametrize("height", [1e3, 1e5])
-def test_seed_cells_phase_change_in_one_segment(height):
-    # almost all of the phase variation inside one coarse segment; at the
-    # larger height the counts pass MAX_CELLS and the seeding refuses
-    h = (BAND[1] - BAND[0]) / 128
-    centre = BAND[0] + 77.3 * h
-
-    def phase(v):
-        return height * np.arctan((np.asarray(v) - centre) / (1e-3 * h))
-
-    dph = np.abs(np.diff(phase(np.linspace(*BAND, 129))))
-    assert dph.max() > 0.99 * dph.sum()
-    edges = _assert_seeding_matches_loop(phase, *BAND)
-    cells = int((np.ceil(dph / (2.0 * np.pi)) + 1).sum())
-    if height < 1e4:
-        assert len(edges) - 1 == cells <= quadrature.MAX_CELLS
-    else:
-        assert cells > quadrature.MAX_CELLS and edges is None
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(P=st.floats(-1e4, 1e4), T=st.floats(-1e4, 1e4), m=st.floats(0.1, 0.9),
+       v0=st.none() | st.floats(*BAND))
+def test_integrate_matches_a_sized_oracle(P, T, m, v0):
+    # band phases P*v + T*v^m; with v0 drawn, P puts a stationary point at
+    # v0.  The oracle runs at least 8 Simpson nodes per radian of W.
+    if v0 is not None:
+        P = -T * m * v0 ** (m - 1.0)
+        assume(abs(P) <= 1e4)
+    phase = lambda v: P * v + T * v ** m
+    W = abs(P) * (BAND[1] - BAND[0]) + abs(T) * (BAND[1] ** m - BAND[0] ** m)
+    ref = oracle_integrate(BUMP, phase, BAND, node_count=int(8 * W) + 20_001)
+    assert abs(integrate(BUMP, phase, BAND) - ref) <= 1e-13
 
 
 def test_simpson_weights_structure():

@@ -218,8 +218,8 @@ def _min_slope(slopes):
 
 @pytest.fixture
 def integrate_spy(monkeypatch):
-    """Records each band integral that propagate hands to the adaptive engine;
-    with ``run=False`` the engine is not run and the value is 0."""
+    """Records each band integral that propagate hands to ``integrate``; with
+    ``run=False`` the engine is not run and the value is 0."""
     seen = []
 
     def install(run):
@@ -231,14 +231,14 @@ def integrate_spy(monkeypatch):
     return install
 
 
-REFUSAL_SLOPE = 3.6e3   # smallest min|phi'| among the calls integrate gives up on
+REFUSAL_SLOPE = 3.6e3   # no CLI-family call with a min|phi'| this large reaches integrate
 
 
 @pytest.mark.parametrize("family", sorted(experiments._FAMILIES))
 def test_certificate_settles_non_stationary_cli_calls(family, integrate_spy):
     # propagate on the CLI families at lambda = 2^4..2^12 and eight (x, t)
-    # points; the engine is stubbed out, since a call it gives up on costs
-    # about 170 ms.  No call with min|phi'| >= 3.6e3 reaches it, and every
+    # points; the engine is stubbed out, since a call near its N_MAX reach
+    # costs up to 0.14 s.  No call with min|phi'| >= 3.6e3 reaches it, and every
     # settled call is 0 within abs_tol of the band integral: against the
     # oracle at 4 W + 10001 nodes wherever W <= 1e5 rad.
     seen = integrate_spy(run=False)

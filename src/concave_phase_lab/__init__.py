@@ -27,7 +27,7 @@ from .phase import (EnvelopeParams, check_kernel_envelope, envelope_J_curve,
 from .quadrature import (InvalidIntegrandError, QuadratureError, ResolutionLimitError,
                          ToleranceNotMetError, integrate, oracle_integrate,
                          two_phase_batch)
-from .spectral import (BUMP, BUMP_SUPPORT, FourierDatum, bump_profile, kernel_K,
-                       kernel_grid, propagate, propagate_grid, sobolev_norm)
+from .spectral import (BUMP, BUMP_SUPPORT, FourierDatum, bump_profile, kernel_grid,
+                       propagate, propagate_grid, sobolev_norm)
 
 __version__ = "0.1.0"

@@ -171,8 +171,6 @@ def resolve_config(config: RunConfig) -> RunConfig:
 class ScalingExperiment:
     """One fitted ladder: per-scale measurements plus the log-log line."""
 
-    name: str
-    parameters: dict
     lambdas: tuple
     values: tuple
     slope: float
@@ -180,7 +178,7 @@ class ScalingExperiment:
     r_squared: float
 
     @classmethod
-    def from_points(cls, name, parameters, lambdas, values):
+    def from_points(cls, lambdas, values):
         lambdas = tuple(float(v) for v in lambdas)
         values = tuple(float(v) for v in values)
         if len(lambdas) < 5:
@@ -190,8 +188,7 @@ class ScalingExperiment:
         if any(v <= 0 for v in values):
             raise ValueError("ladder values must be positive for a log-log fit")
         fit = fit_loglog(np.array(lambdas), np.array(values))
-        return cls(name, dict(parameters), lambdas, values,
-                   fit.slope, fit.intercept, fit.r_squared)
+        return cls(lambdas, values, fit.slope, fit.intercept, fit.r_squared)
 
 
 @dataclass(frozen=True)
@@ -271,7 +268,7 @@ def _grid(cfg, theta_per_component=2):
 _SUP_COLUMNS = ("lambda", "value", "hs_norm", "ratio")
 
 
-def _sup_ladder(name, params, rungs, rung, measure, q, s, fit_ratio=False):
+def _sup_ladder(rungs, rung, measure, q, s, fit_ratio=False):
     """Run a ladder of grid maxima and fit it.
 
     ``rung(item)`` gives (lambda, datum, per-cell maxima, cell edges, extra)
@@ -286,8 +283,7 @@ def _sup_ladder(name, params, rungs, rung, measure, q, s, fit_ratio=False):
               for p in points]
     hs = [sobolev_norm(p[1], s) for p in points]
     ratios = [v / h for v, h in zip(values, hs)]
-    exp = ScalingExperiment.from_points(name, params, lams,
-                                        ratios if fit_ratio else values)
+    exp = ScalingExperiment.from_points(lams, ratios if fit_ratio else values)
     hs_slope = fit_loglog(np.array(lams), np.array(hs)).slope
     rows = [{"lambda": lam, "value": v, "hs_norm": h, "ratio": r}
             for lam, v, h, r in zip(lams, values, hs, ratios)]
@@ -324,10 +320,7 @@ def _check_base_samples(name, cfg):
 def _run_kernel_envelope(cfg):
     report = check_kernel_envelope(cfg.variant, cfg.m, cfg.alpha, cfg.q,
                                    _ladder(cfg), eps=cfg.eps, grid_n=cfg.grid_n)
-    exp = ScalingExperiment.from_points(
-        "kernel-envelope", {"variant": cfg.variant, "m": cfg.m, "alpha": cfg.alpha,
-                            "q": cfg.q, "eps": cfg.eps},
-        report.lams, report.sup_ratios)
+    exp = ScalingExperiment.from_points(report.lams, report.sup_ratios)
     rows = [{"lambda": lam, "value": val}
             for lam, val in zip(exp.lambdas, exp.values)]
     tol = 0.05
@@ -358,11 +351,8 @@ def _run_sharpness_curve(cfg):
         sups = maximal_in_time(datum, cfg.m, curve, reps, grid, extra_t=t_w)
         return lam, datum, sups, edges, max(residual for _, residual in matched)
 
-    params = {"m": cfg.m, "alpha": cfg.alpha, "q": cfg.q, "kappa": cfg.kappa,
-              "theta": cfg.theta, "s": cfg.s}
     exp, hs_slope, rows, resids = _sup_ladder(
-        "sharpness-curve", params, _ladder(cfg), rung, AlphaMeasure(cfg.alpha),
-        cfg.q, cfg.s)
+        _ladder(cfg), rung, AlphaMeasure(cfg.alpha), cfg.q, cfg.s)
     resid_max = max(resids)
     predicted = -cfg.m * cfg.alpha / cfg.q
     hs_predicted = cfg.s - 0.5
@@ -395,11 +385,8 @@ def _run_sharpness_vertical(cfg):
         sups = maximal_in_time(datum, cfg.m, curve, reps, grid, extra_t=t_w[:, None])
         return lam, datum, sups, edges, None
 
-    params = {"alpha": cfg.alpha, "q": cfg.q, "m": cfg.m, "s": cfg.s,
-              "data": cfg.data}
     exp, hs_slope, rows, _ = _sup_ladder(
-        "sharpness-vertical", params, _ladder(cfg), rung, AlphaMeasure(cfg.alpha),
-        cfg.q, cfg.s)
+        _ladder(cfg), rung, AlphaMeasure(cfg.alpha), cfg.q, cfg.s)
     if cfg.data == "spatial":
         predicted = 1.0 - cfg.alpha / cfg.q
         passed = _within(exp.slope, predicted, 0.1)
@@ -439,10 +426,8 @@ def _run_sharpness_lines(cfg):
             values.append(sup)
         return lam, datum, values, edges, None
 
-    params = {"r": cfg.r, "beta": beta, "m": cfg.m, "q": cfg.q, "s": cfg.s}
     exp, hs_slope, rows, _ = _sup_ladder(
-        "sharpness-lines", params, range(1, cfg.k + 1), rung, AlphaMeasure(1.0),
-        cfg.q, cfg.s)
+        range(1, cfg.k + 1), rung, AlphaMeasure(1.0), cfg.q, cfg.s)
     predicted = 1.0 / cfg.m + beta / cfg.q - 1.0 / cfg.q
     hs_predicted = cfg.s / cfg.m + 1.0 / (2.0 * cfg.m)
     passed = (_within(exp.slope, predicted, 0.15)
@@ -466,10 +451,8 @@ def _run_proposition_lines(cfg):
                                   extra=extra)
         return lam, datum, sups, edges, None
 
-    params = {"m": cfg.m, "alpha": cfg.alpha, "q": cfg.q, "s_star": s_star}
     exp, _, rows, _ = _sup_ladder(
-        "proposition-lines", params, _ladder(cfg), rung, AlphaMeasure(cfg.alpha),
-        cfg.q, 0.0, fit_ratio=True)
+        _ladder(cfg), rung, AlphaMeasure(cfg.alpha), cfg.q, 0.0, fit_ratio=True)
     predicted = 0.5 - s_star
     passed = exp.slope <= predicted + 0.1
     return PipelineResult(exp, _SUP_COLUMNS, rows, predicted, 0.1, passed,
@@ -489,9 +472,7 @@ def _run_covering(cfg):
         raise ValueError("covering ladder too short; increase k")
     counts = [covering_number(intervals, 2.0 ** (-expo * j)) for j in js]
     freqs = [2.0 ** j for j in js]
-    params = {"r": cfg.r, "k": cfg.k, "m": cfg.m, "alpha": cfg.alpha,
-              "q": cfg.q, "s_star": s_star, "beta": beta}
-    exp = ScalingExperiment.from_points("covering", params, freqs, counts)
+    exp = ScalingExperiment.from_points(freqs, counts)
     rows = [{"lambda": f, "value": c} for f, c in zip(freqs, counts)]
     predicted = expo * beta
     passed = exp.slope <= predicted + cfg.eps
@@ -583,14 +564,12 @@ def _run_bilinear(cfg):
                                       x_cells=x_cells, t_cells=64), bs)
     rows = [{"b": b, "form": chk.form_value, "bound": chk.bound_side,
              "constant": chk.constant} for b, chk in zip(bs, checks)]
-    fit = fit_loglog(np.array(bs), np.array([chk.form_value for chk in checks]))
-    predicted = 2.0 * cfg.alpha / cfg.q
-    passed = fit.slope >= predicted - 0.05
     exp = ScalingExperiment.from_points(
-        "bilinear-check", {"alpha": cfg.alpha, "q": cfg.q},
         sorted(bs), [chk.form_value for b, chk in sorted(zip(bs, checks))])
+    predicted = 2.0 * cfg.alpha / cfg.q
     return PipelineResult(exp, ("b", "form", "bound", "constant"), rows,
-                          predicted, 0.05, passed, {"b_slope": fit.slope})
+                          predicted, 0.05, exp.slope >= predicted - 0.05,
+                          {"b_slope": exp.slope})
 
 
 _FAMILIES = {

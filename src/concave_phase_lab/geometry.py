@@ -81,7 +81,8 @@ class AlphaMeasure:
         """mu([lo,hi] intersect (0,1)) = (hi^alpha - lo^alpha)/alpha, exactly."""
         lo = np.clip(np.asarray(lo, dtype=float), 0.0, 1.0)
         hi = np.clip(np.asarray(hi, dtype=float), 0.0, 1.0)
-        out = (np.power(hi, self.alpha) - np.power(lo, self.alpha)) / self.alpha
+        with np.errstate(over="ignore"):   # inf for a subnormal alpha; reports refuse it
+            out = (np.power(hi, self.alpha) - np.power(lo, self.alpha)) / self.alpha
         return np.maximum(out, 0.0)
 
 

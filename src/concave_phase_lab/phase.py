@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exponents import s_star_curve, s_star_vertical
-from .fitting import LogLogFit, fit_loglog
 from .spectral import kernel_grid
 
 __all__ = [
@@ -151,17 +150,11 @@ def phase_derivative_min(params: EnvelopeParams, region: str, x: float, t: float
 
 @dataclass(frozen=True)
 class EnvelopeReport:
-    """Per-scale envelope domination ratios and their fitted scaling."""
+    """Per-scale envelope domination ratios and non-finite ratio counts."""
 
-    variant: str
-    m: float
-    alpha: float
-    q: float
-    eps: float
     lams: tuple[float, ...]
     sup_ratios: tuple[float, ...]
     failed_points: tuple[int, ...]
-    fit: LogLogFit
 
 
 # Largest grid_n**2 that check_kernel_envelope accepts (grid_n <= 1024).  The
@@ -202,10 +195,7 @@ def check_kernel_envelope(variant: str, m: float, alpha: float, q: float,
         ok = np.isfinite(ratio)
         fails.append(int(ratio.size - ok.sum()))
         sups.append(float(ratio[ok].max()))
-    fit = fit_loglog(lams, sups)
-    return EnvelopeReport(variant=variant, m=m, alpha=alpha, q=q, eps=eps,
-                          lams=lams, sup_ratios=tuple(sups),
-                          failed_points=tuple(fails), fit=fit)
+    return EnvelopeReport(lams=lams, sup_ratios=tuple(sups), failed_points=tuple(fails))
 
 
 @dataclass(frozen=True)

@@ -136,9 +136,9 @@ def integrate(amplitude, phase, interval) -> complex:
     is returned once two successive sums differ by at most
     max(``ABS_TOL``, ``REL_TOL``*|I|).  Contract, met by every caller: the
     amplitude is real and vanishes with all its derivatives at both ends
-    (``spectral.BUMP``, ``BUMP_SQUARED``, the Sobolev weight), and the phase
-    has a monotone derivative, so 129 samples give W.  Under it the
-    difference bounds the coarser sum's error (module docstring).
+    (``spectral.BUMP``, the Sobolev weight), and the phase has a monotone
+    derivative, so 129 samples give W.  Under it the difference bounds the
+    coarser sum's error (module docstring).
 
     Raises :class:`InvalidIntegrandError` on NaN/inf from either factor,
     :class:`ResolutionLimitError` before the amplitude is evaluated if the

@@ -48,7 +48,6 @@ __all__ = [
     "propagate_grid",
     "grid_work",
     "sobolev_norm",
-    "kernel_K",
     "kernel_grid",
 ]
 
@@ -233,6 +232,8 @@ class FourierDatum:
         if self.fractional_phase != 0.0 and self.m is None:
             raise ValueError("fractional_phase requires the datum to carry an exponent m")
         lo, hi = self.support
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"frequency support ({lo:.6g}, {hi:.6g}) is not finite")
         if lo < 0.0 < hi:
             raise ValueError(
                 f"frequency support ({lo:.6g}, {hi:.6g}) contains 0 in its "
@@ -367,42 +368,20 @@ def sobolev_norm(datum: FourierDatum, s: float) -> float:
     return abs(datum.amplitude) * float(np.sqrt(value.real / (2.0 * np.pi)))
 
 
-def kernel_K(lam: float, m: float, x: float, t: float) -> complex:
+def kernel_grid(lam: float, m: float, x, t) -> np.ndarray:
     """Localized kernel lam * int exp(i*(lam*x*xi + lam^m*t*|xi|^m)) bump(xi)^2 dxi.
 
-    The single-scale building block of the maximal-function estimates: its
-    value at (0, 0) is lam times the mass of the squared bump, and its decay
-    in lam*|x| away from the time-stationary region is what the envelope
-    checks quantify.
-
-    Parameters
-    ----------
-    lam : float
-        Dyadic scale, >= 1.
-    m : float
-        Dispersion exponent in (0, 1).
-    x, t : float
+    The single-scale building block of the maximal-function estimates, for a
+    dyadic scale lam >= 1 and m in (0, 1): its value at (0, 0) is lam times
+    the mass of the squared bump.  One :func:`two_phase_batch` call gives it
+    on broadcast arrays of (x, t), in their broadcast shape.  An x-by-t mesh
+    (x of shape (r, 1), t of shape (1, c)) takes the batch rule's separable
+    mesh route: (r + c)*n exponentials for an n-node rule instead of r*c*n.
     """
     if not lam >= 1.0:
         raise ValueError(f"scale must be >= 1, got {lam}")
     if not 0.0 < m < 1.0:
         raise ValueError(f"dispersion exponent must lie in (0, 1), got {m}")
-
-    def phase(xi):
-        return lam * x * xi + lam ** m * t * np.abs(xi) ** m
-
-    return lam * integrate(BUMP_SQUARED, phase, BUMP_SUPPORT)
-
-
-def kernel_grid(lam: float, m: float, x, t) -> np.ndarray:
-    """Kernel values on broadcast arrays of (x, t) via :func:`two_phase_batch`.
-
-    The result has the broadcast shape of x and t.  An x-by-t mesh (x of
-    shape (r, 1), t of shape (1, c)) takes the batch rule's separable mesh
-    route: (r + c)*n exponentials for an n-node rule instead of r*c*n.
-    """
-    if not lam >= 1.0:
-        raise ValueError(f"scale must be >= 1, got {lam}")
     values = two_phase_batch(
         lam * np.asarray(x, dtype=float), lam ** m * np.asarray(t, dtype=float),
         lambda v: v, lambda v: np.abs(v) ** m,

@@ -12,7 +12,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import concave_phase_lab
@@ -84,14 +84,14 @@ def test_resolve_config_fills_zero_fields(monkeypatch):
 def test_scaling_experiment_validation():
     lams = [1.0, 2.0, 4.0, 8.0, 16.0]
     vals = [1.0, 2.0, 4.0, 8.0, 16.0]
-    exp = ScalingExperiment.from_points("demo", {}, lams, vals)
+    exp = ScalingExperiment.from_points(lams, vals)
     assert exp.slope == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError, match="at least 5"):
-        ScalingExperiment.from_points("demo", {}, lams[:4], vals[:4])
+        ScalingExperiment.from_points(lams[:4], vals[:4])
     with pytest.raises(ValueError, match="strictly increasing"):
-        ScalingExperiment.from_points("demo", {}, [1, 2, 2, 4, 8], vals)
+        ScalingExperiment.from_points([1, 2, 2, 4, 8], vals)
     with pytest.raises(ValueError, match="positive"):
-        ScalingExperiment.from_points("demo", {}, lams, [1, 2, 0, 4, 8])
+        ScalingExperiment.from_points(lams, [1, 2, 0, 4, 8])
 
 
 def test_exponent_table_rows_match_hand_arithmetic():
@@ -503,40 +503,51 @@ def test_cli_refuses_reports_that_are_not_strict_json(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
-# Cheap pipelines at small sizes, the numeric fields each reads, and values
-# for them: non-finite, zero, negative, small integers and small floats.
+# Cheap pipelines at small sizes, the fields each reads, and values for them:
+# non-finite, zero, negative, huge, subnormal, small integers and small floats
+# for numeric fields, and every data family for ``family``.
 _CHEAP_RUNS = {
-    "propagate": (["--grid-n=4"], ["lam", "t", "m", "kappa", "theta", "grid_n"]),
+    "propagate": (["--grid-n=4"], ["lam", "t", "m", "kappa", "theta", "grid_n", "family"]),
     "kernel-envelope": (["--grid-n=8", "--lam-count=5"],
                         ["m", "alpha", "q", "eps", "lam_min", "lam_ratio", "lam_count",
                          "grid_n"]),
     "cantor": ([], ["r", "k"]),
     "covering": ([], ["r", "k", "m", "alpha", "q", "eps"]),
     "exponent-table": ([], ["m", "s", "seed"]),
+    "frostman": ([], ["alpha"]),
 }
-_SPECIAL = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "-4"])
+_SPECIAL = st.sampled_from(["nan", "inf", "-inf", "0", "-0", "-1", "-4",
+                            "1e308", "-1e308", "1e-310", "5e-324"])
 _NUMBERS = st.one_of(_SPECIAL, _SPECIAL, st.integers(-4, 6).map(str),
                      st.floats(-8.0, 8.0).map(repr))
+_FAMILY = st.sampled_from(sorted(experiments._FAMILIES))
 _OVERRIDES = st.sampled_from(sorted(_CHEAP_RUNS)).flatmap(lambda name: st.tuples(
-    st.just(name), st.dictionaries(st.sampled_from(_CHEAP_RUNS[name][1]), _NUMBERS,
-                                   min_size=1, max_size=3)))
+    st.just(name),
+    st.lists(st.sampled_from(_CHEAP_RUNS[name][1]), min_size=1,
+             max_size=min(3, len(_CHEAP_RUNS[name][1])), unique=True)
+    .flatmap(lambda keys: st.fixed_dictionaries(
+        {key: _FAMILY if key == "family" else _NUMBERS for key in keys}))))
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(case=_OVERRIDES)
+@example(case=("propagate", {"family": "curve-knapp", "lam": "1e308"}))
+@example(case=("propagate", {"family": "spatial-knapp", "lam": "1e308"}))
+@example(case=("propagate", {"family": "temporal-knapp", "lam": "1e200"}))
+@example(case=("frostman", {"alpha": "5e-324"}))
+@example(case=("frostman", {"alpha": "1e-310"}))
 def test_cli_numeric_overrides_end_in_a_strict_report_or_a_record(tmp_path_factory, case):
     # exit 0 or 1 with a report that parses as strict JSON, or exit 2 with
-    # the JSON error record and no files
+    # the JSON error record and no files; no warning either way
     experiment, overrides = case
     out_dir = tmp_path_factory.mktemp("run")
-    argv = [experiment, *_CHEAP_RUNS[experiment][0],
-            *(f"--{key}={value}" for key, value in overrides.items()),
-            "--out-dir", str(out_dir)]
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = cli_main(argv)
+    code, err, caught = _cli_quietly(
+        [experiment, *_CHEAP_RUNS[experiment][0],
+         *(f"--{key}={value}" for key, value in overrides.items()),
+         "--out-dir", str(out_dir)])
+    assert not caught, [str(w.message) for w in caught]
     if code == 2:
-        record = _strict_json(stderr.getvalue())
+        record = _strict_json(err)
         assert record["experiment"] == experiment and record["error"]["message"]
         assert not list(out_dir.iterdir())
     else:

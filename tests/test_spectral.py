@@ -12,8 +12,8 @@ from concave_phase_lab.counterexamples import knapp_curve, knapp_vertical_spatia
 from concave_phase_lab.experiments import RunConfig
 from concave_phase_lab.fitting import fit_loglog
 from concave_phase_lab.quadrature import ABS_TOL, integrate, oracle_integrate
-from concave_phase_lab.spectral import (BUMP, BUMP_SUPPORT, FourierDatum, bump_profile,
-                                        kernel_K, kernel_grid, propagate,
+from concave_phase_lab.spectral import (BUMP, BUMP_SQUARED, BUMP_SUPPORT, FourierDatum,
+                                        bump_profile, kernel_grid, propagate,
                                         propagate_grid, sobolev_norm)
 
 TWO_PI = 2.0 * np.pi
@@ -116,26 +116,32 @@ def test_sobolev_ladder_slope():
 
 
 def test_kernel_at_origin():
-    val = kernel_K(16.0, 0.5, 0.0, 0.0)
+    val = kernel_grid(16.0, 0.5, 0.0, 0.0)
     assert abs(val - 16.0 * M_PSI2) < 1e-8
 
 
 def test_kernel_requires_unit_scale():
-    with pytest.raises(ValueError):
-        kernel_K(0.5, 0.5, 0.0, 0.0)
+    with pytest.raises(ValueError, match="scale must be >= 1"):
+        kernel_grid(0.5, 0.5, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("m", [0.0, 1.0, 1.5, -0.5, math.nan])
+def test_kernel_requires_a_concave_exponent(m):
+    with pytest.raises(ValueError, match=r"dispersion exponent must lie in \(0, 1\)"):
+        kernel_grid(16.0, m, 0.1, 0.1)
 
 
 def test_kernel_conjugate_symmetry():
     for lam, x, t in [(4.0, 0.3, -0.2), (64.0, -0.7, 0.4), (2.0 ** 10, 0.01, 0.9)]:
-        k = kernel_K(lam, 0.5, x, t)
-        assert abs(kernel_K(lam, 0.5, -x, -t) - np.conj(k)) <= 1e-8 * (1 + abs(k))
+        k = kernel_grid(lam, 0.5, x, t)
+        assert abs(kernel_grid(lam, 0.5, -x, -t) - np.conj(k)) <= 1e-8 * (1 + abs(k))
 
 
 def test_kernel_scaling_identity():
     m = 0.5
     lam = 32.0
-    lhs = kernel_K(lam, m, 0.01, 0.02)
-    rhs = lam * kernel_K(1.0, m, lam * 0.01, lam ** m * 0.02)
+    lhs = kernel_grid(lam, m, 0.01, 0.02)
+    rhs = lam * kernel_grid(1.0, m, lam * 0.01, lam ** m * 0.02)
     assert abs(lhs - rhs) <= 1e-9 * abs(lhs)
 
 
@@ -143,9 +149,24 @@ def test_kernel_nonstationary_decay_ladder():
     m = 0.5
     x = 0.5
     lams = np.array([2.0 ** j for j in range(6, 13)])
-    vals = np.array([abs(kernel_K(lam, m, x, 0.0)) for lam in lams])
+    vals = np.array([abs(kernel_grid(lam, m, x, 0.0)) for lam in lams])
     fit = fit_loglog(lams, vals)
     assert fit.slope < -0.9    # modulus <= C/(lam |x|)
+
+
+# One Simpson node count for every kernel oracle value, so the oracle memo
+# evaluates the squared bump once: h*max|phi'| <= 1.5e-5 * 260 at lam = 256.
+KERNEL_ORACLE_NODES = 100_001
+
+
+def _kernel_oracle(lam, m, x, t):
+    """The kernel at one (x, t) by the dense Simpson oracle, which shares no
+    code with the batch rule."""
+    def phase(xi):
+        return lam * x * xi + lam ** m * t * np.abs(xi) ** m
+
+    return lam * oracle_integrate(BUMP_SQUARED, phase, BUMP_SUPPORT,
+                                  node_count=KERNEL_ORACLE_NODES)
 
 
 def test_kernel_grid_matches_kernel():
@@ -153,7 +174,7 @@ def test_kernel_grid_matches_kernel():
     ts = np.array([0.0, 0.5, 0.9])
     vals = kernel_grid(64.0, 0.5, xs, ts)
     for i in range(3):
-        ref = kernel_K(64.0, 0.5, xs[i], ts[i])
+        ref = _kernel_oracle(64.0, 0.5, xs[i], ts[i])
         assert abs(vals[i] - ref) <= 1e-6 * (1 + abs(ref))
 
 
@@ -163,7 +184,7 @@ def test_kernel_grid_mesh_matches_kernel():
     vals = kernel_grid(64.0, 0.5, xs[:, None], ts[None, :])
     assert vals.shape == (13, 11)
     for i, j in ((0, 0), (3, 7), (6, 10), (9, 2), (12, 5)):
-        ref = kernel_K(64.0, 0.5, xs[i], ts[j])
+        ref = _kernel_oracle(64.0, 0.5, xs[i], ts[j])
         assert abs(vals[i, j] - ref) <= 1e-6 * (1 + abs(ref))
 
 
@@ -173,7 +194,7 @@ def test_kernel_grid_large_mesh_spot_checks():
     vals = kernel_grid(256.0, 0.3, xs[:, None], ts[None, :])
     assert vals.size > 4096
     for i, j in ((0, 0), (17, 69), (40, 35), (79, 1), (79, 69)):
-        ref = kernel_K(256.0, 0.3, xs[i], ts[j])
+        ref = _kernel_oracle(256.0, 0.3, xs[i], ts[j])
         assert abs(vals[i, j] - ref) <= 1e-6 * (1 + abs(ref))
 
 

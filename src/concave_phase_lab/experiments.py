@@ -17,7 +17,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -219,6 +218,7 @@ def _map_ordered(fn, items):
     n = min(_thread_count(), len(items))
     if n <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor   # not at import: the default is 1
     with ThreadPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, items))
 
@@ -550,8 +550,8 @@ MAX_BILINEAR_CELLS = 2 ** 10
 
 def _run_bilinear(cfg):
     if not (1 <= cfg.grid_n <= MAX_BILINEAR_CELLS
-            and 1 <= cfg.b_count <= math.log2(MAX_BILINEAR_CELLS) - 2):
-        raise ValueError(f"bilinear-check needs grid_n >= 1 and b_count >= 1 with "
+            and 5 <= cfg.b_count <= math.log2(MAX_BILINEAR_CELLS) - 2):
+        raise ValueError(f"bilinear-check needs grid_n >= 1, b_count >= 5 and "
                          f"max(grid_n, 2**(b_count + 2)) <= {MAX_BILINEAR_CELLS} "
                          f"x cells, got grid_n={cfg.grid_n}, b_count={cfg.b_count}")
     measure = AlphaMeasure(cfg.alpha)

@@ -1,21 +1,24 @@
 """Grid maxima of |u| along a curve or over a set of lines, from one engine.
 
-Both settings run the same private engine on a mesh of path coordinates:
-t alone for a curve (x, t) -> path(x, t), and (theta, t) for the lines
-x - theta*t with theta in a union of intervals.  The engine takes one or
-more positions x, each with its own row of witnesses.  It evaluates the
-witnesses of all positions in one call, then the base mesh, then
-``refine_depth`` refinement rounds.  A round builds factor-8 finer local
-meshes around every position's leading maxima, screens each against that
-position's best value, and evaluates what passes for all positions in one
-call; a local mesh's centre is its seed, recorded again with the seed's
-value instead of being evaluated twice.  Refined coordinates are kept only
-inside the domain: t in [0, 1] and, for lines, theta in the union of the
-direction intervals, so a line maximum is a floor for the stated direction
-set.
-Each returned value is a floor on the supremum, the largest sample
-evaluated, never a ceiling; root finding is never used.  Two rules keep this
-both honest and affordable:
+Both settings run one private engine on a mesh of path coordinates: t alone
+for a curve (x, t) -> path(x, t), and (theta, t) for the lines x - theta*t
+with theta in a union of intervals.  The engine takes one or more positions
+x, each with its own row of witnesses, and evaluates the witnesses of all
+positions in one call, then the base mesh, then ``refine_depth`` refinement
+rounds.  A round builds factor-8 finer local meshes around every position's
+leading maxima, screens them against that position's best value and
+evaluates what passes, for all positions in one call.  A local mesh's
+centre is its seed, recorded again with the seed's value, and a sample two
+local meshes share belongs to the first seed that reaches it.  On lines
+x - theta*t (line families, curves of order one) the call is
+``spectral.propagate_lattice``, which gives each distinct seed its own rule
+and its table or per-sample sums (``quadrature.lattice_batch``), so a
+position's floors do not depend on the other positions; other curves'
+rounds go flat.  Refined coordinates stay inside the domain: t in [0, 1]
+and, for lines, theta in the union of the direction intervals, so a line
+maximum is a floor for the stated direction set.  Each returned value is a
+floor on the supremum, the largest sample evaluated, never a ceiling; root
+finding is never used.  Two rules keep this honest and affordable:
 
 * Witness injection.  A base grid that resolves a large-frequency datum is
   usually impractical, so sharpness experiments inject analytically matched
@@ -50,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Curve, curve_eval
-from .spectral import FourierDatum, _end_slopes, grid_work, propagate_grid
+from .spectral import (FourierDatum, _end_slopes, grid_work, propagate_grid,
+                       propagate_lattice)
 
 __all__ = ["GridSpec", "MAX_BASE_SAMPLES", "MAX_REFINE_DEPTH", "maximal_in_time",
            "maximal_over_lines"]
@@ -202,7 +206,7 @@ def _in_unit_time(coords):
     return (coords[:, -1] >= 0.0) & (coords[:, -1] <= 1.0)
 
 
-def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses):
+def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses, direction=None):
     """Grid suprema of |u| over a mesh of path coordinates, one per position.
 
     ``axes`` holds one (nodes, spacing) pair per coordinate, (t,) for a curve
@@ -211,8 +215,10 @@ def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses):
     (positions, times) on the paths through x, broadcasting against the rows'
     leading axes, with locate(x, rows) = x + locate(0.0, rows)[0].  ``inside``
     tells which refined rows lie in the domain; ``witnesses[i]`` are the rows
-    of position i, evaluated first and unscreened.  Screening, base groups,
-    routes and refinement rounds are those of the module docstring.
+    of position i, evaluated first and unscreened.  ``direction(rows)`` gives
+    each row's theta where every path is a line x - theta*t, else it is None.
+    Screening, base groups, routes and refinement rounds are those of the
+    module docstring.
     """
     need = grid.required_t_base(datum)
     if grid.t_base < need and not witnesses.shape[1]:
@@ -272,13 +278,15 @@ def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses):
         feed(ids, base[None], *(_line_window(
             datum, m, locate, xs[ids], _reach(datum, best[ids]), base, len(axes[0][0]))
             if d == 2 else screen(ids, base)))
-    spacings = [spacing for _, spacing in axes]
+    steps = [spacing for _, spacing in axes]
+    ticks = np.arange(-_REFINE_FACTOR, _REFINE_FACTOR + 1)
+    lattice = _mesh(ticks if d == 2 else [0], ticks).astype(np.intp)   # (a, b) steps
     for _ in range(grid.refine_depth):
         # local meshes _REFINE_FACTOR times finer across one spacing each side of
         # every leading sample, screened a block of seeds at a time
         owners, seeds, seed_vals = lead
-        offsets = _mesh(*(np.arange(-_REFINE_FACTOR, _REFINE_FACTOR + 1)
-                          * (spacing / _REFINE_FACTOR) for spacing in spacings))
+        steps = [spacing / _REFINE_FACTOR for spacing in steps]
+        offsets = _mesh(*(ticks * step for step in steps))
         per_block = max(1, _SCREEN_BLOCK // len(offsets))
         parts = []
         for lo in range(0, len(seeds), per_block):
@@ -289,21 +297,27 @@ def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses):
             keep = inside(rows)
             keep[keep] = _passes(datum, m, _reach(datum, best[j[keep]]),
                                  *locate(xs[j[keep]], rows[keep]))
-            parts.append((j[keep], rows[keep], known[keep]))
+            parts.append((j[keep], rows[keep], known[keep],
+                          lo * len(offsets) + np.flatnonzero(keep)))   # origin
         if not parts:
             break
-        j, rows, known = map(np.concatenate, zip(*parts))
-        # one row per distinct sample of a position, lexicographic, a seed's own first
+        j, rows, known, origin = map(np.concatenate, zip(*parts))
+        # one row per distinct sample of a position: a seed's own, else the first seed's
         order = np.lexsort((np.isnan(known), *rows.T[::-1], j))
-        j, rows, known = j[order], rows[order], known[order]
+        j, rows, known, origin = j[order], rows[order], known[order], origin[order]
         first = np.concatenate([[True], (j[1:] != j[:-1])
                                 | np.any(rows[1:] != rows[:-1], axis=1)])
-        j, rows, known = j[first], rows[first], known[first]
+        j, rows, known, origin = j[first], rows[first], known[first], origin[first]
         new = np.isnan(known)
-        if new.any():
+        if new.any() and direction is None:
             known[new] = np.abs(propagate_grid(datum, m, *locate(xs[j[new]], rows[new])))
+        elif new.any():   # lines: from the distinct seeds' factor tables
+            seed, o = np.divmod(origin[new], len(offsets))
+            ids, s = np.unique(seed, return_inverse=True)
+            known[new] = np.abs(propagate_lattice(
+                datum, m, xs[owners[ids]], direction(seeds[ids]), seeds[ids, -1],
+                (steps[0] if d == 2 else 0.0, steps[-1]), (s, *lattice[o].T)))
         record(j, rows, known)
-        spacings = [spacing / _REFINE_FACTOR for spacing in spacings]
     return best
 
 
@@ -342,7 +356,8 @@ def maximal_in_time(datum: FourierDatum, m: float, curve: Curve, x,
         return curve_eval(curve, x, t), t
 
     sups = _grid_sup(datum, m, grid, xs.reshape(-1), [_time_axis(grid)], locate,
-                     _in_unit_time, t_w)
+                     _in_unit_time, t_w, None if curve.kappa != 1.0
+                     else lambda c: np.full(len(c), curve.theta))
     return float(sups[0]) if xs.ndim == 0 else sups
 
 
@@ -381,5 +396,6 @@ def maximal_over_lines(datum: FourierDatum, m: float, theta_intervals, x,
     sups = _grid_sup(
         datum, m, grid, xs.reshape(-1), [(thetas, d_theta), _time_axis(grid)],
         lambda x, c: (x - c[..., 0] * c[..., 1], c[..., 1]),
-        lambda c: _in_unit_time(c) & _in_intervals(c[:, 0], bounds), pairs)
+        lambda c: _in_unit_time(c) & _in_intervals(c[:, 0], bounds), pairs,
+        lambda c: c[:, 0])
     return float(sups[0]) if xs.ndim == 0 else sups

@@ -12,7 +12,8 @@ substitution v = scale*xi + shift, after which the phase is a two-term
 combination P*L(v) + T*S(v) of a linear and a concave-power profile.  Single
 values go through ``quadrature.integrate``, the batch rule doubled until two
 sums agree; grid scans go through the batch rule itself, whose mesh route
-evaluates an x-by-column mesh separably.  The raw-variable oracle route
+evaluates an x-by-column mesh separably, and lattices of lines around seeds
+through its factor tables.  The raw-variable oracle route
 (dense Simpson in xi, unimodular factors kept inside the amplitude) is
 retained as an independent cross-check.
 
@@ -35,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (ABS_TOL, batch_work, integrate, oracle_integrate,
-                         two_phase_batch)
+from .quadrature import (ABS_TOL, batch_work, integrate, lattice_batch,
+                         oracle_integrate, two_phase_batch)
 
 __all__ = [
     "BUMP",
@@ -46,6 +47,7 @@ __all__ = [
     "bump_profile",
     "propagate",
     "propagate_grid",
+    "propagate_lattice",
     "grid_work",
     "sobolev_norm",
     "kernel_grid",
@@ -344,6 +346,20 @@ def propagate_grid(datum: FourierDatum, m: float, x, t, shift=0.0) -> np.ndarray
     (1, c)) is separable, paired arrays of one shape are flat.
     """
     values = two_phase_batch(*_band_coefficients(datum, m, x, t), BUMP, BUMP_SUPPORT, shift)
+    return datum.amplitude / (2.0 * np.pi * abs(datum.scale)) * values
+
+
+def propagate_lattice(datum: FourierDatum, m: float, x, theta, t, steps,
+                      samples) -> np.ndarray:
+    """u(x_s - theta*t, t) at theta = theta_s + a*d_theta, t = t_s + b*d_t for
+    the samples (s, a, b), (d_theta, d_t) = ``steps``: the local meshes of a
+    line family, or of a curve of order one at d_theta = 0, in one
+    :func:`quadrature.lattice_batch` call."""
+    x, theta, t = (np.asarray(c, dtype=float) for c in (x, theta, t))
+    d_theta, d_t = steps
+    P, T, L_of, S_of = _band_coefficients(datum, m, x - theta * t, t)
+    values = lattice_batch((P, T, -d_theta * t, -d_t * theta), (-d_theta * d_t, d_t),
+                           samples, L_of, S_of, BUMP, BUMP_SUPPORT)
     return datum.amplitude / (2.0 * np.pi * abs(datum.scale)) * values
 
 

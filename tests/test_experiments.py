@@ -327,6 +327,8 @@ def test_cli_refuses_oversized_sharpness_vertical(tmp_path, capsys, monkeypatch)
      "propagate_grid"),
     (["propagate", "--family", "cantor", "--lam", "1024", "--grid-n", "65"],
      "propagate_grid"),
+    # a ladder of fewer than five widths cannot be fitted
+    (["bilinear-check", "--b-count", "4"], "bilinear_form_check"),
 ])
 def test_cli_refuses_grids_outside_budget(tmp_path, capsys, monkeypatch, argv, work):
     def never(*args, **kwargs):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from concave_phase_lab import maximal
+from concave_phase_lab import maximal, quadrature
 from concave_phase_lab.counterexamples import (cantor_data, cantor_selectors,
                                                knapp_curve, knapp_vertical_spatial,
                                                knapp_vertical_temporal,
@@ -15,7 +15,8 @@ from concave_phase_lab.counterexamples import (cantor_data, cantor_selectors,
 from concave_phase_lab.experiments import RunConfig, run_experiment
 from concave_phase_lab.geometry import Curve, cantor_level
 from concave_phase_lab.maximal import GridSpec, maximal_in_time, maximal_over_lines
-from concave_phase_lab.spectral import FourierDatum, grid_work, propagate_grid
+from concave_phase_lab.spectral import (FourierDatum, grid_work, propagate_grid,
+                                        propagate_lattice)
 
 M_PSI = 0.905175241828407
 
@@ -305,7 +306,7 @@ def test_lines_dominate_their_base_mesh():
 
 def test_line_refinement_stays_in_the_direction_set(monkeypatch):
     # seeds at the ends of an interval or next to a gap must not spread
-    # refined samples to directions outside the set
+    # refined samples to directions outside the set, on either route
     intervals = [(0.1, 0.2), (0.5, 0.6), (0.9, 0.9)]
     seen = []
 
@@ -313,7 +314,14 @@ def test_line_refinement_stays_in_the_direction_set(monkeypatch):
         seen.append((np.array(positions), np.array(times)))
         return propagate_grid(datum, m, positions, times, shift)
 
+    def lattice_spy(datum, m, x, theta, t, steps, samples):
+        s, a, b = samples
+        times = t[s] + b * steps[1]
+        seen.append((x[s] - (theta[s] + a * steps[0]) * times, times))
+        return propagate_lattice(datum, m, x, theta, t, steps, samples)
+
     monkeypatch.setattr(maximal, "propagate_grid", spy)
+    monkeypatch.setattr(maximal, "propagate_lattice", lattice_spy)
     for x in (0.3, 0.55, 0.95):
         seen.clear()
         maximal_over_lines(BAND, 0.5, intervals, x, small_grid(), extra=[(0.55, 0.8)])
@@ -528,14 +536,28 @@ def test_line_window_is_exact_for_directions_ulps_apart():
 
 @pytest.mark.parametrize("case,per_group", [("lines", None), ("lines", 3), ("power", None)])
 def test_each_refinement_round_is_one_feed(monkeypatch, case, per_group):
-    # several positions refine together: the engine calls the evaluator once
+    # several positions refine together: the engine calls the evaluators once
     # for the witnesses, at most once per base group (a group whose samples
-    # the screen all drops makes no call) and at most once per round
-    calls = []
+    # the screen all drops makes no call) and at most once per round.  Each
+    # feed ends in one record of its values, so between two records there is
+    # at most one call of each route: per sample, or from lattice tables
+    # (line families; a power curve of order 2 has none)
+    calls, events = [], []
+    ranked = maximal._ranked
 
     def spy(datum, m, positions, times, shift=0.0):
         calls.append(np.broadcast(positions, times).size)
+        events.append("flat")
         return propagate_grid(datum, m, positions, times, shift)
+
+    def lattice_spy(datum, m, x, theta, t, steps, samples):
+        calls.append(len(samples[0]))
+        events.append("lattice")
+        return propagate_lattice(datum, m, x, theta, t, steps, samples)
+
+    def record_spy(owners, values):
+        events.append("record")
+        return ranked(owners, values)
 
     if case == "lines":
         datum, comps, xs, witnesses = _cantor_rung(4, per_component=2)
@@ -555,7 +577,53 @@ def test_each_refinement_round_is_one_feed(monkeypatch, case, per_group):
     per_group = per_group or len(xs)   # positions a base group
     monkeypatch.setattr(maximal, "MAX_BASE_SAMPLES", per_group * base_samples)
     monkeypatch.setattr(maximal, "propagate_grid", spy)
+    monkeypatch.setattr(maximal, "propagate_lattice", lattice_spy)
+    monkeypatch.setattr(maximal, "_ranked", record_spy)
     call()
     groups = -(-len(xs) // per_group)
     assert len(xs) > 2 and calls[0] == len(xs)
     assert len(calls) <= 1 + groups + grid.refine_depth < len(xs) * grid.refine_depth
+    feeds = " ".join(events).split("record")
+    assert all(feed.split().count(route) <= 1 for feed in feeds
+               for route in ("flat", "lattice"))
+    assert ("lattice" in events) == (case == "lines")
+
+
+@pytest.mark.parametrize("case", ["vertical", "lines"])
+def test_refinement_builds_a_third_of_the_per_sample_exponentials(monkeypatch, case):
+    # A spy on _unit_phase counts the exponentials built inside the
+    # refinement rounds' lattice calls; the per-sample route, fed the same
+    # samples, must build at least three times as many.  Fails if refinement
+    # goes per sample again.
+    built, lattices = {"lattice": 0, "flat": 0}, []
+    route = ["flat"]
+    unit_phase = quadrature._unit_phase
+
+    def unit_spy(*args):
+        out = unit_phase(*args)
+        built[route[0]] += out.size
+        return out
+
+    def lattice_spy(*args):
+        lattices.append(args)
+        route[0] = "lattice"
+        try:
+            return propagate_lattice(*args)
+        finally:
+            route[0] = "flat"
+
+    xs = np.linspace(0.1, 0.9, 4)
+    monkeypatch.setattr(quadrature, "_unit_phase", unit_spy)
+    monkeypatch.setattr(maximal, "propagate_lattice", lattice_spy)
+    if case == "vertical":
+        maximal_in_time(BAND, 0.5, Curve.vertical(), xs, small_grid(),
+                        extra_t=np.zeros((4, 1)))
+    else:
+        maximal_over_lines(BAND, 0.5, [(0.0, 0.5)], xs, small_grid(),
+                           extra=np.zeros((4, 1, 2)))
+    assert len(lattices) == small_grid().refine_depth
+    built["flat"] = 0
+    for datum, m, x, theta, t, steps, (s, a, b) in lattices:
+        times = t[s] + b * steps[1]
+        propagate_grid(datum, m, x[s] - (theta[s] + a * steps[0]) * times, times)
+    assert 0 < built["lattice"] <= built["flat"] / 3

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from concave_phase_lab import experiments, maximal, spectral
+from concave_phase_lab import experiments, maximal, quadrature, spectral
 from concave_phase_lab.counterexamples import knapp_curve, knapp_vertical_spatial
 from concave_phase_lab.experiments import RunConfig
 from concave_phase_lab.fitting import fit_loglog
@@ -397,3 +397,47 @@ def test_certificate_bounds_dominate_the_oracle(m, scale, mirrored, shift, W, sh
     assert len(bounds) == 8
     for bound in bounds:
         assert ref <= bound * (1.0 + 1e-9) + 2.2e-16 * W
+
+
+@pytest.mark.parametrize("path", ["lines", "curve", "vertical"])
+def test_lattice_tables_match_direct_sums(path):
+    # Random seeds with every offset of a 17 x 17 (theta, t) local mesh, or of
+    # 17 t offsets on a curve of order one (theta = 1.3) or a vertical path,
+    # so every seed goes through its factor table.  Each value must be within
+    # 1e-16 * (1 + W) * sum|a*w| of the direct sum of exp(i*(P*L + T*S)) on
+    # the seed's own rule, W the seed's largest phase variation, at two
+    # scales: W from about 700 to 2e3 and from 1e4 to 3e4 rad.  P stays within
+    # a factor 2.5 of x, since rounding x alone moves the phase by up to
+    # ulp(x) * L, whatever P is.
+    rng = np.random.default_rng(25)
+    m, h, count = 0.5, 8, 6
+    for scale in (1.0 / 256.0, 1.0 / 4096.0):
+        datum = FourierDatum(amplitude=1.5 - 0.5j, scale=scale, linear_phase=0.3,
+                             fractional_phase=-0.2, m=m)
+        x = rng.uniform(3.0, 5.0, count)
+        t = rng.uniform(0.0, 1.0, count)
+        if path == "lines":
+            theta, steps = rng.uniform(-0.5, 0.5, count), (0.05 / h, 0.02 / h)
+            a, b = (g.ravel() for g in np.meshgrid(np.arange(-h, h + 1),
+                                                   np.arange(-h, h + 1)))
+        else:
+            theta = np.full(count, 1.3 if path == "curve" else 0.0)
+            steps, b = (0.0, 0.02 / h), np.arange(-h, h + 1)
+            a = np.zeros_like(b)
+        s = np.repeat(np.arange(count), len(a))
+        a, b = np.tile(a, count), np.tile(b, count)
+        values = spectral.propagate_lattice(datum, m, x, theta, t, steps, (s, a, b))
+        th, tt = theta[s] + a * steps[0], t[s] + b * steps[1]
+        P, T = x[s] - th * tt + datum.linear_phase, tt + datum.fractional_phase
+        L_of, S_of = datum.band_maps(m)
+        span_l, span_s = (np.ptp(f(np.array(BUMP_SUPPORT))) for f in (L_of, S_of))
+        W = np.abs(P) * span_l + np.abs(T) * span_s
+        unit = abs(datum.amplitude) / (2.0 * np.pi * abs(datum.scale))
+        for seed in range(count):
+            own = s == seed
+            v, amp_w = quadrature._batch_rule(W[own].max(), BUMP, *BUMP_SUPPORT)
+            phase = P[own, None] * L_of(v) + T[own, None] * S_of(v)
+            direct = datum.amplitude / (2.0 * np.pi * abs(datum.scale)) * (
+                np.exp(1j * phase) @ amp_w)
+            bound = 1e-16 * (1.0 + W[own].max()) * np.abs(amp_w).sum() * unit
+            assert np.abs(values[own] - direct).max() <= bound

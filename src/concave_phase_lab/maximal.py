@@ -53,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Curve, curve_eval
+from .quadrature import CONTRACT_WEIGHT
 from .spectral import (FourierDatum, _end_slopes, grid_work, propagate_grid,
                        propagate_lattice)
 
@@ -259,12 +260,14 @@ def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses, direction=Non
         if not len(j):
             return
         points, vals = locate(xs[ids][j], rows[j % len(rows), r]), None
-        # shared rows as one mesh: its column factor alone gives every column
-        # a rule no smaller than a kept sample's, so it can only win past n
-        if len(rows) == 1 and len(j) > rows.shape[1]:
+        # a mesh row costs at least 1 + CONTRACT_WEIGHT*n times its rule's nodes, a kept
+        # sample flat at most twice: one mesh of shared rows wins only past half that
+        most = np.bincount(j).max() if len(rows) == 1 and len(ids) > 1 else 0
+        if 2 * most > 1 + CONTRACT_WEIGHT * rows.shape[1]:
             shift, t = locate(0.0, rows[0])
             mesh = xs[ids, None], t[None], shift[None]
-            if grid_work(datum, m, *mesh) < grid_work(datum, m, *points):
+            work = grid_work(datum, m, *mesh)
+            if work < grid_work(datum, m, *points, limit=work):
                 vals = propagate_grid(datum, m, *mesh)[j, r]
         vals = propagate_grid(datum, m, *points) if vals is None else vals
         record(ids[j], rows[j % len(rows), r], np.abs(vals))

@@ -35,12 +35,14 @@ functions).  Its route follows the shapes of P, T and shift alone:
   their first point: every point gets between its own node count and twice
   it, whatever shares the call, and its sum depends only on that count.
 * mesh -- P varies along other axes than T and shift, e.g. (r, 1) against
-  (1, c).  Every sum is an entry of ``E_row @ (amp_w * E_col).T``, with
-  ``E_row = exp(i*P*L)`` and ``E_col = exp(i*(shift*L + T*S))``: (r + c)*n
-  exponentials instead of r*c*n.  Rows go by |P| into groups of
-  ``BUCKET // c`` rows (at least one), each sized from its last row's
-  |P|*span L plus the largest |shift|*span L + |T|*span S of a column;
-  groups with one node count share one rule and one ``E_col``.
+  (1, c).  Every sum is an entry of ``E_row @ E_col.T``, with ``E_row =
+  exp(i*P*L)`` and ``E_col = amp_w * exp(i*(shift*L + T*S))``.  Rows go by
+  |P| into groups of ``BUCKET // c`` rows (at least one), each sized from its
+  last row's |P|*span L plus the largest |shift|*span L + |T|*span S of a
+  column; groups with one node count share one rule and one ``E_col`` per
+  block of nodes.  On uniform times ``E_col`` is direct every 2h + 1 <= 33
+  columns and multiplied out between: (r + c/33 + 1)*n exponentials, or
+  (r + c)*n for other columns, instead of r*c*n.
 
 One planner lays out the runs of both routes, and :func:`batch_work` counts
 what they build before any rule is built.  :func:`lattice_batch` sums small
@@ -60,12 +62,10 @@ m = 0.3 deviated by up to 3.8e-13 at W near 257.  A rule that would need
 more than ``N_MAX`` nodes raises :class:`ResolutionLimitError` instead of
 losing accuracy.  Both routes build their exponentials in blocks of at most
 ``CHUNK_ELEMS`` elements, small enough to stay in cache: flat rows, or mesh
-nodes.
-The mesh contraction is one BLAS ``zdotc`` per (row, column) pair and block
-(``np.vecdot`` of the conjugated row factor).  A block holds at most
-``DOT_NODES`` nodes, and OpenBLAS runs a dot product that short on one
-thread, so the sums do not depend on the BLAS thread count (a threaded
-``zgemm`` or a longer dot product may regroup the sum when it splits the work).
+nodes.  The mesh contraction is one BLAS ``zdotc`` per (row, column) pair
+and block of at most ``DOT_NODES`` nodes, which OpenBLAS runs on one thread,
+so the sums do not depend on the BLAS thread count (a threaded ``zgemm`` or
+a longer dot product may regroup the sum when it splits the work).
 """
 from __future__ import annotations
 
@@ -242,10 +242,8 @@ N_MIN = 257
 N_MAX = 2_097_153
 BUCKET = 4096
 CHUNK_ELEMS = 2 ** 17
-# Most nodes in one mesh block.  Each mesh sum is one BLAS `zdotc` per block,
-# and OpenBLAS (0.3.31) runs a dot product of at most 10,000 elements on one
-# thread; a longer one is split across threads and its sum regrouped, so its
-# bits would depend on OPENBLAS_NUM_THREADS.
+# Most nodes in one mesh block: OpenBLAS (0.3.31) runs a `zdotc` of at most
+# 10,000 elements on one thread, and splits and regroups a longer one.
 DOT_NODES = 8192
 # One multiply-add of the mesh route's `zdotc` contraction, in complex
 # exponentials: 0.32-0.60 ns against 32-35 ns measured on mesh-route shapes,
@@ -259,6 +257,11 @@ CONTRACT_WEIGHT = 1.0 / 50.0
 # depend on the node count alone, and a 17 x 17 table of one fits in CHUNK_ELEMS.
 TABLE_WEIGHT = 1.0 / 12.0
 LATTICE_NODES = CHUNK_ELEMS // 289
+# Mesh columns by recurrence (_columns): within AFFINE_ULPS ulps of an affine fit
+# and h <= COLUMN_HALF_WIDTH unimodular products from a direct column, a column's
+# phase is within 2*AFFINE_ULPS*eps*(max|T|*max|S| + max|shift|*max|L|) + h*eps.
+COLUMN_HALF_WIDTH = 16
+AFFINE_ULPS = 4
 
 
 def _rule_nodes(w):
@@ -267,21 +270,28 @@ def _rule_nodes(w):
     return np.maximum(N_MIN, n + (n % 2 == 0))
 
 
-def batch_work(P, T, L_of, S_of, interval, shift=0.0) -> float:
+def batch_work(P, T, L_of, S_of, interval, shift=0.0, limit=None) -> float:
     """Work of ``two_phase_batch`` on these coefficients in complex exponentials,
     counted from the runs it executes before any rule is built: a run of N
-    nodes and k points (rows on the mesh route) costs N*(c + (1 +
-    ``CONTRACT_WEIGHT``*c)*k), c the column count on the mesh route (N*c
-    exponentials for ``E_col``, and per row N for ``E_row`` and N*c
-    multiply-adds) and 0 on the flat route (N exponentials per point).
-    Work past the float range counts as inf, without a warning, so that a
-    caller's budget refuses it."""
+    nodes and k points (rows on the mesh route) costs N*(e + (1 +
+    ``CONTRACT_WEIGHT``*c')*k): on the mesh route, e is one per centre column
+    and step factor plus ``TABLE_WEIGHT`` per multiplied column, c' the
+    columns built; on the flat route e = c' = 0.  Work past the float range
+    counts as inf, without a warning, so that budgets refuse it.
+    Given a ``limit``, paired points of one shape count as n if n > limit, or 2n
+    if 2n <= limit, n the sum of their own node counts (each gets up to twice)."""
     P, T, shift = (np.asarray(c, dtype=float) for c in (P, T, shift))
     spans = [float(np.ptp(f(np.asarray(interval, dtype=float)))) for f in (L_of, S_of)]
     with np.errstate(over="ignore", invalid="ignore"):
-        *_, c, runs = _plan(P, T, shift, *spans)
-        return float(sum(_rule_nodes(run[-1][0]) * (c + (1 + CONTRACT_WEIGHT * c)
-                                                    * sum(len(idx) for _, idx in run))
+        if limit is not None and P.size == T.size == np.broadcast(P, T, shift).size:
+            n = float(_rule_nodes(np.abs(P + shift) * spans[0] + np.abs(T) * spans[1]).sum())
+            if n > limit or 2.0 * n <= limit:
+                return n if n > limit else 2.0 * n
+        *_, cols, runs = _plan(P, T, shift, *spans)
+        h, (T, _), steps = cols or (0, np.zeros((2, 0)), np.zeros((2, 0)))
+        e = T.size + (steps[0].size if h else 0) + TABLE_WEIGHT * 2 * h * T.size
+        per_row = 1 + CONTRACT_WEIGHT * (2 * h + 1) * T.size
+        return float(sum(_rule_nodes(run[-1][0]) * (e + per_row * sum(len(i) for _, i in run))
                          for run in runs))
 
 
@@ -323,10 +333,10 @@ def two_phase_batch(P, T, L_of, S_of, amplitude, interval, shift=0.0) -> np.ndar
     a, b = float(interval[0]), float(interval[1])
     spans = (float(np.ptp(f(np.array([a, b])))) for f in (L_of, S_of))
     col_shape = np.broadcast(T, shift).shape
-    rows, T, shift, c, runs = _plan(P, T, shift, *spans)
-    if c:
-        sums = _mesh_batch(rows, T, shift, runs, L_of, S_of, amplitude, a, b)
-        return sums[np.arange(P.size).reshape(P.shape), np.arange(c).reshape(col_shape)]
+    rows, T, cols, runs = _plan(P, T, shift, *spans)
+    if cols:
+        sums = _mesh_batch(rows, cols, runs, L_of, S_of, amplitude, a, b)
+        return sums[np.arange(P.size).reshape(P.shape), np.arange(T.size).reshape(col_shape)]
     out = np.empty(rows.shape, dtype=complex)
     for (w, idx), in runs:
         v, amp_w, L, S = _profiled_rule(w, L_of, S_of, amplitude, a, b)
@@ -446,25 +456,21 @@ def _unit_phase(coeffs, profile, coeffs2=None, profile2=None):
 
 def _plan(P, T, shift, spanL, spanS):
     """What :func:`two_phase_batch` runs, read by both routes and by
-    :func:`batch_work`: (P, T, shift, c, runs), a run being the (W, point
-    indices) groups of one rule, sized from its last W.
-
-    Mesh, when P varies on other axes than T and shift: P as (r, 1) rows, T
-    and shift as (1, c) columns, and runs of consecutive row groups with one
-    node count.  Flat (c = 0): P + shift and T raveled, shift None, and one
-    bucket per run.
-    """
+    :func:`batch_work`: (P, T, cols, runs), a run being the (W, point indices)
+    groups of one rule, sized from its last W.  Mesh, when P varies on other
+    axes than T and shift: P and T raveled, the column layout of
+    :func:`_columns`, and runs of consecutive row groups with one node count.
+    Flat: P + shift and T raveled, cols None, and one bucket per run."""
     cols = np.broadcast(T, shift).size
     if P.size > 1 and cols > 1 and P.size * cols == np.broadcast(P, T, shift).size:
-        rows = P.reshape(-1, 1)
-        T, shift = (c.reshape(1, -1) for c in np.broadcast_arrays(T, shift))
+        rows, (T, shift) = P.ravel(), (c.ravel() for c in np.broadcast_arrays(T, shift))
         col_part = float((np.abs(shift) * spanL + np.abs(T) * spanS).max())
-        order = np.argsort(np.abs(rows[:, 0]), kind="stable")
+        order = np.argsort(np.abs(rows), kind="stable")
         per_group = max(1, BUCKET // T.size)
         groups = [order[i:i + per_group] for i in range(0, len(order), per_group)]
-        widths = [abs(rows[idx[-1], 0]) * spanL + col_part for idx in groups]
+        widths = [abs(rows[idx[-1]]) * spanL + col_part for idx in groups]
         runs = itertools.groupby(zip(widths, groups), key=lambda g: _rule_nodes(g[0]))
-        return rows, T, shift, T.size, [list(run) for _, run in runs]
+        return rows, T, _columns(T, shift), [list(run) for _, run in runs]
     P, T, shift = np.broadcast_arrays(P, T, shift)
     P, T = (P + shift).ravel(), T.ravel()
     W = np.abs(P) * spanL + np.abs(T) * spanS
@@ -475,23 +481,43 @@ def _plan(P, T, shift, spanL, spanS):
         j = min(i + BUCKET, int(np.searchsorted(nodes, 2.0 * nodes[i], "right")))
         runs.append([(W[order[j - 1]], order[i:j])])
         i = j
-    return P, T, None, 0, runs
+    return P, T, None, runs
 
 
-def _mesh_batch(rows, T, shift, runs, L_of, S_of, amplitude, a, b):
-    """Mesh route of :func:`two_phase_batch` on a plan of :func:`_plan`: the
-    (r, c) sums, with one rule and one ``E_col`` (per block of nodes) per run.
-    Each sum adds one single-threaded ``zdotc`` of ``E_row`` and
-    ``amp_w * E_col`` per block of at most ``DOT_NODES`` nodes."""
-    block = min(DOT_NODES, max(1, CHUNK_ELEMS // (len(runs[0][0][1]) + T.size)))
-    sums = np.zeros((rows.size, T.size), dtype=complex)
+def _columns(T, shift):
+    """(h, centres, steps) of c mesh columns as n steps of f, f the first index
+    where T changes if it divides c (theta fastest on lines).  If n > 2 and each
+    fast column's (T, shift) are within ``AFFINE_ULPS`` ulps of affine in the
+    step, 2h + 1 <= 2*``COLUMN_HALF_WIDTH`` + 1 steps share a centre, else h = 0."""
+    grid = np.stack((T, shift)).reshape(2, -1, np.gcd(T.size, np.argmax(T != T[0]) or 1))
+    n, q = grid.shape[1], -(-grid.shape[1] // (2 * COLUMN_HALF_WIDTH + 1))   # q centres
+    ulps = AFFINE_ULPS * 2.0 ** -52 * np.abs(grid).max(axis=(1, 2), keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):   # huge coefficients: h = 0, refused
+        steps = (grid[:, -1] - grid[:, 0]) / (n - 1)
+        line = grid[:, :1] + np.arange(n + COLUMN_HALF_WIDTH)[:, None] * steps[:, None]
+        h = -(-n // q) // 2 if n > 2 and np.all(np.abs(grid - line[:, :n]) <= ulps) else 0
+    k = np.arange(h, n + h, 2 * h + 1)   # centre steps of the blocks that start before n
+    return h, np.where(k[:, None] < n, grid[:, np.minimum(k, n - 1)], line[:, k]), steps
+
+
+def _mesh_batch(rows, cols, runs, L_of, S_of, amplitude, a, b):
+    """Mesh route of :func:`two_phase_batch` on a :func:`_plan`: the (r, c') sums
+    of the c' >= c columns built, one rule per run.  Per block of nodes ``E_col``
+    is amp_w*exp(i*(shift*L + T*S)) at the centres, times powers of one step
+    factor per fast column if h > 0, and each sum is one single-threaded ``zdotc``."""
+    h, (T, shift), steps = cols
+    width = (2 * h + 1) * T.size
+    block = min(DOT_NODES, max(1, CHUNK_ELEMS // (len(runs[0][0][1]) + width)))
+    sums = np.zeros((rows.size, width), dtype=complex)   # columns by (k, centre, f)
     for run in runs:
         v, amp_w, L, S = _profiled_rule(run[-1][0], L_of, S_of, amplitude, a, b)
         for k in range(0, len(v), block):
             sl = slice(k, k + block)
             e_col = _unit_phase(T, S[sl], shift, L[sl])
             e_col *= amp_w[sl]
+            e_col = _powers(e_col, _unit_phase(steps[0], S[sl], steps[1], L[sl])
+                            if h else 1.0, h).reshape(width, -1)
             for _, idx in run:
                 e_row = _unit_phase(rows[idx], L[sl])
-                sums[idx] += np.vecdot(np.conjugate(e_row, out=e_row), e_col)
-    return sums
+                sums[idx] += np.vecdot(np.conjugate(e_row, out=e_row)[:, None], e_col)
+    return sums.reshape(-1, 2 * h + 1, *T.shape).swapaxes(1, 2).reshape(rows.size, width)

@@ -363,9 +363,9 @@ def propagate_lattice(datum: FourierDatum, m: float, x, theta, t, steps,
     return datum.amplitude / (2.0 * np.pi * abs(datum.scale)) * values
 
 
-def grid_work(datum: FourierDatum, m: float, x, t, shift=0.0) -> float:
+def grid_work(datum: FourierDatum, m: float, x, t, shift=0.0, limit=None) -> float:
     """Work of ``propagate_grid(datum, m, x, t, shift)``, as :func:`batch_work`."""
-    return batch_work(*_band_coefficients(datum, m, x, t), BUMP_SUPPORT, shift)
+    return batch_work(*_band_coefficients(datum, m, x, t), BUMP_SUPPORT, shift, limit)
 
 
 def sobolev_norm(datum: FourierDatum, s: float) -> float:
@@ -391,8 +391,8 @@ def kernel_grid(lam: float, m: float, x, t) -> np.ndarray:
     dyadic scale lam >= 1 and m in (0, 1): its value at (0, 0) is lam times
     the mass of the squared bump.  One :func:`two_phase_batch` call gives it
     on broadcast arrays of (x, t), in their broadcast shape.  An x-by-t mesh
-    (x of shape (r, 1), t of shape (1, c)) takes the batch rule's separable
-    mesh route: (r + c)*n exponentials for an n-node rule instead of r*c*n.
+    (x of shape (r, 1), t of shape (1, c)) takes the separable mesh route: on
+    uniform t, (r + c/33 + 1)*n exponentials for an n-node rule, not r*c*n.
     """
     if not lam >= 1.0:
         raise ValueError(f"scale must be >= 1, got {lam}")

@@ -3,8 +3,15 @@
 Each test ends in a single printed verdict line; run with ``pytest -s``
 to see the measured numbers, or plain ``pytest -v`` for the per-criterion
 pass/fail list.  Pipeline runs use write=False and leave no files behind.
+
+Each gated pipeline's slope and point floats, and the fast values of
+criteria 02 and 03, are also checked against ``pins.json`` (see ``_pin``),
+inside the same test, so no pipeline runs twice.  ``record_pins.py`` in this
+directory re-records the file.
 """
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +31,39 @@ from concave_phase_lab.quadrature import integrate, oracle_integrate, two_phase_
 from concave_phase_lab.spectral import BUMP, FourierDatum, propagate
 
 BAND = (0.5, 2.0)
+PINS = Path(__file__).with_name("pins.json")
+PIN_REL_TOL = 1e-10
+RECORDED = None   # record_pins.py sets a dict here, and writes it to PINS
+
+
+def _pin(key, values, floor=0.0):
+    """Check the floats ``values`` against ``pins.json[key]``: each within
+    ``PIN_REL_TOL`` * (|pinned| + floor).  floor = 1 for the quadrature values
+    of criteria 02 and 03, whose own measure is |fast - slow| / (1 + |slow|);
+    0 for report floats, so a pinned 0 must stay 0.  The north star allows a
+    speedup to move an acceptance number by about 1e-10 relative, and that
+    is the edge of what these pins see: N_MIN 257 -> 129 moved the gated
+    numbers by at most 1.7e-10.  A change that moves a pin re-records the
+    file and lists old -> new."""
+    values = np.array([float(v) for v in values])
+    if RECORDED is not None:
+        RECORDED[key] = values.tolist()
+        return
+    pinned = np.array(json.loads(PINS.read_text())[key])
+    assert values.shape == pinned.shape, key
+    moved = np.abs(values - pinned) > PIN_REL_TOL * (np.abs(pinned) + floor)
+    assert not moved.any(), f"{key}: {np.flatnonzero(moved)} moved from {pinned[moved]} " \
+                            f"to {values[moved]}"
+
+
+def _pin_report(key, report):
+    """Pin a pipeline report's slope and every float of its points."""
+    _pin(key, [report["slope"]] + [v for row in report["points"] for v in row.values()])
+
+
+def _pin_complex(key, values):
+    """Pin complex quadrature values by their real and imaginary parts."""
+    _pin(key, np.column_stack([np.real(values), np.imag(values)]).ravel(), floor=1.0)
 
 
 def _report(num, label, ok, detail):
@@ -75,7 +115,7 @@ def test_criterion_01_closed_form_exponents():
 
 def test_criterion_02_quadrature_matches_oracle():
     rng = np.random.default_rng(20240815)
-    worst = 0.0
+    worst, fasts = 0.0, []
     for _ in range(150):
         lam = 2.0 ** rng.uniform(0, 12)
         p = rng.uniform(-1.5, 1.5) * lam
@@ -84,6 +124,7 @@ def test_criterion_02_quadrature_matches_oracle():
         phase = lambda v, p=p, t=t, m=m: p * v + t * v ** m
         fast = integrate(BUMP, phase, BAND)
         slow = oracle_integrate(BUMP, phase, BAND)
+        fasts.append(fast)
         worst = max(worst, abs(fast - slow) / (1.0 + abs(slow)))
     n = 50
     lam = 2.0 ** rng.uniform(0, 12, size=n)
@@ -94,6 +135,7 @@ def test_criterion_02_quadrature_matches_oracle():
         phase = lambda v, i=i: P[i] * v + T[i] * np.sqrt(v)
         ref = oracle_integrate(BUMP, phase, BAND)
         worst = max(worst, abs(vals[i] - ref) / (1.0 + abs(ref)))
+    _pin_complex("criterion_02", fasts + list(vals))
     ok = worst <= 1e-6
     _report(2, "oscillatory quadrature vs dense oracle", ok,
             f"200 randomized integrands up to lambda=2^12, "
@@ -105,12 +147,14 @@ def test_criterion_03_time_zero_identity():
                 knapp_vertical_spatial(2.0 ** 5),
                 knapp_curve(2.0 ** 4, 0.5, 1.0, 1.0)]
     xs = np.linspace(-1.0, 1.0, 64)
-    worst = 0.0
+    worst, fasts = 0.0, []
     for datum in families:
         for x in xs:
             fast = propagate(datum, 0.5, x, 0.0)
             slow = propagate(datum, 0.5, x, 0.0, method="oracle")
+            fasts.append(fast)
             worst = max(worst, abs(fast - slow) / (1.0 + abs(slow)))
+    _pin_complex("criterion_03", fasts)
     ok = worst <= 1e-8
     _report(3, "t=0 propagator identity", ok,
             f"3 data families x 64 points, worst rel dev {worst:.2e} (<= 1e-8)")
@@ -119,9 +163,10 @@ def test_criterion_03_time_zero_identity():
 def test_criterion_04_kernel_dominated_by_envelope():
     parts, ok = [], True
     for variant in ("vertical", "curve"):
-        result, _ = run_experiment(RunConfig(experiment="kernel-envelope",
-                                             variant=variant, lam_count=9),
-                                   write=False)
+        result, report = run_experiment(RunConfig(experiment="kernel-envelope",
+                                                  variant=variant, lam_count=9),
+                                        write=False)
+        _pin_report(f"criterion_04_{variant}", report)
         clean = sum(result.aux["failed_points"]) == 0
         ok = ok and result.passed and clean
         parts.append(f"{variant} slope {result.experiment.slope:+.4f}")
@@ -146,8 +191,9 @@ def test_criterion_05_derivative_constants_stable():
 def test_criterion_06_curve_knapp_ladder():
     parts, ok = [], True
     for kappa in (1.0, 2.0):
-        result, _ = run_experiment(RunConfig(experiment="sharpness-curve",
-                                             kappa=kappa), write=False)
+        result, report = run_experiment(RunConfig(experiment="sharpness-curve",
+                                                  kappa=kappa), write=False)
+        _pin_report(f"criterion_06_kappa_{kappa:g}", report)
         ok = ok and result.passed
         parts.append(f"kappa={kappa:g} slope {result.experiment.slope:+.4f} "
                      f"hs {result.aux['hs_slope']:+.4f} "
@@ -157,8 +203,9 @@ def test_criterion_06_curve_knapp_ladder():
 
 
 def test_criterion_07_cantor_lines_ladder():
-    result, _ = run_experiment(RunConfig(experiment="sharpness-lines", s=0.3),
-                               write=False)
+    result, report = run_experiment(RunConfig(experiment="sharpness-lines", s=0.3),
+                                    write=False)
+    _pin_report("criterion_07", report)
     _report(7, "Cantor line-family sharpness", result.passed,
             f"slope {result.experiment.slope:+.4f} (want 1.75+-0.15), "
             f"hs {result.aux['hs_slope']:+.4f} (want 1.60+-0.02)")
@@ -167,9 +214,10 @@ def test_criterion_07_cantor_lines_ladder():
 def test_criterion_08_vertical_knapp_ladder():
     parts, ok = [], True
     for alpha in (1.0, 0.5):
-        result, _ = run_experiment(RunConfig(experiment="sharpness-vertical",
-                                             data="spatial", alpha=alpha),
-                                   write=False)
+        result, report = run_experiment(RunConfig(experiment="sharpness-vertical",
+                                                  data="spatial", alpha=alpha),
+                                        write=False)
+        _pin_report(f"criterion_08_alpha_{alpha:g}", report)
         ok = ok and result.passed
         parts.append(f"alpha={alpha:g} slope {result.experiment.slope:+.4f} "
                      f"(want {1.0 - alpha / 2.0:+.2f}+-0.1)")
@@ -193,8 +241,9 @@ def test_criterion_09_fractal_measure_geometry():
 
 
 def test_criterion_10_bilinear_lower_bound():
-    result, _ = run_experiment(RunConfig(experiment="bilinear-check", alpha=0.5,
-                                         b_count=7), write=False)
+    result, report = run_experiment(RunConfig(experiment="bilinear-check", alpha=0.5,
+                                              b_count=7), write=False)
+    _pin_report("criterion_10", report)
     ok = result.passed and result.aux["b_slope"] >= 0.45
     _report(10, "bilinear form lower bound", ok,
             f"b-slope {result.aux['b_slope']:+.4f} over b=2^-1..2^-7 "
@@ -202,8 +251,9 @@ def test_criterion_10_bilinear_lower_bound():
 
 
 def test_criterion_11_small_ball_ratio_ladder():
-    result, _ = run_experiment(RunConfig(experiment="proposition-lines"),
-                               write=False)
+    result, report = run_experiment(RunConfig(experiment="proposition-lines"),
+                                    write=False)
+    _pin_report("criterion_11", report)
     bound = result.predicted_slope + result.tolerance
     ok = result.passed and result.experiment.slope <= bound
     _report(11, "small-ball ratio growth", ok,

@@ -351,30 +351,42 @@ def test_batch_rule_column_shift():
 def test_batch_work_counts_what_the_routes_build(monkeypatch):
     # 6 rows x 3000 columns: every row is its own group (3000 > BUCKET / 2),
     # and the rows' |P| give five node counts, the first two rows sharing one
-    # rule and one column factor.  The mesh count is the exponentials built
-    # plus the contraction's multiply-adds at CONTRACT_WEIGHT; the flat count
-    # is the exponentials its buckets build.
-    built = {"col": 0, "row": 0}
-    unit_phase = quadrature._unit_phase
+    # rule and one column table.  T and shift are uniform, so each table is
+    # one exponential per centre column and one step factor per node, with
+    # the other columns built by multiplication.  The mesh count is the
+    # exponentials built, plus TABLE_WEIGHT per multiplied column entry, plus
+    # the contraction's multiply-adds at CONTRACT_WEIGHT over the columns
+    # built; the flat count is the exponentials its buckets build.
+    built = {"col": 0, "row": 0, "table": 0, "width": 0}
+    unit_phase, powers = quadrature._unit_phase, quadrature._powers
 
     def spy(coeffs, profile, *rest):
         out = unit_phase(coeffs, profile, *rest)
         built["col" if rest else "row"] += out.size
         return out
 
+    def powers_spy(x, r, h):
+        out = powers(x, r, h)
+        built["table"] += out.size - np.size(x)
+        built["width"] = out[..., 0].size
+        return out
+
     L_of, S_of = (lambda v: v), (lambda v: v ** 0.5)
     P = np.array([0.0, 10.0, 300.0, 310.0, 600.0, 900.0])[:, None]
     T, shift = np.linspace(0.0, 5.0, 3000)[None], np.linspace(-1.0, 1.0, 3000)[None]
     monkeypatch.setattr(quadrature, "_unit_phase", spy)
+    monkeypatch.setattr(quadrature, "_powers", powers_spy)
     two_phase_batch(P, T, L_of, S_of, BUMP, BAND, shift)
     assert len(set(quadrature._rule_nodes(np.abs(P.ravel()) * 1.5 + 5.0))) == 5
+    assert built["width"] >= T.size and built["table"] > 10 * built["col"]
     assert quadrature.batch_work(P, T, L_of, S_of, BAND, shift) == pytest.approx(
-        built["col"] + built["row"] * (1 + quadrature.CONTRACT_WEIGHT * T.size), rel=1e-12)
+        built["col"] + quadrature.TABLE_WEIGHT * built["table"]
+        + built["row"] * (1 + quadrature.CONTRACT_WEIGHT * built["width"]), rel=1e-12)
     flat = np.broadcast_arrays(P + shift[:, ::60], T[:, ::60])
-    built.update(col=0, row=0)
+    built.update(col=0, row=0, table=0)
     two_phase_batch(*flat, L_of, S_of, BUMP, BAND)
     work = quadrature.batch_work(*flat, L_of, S_of, BAND)
-    assert built["row"] == 0 and work == built["col"]
+    assert built["row"] == built["table"] == 0 and work == built["col"]
     # more than each point's own rule: buckets share their largest point's rule
     span_s = 2.0 ** 0.5 - 0.5 ** 0.5
     own = quadrature._rule_nodes(np.abs(flat[0]) * 1.5 + np.abs(flat[1]) * span_s)
@@ -390,16 +402,19 @@ def test_batch_rule_mesh_blocks_of_nodes_agree(monkeypatch):
     assert np.abs(blocks - whole).max() <= 1e-12 * np.abs(whole).max()
 
 
-def _einsum_mesh(rows, T, shift, runs, L_of, S_of, amplitude, a, b):
-    """The mesh route with an ``np.einsum`` contraction over each whole rule."""
+def _einsum_mesh(rows, cols, runs, L_of, S_of, amplitude, a, b):
+    """The mesh route with direct columns and an ``np.einsum`` contraction
+    over each whole rule."""
+    h, (T, shift), _ = cols
+    assert h == 0   # random columns are not affine: every column is a centre
+    T, shift = T.ravel(), shift.ravel()
     sums = np.zeros((rows.size, T.size), dtype=complex)
     for run in runs:
         v, amp_w = quadrature._batch_rule(run[-1][0], amplitude, a, b)
         L, S = L_of(v), S_of(v)
-        e_col = np.exp(1j * (T[..., None] * S + shift[..., None] * L)) * amp_w
+        e_col = np.exp(1j * (T[:, None] * S + shift[:, None] * L)) * amp_w
         for _, idx in run:
-            sums[idx] += np.einsum("...n,...n->...",
-                                   np.exp(1j * rows[idx][..., None] * L), e_col)
+            sums[idx] += np.einsum("kn,cn->kc", np.exp(1j * rows[idx][:, None] * L), e_col)
     return sums
 
 
@@ -463,7 +478,7 @@ def test_batch_rule_mesh_row_groups_match_flat(monkeypatch):
     unit_phase = quadrature._unit_phase
 
     def spy(coeffs, profile, *rest):
-        if coeffs.shape[1] == 1:
+        if not rest:   # a row factor; column factors carry T*S and shift*L
             row_factors.append(coeffs.ravel().copy())
         return unit_phase(coeffs, profile, *rest)
 
@@ -485,38 +500,52 @@ def test_batch_rule_mesh_row_groups_match_flat(monkeypatch):
 def test_mesh_builds_one_e_col_per_node_count(monkeypatch):
     # A vertical rung of 121 positions x 257 times goes into groups of
     # BUCKET // 257 rows by |P|.  Near x = 0 several groups get the node
-    # floor; groups with one node count must share one column factor E_col
-    # per block of CHUNK_ELEMS // (first group's rows + columns) nodes, at most
-    # DOT_NODES.
-    expected, e_cols, groups, counts = [0], [0], [0], [0]
-    mesh_batch, unit_phase = quadrature._mesh_batch, quadrature._unit_phase
+    # floor; groups with one node count must share one column table E_col
+    # per block of CHUNK_ELEMS // (first group's rows + columns built) nodes,
+    # at most DOT_NODES.  The times are uniform, so each table is built by
+    # recurrence: 2h + 1 > 1 columns from each centre.
+    expected, tables, groups, counts, columns, inside = [0], [0], [0], [0], [], []
+    mesh_batch, powers, plan_columns = (quadrature._mesh_batch, quadrature._powers,
+                                        quadrature._columns)
 
-    def mesh_spy(P, T, shift, runs, L_of, S_of, amplitude, a, b):
+    def columns_spy(T, shift):
+        columns.append((T, shift))
+        return plan_columns(T, shift)
+
+    def mesh_spy(P, cols, runs, L_of, S_of, amplitude, a, b):
+        T, shift = columns[-1]
         spanL, spanS = (np.ptp(f(np.array([a, b]))) for f in (L_of, S_of))
         order = np.argsort(np.abs(P.ravel()), kind="stable")
         per_group = quadrature.BUCKET // T.size
         widths = [np.abs(P.ravel()[order[i:i + per_group]]).max() * spanL
                   + np.abs(T).max() * spanS for i in range(0, P.size, per_group)]
         nodes = {max(quadrature.N_MIN, int(np.ceil(w)) | 1) for w in widths}
+        h, centres, _ = cols
+        assert np.all(shift == 0.0) and h > 0
+        built = (2 * h + 1) * centres[0].size
         block = min(quadrature.DOT_NODES,
-                    quadrature.CHUNK_ELEMS // (min(per_group, P.size) + T.size))
+                    quadrature.CHUNK_ELEMS // (min(per_group, P.size) + built))
         expected[0] += sum(-(-n // block) for n in nodes)
         counts[0] += len(nodes)
         groups[0] += len(widths)
-        return mesh_batch(P, T, shift, runs, L_of, S_of, amplitude, a, b)
+        inside.append(True)
+        try:
+            return mesh_batch(P, cols, runs, L_of, S_of, amplitude, a, b)
+        finally:
+            inside.clear()
 
-    def unit_spy(coeffs, profile, *rest):
-        if coeffs.ndim == 2 and coeffs.shape[0] == 1 and coeffs.shape[1] > 1:
-            e_cols[0] += 1
-        return unit_phase(coeffs, profile, *rest)
+    def powers_spy(x, r, h):   # refinement rounds build lattice tables too
+        tables[0] += bool(inside)
+        return powers(x, r, h)
 
+    monkeypatch.setattr(quadrature, "_columns", columns_spy)
     monkeypatch.setattr(quadrature, "_mesh_batch", mesh_spy)
-    monkeypatch.setattr(quadrature, "_unit_phase", unit_spy)
+    monkeypatch.setattr(quadrature, "_powers", powers_spy)
     xs = np.geomspace(1e-6, 1.0, 121)
     maximal_in_time(knapp_vertical_spatial(2.0 ** 10), 0.5, Curve.vertical(), xs,
                     GridSpec(t_base=257), extra_t=np.zeros((121, 1)))
     assert groups[0] == 9 and 1 < counts[0] < groups[0] and counts[0] < expected[0]
-    assert e_cols[0] == expected[0]
+    assert tables[0] == expected[0]
 
 
 def test_mesh_blocks_hold_peak_memory(monkeypatch):

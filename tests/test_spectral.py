@@ -441,3 +441,48 @@ def test_lattice_tables_match_direct_sums(path):
                 np.exp(1j * phase) @ amp_w)
             bound = 1e-16 * (1.0 + W[own].max()) * np.abs(amp_w).sum() * unit
             assert np.abs(values[own] - direct).max() <= bound
+
+
+@pytest.mark.parametrize("path", ["vertical", "curve", "lines", "kernel", "curve2"])
+def test_mesh_columns_match_direct_sums(path):
+    # Meshes of positions against 129 uniform times, whose columns are built
+    # by recurrence from a centre every 2h + 1 columns: a vertical path
+    # (shift 0), a curve of order one (theta = 1.3, shift -theta*t affine in
+    # t), the (theta, t) base mesh of lines (theta fastest, one step factor
+    # per direction) and a kernel_grid mesh.  On a curve x - 1.3*t^2 the
+    # shift is not affine, so every column is direct (h = 0).  Each sum must
+    # be within 1e-16*(1 + W)*sum|a*w| of the sum of exp(i*P*L) *
+    # exp(i*(shift*L + T*S)), both direct, on its row group's rule, W that
+    # rule's phase variation, at two scales: W from about 6e2 to 2e3 and from
+    # 2e4 to 8e4 rad (worst measured 0.22 of the bound, on the curve).
+    rng = np.random.default_rng(26)
+    m, t = 0.5, np.linspace(0.0, 1.0, 129)
+    for scale in (1.0 / 512.0, 1.0 / 16384.0):
+        if path == "kernel":
+            lam, grid = 0.75 / scale, (np.arange(64) + 0.5) / 64
+            values = kernel_grid(lam, m, grid[:, None], grid[None, :]) / lam
+            P, T, shift = lam * grid, lam ** m * grid, np.zeros(64)
+            L_of, S_of, amplitude, unit = (lambda v: v), (lambda v: v ** m), BUMP_SQUARED, 1.0
+        else:
+            datum = FourierDatum(amplitude=1.5 - 0.5j, scale=scale, linear_phase=0.3,
+                                 fractional_phase=-0.2, m=m)
+            x, theta, times = rng.uniform(-2.0, 2.0, 8), 1.3, t
+            if path == "lines":   # two directions, so two row groups
+                theta, times = maximal._mesh(np.array([0.0, 0.5]), t).T
+            shift = {"vertical": 0.0 * times, "curve2": -theta * times ** 2}.get(
+                path, -theta * times)
+            values = propagate_grid(datum, m, x[:, None], times[None], shift[None])
+            P, T, (L_of, S_of) = x + datum.linear_phase, times + datum.fractional_phase, \
+                datum.band_maps(m)
+            amplitude, unit = BUMP, datum.amplitude / (2.0 * np.pi * abs(datum.scale))
+        spans = [float(np.ptp(f(np.array(BUMP_SUPPORT)))) for f in (L_of, S_of)]
+        _, _, (h, _, _), runs = quadrature._plan(P[:, None], T[None], shift[None], *spans)
+        assert (h == 0) == (path == "curve2")
+        for run in runs:
+            idx = np.concatenate([i for _, i in run])
+            v, amp_w = quadrature._batch_rule(run[-1][0], amplitude, *BUMP_SUPPORT)
+            L, S = L_of(v), S_of(v)
+            direct = unit * (np.exp(1j * P[idx, None] * L) * amp_w) @ np.exp(
+                1j * (shift[:, None] * L + T[:, None] * S)).T
+            bound = 1e-16 * (1.0 + run[-1][0]) * np.abs(amp_w).sum() * abs(unit)
+            assert np.abs(values[idx] - direct).max() <= bound

@@ -46,10 +46,10 @@ class Curve:
     kappa: float = 1.0
 
     def __post_init__(self):
-        if self.theta < 0:
-            raise ValueError("theta must be nonnegative")
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+        if not 0 <= self.theta < math.inf:
+            raise ValueError("theta must be finite and nonnegative")
+        if not 0 < self.kappa < math.inf:
+            raise ValueError("kappa must be finite and positive")
 
     @classmethod
     def vertical(cls):

@@ -1,24 +1,26 @@
-"""Grid maxima of |u| along a curve or over a set of lines, from one engine.
+"""Grid maxima of |u| along paths x - theta*t^kappa, from one engine.
 
-Both settings run one private engine on a mesh of path coordinates: t alone
-for a curve (x, t) -> path(x, t), and (theta, t) for the lines x - theta*t
-with theta in a union of intervals.  The engine takes one or more positions
-x, each with its own row of witnesses, and evaluates the witnesses of all
-positions in one call, then the base mesh, then ``refine_depth`` refinement
-rounds.  A round builds factor-8 finer local meshes around every position's
-leading maxima, screens them against that position's best value and
-evaluates what passes, for all positions in one call.  A local mesh's
-centre is its seed, recorded again with the seed's value, and a sample two
-local meshes share belongs to the first seed that reaches it.  On lines
-x - theta*t (line families, curves of order one) the call is
-``spectral.propagate_lattice``, which gives each distinct seed its own rule
-and its table or per-sample sums (``quadrature.lattice_batch``), so a
-position's floors do not depend on the other positions; other curves'
-rounds go flat.  Refined coordinates stay inside the domain: t in [0, 1]
-and, for lines, theta in the union of the direction intervals, so a line
-maximum is a floor for the stated direction set.  Each returned value is a
-floor on the supremum, the largest sample evaluated, never a ceiling; root
-finding is never used.  Two rules keep this honest and affordable:
+Every path is x - theta*t^kappa on a mesh of (theta, t): a curve is the
+one-direction set {theta} with its own kappa, a line family is kappa = 1 with
+theta in a union of closed intervals.  The engine takes one or more
+positions x, each with its own (theta, t) witness rows, and evaluates the
+witnesses of all positions in one call, then the base mesh (the direction
+nodes by uniform times), then ``refine_depth`` refinement rounds.  A round
+builds factor-8 finer local meshes around every position's leading maxima,
+screens them against that position's best value and evaluates what passes,
+for all positions in one call.  A local mesh steps theta only where the
+directions are spaced, so a one-direction set does the work of its curve.
+The centre of a local mesh is its seed, recorded again with the seed's
+value, and a sample two local meshes share belongs to the first seed that
+reaches it.  At
+kappa = 1 the call is ``spectral.propagate_lattice``, which gives each
+distinct seed its own rule and its table or per-sample sums
+(``quadrature.lattice_batch``), so a position's floors do not depend on the
+other positions; other rounds go flat.  Witnesses and refined samples stay
+inside the domain, t in [0, 1] and theta in the direction set, so a maximum
+is a floor for the stated set.  Each returned value is a floor on the
+supremum, the largest sample evaluated, never a ceiling; root finding is
+never used.  Two rules keep this honest and affordable:
 
 * Witness injection.  A base grid that resolves a large-frequency datum is
   usually impractical, so sharpness experiments inject analytically matched
@@ -34,17 +36,16 @@ finding is never used.  Two rules keep this honest and affordable:
   a sample is a candidate iff it lies in this window, two comparisons.
 
 Every path is a translate: the path through x sits at x + c, with c =
--theta*t^kappa on a curve and -theta*t on a line depending only on the base
-mesh's column, so every base mesh is separable.  It is fed in groups of at
-most ``MAX_BASE_SAMPLES`` samples.  For each group the window against each
-position's best witness first gives the kept (position, point) pairs: on a
-curve by the per-sample test; on a line family, where p = x - theta*t, as
-one run of the sorted directions per (position, t) row (a t = 0 row passes
-whole or not at all), its ends guessed by binary search and confirmed, or
-else found by bisection, with the window test itself, so the kept set is
-exactly the per-sample test's.  The engine then takes the cheaper call as
-``grid_work`` counts it: the kept samples flat, or the whole group as one
-separable mesh (never for a lone position).
+-theta*t^kappa depending only on the base mesh's column, so every base mesh
+is separable.  It is fed in groups of at most ``MAX_BASE_SAMPLES`` samples.
+For each group the window against each position's best witness first gives
+the kept (position, point) pairs, as one run of the sorted directions per
+(position, t) row (a t = 0 row passes whole or not at all), its ends guessed
+by binary search and confirmed, or else found by bisection, with the window
+test itself; a lone direction takes the test itself.  Either way the kept
+set is exactly the per-sample test's.  The engine then takes the cheaper
+call as ``grid_work`` counts it: the kept samples flat, or the whole group
+as one separable mesh (never for a lone position).
 """
 from __future__ import annotations
 
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Curve, curve_eval
+from .geometry import Curve
 from .quadrature import CONTRACT_WEIGHT
 from .spectral import (FourierDatum, _end_slopes, grid_work, propagate_grid,
                        propagate_lattice)
@@ -152,22 +153,26 @@ def _first_true(test, guess, n):
     return k
 
 
-def _line_window(datum: FourierDatum, m: float, locate, xs, reach, base, n):
-    """(j, r) of the samples base[r] at xs[j] that pass, base the mesh of n
-    sorted directions by times, in blocks of rows.  Along a row (one position,
-    one t >= 0) every rounded step of p' = x - theta*t + linear_phase is
-    monotone in theta, so each side of the window test is one cut in the row:
-    guessed by binary search on the solved inequality, and confirmed, or else
-    found by bisection, with the test itself.  The kept set is exactly that of
-    the per-sample test."""
-    thetas, times = base[:n, 0], base[::n, 1]
+def _line_window(datum: FourierDatum, m: float, kappa, xs, reach, thetas, times):
+    """(j, r) of the samples of the mesh of sorted directions ``thetas`` by
+    ``times`` at xs[j] that pass, r = i*len(thetas) + k for (thetas[k],
+    times[i]), in blocks of rows.  Along a row (one position, one t >= 0)
+    every rounded step of p' = x - theta*t^kappa + linear_phase, t^kappa
+    computed once per time, is monotone in theta for any kappa > 0, so each
+    side of the window test is one cut in the row: guessed by binary search
+    on the solved inequality, and confirmed, or else found by bisection, with
+    the test itself.  A lone direction takes the test itself.  The kept set
+    is exactly that of the per-sample test."""
+    n, power = len(thetas), np.power(times, kappa)
     s_lo, s_hi = _slopes(datum, m, times)
     hits, rows = [], len(xs) * len(times)
     for lo in range(0, rows, _SCREEN_BLOCK):
-        q, it = np.divmod(np.arange(lo, min(rows, lo + _SCREEN_BLOCK)), len(times))
+        it = np.arange(lo, min(rows, lo + _SCREEN_BLOCK))
+        q = it // len(times)   # four times faster than an integer np.divmod
+        it -= q * len(times)
 
         def p(sel, k):   # p' of direction k in the rows sel
-            return locate(xs[q[sel]], base[it[sel] * n + k])[0] + datum.linear_phase
+            return xs[q[sel]] - thetas[k] * power[it[sel]] + datum.linear_phase
 
         def below(sel, k):   # p' + s- < R: false, then true as theta grows
             return p(sel, k) + s_lo[it[sel]] < reach[q[sel]]
@@ -175,7 +180,11 @@ def _line_window(datum: FourierDatum, m: float, locate, xs, reach, base, n):
         def beyond(sel, k):   # not p' + s+ > -R: false, then true
             return ~(p(sel, k) + s_hi[it[sel]] > -reach[q[sel]])
 
-        x, t = xs[q] + datum.linear_phase, times[it]
+        if n == 1:   # the per-sample test: cheaper than a search of one direction
+            keep = np.flatnonzero(below(slice(None), 0) & ~beyond(slice(None), 0))
+            hits.append((q[keep], it[keep]))
+            continue
+        x, t = xs[q] + datum.linear_phase, power[it]
         with np.errstate(divide="ignore", invalid="ignore"):   # t = 0 rows guess anything
             first = _first_true(below, np.searchsorted(
                 thetas, (x + s_lo[it] - reach[q]) / t, "right"), n)
@@ -188,160 +197,148 @@ def _line_window(datum: FourierDatum, m: float, locate, xs, reach, base, n):
     return tuple(map(np.concatenate, zip(*hits)))
 
 
-def _mesh(*axes):
-    """Rows of the mesh of the axes, the first axis varying fastest.
-
-    For up to two axes this is the row order of ``np.meshgrid`` ('xy').
-    """
-    rows = np.empty([len(a) for a in reversed(axes)] + [len(axes)])
-    for j, a in enumerate(axes):
-        rows[..., j] = np.reshape(a, (-1,) + (1,) * j)
-    return rows.reshape(-1, len(axes))
+def _path(x, theta, t, kappa):
+    """x - theta*t^kappa, bit for bit as ``geometry.curve_eval``."""
+    return x - theta * np.power(t, kappa)
 
 
-def _time_axis(grid: GridSpec):
-    return np.linspace(0.0, 1.0, grid.t_base), 1.0 / (grid.t_base - 1)
+def _grid_sup(datum, m, grid, xs, bounds, thetas, kappa, witnesses):
+    """Grid suprema of |u| along the paths x - theta*t^kappa, one per position.
 
-
-def _in_unit_time(coords):
-    return (coords[:, -1] >= 0.0) & (coords[:, -1] <= 1.0)
-
-
-def _grid_sup(datum, m, grid, xs, axes, locate, inside, witnesses, direction=None):
-    """Grid suprema of |u| over a mesh of path coordinates, one per position.
-
-    ``axes`` holds one (nodes, spacing) pair per coordinate, (t,) for a curve
-    or (theta, t) for lines; their mesh is the base grid of every position in
-    ``xs``.  ``locate(x, rows)`` maps coordinate rows (last axis) to
-    (positions, times) on the paths through x, broadcasting against the rows'
-    leading axes, with locate(x, rows) = x + locate(0.0, rows)[0].  ``inside``
-    tells which refined rows lie in the domain; ``witnesses[i]`` are the rows
-    of position i, evaluated first and unscreened.  ``direction(rows)`` gives
-    each row's theta where every path is a line x - theta*t, else it is None.
-    Screening, base groups, routes and refinement rounds are those of the
-    module docstring.
+    ``bounds`` holds the closed direction intervals as (lo, hi) rows and
+    ``thetas`` their sorted, distinct nodes; the mesh of ``thetas`` by
+    ``grid.t_base`` uniform times on [0, 1] is the base grid of every
+    position in ``xs``.  ``witnesses[i]`` are the (theta, t) rows of position
+    i, evaluated first and unscreened; like every refined sample they must
+    lie in the domain, t in [0, 1] and theta in the intervals.  Screening,
+    base groups, routes and refinement rounds are those of the module
+    docstring.
     """
     need = grid.required_t_base(datum)
     if grid.t_base < need and not witnesses.shape[1]:
         raise ValueError(
             f"time grid under-resolved for this datum (have {grid.t_base}, "
             f"need {need}) and no witness points were injected")
-    k, d = len(xs), len(axes)
+    w_theta, w_t = witnesses.reshape(-1, 2).T
+    if not np.all((w_t >= 0.0) & (w_t <= 1.0) & _in_intervals(w_theta, bounds)):
+        raise ValueError("witnesses (extra_t or extra) must have t in [0, 1] and theta "
+                         "in the direction set")
+    k, n = len(xs), len(thetas)
+    times = np.linspace(0.0, 1.0, grid.t_base)
+    steps = np.array([np.max(np.diff(thetas)) if n > 1 else 0.0, 1.0 / (grid.t_base - 1)])
     best = np.zeros(k)
-    # (position, row, value) of each position's _TOP_SEEDS leading samples so
-    # far, in the order they were recorded
-    lead = np.empty(0, dtype=np.intp), np.empty((0, d)), np.empty(0)
+    # (position, theta, t, value) of each position's _TOP_SEEDS leading samples
+    # so far, in the order they were recorded
+    lead = np.empty(0, dtype=np.intp), np.empty(0), np.empty(0), np.empty(0)
 
-    def record(j, rows, vals):
+    def record(j, theta, t, vals):
         """Take evaluated samples into best and into the leading samples."""
         nonlocal lead
         np.maximum.at(best, j, vals)
-        j, rows, vals = map(np.concatenate, zip(lead, (j, rows, vals)))
+        j, theta, t, vals = map(np.concatenate, zip(lead, (j, theta, t, vals)))
         order = _ranked(j, vals)
         rank = np.arange(len(j)) - np.searchsorted(j[order], j[order])
         keep = np.sort(order[rank < _TOP_SEEDS])
-        lead = j[keep], rows[keep], vals[keep]
+        lead = j[keep], theta[keep], t[keep], vals[keep]
 
-    def screen(ids, rows):
-        """(j, r) of the samples rows[r] at xs[ids[j]] in the window, by position."""
-        reach = _reach(datum, best[ids, None])
-        step = max(1, _SCREEN_BLOCK // len(ids))
-        j, r = [], []
-        for lo in range(0, len(rows), step):
-            hit_j, hit_r = np.nonzero(_passes(datum, m, reach, *locate(
-                xs[ids, None], rows[lo:lo + step])))
-            j.append(hit_j)
-            r.append(hit_r + lo)
-        order = np.argsort(np.concatenate(j), kind="stable")
-        return np.concatenate(j)[order], np.concatenate(r)[order]
-
-    def feed(ids, rows, j, r):
-        """Evaluate and record the samples rows[j % len(rows), r] at xs[ids[j]]."""
+    def feed(ids):
+        """Screen the base mesh at xs[ids], then evaluate and record what passes."""
+        j, r = _line_window(datum, m, kappa, xs[ids], _reach(datum, best[ids]),
+                            thetas, times)
         if not len(j):
             return
-        points, vals = locate(xs[ids][j], rows[j % len(rows), r]), None
+        it = r // n
+        theta, t = thetas[r - it * n], times[it]
+        points, vals = (xs[ids[j]] - theta * power[it], t), None
         # a mesh row costs at least 1 + CONTRACT_WEIGHT*n times its rule's nodes, a kept
         # sample flat at most twice: one mesh of shared rows wins only past half that
-        most = np.bincount(j).max() if len(rows) == 1 and len(ids) > 1 else 0
-        if 2 * most > 1 + CONTRACT_WEIGHT * rows.shape[1]:
-            shift, t = locate(0.0, rows[0])
-            mesh = xs[ids, None], t[None], shift[None]
+        most = np.bincount(j).max() if len(ids) > 1 else 0
+        if 2 * most > 1 + CONTRACT_WEIGHT * n * len(times):
+            mesh = (xs[ids, None], np.repeat(times, n)[None],
+                    (0.0 - thetas * power[:, None]).reshape(1, -1))
             work = grid_work(datum, m, *mesh)
             if work < grid_work(datum, m, *points, limit=work):
                 vals = propagate_grid(datum, m, *mesh)[j, r]
         vals = propagate_grid(datum, m, *points) if vals is None else vals
-        record(ids[j], rows[j % len(rows), r], np.abs(vals))
+        record(ids[j], theta, t, np.abs(vals))
 
-    w = witnesses.shape[1]
-    feed(np.arange(k), witnesses, *np.divmod(np.arange(k * w), w))
-    base = _mesh(*(nodes for nodes, _ in axes))
-    group = max(1, MAX_BASE_SAMPLES // len(base))
+    if w_t.size:
+        j = np.repeat(np.arange(k), witnesses.shape[1])
+        record(j, w_theta, w_t, np.abs(propagate_grid(
+            datum, m, _path(xs[j], w_theta, w_t, kappa), w_t)))
+    power = np.power(times, kappa)
+    group = max(1, MAX_BASE_SAMPLES // (n * len(times)))
     for lo in range(0, k, group):
-        ids = np.arange(lo, min(k, lo + group))
-        feed(ids, base[None], *(_line_window(
-            datum, m, locate, xs[ids], _reach(datum, best[ids]), base, len(axes[0][0]))
-            if d == 2 else screen(ids, base)))
-    steps = [spacing for _, spacing in axes]
+        feed(np.arange(lo, min(k, lo + group)))
     ticks = np.arange(-_REFINE_FACTOR, _REFINE_FACTOR + 1)
-    lattice = _mesh(ticks if d == 2 else [0], ticks).astype(np.intp)   # (a, b) steps
+    # (a, b) steps of a local mesh, stepping theta only between spaced directions
+    lattice = np.stack(np.meshgrid(ticks if n > 1 else [0], ticks), -1).reshape(-1, 2)
+    size = len(lattice)
     for _ in range(grid.refine_depth):
         # local meshes _REFINE_FACTOR times finer across one spacing each side of
         # every leading sample, screened a block of seeds at a time
-        owners, seeds, seed_vals = lead
-        steps = [spacing / _REFINE_FACTOR for spacing in steps]
-        offsets = _mesh(*(ticks * step for step in steps))
-        per_block = max(1, _SCREEN_BLOCK // len(offsets))
+        owners, seed_theta, seed_t, seed_vals = lead
+        steps = steps / _REFINE_FACTOR
+        offsets = lattice * steps
+        per_block = max(1, _SCREEN_BLOCK // size)
         parts = []
-        for lo in range(0, len(seeds), per_block):
-            rows = (seeds[lo:lo + per_block, None] + offsets).reshape(-1, d)
-            j = np.repeat(owners[lo:lo + per_block], len(offsets))
-            known = np.full(len(rows), np.nan)   # offset 0: the seed's value
-            known[len(offsets) // 2::len(offsets)] = seed_vals[lo:lo + per_block]
-            keep = inside(rows)
+        for lo in range(0, len(owners), per_block):
+            theta = (seed_theta[lo:lo + per_block, None] + offsets[:, 0]).reshape(-1)
+            t = (seed_t[lo:lo + per_block, None] + offsets[:, 1]).reshape(-1)
+            j = np.repeat(owners[lo:lo + per_block], size)
+            known = np.full(len(t), np.nan)   # offset 0: the seed's value
+            known[size // 2::size] = seed_vals[lo:lo + per_block]
+            keep = (t >= 0.0) & (t <= 1.0)
+            if n > 1:   # a lone direction never moves
+                keep &= _in_intervals(theta, bounds)
             keep[keep] = _passes(datum, m, _reach(datum, best[j[keep]]),
-                                 *locate(xs[j[keep]], rows[keep]))
-            parts.append((j[keep], rows[keep], known[keep],
-                          lo * len(offsets) + np.flatnonzero(keep)))   # origin
+                                 _path(xs[j[keep]], theta[keep], t[keep], kappa), t[keep])
+            parts.append((j[keep], theta[keep], t[keep], known[keep],
+                          lo * size + np.flatnonzero(keep)))   # origin
         if not parts:
             break
-        j, rows, known, origin = map(np.concatenate, zip(*parts))
-        # one row per distinct sample of a position: a seed's own, else the first seed's
-        order = np.lexsort((np.isnan(known), *rows.T[::-1], j))
-        j, rows, known, origin = j[order], rows[order], known[order], origin[order]
-        first = np.concatenate([[True], (j[1:] != j[:-1])
-                                | np.any(rows[1:] != rows[:-1], axis=1)])
-        j, rows, known, origin = j[first], rows[first], known[first], origin[first]
+        j, theta, t, known, origin = map(np.concatenate, zip(*parts))
+        # one sample per distinct (theta, t) of a position: a seed's own, else the first seed's
+        order = np.lexsort((np.isnan(known), t, theta, j))
+        j, theta, t, known, origin = (c[order] for c in (j, theta, t, known, origin))
+        first = np.concatenate([[True], (j[1:] != j[:-1]) | (theta[1:] != theta[:-1])
+                                | (t[1:] != t[:-1])])
+        j, theta, t, known, origin = (c[first] for c in (j, theta, t, known, origin))
         new = np.isnan(known)
-        if new.any() and direction is None:
-            known[new] = np.abs(propagate_grid(datum, m, *locate(xs[j[new]], rows[new])))
+        if new.any() and kappa != 1.0:
+            known[new] = np.abs(propagate_grid(
+                datum, m, _path(xs[j[new]], theta[new], t[new], kappa), t[new]))
         elif new.any():   # lines: from the distinct seeds' factor tables
-            seed, o = np.divmod(origin[new], len(offsets))
+            seed, o = np.divmod(origin[new], size)
             ids, s = np.unique(seed, return_inverse=True)
             known[new] = np.abs(propagate_lattice(
-                datum, m, xs[owners[ids]], direction(seeds[ids]), seeds[ids, -1],
-                (steps[0] if d == 2 else 0.0, steps[-1]), (s, *lattice[o].T)))
-        record(j, rows, known)
+                datum, m, xs[owners[ids]], seed_theta[ids], seed_t[ids], steps,
+                (s, *lattice[o].T)))
+        record(j, theta, t, known)
     return best
 
 
 def _positions(x, extra, name, d):
-    """x, a scalar or 1-D, and its witnesses as rows of shape (len(x), w, d)."""
+    """x, a finite scalar or 1-D, and its witnesses as rows of shape (len(x), w, d)."""
     xs, rows = np.asarray(x, dtype=float), np.asarray(extra, dtype=float)
     rows = rows[..., None] if d == 1 else rows
     if xs.ndim > 1 or (rows.size and (rows.shape[:-2] != xs.shape or rows.shape[-1] != d)):
         tail = "(w,)" if d == 1 else f"(w, {d})"
         raise ValueError(f"x must be a scalar or 1-D, with {name} of shape x.shape + "
                          f"{tail}; got {xs.shape} and {np.shape(extra)}")
+    if not np.all(np.isfinite(xs)):
+        raise ValueError("x must be finite")
     return xs, rows.reshape(xs.size, -1, d)
 
 
 def maximal_in_time(datum: FourierDatum, m: float, curve: Curve, x,
                     grid: GridSpec, extra_t=()):
-    """Grid supremum over t in [0,1] of |u(path(x,t), t)|, per position.
+    """Grid supremum over t in [0,1] of |u(x - theta*t^kappa, t)|, per position.
 
+    The curve is the one-direction set {theta} of the engine, with its kappa.
     x is one position (returns a float) or a 1-D array of positions (returns
-    an array, one floor per position); extra_t holds witness times, a
-    sequence for a scalar x and shape x.shape + (w,) for an array x.
+    an array, one floor per position); extra_t holds witness times in [0, 1],
+    a sequence for a scalar x and shape x.shape + (w,) for an array x.
     Witnesses are evaluated first (unscreened) and count for the sampling
     rule.  The base mesh is screened, then its kept samples or, where that
     counts as less work, the whole group go in one call (flat for a scalar
@@ -353,20 +350,15 @@ def maximal_in_time(datum: FourierDatum, m: float, curve: Curve, x,
     if xs.size * grid.t_base > MAX_BASE_SAMPLES:
         raise ValueError(f"len(x) * t_base must be <= {MAX_BASE_SAMPLES} base "
                          f"samples, got {xs.size} * {grid.t_base}")
-
-    def locate(x, c):
-        t = c[..., 0]
-        return curve_eval(curve, x, t), t
-
-    sups = _grid_sup(datum, m, grid, xs.reshape(-1), [_time_axis(grid)], locate,
-                     _in_unit_time, t_w, None if curve.kappa != 1.0
-                     else lambda c: np.full(len(c), curve.theta))
+    sups = _grid_sup(datum, m, grid, xs.reshape(-1), np.full((1, 2), curve.theta, float),
+                     np.full(1, curve.theta, float), curve.kappa,
+                     np.concatenate((np.full_like(t_w, curve.theta), t_w), axis=-1))
     return float(sups[0]) if xs.ndim == 0 else sups
 
 
 def _theta_nodes(bounds, per_component):
-    if len(bounds) == 0 or np.any(bounds[:, 1] < bounds[:, 0]):
-        raise ValueError("direction intervals must be nonempty and have lo <= hi")
+    if len(bounds) == 0 or not np.all(np.isfinite(bounds) & (bounds[:, :1] <= bounds[:, 1:])):
+        raise ValueError("theta_intervals must be nonempty and finite, with lo <= hi")
     return np.unique(np.linspace(bounds[:, 0], bounds[:, 1], max(2, per_component),
                                  axis=1))
 
@@ -383,22 +375,18 @@ def maximal_over_lines(datum: FourierDatum, m: float, theta_intervals, x,
                        grid: GridSpec, extra=()):
     """Grid supremum over (theta, t) of |u(x - theta*t, t)|, per position.
 
-    theta ranges over a union of intervals (points allowed), sampled at
-    theta_per_component nodes each; refined directions stay inside the
-    union.  x is one position (returns a float) or a 1-D array of positions
-    (returns an array, one floor per position); extra holds (theta, t)
-    witness pairs, a sequence of pairs for a scalar x and shape
-    x.shape + (w, 2) for an array x.  The base mesh is fed in groups of at
-    most ``MAX_BASE_SAMPLES`` samples, screened and evaluated as in
-    :func:`maximal_in_time`, and so is refinement.
+    The lines are the engine's paths at kappa = 1.  theta ranges over a union
+    of intervals (points allowed), sampled at theta_per_component nodes each;
+    refined directions stay inside the union.  x is one position (returns a
+    float) or a 1-D array of positions (returns an array, one floor per
+    position); extra holds (theta, t) witness pairs in the domain, a sequence
+    of pairs for a scalar x and shape x.shape + (w, 2) for an array x.  The
+    base mesh is fed in groups of at most ``MAX_BASE_SAMPLES`` samples,
+    screened and evaluated as in :func:`maximal_in_time`, and so is
+    refinement.
     """
     xs, pairs = _positions(x, extra, "extra", 2)
     bounds = np.asarray(theta_intervals, dtype=float).reshape(-1, 2)
-    thetas = _theta_nodes(bounds, grid.theta_per_component)
-    d_theta = float(np.max(np.diff(thetas))) if len(thetas) > 1 else 0.0
-    sups = _grid_sup(
-        datum, m, grid, xs.reshape(-1), [(thetas, d_theta), _time_axis(grid)],
-        lambda x, c: (x - c[..., 0] * c[..., 1], c[..., 1]),
-        lambda c: _in_unit_time(c) & _in_intervals(c[:, 0], bounds), pairs,
-        lambda c: c[:, 0])
+    sups = _grid_sup(datum, m, grid, xs.reshape(-1), bounds,
+                     _theta_nodes(bounds, grid.theta_per_component), 1.0, pairs)
     return float(sups[0]) if xs.ndim == 0 else sups

@@ -271,6 +271,53 @@ def test_array_positions_validation(monkeypatch):
                         small_grid(), extra_t=np.zeros((cells, 1)))
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("refused input must not reach quadrature")
+
+
+@pytest.mark.parametrize("call,field", [
+    pytest.param(lambda: maximal_in_time(BAND, 0.5, Curve.vertical(), np.nan, small_grid()),
+                 "^x must be finite", id="x-nan"),
+    pytest.param(lambda: maximal_in_time(BAND, 0.5, Curve(theta=np.nan), 0.3, small_grid()),
+                 "^theta must be finite", id="curve-theta-nan"),
+    pytest.param(lambda: maximal_in_time(BAND, 0.5, Curve(theta=1.0, kappa=np.nan), 0.3,
+                                         small_grid()),
+                 "^kappa must be finite", id="curve-kappa-nan"),
+    pytest.param(lambda: maximal_in_time(BAND, 0.5, Curve(theta=1.0, kappa=np.inf), 0.3,
+                                         small_grid()),
+                 "^kappa must be finite", id="curve-kappa-inf"),
+    pytest.param(lambda: maximal_over_lines(BAND, 0.5, [(0.1, np.nan)], 0.3, small_grid()),
+                 "^theta_intervals must be nonempty and finite", id="interval-hi-nan"),
+    pytest.param(lambda: maximal_over_lines(BAND, 0.5, [(np.nan, 0.2)], 0.3, small_grid()),
+                 "^theta_intervals must be nonempty and finite", id="interval-lo-nan"),
+    pytest.param(lambda: maximal_over_lines(BAND, 0.5, [(0.1, np.inf)], 0.3, small_grid()),
+                 "^theta_intervals must be nonempty and finite", id="interval-hi-inf"),
+    pytest.param(lambda: maximal_in_time(BAND, 0.5, Curve.vertical(), 0.3, small_grid(),
+                                         extra_t=(2.0,)),
+                 "extra_t", id="witness-t-above-1"),
+    pytest.param(lambda: maximal_in_time(BAND, 0.5, Curve.vertical(), np.array([0.3, 0.4]),
+                                         small_grid(), extra_t=[[0.5], [np.nan]]),
+                 "extra_t", id="witness-t-nan"),
+    pytest.param(lambda: maximal_over_lines(BAND, 0.5, [(0.1, 0.2)], 0.3, small_grid(),
+                                            extra=[(5.0, 0.5)]),
+                 "extra", id="witness-theta-outside"),
+    pytest.param(lambda: maximal_over_lines(BAND, 0.5, [(0.1, 0.2), (0.4, 0.5)], 0.3,
+                                            small_grid(), extra=[(0.3, 0.5)]),
+                 "extra", id="witness-theta-in-gap"),
+    pytest.param(lambda: maximal_over_lines(BAND, 0.5, [(0.1, 0.2)], 0.3, small_grid(),
+                                            extra=[(0.15, -0.5)]),
+                 "extra", id="witness-t-negative"),
+])
+def test_bad_input_is_refused_before_any_quadrature(monkeypatch, call, field):
+    # non-finite positions, curves and direction intervals, and witnesses off
+    # the domain (t in [0, 1], theta in the direction set), which would put a
+    # sample outside the stated domain into a floor
+    monkeypatch.setattr(maximal, "propagate_grid", _never)
+    monkeypatch.setattr(maximal, "propagate_lattice", _never)
+    with pytest.raises(ValueError, match=field):
+        call()
+
+
 def test_lines_reduce_to_vertical_at_zero_direction():
     grid = small_grid()
     for x in (0.25, 0.6):
@@ -279,17 +326,31 @@ def test_lines_reduce_to_vertical_at_zero_direction():
         assert line == pytest.approx(vert, rel=1e-14)
 
 
-def test_order_one_power_curve_equals_its_line():
+def test_order_one_power_curve_equals_its_line(monkeypatch):
     # x - theta*t^1 is the line of direction theta: both wrappers must run the
-    # same samples through the same engine
+    # same samples through the same engine.  A local mesh steps theta only
+    # between spaced directions, so each screens at most 17 samples a seed
+    # and round, not 17 copies of each.
+    screened = []
+    passes = maximal._passes
+
+    def spy(datum, m, reach, positions, times):
+        screened[-1] += np.broadcast(reach, positions, times).size
+        return passes(datum, m, reach, positions, times)
+
+    monkeypatch.setattr(maximal, "_passes", spy)
     grid = small_grid()
     for theta in (0.3, 1.0, 2.5):
         curve = Curve.power(theta=theta, kappa=1.0)
-        for x, witness in ((0.2, ()), (0.7, (0.41,))):
+        for x, witness in ((0.2, ()), (0.7, (0.41,)), (np.linspace(0.1, 0.9, 4), ())):
+            screened.append(0)
             along = maximal_in_time(BAND, 0.5, curve, x, grid, extra_t=witness)
+            screened.append(0)
             over = maximal_over_lines(BAND, 0.5, [(theta, theta)], x, grid,
                                       extra=[(theta, t) for t in witness])
-            assert along == over
+            assert np.array_equal(along, over)
+            most = grid.refine_depth * maximal._TOP_SEEDS * np.size(x) * 17   # 17 ticks in t
+            assert 0 < screened[-2] == screened[-1] <= most
 
 
 def test_lines_dominate_their_base_mesh():
@@ -444,7 +505,7 @@ def _per_sample_bound(datum, m, positions, times):
                         np.inf)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(derandomize=True, max_examples=300, deadline=None)
 @given(scale=st.sampled_from([1.0, 0.25, 1 / 64, 4.0]), mirrored=st.booleans(),
        shift=st.sampled_from([0.0, 0.5, 2.0, -1.0]),   # 0.5 and 2.0 touch xi = 0
        amplitude=st.floats(0.1, 10.0), linear_phase=st.floats(-2.0, 2.0),
@@ -455,43 +516,42 @@ def _per_sample_bound(datum, m, positions, times):
                       min_size=4, max_size=4),
        intervals=st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 20)),
                           min_size=1, max_size=3),
+       lone=st.booleans(), kappa=st.sampled_from([0.5, 1.0, 2.0]),
        per_component=st.integers(1, 4), t_count=st.sampled_from([2, 3, 5, 9]),
        block=st.sampled_from([3, maximal._SCREEN_BLOCK]))
 def test_screen_window_keeps_exactly_what_the_bound_keeps(
         scale, mirrored, shift, amplitude, linear_phase, fractional_phase, m, xs,
-        reach, intervals, per_component, t_count, block):
+        reach, intervals, lone, kappa, per_component, t_count, block):
     # Against the per-sample bound: no sample whose bound beats best is
     # dropped, and none whose bound is below best * (1 - 1e-9) is kept, on
-    # the lines base mesh (t = 0 rows included; theta-windows by binary
-    # search) and through the per-sample window test.  best = 0 where reach
-    # is inf; tau = t + fractional_phase takes both signs and 0.
+    # the base mesh of paths x - theta*t^kappa (t = 0 rows included;
+    # theta-windows by binary search, a lone direction, as a curve's mesh is,
+    # by the per-sample test) and through the per-sample window test.
+    # best = 0 where reach is inf; tau = t + fractional_phase takes both
+    # signs and 0.
     datum = FourierDatum(amplitude=amplitude, scale=-scale if mirrored else scale,
                          shift=shift, linear_phase=linear_phase,
                          fractional_phase=fractional_phase, m=m)
     xs = np.array(xs)
     best = 4.0 * amplitude / (2.0 * np.pi * np.array(reach[:len(xs)]))
     bounds = np.array([(lo / 50, lo / 50 + width / 100) for lo, width in intervals])
-    thetas = maximal._theta_nodes(bounds, per_component)
+    thetas = maximal._theta_nodes(bounds, per_component)[:1 if lone else None]
     times = np.linspace(0.0, 1.0, t_count)
-    base = maximal._mesh(thetas, times)
-
-    def locate(x, c):
-        return x - c[..., 0] * c[..., 1], c[..., 1]
-
-    positions, t = locate(xs[:, None], base[None])
+    theta, t = (g.ravel() for g in np.meshgrid(thetas, times))
+    positions = xs[:, None] - theta * np.power(t, kappa)
     bound = _per_sample_bound(datum, m, positions, t)
     must = bound > best[:, None]
     may = bound >= best[:, None] * (1.0 - 1e-9)
     saved = maximal._SCREEN_BLOCK
     maximal._SCREEN_BLOCK = block
     try:
-        j, r = maximal._line_window(datum, m, locate, xs, maximal._reach(datum, best),
-                                    base, len(thetas))
+        j, r = maximal._line_window(datum, m, kappa, xs, maximal._reach(datum, best),
+                                    thetas, times)
     finally:
         maximal._SCREEN_BLOCK = saved
     kept = np.zeros_like(must)
     kept[j, r] = True
-    assert len(j) == kept.sum() and np.all(np.diff(j * len(base) + r) > 0)
+    assert len(j) == kept.sum() and np.all(np.diff(j * len(t) + r) > 0)
     assert np.all(kept[must]) and np.all(may[kept])
     passes = maximal._passes(datum, m, maximal._reach(datum, best[:, None]), positions, t)
     assert np.array_equal(passes, kept)
@@ -504,10 +564,6 @@ def test_line_window_is_exact_for_directions_ulps_apart():
     # window's over the full mesh, t = 0 rows included.
     rng = np.random.default_rng(11)
     m = 0.5
-
-    def locate(x, c):
-        return x - c[..., 0] * c[..., 1], c[..., 1]
-
     trials = 0
     while trials < 400:
         datum = FourierDatum(linear_phase=rng.uniform(-1.0, 1.0),
@@ -515,9 +571,9 @@ def test_line_window_is_exact_for_directions_ulps_apart():
         thetas = np.unique(rng.uniform(-1.0, 1.0)
                            + np.cumsum(rng.uniform(1e-16, 1e-15, 40)))
         times = np.concatenate([[0.0], np.sort(rng.choice([1e-3, 1e-2, 0.1, 0.5, 1.0], 3))])
-        base = maximal._mesh(thetas, times)
+        theta, t = (g.ravel() for g in np.meshgrid(thetas, times))
         xs = rng.uniform(-2.0, 2.0, 3)
-        positions, t = locate(xs[:, None], base[None])
+        positions = xs[:, None] - theta * t
         s_lo, s_hi = maximal._slopes(datum, m, t)
         p = positions + datum.linear_phase
         edges = np.concatenate([(p + s_lo).ravel(), -(p + s_hi).ravel()])
@@ -529,10 +585,10 @@ def test_line_window_is_exact_for_directions_ulps_apart():
         for q, steps in enumerate(rng.integers(-3, 4, len(xs))):
             for _ in range(abs(steps)):
                 reach[q] = np.nextafter(reach[q], np.inf if steps > 0 else 0.0)
-        j, r = maximal._line_window(datum, m, locate, xs, reach, base, len(thetas))
+        j, r = maximal._line_window(datum, m, 1.0, xs, reach, thetas, times)
         kept = np.zeros(p.shape, dtype=bool)
         kept[j, r] = True
-        assert len(j) == kept.sum() and np.all(np.diff(j * len(base) + r) > 0)
+        assert len(j) == kept.sum() and np.all(np.diff(j * len(t) + r) > 0)
         assert np.array_equal(kept, maximal._passes(datum, m, reach[:, None], positions, t))
 
 

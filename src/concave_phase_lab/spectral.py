@@ -21,12 +21,15 @@ Ahead of ``integrate``, :func:`propagate` tries an integration-by-parts
 certificate.  Its phase slope phi' is monotone on the band, so when phi' has
 one sign at both ends the band integral is bounded by B_k = int |D^k a| dv,
 D f = (f/phi')', for k = 1..8 (every boundary term vanishes on the flat-ended
-bump).  When some B_k meets ``quadrature.ABS_TOL``, the absolute tolerance
-of ``integrate``, the value is 0 with that error bound.  Otherwise
-``integrate`` runs.  On 180 calls on the CLI data families it settles the 53
-with min |phi'| >= 1.27e3 in under a millisecond each; ``integrate`` would
-take up to 0.14 s on 46 of them (W up to 9.8e5 rad) and refuse the other 7
-(W from 1.5e6 rad) past ``N_MAX``.
+bump).  A gate names the Taylor degree K: the first k whose leading term
+||a^(k)||_1 / min|phi'|^k meets ``quadrature.ABS_TOL``, the absolute
+tolerance of ``integrate``.  When some B_k with k <= K meets it, the value
+is 0 with that error bound.  Otherwise ``integrate`` runs.  On 180 calls on
+the CLI data families it settles the 53 with min |phi'| >= 1.27e3, each at
+the gate's own k: k = 2..8 on 4, 15, 12, 9, 10, 2 and 1 of them, at about
+56, 80, 114, 154, 191, 254 and 320 us per call (2-CPU Xeon, numpy 2.4.6).
+``integrate`` would take up to 0.14 s on 46 of them (W up to 9.8e5 rad) and
+refuse the other 7 (W from 1.5e6 rad) past ``N_MAX``.
 """
 from __future__ import annotations
 
@@ -85,7 +88,8 @@ def BUMP_SQUARED(xi):
 # the bump is flat at both ends and every boundary term vanishes (Stein 1993,
 # ch. VIII).  D^k a is taken exactly in truncated Taylor arithmetic (Griewank &
 # Walther 2008, ch. 13) at the midpoints of _IBP_NODES cells of the band, and
-# B_k is their midpoint sum, for k up to _IBP_ORDER.  On the 28 CLI-family
+# B_k is their midpoint sum.  _IBP_ORDER caps the gate's k, which sets the
+# degree of every series of a call: B_k takes k + 1 rows.  On the 28 CLI-family
 # calls with min |phi'| from 3.6e3 to 1.6e7, the certificate stops at
 # k = 2..5 with B_k <= 8.5e-13, and B_k on these 1,025 nodes is within 6.3e-4
 # relative of B_k on 30,001 nodes.  Calls with smaller slopes need higher k:
@@ -136,21 +140,28 @@ def _end_slopes(datum, m, tau):
             else tau * m * np.abs(xi) ** (m - 1.0) * np.sign(xi) for xi in (lo, hi)]
 
 
-def _ibp_bounds(datum, m, p, t):
-    """Yield B_1, B_2, ..., B_K for a band phase whose phi' keeps one sign."""
+def _ibp_bounds(datum, m, p, t, order):
+    """Yield B_1, ..., B_order for a band phase whose phi' keeps one sign,
+    from series of degree ``order``, or nothing if a coefficient of phi' is
+    not finite.  Row r of each series depends on rows <= r alone, summed in
+    the same order at any degree, so B_k is the same float for every order
+    >= k.  Overflow is silent only under the caller's ``np.errstate``.
+    """
     v, h, a, _ = _bump_taylor()
-    c = np.zeros_like(a)                 # phi' about each node
+    c = np.zeros((order + 1, _IBP_NODES))   # phi' about each node
     c[0] = p / datum.scale
     if t != 0.0:
         xi = (v - datum.shift) / datum.scale
         q = 1.0 / (v - datum.shift)      # |xi| = |xi_j| * (1 + q*dv)
         term = t * m * np.sign(xi) * np.abs(xi) ** (m - 1.0) / datum.scale
-        for k in range(_IBP_ORDER + 1):  # binomial series of (1 + q*dv)^(m-1)
+        for k in range(order + 1):       # binomial series of (1 + q*dv)^(m-1)
             c[k] += term
             term = term * q * ((m - 1.0 - k) / (k + 1))
+    if not np.isfinite(c).all():
+        return
     g = _series_reciprocal(c)
-    f = a
-    for d in range(_IBP_ORDER - 1, -1, -1):   # f -> (f*g)', one degree fewer each time
+    f = a[:order + 1]
+    for d in range(order - 1, -1, -1):       # f -> (f*g)', one degree fewer each time
         prod = np.zeros((d + 1, _IBP_NODES))   # (f*g) coefficients 1..d+1
         for lag in range(d + 2):
             prod[max(lag - 1, 0):] += g[lag] * f[max(1 - lag, 0):d + 2 - lag]
@@ -162,10 +173,14 @@ def _nonstationary_bound(datum: FourierDatum, m: float, x: float, t: float):
     """(k, B_k) with B_k <= ``ABS_TOL`` bounding the band
     integral of ``propagate(datum, m, x, t)``, or None.
 
-    Declines when phi' changes sign on the band, when no leading term
+    Declines when phi' changes sign on the band, or when no leading term
     ||a^(k)||_1 / min|phi'|^k meets the tolerance (the exact B_k for a
-    constant phi', and a cheap gate on the Taylor work), and as soon as B_k
-    stops falling.  A decline only costs time: the caller integrates.
+    constant phi').  Otherwise the first k whose term does is the degree K
+    of the Taylor series, and the certificate declines as soon as B_k stops
+    falling, or when none of B_1..B_K meets the tolerance.  A non-finite
+    coefficient declines too; :func:`propagate` calls this under an
+    ``np.errstate`` that keeps such overflow quiet.  A decline only costs
+    time: the caller integrates.
     """
     p, t = x + datum.linear_phase, t + datum.fractional_phase
     lo, hi = (float(p + s) / datum.scale for s in _end_slopes(datum, m, t))   # phi' at ends
@@ -173,10 +188,13 @@ def _nonstationary_bound(datum: FourierDatum, m: float, x: float, t: float):
     if not (lo * hi > 0.0 and slope < math.inf):
         return None
     norms = _bump_taylor()[3]
-    if all(norms[k] * (1.0 / slope) ** k > ABS_TOL for k in range(1, _IBP_ORDER + 1)):
+    inverse = min(1.0 / slope, 1.0)   # no norm meets ABS_TOL, so no slope < 1 passes
+    order = next((k for k in range(1, _IBP_ORDER + 1)
+                  if norms[k] * inverse ** k <= ABS_TOL), None)
+    if order is None:
         return None
     previous = math.inf
-    for k, bound in enumerate(_ibp_bounds(datum, m, p, t), 1):
+    for k, bound in enumerate(_ibp_bounds(datum, m, p, t, order), 1):
         if bound <= ABS_TOL:
             return k, bound
         if not bound < previous:
@@ -300,6 +318,8 @@ def propagate(datum: FourierDatum, m: float, x: float, t: float,
         non-stationary and an integration-by-parts bound B_k (module
         docstring) meets its absolute tolerance ``quadrature.ABS_TOL``: then
         the value is 0, with |band integral| <= B_k <= ``ABS_TOL``.
+        Phases past the float range raise no warning: the certificate
+        declines and ``integrate`` refuses them.
         "oracle" runs dense Simpson in the raw frequency variable with the
         datum's phase kept inside the amplitude.  The two share no reduction
         steps.
@@ -310,8 +330,6 @@ def propagate(datum: FourierDatum, m: float, x: float, t: float,
     """
     _check_exponent(datum, m)
     if method == "adaptive":
-        if _nonstationary_bound(datum, m, x, t) is not None:
-            return 0j
         linear, power = datum.band_maps(m)
         p_coef = x + datum.linear_phase
         t_coef = t + datum.fractional_phase
@@ -319,7 +337,10 @@ def propagate(datum: FourierDatum, m: float, x: float, t: float,
         def phase(v):
             return p_coef * linear(v) + t_coef * power(v)
 
-        value = integrate(BUMP, phase, BUMP_SUPPORT)
+        with np.errstate(over="ignore", invalid="ignore"):   # non-finite: declined or refused
+            if _nonstationary_bound(datum, m, x, t) is not None:
+                return 0j
+            value = integrate(BUMP, phase, BUMP_SUPPORT)
         return datum.amplitude * value / (2.0 * np.pi * abs(datum.scale))
     if method == "oracle":
         def phase(xi):

@@ -11,7 +11,8 @@ from concave_phase_lab import experiments, maximal, quadrature, spectral
 from concave_phase_lab.counterexamples import knapp_curve, knapp_vertical_spatial
 from concave_phase_lab.experiments import RunConfig
 from concave_phase_lab.fitting import fit_loglog
-from concave_phase_lab.quadrature import ABS_TOL, integrate, oracle_integrate
+from concave_phase_lab.quadrature import (ABS_TOL, InvalidIntegrandError, ResolutionLimitError,
+                                          integrate, oracle_integrate)
 from concave_phase_lab.spectral import (BUMP, BUMP_SQUARED, BUMP_SUPPORT, FourierDatum,
                                         bump_profile, kernel_grid, propagate,
                                         propagate_grid, sobolev_norm)
@@ -256,13 +257,19 @@ REFUSAL_SLOPE = 3.6e3   # no CLI-family call with a min|phi'| this large reaches
 
 
 @pytest.mark.parametrize("family", sorted(experiments._FAMILIES))
-def test_certificate_settles_non_stationary_cli_calls(family, integrate_spy):
+def test_certificate_settles_non_stationary_cli_calls(family, integrate_spy, monkeypatch):
     # propagate on the CLI families at lambda = 2^4..2^12 and eight (x, t)
     # points; the engine is stubbed out, since a call near its N_MAX reach
     # costs up to 0.14 s.  No call with min|phi'| >= 3.6e3 reaches it, and every
     # settled call is 0 within abs_tol of the band integral: against the
-    # oracle at 4 W + 10001 nodes wherever W <= 1e5 rad.
+    # oracle at 4 W + 10001 nodes wherever W <= 1e5 rad.  A settled call
+    # builds its Taylor series to no more than its own degree k (k + 1 rows).
     seen = integrate_spy(run=False)
+    spectral._bump_taylor()   # cached; its own reciprocal series is not the call's
+    rows = []
+    reciprocal = spectral._series_reciprocal
+    monkeypatch.setattr(spectral, "_series_reciprocal",
+                        lambda c: rows.append(len(c)) or reciprocal(c))
     tol = ABS_TOL
     settled = checked = 0
     for lam in 2.0 ** np.arange(4, 13):
@@ -273,6 +280,7 @@ def test_certificate_settles_non_stationary_cli_calls(family, integrate_spy):
             for t in (0.1, 0.64):
                 phase, W, slopes = _band_integral(datum, cfg.m, x, t)
                 before = len(seen)
+                rows.clear()
                 value = propagate(datum, cfg.m, x, t)
                 if len(seen) > before:
                     assert _min_slope(slopes) < REFUSAL_SLOPE, (lam, x, t)
@@ -280,6 +288,7 @@ def test_certificate_settles_non_stationary_cli_calls(family, integrate_spy):
                 settled += 1
                 k, bound = spectral._nonstationary_bound(datum, cfg.m, x, t)
                 assert value == 0 and 1 <= k <= 8 and bound <= tol
+                assert rows and max(rows) <= k + 1, (lam, x, t, rows)
                 if W <= 1e5:
                     ref = oracle_integrate(BUMP, phase, BUMP_SUPPORT,
                                            node_count=int(4 * W) + 10001)
@@ -324,6 +333,29 @@ def test_certificate_on_support_touching_zero(scale, shift, t):
     assert np.isfinite(bound) and bound <= ABS_TOL and value == 0
     if t != 0.0:   # P against T*sign(xi): a stationary point next to the flat end
         assert spectral._nonstationary_bound(datum, 0.5, -x, t) is None
+
+
+@pytest.mark.parametrize("datum, m, x, t, outcome", [
+    (FourierDatum(shift=0.5), 0.5, 0.0, 1e308, ResolutionLimitError),   # phi' series overflows
+    (FourierDatum(scale=64.0), 0.5, 0.0, 1e308, ResolutionLimitError),  # end slopes overflow
+    (FourierDatum(scale=1 / 4096), 0.5, 0.0, 1e308, InvalidIntegrandError),   # band phase
+    (FourierDatum(shift=0.5), 0.1, -1e308, 1e308, ResolutionLimitError),  # its variation
+    (FourierDatum(), 0.5, 1e-160, 0.0, complex),   # min|phi'|^-k past the float range
+    (FourierDatum(), 0.5, 1e300, 0.0, complex),    # settled at k = 1
+])
+def test_propagate_near_the_float_range_is_quiet(datum, m, x, t, outcome):
+    # finite inputs whose phase leaves the float range: the certificate
+    # declines without a warning (a non-finite coefficient never certifies),
+    # and integrate refuses or answers as it would without the certificate
+    with warnings.catch_warnings(), np.errstate(divide="raise", over="raise",
+                                                invalid="raise"):
+        warnings.simplefilter("error")
+        if outcome is complex:
+            value = propagate(datum, m, x, t)
+            assert np.isfinite(value)
+        else:
+            with pytest.raises(outcome):
+                propagate(datum, m, x, t)
 
 
 def _certificate_slopes_by_end(datum, m, p, t):
@@ -393,10 +425,56 @@ def test_certificate_bounds_dominate_the_oracle(m, scale, mirrored, shift, W, sh
     phase, W, slopes = _band_integral(datum, m, P, T)
     assume(_min_slope(slopes) > 0.0)
     ref = abs(oracle_integrate(BUMP, phase, BUMP_SUPPORT, node_count=int(4 * W) + 10001))
-    bounds = list(spectral._ibp_bounds(datum, m, P, T))
+    bounds = list(spectral._ibp_bounds(datum, m, P, T, 8))
     assert len(bounds) == 8
     for bound in bounds:
         assert ref <= bound * (1.0 + 1e-9) + 2.2e-16 * W
+
+
+def _full_order_bound(datum, m, x, t):
+    """(k, B_k) or None by the certificate's rules on series of degree 8,
+    whatever order the gate names; the gate only declines."""
+    p, t = x + datum.linear_phase, t + datum.fractional_phase
+    lo, hi = (float(p + s) / datum.scale for s in spectral._end_slopes(datum, m, t))
+    slope = min(abs(lo), abs(hi))
+    if not (lo * hi > 0.0 and slope < math.inf):
+        return None
+    norms = spectral._bump_taylor()[3]
+    if all(norms[k] * (1.0 / slope) ** k > ABS_TOL for k in range(1, 9)):
+        return None
+    previous = math.inf
+    for k, bound in enumerate(spectral._ibp_bounds(datum, m, p, t, 8), 1):
+        if bound <= ABS_TOL:
+            return k, bound
+        if not bound < previous:
+            return None
+        previous = bound
+    return None
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(m=st.floats(0.1, 0.9), scale=st.sampled_from([1.0, 0.25, 1 / 64, 4.0, 1 / 4096]),
+       mirrored=st.booleans(),
+       shift=st.sampled_from([0.5, 2.0]) | st.floats(-3.0, 0.5) | st.floats(2.0, 5.0),
+       log_w=st.floats(2.0, 8.0), share=st.floats(0.0, 1.0),
+       signs=st.tuples(st.booleans(), st.booleans()), order=st.integers(1, 8))
+def test_truncated_certificate_matches_full_order(m, scale, mirrored, shift, log_w, share,
+                                                  signs, order):
+    # series cut at degree K give B_1..B_K of the degree-8 series bit for bit,
+    # stationary phases included; and the certificate, whose degree is the
+    # gate's first passing k, settles with the same (k, B_k), or declines, as
+    # the degree-8 rules do
+    datum = FourierDatum(scale=-scale if mirrored else scale, shift=shift)
+    L, S = datum.band_maps(m)
+    spans = [abs(f(BUMP_SUPPORT[1]) - f(BUMP_SUPPORT[0])) for f in (L, S)]
+    P = (-1.0) ** signs[0] * share * 10.0 ** log_w / spans[0]
+    T = (-1.0) ** signs[1] * (1.0 - share) * 10.0 ** log_w / spans[1]
+    with np.errstate(all="ignore"):   # a stationary phase's 1/phi' series may overflow
+        full = [b.hex() for b in spectral._ibp_bounds(datum, m, P, T, 8)]
+        cut = [b.hex() for b in spectral._ibp_bounds(datum, m, P, T, order)]
+    assert cut == full[:order]
+    ref, got = _full_order_bound(datum, m, P, T), spectral._nonstationary_bound(datum, m, P, T)
+    assert (got and (got[0], got[1].hex())) == (ref and (ref[0], ref[1].hex()))
 
 
 @pytest.mark.parametrize("path", ["lines", "curve", "vertical"])

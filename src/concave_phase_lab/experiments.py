@@ -515,8 +515,8 @@ _TABLE_FLAT = {
     "s_star_lines": lambda cfg: exponents.s_star_lines(cfg.m, cfg.alpha, cfg.q),
     "summary_thresholds": lambda cfg: exponents.summary_thresholds(cfg.m, cfg.kappa),
 }
-# Largest number of s values an exponent table accepts; larger, reversed or
-# non-advancing grids are refused before any row is computed.
+# Largest number of s values an exponent table accepts; larger, reversed,
+# non-advancing or malformed grids are refused before any row is computed.
 MAX_S_GRID_POINTS = 10_000
 
 
@@ -527,10 +527,14 @@ def _run_exponent_table(cfg):
     if cfg.calculator not in _TABLE_BY_S:
         known = sorted(_TABLE_FLAT) + sorted(_TABLE_BY_S)
         raise ValueError(f"unknown calculator {cfg.calculator!r}; expected one of {known}")
-    lo, hi, step = (float(part) for part in cfg.s_grid.split(":"))
-    if not (hi >= lo and step > 0 and (hi - lo) / step <= MAX_S_GRID_POINTS - 1):
-        raise ValueError(f"s_grid lo:hi:step needs lo <= hi, step > 0 and at most "
-                         f"{MAX_S_GRID_POINTS} points, got {cfg.s_grid!r}")
+    try:
+        lo, hi, step = (float(part) for part in cfg.s_grid.split(":"))
+    except ValueError:   # not three parts, or a part that is not a number
+        lo = hi = step = math.nan
+    if not (math.isfinite(lo) and math.isfinite(hi + step) and hi >= lo and step > 0
+            and (hi - lo) / step <= MAX_S_GRID_POINTS - 1):
+        raise ValueError(f"s_grid must be finite lo:hi:step with lo <= hi, step > 0 and "
+                         f"at most {MAX_S_GRID_POINTS} points, got {cfg.s_grid!r}")
     rows, skipped = [], []
     for s in np.arange(lo, hi + 0.5 * step, step):
         s = round(float(s), 12)

@@ -10,6 +10,8 @@ builds factor-8 finer local meshes around every position's leading maxima,
 screens them against that position's best value and evaluates what passes,
 for all positions in one call.  A local mesh steps theta only where the
 directions are spaced, so a one-direction set does the work of its curve.
+It is screened by rows, one per t step, and only the samples the window
+keeps are tested against the direction intervals.
 The centre of a local mesh is its seed, recorded again with the seed's
 value, and a sample two local meshes share belongs to the first seed that
 reaches it.  At
@@ -34,16 +36,21 @@ never used.  Two rules keep this honest and affordable:
   best value iff -R - s+ < p' < R - s-, with R = 4*|amplitude| / (2*pi*best)
   and s-, s+ the smaller and larger end values of s.  No bound is computed:
   a sample is a candidate iff it lies in this window, two comparisons.
+  Along a row (one position, one t >= 0) p' is monotone in theta, so the
+  window keeps one run of the row's sorted directions, and nothing unless
+  p' + s- < R at the last direction and p' + s+ > -R at the first.  A row
+  that fails this end test is dropped before any search.
 
 Every path is a translate: the path through x sits at x + c, with c =
 -theta*t^kappa depending only on the base mesh's column, so every base mesh
 is separable.  It is fed in groups of at most ``MAX_BASE_SAMPLES`` samples.
 For each group the window against each position's best witness first gives
 the kept (position, point) pairs, as one run of the sorted directions per
-(position, t) row (a t = 0 row passes whole or not at all), its ends guessed
-by binary search and confirmed, or else found by bisection, with the window
-test itself; a lone direction takes the test itself.  Either way the kept
-set is exactly the per-sample test's.  The engine then takes the cheaper
+(position, t) row (a t = 0 row passes whole or not at all).  Rows that fail
+the end test are dropped; on the rest the run's ends are guessed by binary
+search and confirmed, or else found by bisection, with the window test
+itself.  The same search screens every local mesh, and the kept set is
+exactly the per-sample test's.  The engine then takes the cheaper
 call as ``grid_work`` counts it: the kept samples flat, or the whole group
 as one separable mesh (never for a lone position).
 """
@@ -64,7 +71,8 @@ __all__ = ["GridSpec", "MAX_BASE_SAMPLES", "MAX_REFINE_DEPTH", "maximal_in_time"
 _SCREEN_NUMERATOR = 4.0  # >= TV(bump) + sup(bump) = 3; margin for squared bumps
 _REFINE_FACTOR = 8
 _TOP_SEEDS = 3
-# Samples, lines-mesh rows or local-mesh samples screened at once.  2**13
+# Mesh rows screened at once: base rows in whole positions (in runs of one
+# position's times where it has more), local-mesh rows in whole seeds.  2**13
 # floats (64 KiB) stay below the C allocator's initial mmap threshold
 # (128 KiB), so they are reused from the heap instead of being mapped and
 # faulted in afresh on every call.
@@ -122,13 +130,6 @@ def _reach(datum: FourierDatum, best):
         return _SCREEN_NUMERATOR * abs(datum.amplitude) / (2.0 * np.pi * best) * (1 + 1e-12)
 
 
-def _passes(datum: FourierDatum, m: float, reach, positions, times):
-    """The screen window: -R - s+ < p' < R - s-, with p' = positions + linear_phase."""
-    s_lo, s_hi = _slopes(datum, m, times)
-    p = positions + datum.linear_phase
-    return (p + s_lo < reach) & (p + s_hi > -reach)
-
-
 def _ranked(owners, values):
     """Indices by owner, then by value descending, the later of equal values first."""
     return len(owners) - 1 - np.lexsort((-values[::-1], owners[::-1]))
@@ -138,63 +139,110 @@ def _first_true(test, guess, n):
     """Per row, the least k in [0, n] where ``test(rows, k)`` holds, n where it
     never does, for a test that is false and then true along each row: the
     guess where the test confirms it, else a vectorised bisection."""
-    rows = np.arange(len(guess))
     k = np.clip(guess, 0, n)
-    sure = ((k == 0) | ~test(rows, np.maximum(k - 1, 0))) & (
-        (k == n) | test(rows, np.minimum(k, n - 1)))
-    rows = rows[~sure]
-    lo, hi = np.zeros(len(rows), dtype=np.intp), np.full(len(rows), n)
-    for _ in range(n.bit_length() if len(rows) else 0):
-        mid = (lo + hi) // 2
-        ok, open_ = test(rows, np.minimum(mid, n - 1)), lo < hi
-        hi = np.where(open_ & ok, mid, hi)
-        lo = np.where(open_ & ~ok, mid + 1, lo)
-    k[rows] = lo
+    sure = ((k == 0) | ~test(..., np.maximum(k - 1, 0))) & (
+        (k == n) | test(..., np.minimum(k, n - 1)))
+    rows = np.flatnonzero(~sure)
+    if len(rows):
+        lo, hi = np.zeros(len(rows), dtype=np.intp), np.full(len(rows), n)
+        for _ in range(n.bit_length()):
+            mid = (lo + hi) // 2
+            ok, open_ = test(rows, np.minimum(mid, n - 1)), lo < hi
+            hi = np.where(open_ & ok, mid, hi)
+            lo = np.where(open_ & ~ok, mid + 1, lo)
+        k[rows] = lo
     return k
+
+
+def _at(a, rows):
+    """a, broadcast to the shape of the row indices ``rows``, at those rows."""
+    return a[tuple(i if d > 1 else 0 for i, d in zip(rows[len(rows) - a.ndim:], a.shape))]
+
+
+def _row_window(datum: FourierDatum, thetas, x, power, s_lo, s_hi, reach, origin=None):
+    """The samples that pass the window on rows (x, t^kappa, s-, s+, R and
+    origin, broadcast together) of the sorted directions origin + thetas[k]:
+    each one's row index, a tuple as ``np.nonzero`` gives it, and k, in row
+    then k order.  Every rounded step of p' = x - theta*t^kappa +
+    linear_phase is monotone in theta for any kappa > 0, so each side of the
+    window test is false and then true along a row.  Rows where below fails
+    at the last direction or beyond holds at the first are dropped (for a
+    lone direction, the per-sample test); on the rest each side is one cut,
+    guessed by binary search on the solved inequality and confirmed, or else
+    found by bisection, with the test itself.  The kept set is exactly the
+    per-sample test's."""
+    n = len(thetas)
+
+    def p(sel, k):   # p' of direction k in the rows sel
+        theta = thetas[k] if origin is None else origin[sel] + thetas[k]
+        return x[sel] - theta * power[sel] + datum.linear_phase
+
+    def below(sel, k):   # p' + s- < R: false, then true as theta grows
+        return p(sel, k) + s_lo[sel] < reach[sel]
+
+    def beyond(sel, k):   # not p' + s+ > -R: false, then true
+        return ~(p(sel, k) + s_hi[sel] > -reach[sel])
+
+    ends = below(..., n - 1) & ~beyond(..., 0)
+    live = np.unravel_index(np.flatnonzero(ends), ends.shape)
+    if n == 1 or not len(live[0]):
+        return live, np.zeros(len(live[0]), dtype=np.intp)
+    # the tests above read the live rows from here on
+    x, power, s_lo, s_hi, reach, origin = (a if a is None else _at(a, live)
+                                           for a in (x, power, s_lo, s_hi, reach, origin))
+    x_lp, shift = x + datum.linear_phase, 0.0 if origin is None else origin
+    # a guess may be anything (t = 0 rows divide by 0, tiny t^kappa overflow)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        first = _first_true(below, np.searchsorted(
+            thetas, (x_lp + s_lo - reach) / power - shift, "right"), n)
+        stop = _first_true(beyond, np.searchsorted(
+            thetas, (x_lp + s_hi + reach) / power - shift), n)
+    count = np.maximum(stop - first, 0)
+    k = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
+    return tuple(np.repeat(i, count) for i in live), k
 
 
 def _line_window(datum: FourierDatum, m: float, kappa, xs, reach, thetas, times):
     """(j, r) of the samples of the mesh of sorted directions ``thetas`` by
     ``times`` at xs[j] that pass, r = i*len(thetas) + k for (thetas[k],
-    times[i]), in blocks of rows.  Along a row (one position, one t >= 0)
-    every rounded step of p' = x - theta*t^kappa + linear_phase, t^kappa
-    computed once per time, is monotone in theta for any kappa > 0, so each
-    side of the window test is one cut in the row: guessed by binary search
-    on the solved inequality, and confirmed, or else found by bisection, with
-    the test itself.  A lone direction takes the test itself.  The kept set
-    is exactly that of the per-sample test."""
+    times[i]), by ``_row_window`` on the (position, t) rows, t^kappa computed
+    once per time, in blocks of whole positions or of one position's times."""
     n, power = len(thetas), np.power(times, kappa)
     s_lo, s_hi = _slopes(datum, m, times)
-    hits, rows = [], len(xs) * len(times)
-    for lo in range(0, rows, _SCREEN_BLOCK):
-        it = np.arange(lo, min(rows, lo + _SCREEN_BLOCK))
-        q = it // len(times)   # four times faster than an integer np.divmod
-        it -= q * len(times)
-
-        def p(sel, k):   # p' of direction k in the rows sel
-            return xs[q[sel]] - thetas[k] * power[it[sel]] + datum.linear_phase
-
-        def below(sel, k):   # p' + s- < R: false, then true as theta grows
-            return p(sel, k) + s_lo[it[sel]] < reach[q[sel]]
-
-        def beyond(sel, k):   # not p' + s+ > -R: false, then true
-            return ~(p(sel, k) + s_hi[it[sel]] > -reach[q[sel]])
-
-        if n == 1:   # the per-sample test: cheaper than a search of one direction
-            keep = np.flatnonzero(below(slice(None), 0) & ~beyond(slice(None), 0))
-            hits.append((q[keep], it[keep]))
-            continue
-        x, t = xs[q] + datum.linear_phase, power[it]
-        with np.errstate(divide="ignore", invalid="ignore"):   # t = 0 rows guess anything
-            first = _first_true(below, np.searchsorted(
-                thetas, (x + s_lo[it] - reach[q]) / t, "right"), n)
-            stop = _first_true(beyond, np.searchsorted(
-                thetas, (x + s_hi[it] + reach[q]) / t), n)
-        count = np.maximum(stop - first, 0)
-        q = np.repeat(q, count)
-        hits.append((q, np.repeat(it * n + first - np.cumsum(count) + count, count)
-                     + np.arange(len(q))))
+    width = min(len(times), _SCREEN_BLOCK)
+    per_block, hits = _SCREEN_BLOCK // width, []
+    for lo in range(0, len(xs), per_block):
+        for at in range(0, len(times), width):
+            cut = slice(at, at + width)
+            (j, i), k = _row_window(datum, thetas, xs[lo:lo + per_block, None], power[cut],
+                                    s_lo[cut], s_hi[cut], reach[lo:lo + per_block, None])
+            hits.append((lo + j, (at + i) * n + k))
     return tuple(map(np.concatenate, zip(*hits)))
+
+
+def _local_window(datum: FourierDatum, m: float, kappa, xs, reach, bounds, seeds, offsets):
+    """(s, b, a, theta, t) of the local-mesh samples in the domain that pass
+    the window, in seed, b, a order.  Seed s = (j, theta_s, t_s), a row of
+    ``seeds``, meshes theta_s + offsets[0][a] by t_s + offsets[1][b] against
+    reach[j], one row per b, a block of seeds at a time: rows with t outside
+    [0, 1] are dropped, ``_row_window`` screens the rest, and only its kept
+    samples meet the direction intervals (a lone direction never leaves)."""
+    owners, seed_theta, seed_t = seeds
+    per_block = max(1, _SCREEN_BLOCK // len(offsets[1]))
+    parts = []
+    for lo in range(0, len(owners), per_block):
+        t = seed_t[lo:lo + per_block, None] + offsets[1]
+        s, b = np.unravel_index(np.flatnonzero((t >= 0.0) & (t <= 1.0)), t.shape)
+        t, s = t[s, b], s + lo
+        (row,), a = _row_window(datum, offsets[0], xs[owners[s]], np.power(t, kappa),
+                                *_slopes(datum, m, t), reach[owners[s]], seed_theta[s])
+        s, b, t = s[row], b[row], t[row]
+        parts.append((s, b, a, seed_theta[s] + offsets[0][a], t))
+    s, b, a, theta, t = map(np.concatenate, zip(*parts))
+    if len(offsets[0]) > 1:
+        inside = _in_intervals(theta, bounds)
+        s, b, a, theta, t = (c[inside] for c in (s, b, a, theta, t))
+    return s, b, a, theta, t
 
 
 def _path(x, theta, t, kappa):
@@ -210,9 +258,11 @@ def _grid_sup(datum, m, grid, xs, bounds, thetas, kappa, witnesses):
     ``grid.t_base`` uniform times on [0, 1] is the base grid of every
     position in ``xs``.  ``witnesses[i]`` are the (theta, t) rows of position
     i, evaluated first and unscreened; like every refined sample they must
-    lie in the domain, t in [0, 1] and theta in the intervals.  Screening,
-    base groups, routes and refinement rounds are those of the module
-    docstring.
+    lie in the domain, t in [0, 1] and theta in the intervals.  The base
+    mesh and every round's local meshes are screened by rows in one search,
+    ``_row_window``, which drops a dead row at its end directions; a round
+    tests only its kept samples against the intervals.  Base groups, routes
+    and refinement rounds are those of the module docstring.
     """
     need = grid.required_t_base(datum)
     if grid.t_base < need and not witnesses.shape[1]:
@@ -272,48 +322,33 @@ def _grid_sup(datum, m, grid, xs, bounds, thetas, kappa, witnesses):
         feed(np.arange(lo, min(k, lo + group)))
     ticks = np.arange(-_REFINE_FACTOR, _REFINE_FACTOR + 1)
     # (a, b) steps of a local mesh, stepping theta only between spaced directions
-    lattice = np.stack(np.meshgrid(ticks if n > 1 else [0], ticks), -1).reshape(-1, 2)
-    size = len(lattice)
+    a_ticks = ticks if n > 1 else ticks[_REFINE_FACTOR:_REFINE_FACTOR + 1]
     for _ in range(grid.refine_depth):
         # local meshes _REFINE_FACTOR times finer across one spacing each side of
-        # every leading sample, screened a block of seeds at a time
+        # every leading sample
         owners, seed_theta, seed_t, seed_vals = lead
-        steps = steps / _REFINE_FACTOR
-        offsets = lattice * steps
-        per_block = max(1, _SCREEN_BLOCK // size)
-        parts = []
-        for lo in range(0, len(owners), per_block):
-            theta = (seed_theta[lo:lo + per_block, None] + offsets[:, 0]).reshape(-1)
-            t = (seed_t[lo:lo + per_block, None] + offsets[:, 1]).reshape(-1)
-            j = np.repeat(owners[lo:lo + per_block], size)
-            known = np.full(len(t), np.nan)   # offset 0: the seed's value
-            known[size // 2::size] = seed_vals[lo:lo + per_block]
-            keep = (t >= 0.0) & (t <= 1.0)
-            if n > 1:   # a lone direction never moves
-                keep &= _in_intervals(theta, bounds)
-            keep[keep] = _passes(datum, m, _reach(datum, best[j[keep]]),
-                                 _path(xs[j[keep]], theta[keep], t[keep], kappa), t[keep])
-            parts.append((j[keep], theta[keep], t[keep], known[keep],
-                          lo * size + np.flatnonzero(keep)))   # origin
-        if not parts:
+        if not len(owners):
             break
-        j, theta, t, known, origin = map(np.concatenate, zip(*parts))
+        steps = steps / _REFINE_FACTOR
+        s, b, a, theta, t = _local_window(datum, m, kappa, xs, _reach(datum, best), bounds,
+                                          lead[:3], (a_ticks * steps[0], ticks * steps[1]))
+        j, a, b = owners[s], a_ticks[a], ticks[b]
+        known = np.where((a == 0) & (b == 0), seed_vals[s], np.nan)   # the seed's own
         # one sample per distinct (theta, t) of a position: a seed's own, else the first seed's
         order = np.lexsort((np.isnan(known), t, theta, j))
-        j, theta, t, known, origin = (c[order] for c in (j, theta, t, known, origin))
+        j, theta, t, known, s, a, b = (c[order] for c in (j, theta, t, known, s, a, b))
         first = np.concatenate([[True], (j[1:] != j[:-1]) | (theta[1:] != theta[:-1])
                                 | (t[1:] != t[:-1])])
-        j, theta, t, known, origin = (c[first] for c in (j, theta, t, known, origin))
+        j, theta, t, known, s, a, b = (c[first] for c in (j, theta, t, known, s, a, b))
         new = np.isnan(known)
         if new.any() and kappa != 1.0:
             known[new] = np.abs(propagate_grid(
                 datum, m, _path(xs[j[new]], theta[new], t[new], kappa), t[new]))
         elif new.any():   # lines: from the distinct seeds' factor tables
-            seed, o = np.divmod(origin[new], size)
-            ids, s = np.unique(seed, return_inverse=True)
+            ids, s = np.unique(s[new], return_inverse=True)
             known[new] = np.abs(propagate_lattice(
                 datum, m, xs[owners[ids]], seed_theta[ids], seed_t[ids], steps,
-                (s, *lattice[o].T)))
+                (s, a[new], b[new])))
         record(j, theta, t, known)
     return best
 

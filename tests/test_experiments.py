@@ -12,7 +12,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import concave_phase_lab
@@ -120,6 +120,23 @@ def test_cli_refuses_bad_s_grid(tmp_path, capsys, monkeypatch, s_grid):
     assert record["error"]["type"] == "ValueError"
     assert "s_grid" in record["error"]["message"]
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("s_grid", ["0.1:0.4:inf", "-inf:0.4:0.1", "0.1:0.2", "0.1:0.2:0.05:1",
+                                    "", " ", "0.1:x:0.1", "1.7e308:1.7e308:1e308",
+                                    "0.45:0.15:0.05"])
+def test_malformed_s_grid_is_refused_with_one_message(monkeypatch, s_grid):
+    # non-finite parts, wrong part counts, text and an end past the float
+    # range: one message naming s_grid and its form, before any row
+    def never(cfg, s):
+        raise AssertionError("a refused grid must not start")
+
+    monkeypatch.setitem(experiments._TABLE_BY_S, "dim_bound_vertical", never)
+    with pytest.raises(ValueError) as refused:
+        run_experiment(RunConfig(experiment="exponent-table", s_grid=s_grid), write=False)
+    assert str(refused.value) == (
+        f"s_grid must be finite lo:hi:step with lo <= hi, step > 0 and at most "
+        f"{experiments.MAX_S_GRID_POINTS} points, got {s_grid!r}")
 
 
 def test_exponent_table_s_grid_point_cap():
@@ -551,6 +568,63 @@ def test_cli_numeric_overrides_end_in_a_strict_report_or_a_record(tmp_path_facto
     if code == 2:
         record = _strict_json(err)
         assert record["experiment"] == experiment and record["error"]["message"]
+        assert not list(out_dir.iterdir())
+    else:
+        assert code in (0, 1)
+        report = _strict_json((out_dir / f"{experiment}.json").read_text())
+        assert report["experiment"] == experiment
+
+
+# Cheap pipelines and their string fields, with the values they accept and
+# strings that are empty, blank, non-ASCII, non-finite, of the wrong part count
+# or of a huge grid.
+_STRING_RUNS = {
+    "exponent-table": ([], ["s_grid", "calculator"]),
+    "kernel-envelope": (["--grid-n=8", "--lam-count=5"], ["variant"]),
+    "sharpness-vertical": (["--x-cells=2", "--t-base=17", "--lam-count=5"], ["data"]),
+}
+_ODD = st.sampled_from(["", " ", "\t", "é", "０.１", "½", "∞", "\x00", "nan", "inf", "-inf",
+                        "1e999", "none", "0x10", "1_0", " 0.2 "])
+_GRID_PART = st.one_of(_ODD, _SPECIAL, st.sampled_from(["0.15", "0.45", "0.05", "1e-3"]),
+                       st.floats(-2.0, 2.0).map(repr))
+_STRINGS = {
+    "s_grid": st.one_of(st.lists(_GRID_PART, max_size=5).map(":".join), _ODD,
+                        st.sampled_from(["0.15:0.45:0.05", "0:1e308:1e305", "0:1e6:1",
+                                         "-1e308:1e308:1", "1.7e308:1.7e308:1.7e308",
+                                         "0.1:0.4:inf", "0.1:0.2", "0.1:0.2:0.05:1"])),
+    "calculator": st.one_of(_ODD, st.sampled_from(sorted(experiments._TABLE_BY_S)
+                                                  + sorted(experiments._TABLE_FLAT))),
+    "variant": st.one_of(_ODD, st.sampled_from(["vertical", "curve", "Vertical"])),
+    "data": st.one_of(_ODD, st.sampled_from(["spatial", "temporal", "spatial "])),
+}
+_STRING_OVERRIDES = st.sampled_from(sorted(_STRING_RUNS)).flatmap(lambda name: st.tuples(
+    st.just(name),
+    st.lists(st.sampled_from(_STRING_RUNS[name][1]), min_size=1, unique=True)
+    .flatmap(lambda keys: st.fixed_dictionaries({key: _STRINGS[key] for key in keys}))))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=_STRING_OVERRIDES)
+@example(case=("exponent-table", {"s_grid": "0.1:0.4:inf"}))
+@example(case=("exponent-table", {"s_grid": "0.1:0.2"}))
+@example(case=("exponent-table", {"s_grid": "0.1:0.2:0.05:1"}))
+@example(case=("exponent-table", {"s_grid": ""}))
+def test_cli_string_overrides_end_in_a_strict_report_or_a_record(tmp_path_factory, case):
+    # exit 0 or 1 with a report that parses as strict JSON, or exit 2 with
+    # one JSON error record that names the refused field and no files; no
+    # warning either way
+    experiment, overrides = case
+    out_dir = tmp_path_factory.mktemp("run")
+    code, err, caught = _cli_quietly(
+        [experiment, *_STRING_RUNS[experiment][0],
+         *(f"--{key}={value}" for key, value in overrides.items()),
+         "--out-dir", str(out_dir)])
+    assert not caught, [str(w.message) for w in caught]
+    event(f"{experiment} exits {code}")
+    if code == 2:
+        record = _strict_json(err)
+        assert record["experiment"] == experiment
+        assert any(key in record["error"]["message"] for key in overrides), record
         assert not list(out_dir.iterdir())
     else:
         assert code in (0, 1)

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from concave_phase_lab import maximal, quadrature
@@ -330,15 +330,17 @@ def test_order_one_power_curve_equals_its_line(monkeypatch):
     # x - theta*t^1 is the line of direction theta: both wrappers must run the
     # same samples through the same engine.  A local mesh steps theta only
     # between spaced directions, so each screens at most 17 samples a seed
-    # and round, not 17 copies of each.
+    # and round, not 17 copies of each: the refinement rows (those with an
+    # origin) offered to the row window times their directions.
     screened = []
-    passes = maximal._passes
+    row_window = maximal._row_window
 
-    def spy(datum, m, reach, positions, times):
-        screened[-1] += np.broadcast(reach, positions, times).size
-        return passes(datum, m, reach, positions, times)
+    def spy(datum, thetas, x, power, s_lo, s_hi, reach, origin=None):
+        if origin is not None:
+            screened[-1] += np.broadcast(x, power, s_lo, reach, origin).size * len(thetas)
+        return row_window(datum, thetas, x, power, s_lo, s_hi, reach, origin)
 
-    monkeypatch.setattr(maximal, "_passes", spy)
+    monkeypatch.setattr(maximal, "_row_window", spy)
     grid = small_grid()
     for theta in (0.3, 1.0, 2.5):
         curve = Curve.power(theta=theta, kappa=1.0)
@@ -483,6 +485,14 @@ def test_screen_blocks_do_not_change_results(monkeypatch):
     assert evaluated[0] == evaluated[1] == evaluated[2]
 
 
+def _passes(datum, m, reach, positions, times):
+    """The per-sample window -R - s+ < p' < R - s-, p' = positions +
+    linear_phase: the reference every screen must keep exactly."""
+    s_lo, s_hi = maximal._slopes(datum, m, times)
+    p = positions + datum.linear_phase
+    return (p + s_lo < reach) & (p + s_hi > -reach)
+
+
 def _per_sample_bound(datum, m, positions, times):
     """The screen's per-sample bound 4|amplitude| / (2*pi*A), A the least
     |d/dxi phase| at the support ends (0 where they differ in sign; inf
@@ -528,7 +538,9 @@ def test_screen_window_keeps_exactly_what_the_bound_keeps(
     # theta-windows by binary search, a lone direction, as a curve's mesh is,
     # by the per-sample test) and through the per-sample window test.
     # best = 0 where reach is inf; tau = t + fractional_phase takes both
-    # signs and 0.
+    # signs and 0.  Rows are dropped whole where the window fails at their
+    # end directions, on either side (a mutant that tests the upper side at
+    # the last direction instead of the first fails here).
     datum = FourierDatum(amplitude=amplitude, scale=-scale if mirrored else scale,
                          shift=shift, linear_phase=linear_phase,
                          fractional_phase=fractional_phase, m=m)
@@ -553,8 +565,83 @@ def test_screen_window_keeps_exactly_what_the_bound_keeps(
     kept[j, r] = True
     assert len(j) == kept.sum() and np.all(np.diff(j * len(t) + r) > 0)
     assert np.all(kept[must]) and np.all(may[kept])
-    passes = maximal._passes(datum, m, maximal._reach(datum, best[:, None]), positions, t)
+    passes = _passes(datum, m, maximal._reach(datum, best[:, None]), positions, t)
     assert np.array_equal(passes, kept)
+    # each (position, t) row, directions last: the lower side of the window at
+    # the last direction and the upper side at the first decide a dropped row
+    p = positions.reshape(len(xs), t_count, -1) + linear_phase
+    s_lo, s_hi = maximal._slopes(datum, m, times)
+    r = maximal._reach(datum, best)[:, None]
+    at_last, at_first = p[..., -1] + s_lo < r, p[..., 0] + s_hi > -r
+    assert not np.any(kept.reshape(p.shape).any(-1) & ~(at_last & at_first))
+    event(f"rows dropped at the last direction: {np.any(~at_last)}")
+    event(f"rows dropped at the first direction: {np.any(at_last & ~at_first)}")
+    event(f"rows searched: {np.any(at_last & at_first)}")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(kappa=st.sampled_from([0.5, 1.0, 2.0]), lone=st.booleans(),
+       linear_phase=st.floats(-2.0, 2.0),
+       fractional_phase=st.sampled_from([0.0, -0.5, 0.3]) | st.floats(-1.5, 1.5),
+       shift=st.sampled_from([0.0, 0.5, 2.0]), m=st.floats(0.1, 0.9),
+       xs=st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=3),
+       seeds=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2),
+                                st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+                                st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+                      min_size=1, max_size=6),
+       d_theta=st.sampled_from([0.2, 0.02, 1e-4]) | st.integers(1, 4).map(lambda u: -u),
+       d_t=st.sampled_from([1 / 8, 1 / 256, 1e-7]),
+       reach=st.lists(st.sampled_from([np.inf]) | st.floats(1e-4, 1.0)
+                      | st.tuples(st.integers(0, 10 ** 6), st.integers(-2, 2)),
+                      min_size=3, max_size=3))
+def test_local_rows_keep_exactly_what_the_samples_keep(
+        kappa, lone, linear_phase, fractional_phase, shift, m, xs, seeds, d_theta, d_t,
+        reach):
+    # Each refinement round's local meshes are screened by rows: the kept
+    # (seed, b, a) must be, in seed, b, a order, those of the per-sample test
+    # (0 <= t <= 1) & window & direction intervals over every lattice sample.
+    # Seeds sit on interval ends, at t = 0 and t = 1; R is inf (best = 0), a
+    # number, or within 2 ulps of some sample's p' + s- or -(p' + s+); a
+    # negative d_theta is a theta step of that many ulps.
+    datum = FourierDatum(shift=shift, linear_phase=linear_phase,
+                         fractional_phase=fractional_phase, m=m)
+    bounds = np.array([(0.1, 0.3), (0.45, 0.45), (0.6, 1.2)])
+    xs = np.array(xs)
+    owners = np.array([j % len(xs) for j, _, _, _ in seeds])
+    ends = [(lo, hi) if not lone else (0.45, 0.45) for lo, hi in bounds]
+    seed_theta = np.array([ends[i][0] + f * (ends[i][1] - ends[i][0])
+                           for (_, i, f, _) in seeds])
+    seed_t = np.array([t for *_, t in seeds])
+    if lone:
+        bounds = np.array([(0.45, 0.45)])
+    ticks = np.arange(-8, 9)
+    step = -d_theta * np.spacing(1.2) if d_theta < 0 else d_theta
+    offsets = (np.zeros(1) if lone else ticks * step, ticks * d_t)
+    theta = seed_theta[:, None, None] + offsets[0]
+    t = seed_t[:, None, None] + offsets[1][:, None]
+    theta, t = np.broadcast_arrays(theta, t)
+    j = np.broadcast_to(owners[:, None, None], theta.shape)
+    domain = (t >= 0.0) & (t <= 1.0) & (lone | maximal._in_intervals(theta, bounds))
+    p = xs[j[domain]] - theta[domain] * np.power(t[domain], kappa)
+    s_lo, s_hi = maximal._slopes(datum, m, t[domain])
+    edges = np.concatenate([p + linear_phase + s_lo, -(p + linear_phase + s_hi)])
+    edges = edges[np.isfinite(edges) & (edges > 0.0)]
+    r = np.empty(len(xs))
+    for q, value in enumerate(reach[:len(xs)]):
+        if isinstance(value, tuple):   # at a sample's own edge, nudged by ulps
+            pick, nudge = value
+            value = edges[pick % len(edges)] if len(edges) else 1.0
+            for _ in range(abs(nudge)):
+                value = np.nextafter(value, np.inf if nudge > 0 else 0.0)
+        r[q] = value
+    keep = np.zeros(theta.shape, dtype=bool)
+    keep[domain] = _passes(datum, m, r[j[domain]], p, t[domain])
+    got = maximal._local_window(datum, m, kappa, xs, r, bounds,
+                                (owners, seed_theta, seed_t), offsets)
+    want = *np.nonzero(keep), theta[keep], t[keep]
+    for got_part, want_part in zip(got, want):
+        assert np.array_equal(got_part, want_part)
+    event(f"kept {'none' if not keep.any() else 'all' if keep[domain].all() else 'some'}")
 
 
 def test_line_window_is_exact_for_directions_ulps_apart():
@@ -589,7 +676,7 @@ def test_line_window_is_exact_for_directions_ulps_apart():
         kept = np.zeros(p.shape, dtype=bool)
         kept[j, r] = True
         assert len(j) == kept.sum() and np.all(np.diff(j * len(t) + r) > 0)
-        assert np.array_equal(kept, maximal._passes(datum, m, reach[:, None], positions, t))
+        assert np.array_equal(kept, _passes(datum, m, reach[:, None], positions, t))
 
 
 @pytest.mark.parametrize("case,per_group", [("lines", None), ("lines", 3), ("power", None)])

@@ -45,10 +45,12 @@ functions).  Its route follows the shapes of P, T and shift alone:
   (r + c)*n for other columns, instead of r*c*n.
 
 One planner lays out the runs of both routes, and :func:`batch_work` counts
-what they build before any rule is built.  :func:`lattice_batch` sums small
-affine lattices around seeds (refinement meshes on lines) from per-seed
-factor tables built by multiplication, within 2e-17*(1 + W)*sum|amp*w| of
-direct sums on the same rule at W from 7e2 to 3e4 rad.
+what they build before any rule is built.  :func:`lattice_batch` sums the
+refinement meshes of ``maximal``: on time-only lattices, ``zdotc`` sums against
+one table of columns per rule shared by every seed (``CONTRACT_WEIGHT`` per
+multiply-add), on lines per-seed factor tables (``TABLE_WEIGHT`` per entry),
+both built by multiplication and within 2e-17*(1 + W)*sum|amp*w| of direct
+sums on the same rule at W from 7e2 to 3e4 rad.
 
 All three use one rule: trapezoid weights h*(1/2, 1, ..., 1, 1/2) on
 n = max(``N_MIN``, ceil(``NODES_PER_RADIAN`` * W) | 1) uniform nodes, one per
@@ -251,10 +253,10 @@ DOT_NODES = 8192
 CONTRACT_WEIGHT = 1.0 / 50.0
 
 
-# One lattice table entry in exponentials (multiply, sum, Python steps):
-# 0.077-0.085 on 1 x 17 and 17 x 17 tables of 257 to 2,049 nodes against
-# flat samples, numpy 2.4.6 on a 2-CPU Xeon.  A lattice call's node blocks
-# depend on the node count alone, and a 17 x 17 table of one fits in CHUNK_ELEMS.
+# One entry of a line lattice's factor table in exponentials (multiply, sum,
+# Python steps): 0.077-0.085 on 1 x 17 and 17 x 17 tables of 257 to 2,049 nodes
+# against flat samples, numpy 2.4.6 on a 2-CPU Xeon.  Its node blocks depend on
+# the node count alone, and a 17 x 17 table of one fits in CHUNK_ELEMS.
 TABLE_WEIGHT = 1.0 / 12.0
 LATTICE_NODES = CHUNK_ELEMS // 289
 # Mesh columns by recurrence (_columns): within AFFINE_ULPS ulps of an affine fit
@@ -369,13 +371,18 @@ def lattice_batch(seeds, steps, samples, L_of, S_of, amplitude, interval) -> np.
     (P, T, P_a, P_b) per seed and ``steps`` = (P_ab, T_b), has the phase
     (P_s + a*P_a_s + b*P_b_s + a*b*P_ab)*L + (T_s + b*T_b)*S.  Each seed gets
     the rule of its own largest W, and its samples one exponential per node
-    each, as on the flat route, or the sums of its table E_0*A^a*B^b*C^(a*b),
-    whichever counts fewer exponentials for that seed alone: one each for
-    E_0, A, B and C, the exponentials of the phase's four parts (E_0 alone
-    when P_a = P_ab = 0 and P_b is one value: A = C = 1, B shared), and
-    ``TABLE_WEIGHT`` per entry of the seed's box of offsets.  Entries are
-    built by multiplication outward from offset 0, at most 8 steps in
-    ``maximal``.
+    each, as on the flat route, or sums from tables, whichever counts fewer
+    exponentials for that seed alone.  Time-only (P_a = P_ab = 0 and one P_b:
+    vertical paths, curves of order one): B = exp(i*(P_b*L + T_b*S)) is
+    shared, so a sample is one single-threaded ``zdotc`` of its seed's
+    exp(i*(P*L + T*S)) against a column amp_w*B^b of one table per rule and
+    block of at most ``DOT_NODES`` nodes; a seed costs one exponential and
+    ``CONTRACT_WEIGHT`` per multiply-add, 2|b| + 1 per node for its largest
+    |b|.  Otherwise: the seed's table E_0*A^a*B^b*C^(a*b), at one exponential
+    each for E_0, A, B and C, the exponentials of the phase's four parts, and
+    ``TABLE_WEIGHT`` per entry of the seed's box of offsets.  Tables are built
+    by multiplication outward from offset 0, at most 8 steps in ``maximal``,
+    and node blocks depend on the node count alone.
     """
     P, T, P_a, P_b = (np.asarray(c, dtype=float) for c in seeds)
     P_ab, T_b = (float(c) for c in steps)
@@ -391,7 +398,8 @@ def lattice_batch(seeds, steps, samples, L_of, S_of, amplitude, interval) -> np.
     for row, value in zip(box, (np.abs(P_k) * spans[0] + np.abs(T_k) * spans[1],
                                 np.abs(a), np.abs(b))):
         np.maximum.at(row, s, value)
-    cost = (1 if time_only else 3) + TABLE_WEIGHT * (2 * box[1] + 1) * (2 * box[2] + 1)
+    cost = (1 + CONTRACT_WEIGHT * (2 * box[2] + 1) if time_only
+            else 3 + TABLE_WEIGHT * (2 * box[1] + 1) * (2 * box[2] + 1))
     tabled = np.bincount(s, minlength=len(P)) > cost
     nodes, (h, g) = _rule_nodes(box[0]), box[1:].max(axis=1, initial=0).astype(int)
     out = np.zeros(len(s), dtype=complex)
@@ -401,28 +409,47 @@ def lattice_batch(seeds, steps, samples, L_of, S_of, amplitude, interval) -> np.
                                         amplitude, lo, hi)
         per, idx = idx[~tabled[s[idx]]], idx[tabled[s[idx]]]
         out[per] = _flat_sums(P_k[per], L, T_k[per], S, amp_w)
+        if not len(idx):
+            continue
         ids, local = np.unique(s[idx], return_inverse=True)
+        if time_only:
+            sums = _time_sums(P[ids], T[ids], (P_b[0], T_b), L, S, amp_w, g)
+            out[idx] = sums[local, b[idx] + g]
+            continue
         nb = min(len(v), LATTICE_NODES)
         per_block = max(1, CHUNK_ELEMS // ((2 * h + 1) * (2 * g + 1) * nb))
-        for k in range(0, len(v) if len(idx) else 0, nb):
+        for k in range(0, len(v), nb):
             sl = slice(k, k + nb)
-            if time_only:
-                A, B, C = 1.0, _unit_phase(P_b[:1], L[sl], np.array([T_b]), S[sl]), 1.0
-            else:
-                C = _unit_phase(np.array([P_ab]), L[sl])[0]
+            C = _unit_phase(np.array([P_ab]), L[sl])[0]
             for first in range(0, len(ids), per_block):
                 blk = ids[first:first + per_block]
                 i, j = np.searchsorted(local, [first, first + per_block])
                 e0 = _unit_phase(P[blk], L[sl], T[blk], S[sl])
                 e0 *= amp_w[sl]
-                if not time_only:
-                    A = _unit_phase(P_a[blk], L[sl])
-                    B = _unit_phase(P_b[blk], L[sl], np.full(len(blk), T_b), S[sl])
+                A = _unit_phase(P_a[blk], L[sl])
+                B = _unit_phase(P_b[blk], L[sl], np.full(len(blk), T_b), S[sl])
                 sel, hb = idx[i:j], int(np.abs(b[idx[i:j]]).max())
                 # entry (a, b) is e0 * A^a * (B * C^a)^b, summed over the nodes
                 sums = _powers(_powers(e0, A, h), _powers(B, C, h), hb).sum(axis=-1)
                 out[sel] += sums[b[sel] + hb, a[sel] + h, local[i:j] - first]
     return out
+
+
+def _time_sums(P, T, step, L, S, amp_w, g):
+    """(seed, b) sums of amp_w*exp(i*((P + b*step[0])*L + (T + b*step[1])*S)) for
+    b = -g..g: per block of at most ``DOT_NODES`` nodes, one table of columns
+    amp_w*B^b shared by every seed, and one ``zdotc`` per (seed, b) in ``vecdot``."""
+    sums = np.zeros((len(P), 2 * g + 1), dtype=complex)
+    nb = min(len(L), DOT_NODES)
+    per_block = max(1, CHUNK_ELEMS // nb)
+    for k in range(0, len(L), nb):
+        sl = slice(k, k + nb)
+        B = _unit_phase(np.array([step[0]]), L[sl], np.array([step[1]]), S[sl])[0]
+        cols = _powers(amp_w[sl], B, g)
+        for i in range(0, len(P), per_block):
+            rows = _unit_phase(P[i:i + per_block], L[sl], T[i:i + per_block], S[sl])
+            sums[i:i + per_block] += np.vecdot(np.conjugate(rows, out=rows)[:, None], cols)
+    return sums
 
 
 def _powers(x, r, h):

@@ -437,20 +437,9 @@ def test_mesh_dot_contraction_matches_einsum(monkeypatch):
         assert np.abs(new - old).max() <= 1e-14 * M_PSI
 
 
-def test_mesh_sums_do_not_depend_on_blas_threads():
-    # One 2 x 2 mesh on a rule of 21,001 nodes, which one block would hold
-    # whole.  OpenBLAS splits a dot product of more than 10,000 elements
-    # across threads and regroups its sum, so the mesh route caps its node
-    # blocks at DOT_NODES; without the cap these bytes differ between one
-    # BLAS thread and two.
+def _bytes_across_blas_threads(code):
+    """stdout of ``code`` run with OPENBLAS_NUM_THREADS=1 and with it unset."""
     src = str(Path(quadrature.__file__).resolve().parents[1])
-    code = ("import numpy as np\n"
-            "from concave_phase_lab.quadrature import _rule_nodes, two_phase_batch\n"
-            "from concave_phase_lab.spectral import BUMP\n"
-            "P, T = np.array([[-1.3e4], [1.4e4]]), np.array([[0.0, 10.0]])\n"
-            "assert _rule_nodes(1.4e4 * 1.5 + 10.0 * (2 ** 0.5 - 0.5 ** 0.5)) > 20_000\n"
-            "out = two_phase_batch(P, T, lambda v: v, lambda v: v ** 0.5, BUMP, (0.5, 2.0))\n"
-            "print(out.tobytes().hex())\n")
     base = dict(os.environ)
     base["PYTHONPATH"] = os.pathsep.join(
         [src] + ([base["PYTHONPATH"]] if base.get("PYTHONPATH") else []))
@@ -462,7 +451,78 @@ def test_mesh_sums_do_not_depend_on_blas_threads():
             env["OPENBLAS_NUM_THREADS"] = blas_threads
         outputs.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                       capture_output=True, text=True, timeout=120).stdout)
+    return outputs
+
+
+def test_mesh_sums_do_not_depend_on_blas_threads():
+    # One 2 x 2 mesh on a rule of 21,001 nodes, which one block would hold
+    # whole.  OpenBLAS splits a dot product of more than 10,000 elements
+    # across threads and regroups its sum, so the mesh route caps its node
+    # blocks at DOT_NODES; without the cap these bytes differ between one
+    # BLAS thread and two.
+    code = ("import numpy as np\n"
+            "from concave_phase_lab.quadrature import _rule_nodes, two_phase_batch\n"
+            "from concave_phase_lab.spectral import BUMP\n"
+            "P, T = np.array([[-1.3e4], [1.4e4]]), np.array([[0.0, 10.0]])\n"
+            "assert _rule_nodes(1.4e4 * 1.5 + 10.0 * (2 ** 0.5 - 0.5 ** 0.5)) > 20_000\n"
+            "out = two_phase_batch(P, T, lambda v: v, lambda v: v ** 0.5, BUMP, (0.5, 2.0))\n"
+            "print(out.tobytes().hex())\n")
+    outputs = _bytes_across_blas_threads(code)
     assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_time_only_lattice_sums_do_not_depend_on_blas_threads():
+    # One time-only lattice call, two seeds of 17 t offsets each on rules of
+    # about 19,500 and 21,000 nodes: its sums are dot products of each seed's
+    # row against the shared columns B^b, in node blocks capped at DOT_NODES
+    # as on the mesh route; without the cap these bytes differ.
+    code = ("import numpy as np\n"
+            "from concave_phase_lab.quadrature import _rule_nodes, lattice_batch\n"
+            "from concave_phase_lab.spectral import BUMP\n"
+            "P, T, b = np.array([-1.3e4, 1.4e4]), np.array([3.0, 10.0]), np.arange(-8, 9)\n"
+            "assert _rule_nodes(1.3e4 * 1.5) > 19_000\n"
+            "samples = (np.repeat([0, 1], 17), np.zeros(34, dtype=int), np.tile(b, 2))\n"
+            "out = lattice_batch((P, T, np.zeros(2), np.full(2, -0.5)), (0.0, 0.25), samples,\n"
+            "                    lambda v: v, lambda v: v ** 0.5, BUMP, (0.5, 2.0))\n"
+            "print(out.tobytes().hex())\n")
+    outputs = _bytes_across_blas_threads(code)
+    assert outputs[0] and outputs[0] == outputs[1]
+
+
+def test_time_only_lattice_sums_do_not_depend_on_the_call(monkeypatch):
+    # Each seed's time-only sums, alone in a call and in one call with seeds
+    # of its own rule, of two other rules and a one-sample seed that goes per
+    # sample, in shuffled order: bit-identical.  Rules of 257, about 1,400
+    # and about 21,000 nodes (past DOT_NODES); the first and last hold two
+    # seeds each.  Seeds 0 and 3 reach |b| = 3 and the others 8, so the
+    # shared table of columns is wider in the full call than alone.
+    L_of, S_of = (lambda v: v), (lambda v: v ** 0.5)
+    P = np.array([40.0, 45.0, 900.0, -1.4e4, -13997.0, 60.0])
+    T = np.array([3.0, 2.0, 50.0, 10.0, 10.0, 1.0])
+    seeds, steps = (P, T, np.zeros(6), np.full(6, -0.5)), (0.0, 0.25)
+    short, long = np.r_[-3:0, 1:4], np.r_[-8:0, 1:9]
+    offsets = [short, long, long, short, long, np.array([2])]
+    s = np.concatenate([np.full(len(b), k) for k, b in enumerate(offsets)])
+    b = np.concatenate(offsets)
+    order = np.random.default_rng(31).permutation(len(s))
+    s, b = s[order], b[order]
+    rows, time_sums = [], quadrature._time_sums
+
+    def spy(P, *rest):
+        rows.append(len(P))
+        return time_sums(P, *rest)
+
+    monkeypatch.setattr(quadrature, "_time_sums", spy)
+    full = quadrature.lattice_batch(seeds, steps, (s, np.zeros_like(s), b),
+                                    L_of, S_of, BUMP, BAND)
+    assert rows == [2, 1, 2]   # three rules tabled; seed 5 per sample
+    for k in range(len(P)):
+        own = s == k
+        alone = quadrature.lattice_batch(
+            tuple(c[k:k + 1] for c in seeds), steps,
+            (np.zeros(own.sum(), dtype=int), np.zeros(own.sum(), dtype=int), b[own]),
+            L_of, S_of, BUMP, BAND)
+        assert alone.tobytes() == full[own].tobytes()
 
 
 def test_batch_rule_mesh_row_groups_match_flat(monkeypatch):

@@ -296,7 +296,8 @@ def _within(value, target, tol):
 
 # Cost budgets checked before a pipeline starts: cantor_level builds 2**k
 # tuples, and the top sharpness-lines rung has a base mesh of 2**(2k - 1) *
-# t_base samples (MAX_BASE_SAMPLES bounds the vertical and curve rungs).
+# t_base samples (MAX_BASE_SAMPLES bounds the vertical, curve and
+# proposition-lines rungs).
 MAX_CANTOR_LEVEL = 16
 MAX_SCREENED_SAMPLES = 2 ** 26
 
@@ -306,11 +307,13 @@ def _check_cantor_level(name, cfg):
         raise ValueError(f"{name} needs 0 <= k <= {MAX_CANTOR_LEVEL}, got k={cfg.k}")
 
 
-def _check_base_samples(name, cfg):
-    if not (cfg.x_cells >= 1 and cfg.x_cells * cfg.t_base <= MAX_BASE_SAMPLES):
-        raise ValueError(f"{name} needs x_cells >= 1 with x_cells * t_base <= "
-                         f"{MAX_BASE_SAMPLES} base samples per rung, got "
-                         f"{cfg.x_cells} * {cfg.t_base}")
+def _check_base_samples(name, cfg, directions=1):
+    """Refuse x_cells < 1 and a rung's base mesh of x_cells * t_base * directions
+    samples past MAX_BASE_SAMPLES (a curve has one direction)."""
+    if not (cfg.x_cells >= 1 and cfg.x_cells * cfg.t_base * directions <= MAX_BASE_SAMPLES):
+        raise ValueError(f"{name} needs x_cells >= 1 with x_cells * t_base * directions "
+                         f"<= {MAX_BASE_SAMPLES} base samples per rung, got "
+                         f"{cfg.x_cells} * {cfg.t_base} * {directions}")
 
 
 # --------------------------------------------------------------------------
@@ -400,9 +403,9 @@ def _run_sharpness_vertical(cfg):
 
 
 def _run_sharpness_lines(cfg):
-    if not (1 <= cfg.k <= MAX_CANTOR_LEVEL
+    if not (5 <= cfg.k <= MAX_CANTOR_LEVEL   # a ladder of levels 1..k needs 5 rungs
             and 2 ** (2 * cfg.k - 1) * cfg.t_base <= MAX_SCREENED_SAMPLES):
-        raise ValueError(f"sharpness-lines needs 1 <= k <= {MAX_CANTOR_LEVEL} with "
+        raise ValueError(f"sharpness-lines needs 5 <= k <= {MAX_CANTOR_LEVEL} with "
                          f"2**(2k - 1) * t_base <= {MAX_SCREENED_SAMPLES} base-mesh "
                          f"samples per rung, got k={cfg.k}, t_base={cfg.t_base}")
     beta = math.log(2.0) / math.log(1.0 / cfg.r)
@@ -438,6 +441,8 @@ def _run_sharpness_lines(cfg):
 
 
 def _run_proposition_lines(cfg):
+    # _theta_nodes puts max(2, theta_nodes) nodes on the one interval [0, theta_max]
+    _check_base_samples("proposition-lines", cfg, directions=max(2, cfg.theta_nodes))
     s_star = exponents.s_star_lines(cfg.m, cfg.alpha, cfg.q)
     edges, reps = _geometric_cells(cfg)
     grid = _grid(cfg, theta_per_component=cfg.theta_nodes)

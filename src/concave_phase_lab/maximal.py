@@ -45,14 +45,15 @@ Every path is a translate: the path through x sits at x + c, with c =
 -theta*t^kappa depending only on the base mesh's column, so every base mesh
 is separable.  It is fed in groups of at most ``MAX_BASE_SAMPLES`` samples.
 For each group the window against each position's best witness first gives
-the kept (position, point) pairs, as one run of the sorted directions per
-(position, t) row (a t = 0 row passes whole or not at all).  Rows that fail
-the end test are dropped; on the rest the run's ends are guessed by binary
-search and confirmed, or else found by bisection, with the window test
-itself.  The same search screens every local mesh, and the kept set is
-exactly the per-sample test's.  The engine then takes the cheaper
-call as ``grid_work`` counts it: the kept samples flat, or the whole group
-as one separable mesh (never for a lone position).
+the kept (position, t, direction) samples, as one run of the sorted
+directions per (position, t) row (a t = 0 row passes whole or not at all).
+Rows that fail the end test are dropped; on the rest the run's ends are
+guessed by binary search and confirmed, or else found by bisection, with
+the window test itself.  The same window, given a row of times per seed
+(a time outside [0, 1] keeps nothing), screens every local mesh, and the
+kept set is exactly the per-sample test's.  The engine then takes the
+cheaper call as ``grid_work`` counts it: the kept samples flat, or the
+whole group as one separable mesh (never for a lone position).
 """
 from __future__ import annotations
 
@@ -71,8 +72,9 @@ __all__ = ["GridSpec", "MAX_BASE_SAMPLES", "MAX_REFINE_DEPTH", "maximal_in_time"
 _SCREEN_NUMERATOR = 4.0  # >= TV(bump) + sup(bump) = 3; margin for squared bumps
 _REFINE_FACTOR = 8
 _TOP_SEEDS = 3
-# Mesh rows screened at once: base rows in whole positions (in runs of one
-# position's times where it has more), local-mesh rows in whole seeds.  2**13
+# Mesh rows screened at once by _mesh_window, in whole x rows (positions of a
+# base mesh, seeds of local meshes), or in runs of one x row's times where it
+# has more.  2**13
 # floats (64 KiB) stay below the C allocator's initial mmap threshold
 # (128 KiB), so they are reused from the heap instead of being mapped and
 # faulted in afresh on every call.
@@ -96,7 +98,8 @@ class GridSpec:
     unless the caller injects witness points.  refine_depth (2 to
     ``MAX_REFINE_DEPTH``) rounds of factor-8 local refinement run around the
     leading maxima.
-    theta_per_component direction nodes sample each direction interval.
+    max(2, theta_per_component) direction nodes sample each direction interval
+    (one node for a point), so 1 and 2 give the same mesh.
     """
 
     t_base: int = 257
@@ -155,8 +158,10 @@ def _first_true(test, guess, n):
 
 
 def _at(a, rows):
-    """a, broadcast to the shape of the row indices ``rows``, at those rows."""
-    return a[tuple(i if d > 1 else 0 for i, d in zip(rows[len(rows) - a.ndim:], a.shape))]
+    """a, broadcast to the shape of the row indices ``rows``, at those rows (an
+    array, also where every axis of a has length 1)."""
+    at = a[tuple(i if d > 1 else 0 for i, d in zip(rows[len(rows) - a.ndim:], a.shape))]
+    return at if at.ndim else np.full(len(rows[0]), at)
 
 
 def _row_window(datum: FourierDatum, thetas, x, power, s_lo, s_hi, reach, origin=None):
@@ -202,47 +207,30 @@ def _row_window(datum: FourierDatum, thetas, x, power, s_lo, s_hi, reach, origin
     return tuple(np.repeat(i, count) for i in live), k
 
 
-def _line_window(datum: FourierDatum, m: float, kappa, xs, reach, thetas, times):
-    """(j, r) of the samples of the mesh of sorted directions ``thetas`` by
-    ``times`` at xs[j] that pass, r = i*len(thetas) + k for (thetas[k],
-    times[i]), by ``_row_window`` on the (position, t) rows, t^kappa computed
-    once per time, in blocks of whole positions or of one position's times."""
-    n, power = len(thetas), np.power(times, kappa)
+def _mesh_window(datum: FourierDatum, m: float, kappa, x, reach, thetas, times,
+                 origin=None):
+    """(j, i, k) of the samples of the rows (x[j], times[j, i]) along the sorted
+    directions (origin[j] +) thetas[k] that pass the window, in row-major
+    order, by ``_row_window``.  ``times`` is (1, c) where every row shares
+    its times (a base mesh) or (len(x), c) (local meshes).  t^kappa, s- and
+    s+ are computed once per entry of ``times``; a time outside [0, 1] gets
+    t^kappa = nan, which fails the end test, so its row keeps nothing.  Rows
+    go in blocks of whole x rows, or of one x row's times where it has more."""
+    inside = (times >= 0.0) & (times <= 1.0)
+    power = np.where(inside, np.power(np.maximum(times, 0.0), kappa), np.nan)
     s_lo, s_hi = _slopes(datum, m, times)
-    width = min(len(times), _SCREEN_BLOCK)
+    width = min(times.shape[1], _SCREEN_BLOCK)
     per_block, hits = _SCREEN_BLOCK // width, []
-    for lo in range(0, len(xs), per_block):
-        for at in range(0, len(times), width):
-            cut = slice(at, at + width)
-            (j, i), k = _row_window(datum, thetas, xs[lo:lo + per_block, None], power[cut],
-                                    s_lo[cut], s_hi[cut], reach[lo:lo + per_block, None])
-            hits.append((lo + j, (at + i) * n + k))
+    for lo in range(0, len(x), per_block):
+        rows = slice(lo, lo + per_block)
+        own = rows if len(times) > 1 else 0   # shared times: one 1-D row
+        for at in range(0, times.shape[1], width):
+            cut = own, slice(at, at + width)
+            (j, i), k = _row_window(datum, thetas, x[rows, None], power[cut], s_lo[cut],
+                                    s_hi[cut], reach[rows, None],
+                                    None if origin is None else origin[rows, None])
+            hits.append((lo + j, at + i, k))
     return tuple(map(np.concatenate, zip(*hits)))
-
-
-def _local_window(datum: FourierDatum, m: float, kappa, xs, reach, bounds, seeds, offsets):
-    """(s, b, a, theta, t) of the local-mesh samples in the domain that pass
-    the window, in seed, b, a order.  Seed s = (j, theta_s, t_s), a row of
-    ``seeds``, meshes theta_s + offsets[0][a] by t_s + offsets[1][b] against
-    reach[j], one row per b, a block of seeds at a time: rows with t outside
-    [0, 1] are dropped, ``_row_window`` screens the rest, and only its kept
-    samples meet the direction intervals (a lone direction never leaves)."""
-    owners, seed_theta, seed_t = seeds
-    per_block = max(1, _SCREEN_BLOCK // len(offsets[1]))
-    parts = []
-    for lo in range(0, len(owners), per_block):
-        t = seed_t[lo:lo + per_block, None] + offsets[1]
-        s, b = np.unravel_index(np.flatnonzero((t >= 0.0) & (t <= 1.0)), t.shape)
-        t, s = t[s, b], s + lo
-        (row,), a = _row_window(datum, offsets[0], xs[owners[s]], np.power(t, kappa),
-                                *_slopes(datum, m, t), reach[owners[s]], seed_theta[s])
-        s, b, t = s[row], b[row], t[row]
-        parts.append((s, b, a, seed_theta[s] + offsets[0][a], t))
-    s, b, a, theta, t = map(np.concatenate, zip(*parts))
-    if len(offsets[0]) > 1:
-        inside = _in_intervals(theta, bounds)
-        s, b, a, theta, t = (c[inside] for c in (s, b, a, theta, t))
-    return s, b, a, theta, t
 
 
 def _path(x, theta, t, kappa):
@@ -259,10 +247,10 @@ def _grid_sup(datum, m, grid, xs, bounds, thetas, kappa, witnesses):
     position in ``xs``.  ``witnesses[i]`` are the (theta, t) rows of position
     i, evaluated first and unscreened; like every refined sample they must
     lie in the domain, t in [0, 1] and theta in the intervals.  The base
-    mesh and every round's local meshes are screened by rows in one search,
-    ``_row_window``, which drops a dead row at its end directions; a round
-    tests only its kept samples against the intervals.  Base groups, routes
-    and refinement rounds are those of the module docstring.
+    mesh and every round's local meshes are screened by rows through one
+    window, ``_mesh_window``; a round tests only its kept samples against
+    the intervals.  Base groups, routes and refinement rounds are those of
+    the module docstring.
     """
     need = grid.required_t_base(datum)
     if grid.t_base < need and not witnesses.shape[1]:
@@ -293,13 +281,12 @@ def _grid_sup(datum, m, grid, xs, bounds, thetas, kappa, witnesses):
 
     def feed(ids):
         """Screen the base mesh at xs[ids], then evaluate and record what passes."""
-        j, r = _line_window(datum, m, kappa, xs[ids], _reach(datum, best[ids]),
-                            thetas, times)
+        j, i, a = _mesh_window(datum, m, kappa, xs[ids], _reach(datum, best[ids]),
+                               thetas, times[None])
         if not len(j):
             return
-        it = r // n
-        theta, t = thetas[r - it * n], times[it]
-        points, vals = (xs[ids[j]] - theta * power[it], t), None
+        theta, t = thetas[a], times[i]
+        points, vals = (xs[ids[j]] - theta * power[i], t), None
         # a mesh row costs at least 1 + CONTRACT_WEIGHT*n times its rule's nodes, a kept
         # sample flat at most twice: one mesh of shared rows wins only past half that
         most = np.bincount(j).max() if len(ids) > 1 else 0
@@ -308,7 +295,7 @@ def _grid_sup(datum, m, grid, xs, bounds, thetas, kappa, witnesses):
                     (0.0 - thetas * power[:, None]).reshape(1, -1))
             work = grid_work(datum, m, *mesh)
             if work < grid_work(datum, m, *points, limit=work):
-                vals = propagate_grid(datum, m, *mesh)[j, r]
+                vals = propagate_grid(datum, m, *mesh)[j, i * n + a]
         vals = propagate_grid(datum, m, *points) if vals is None else vals
         record(ids[j], theta, t, np.abs(vals))
 
@@ -330,8 +317,13 @@ def _grid_sup(datum, m, grid, xs, bounds, thetas, kappa, witnesses):
         if not len(owners):
             break
         steps = steps / _REFINE_FACTOR
-        s, b, a, theta, t = _local_window(datum, m, kappa, xs, _reach(datum, best), bounds,
-                                          lead[:3], (a_ticks * steps[0], ticks * steps[1]))
+        d_theta, local_t = a_ticks * steps[0], seed_t[:, None] + ticks * steps[1]
+        s, b, a = _mesh_window(datum, m, kappa, xs[owners], _reach(datum, best)[owners],
+                               d_theta, local_t, seed_theta)
+        theta, t = seed_theta[s] + d_theta[a], local_t[s, b]
+        if n > 1:   # a lone direction never leaves its set
+            inside = _in_intervals(theta, bounds)
+            s, b, a, theta, t = (c[inside] for c in (s, b, a, theta, t))
         j, a, b = owners[s], a_ticks[a], ticks[b]
         known = np.where((a == 0) & (b == 0), seed_vals[s], np.nan)   # the seed's own
         # one sample per distinct (theta, t) of a position: a seed's own, else the first seed's

@@ -368,7 +368,7 @@ def test_cli_refuses_grids_outside_budget(tmp_path, capsys, monkeypatch, argv, w
                  "2**(2k - 1) * t_base", id="lines-k9-t513"),
     pytest.param(["sharpness-lines", "--k", "1000000000"], "cantor_level", "k <= 16",
                  id="lines-k1e9"),
-    pytest.param(["sharpness-lines", "--k", "-1"], "cantor_level", "1 <= k",
+    pytest.param(["sharpness-lines", "--k", "-1"], "cantor_level", "5 <= k",
                  id="lines-k-1"),
     pytest.param(["covering", "--k", "17"], "cantor_level", "k <= 16", id="covering-k17"),
     pytest.param(["covering", "--k", "1000000000"], "cantor_level", "k <= 16",
@@ -380,6 +380,16 @@ def test_cli_refuses_grids_outside_budget(tmp_path, capsys, monkeypatch, argv, w
                  "matched_point_curve", "x_cells * t_base", id="curve-t100000"),
     pytest.param(["sharpness-curve", "--x-cells", "-3"], "matched_point_curve",
                  "x_cells >= 1", id="curve-x-3"),
+    pytest.param(["proposition-lines", "--x-cells", "-5"], "_geometric_cells",
+                 "x_cells >= 1", id="proposition-x-5"),
+    pytest.param(["proposition-lines", "--x-cells", "100000000"], "_geometric_cells",
+                 "x_cells * t_base * directions", id="proposition-x1e8"),
+    pytest.param(["proposition-lines", "--t-base", "100000000"], "_geometric_cells",
+                 "x_cells * t_base * directions", id="proposition-t1e8"),
+    pytest.param(["proposition-lines", "--theta-nodes", "100000000"], "_geometric_cells",
+                 "x_cells * t_base * directions", id="proposition-theta1e8"),
+    pytest.param(["proposition-lines", "--x-cells", "487"], "_geometric_cells",
+                 "got 487 * 129 * 17", id="proposition-x487"),
 ])
 def test_cli_refuses_ladders_outside_budget(tmp_path, capsys, monkeypatch, argv,
                                             work, fragment):
@@ -424,6 +434,7 @@ def test_cli_refuses_ladders_outside_budget(tmp_path, capsys, monkeypatch, argv,
                  id="vertical-min0"),
     pytest.param(["proposition-lines", "--lam-count", "1000000000"], "lam_count <= 32",
                  id="proposition-count1e9"),
+    pytest.param(["sharpness-lines", "--k", "4"], "5 <= k", id="lines-k4"),
 ])
 def test_cli_refuses_depths_and_ladders_before_quadrature(tmp_path, capsys, monkeypatch,
                                                           argv, fragment):
@@ -665,6 +676,7 @@ def test_depth_and_ladder_budgets_accept_every_default():
      "propagate_grid"),                                                # README
     ({"experiment": "propagate", "family": "cantor", "lam": 1024.0, "grid_n": 64},
      "propagate_grid"),                                                # 6.66e7 nodes
+    ({"experiment": "proposition-lines", "x_cells": 478}, "_geometric_cells"),  # x 129 x 17
 ])
 def test_grid_budgets_accept_their_limit(monkeypatch, overrides, work):
     class Reached(Exception):

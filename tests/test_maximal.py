@@ -528,15 +528,17 @@ def _per_sample_bound(datum, m, positions, times):
                           min_size=1, max_size=3),
        lone=st.booleans(), kappa=st.sampled_from([0.5, 1.0, 2.0]),
        per_component=st.integers(1, 4), t_count=st.sampled_from([2, 3, 5, 9]),
-       block=st.sampled_from([3, maximal._SCREEN_BLOCK]))
+       block=st.sampled_from([3, maximal._SCREEN_BLOCK]), shared=st.booleans())
 def test_screen_window_keeps_exactly_what_the_bound_keeps(
         scale, mirrored, shift, amplitude, linear_phase, fractional_phase, m, xs,
-        reach, intervals, lone, kappa, per_component, t_count, block):
+        reach, intervals, lone, kappa, per_component, t_count, block, shared):
     # Against the per-sample bound: no sample whose bound beats best is
     # dropped, and none whose bound is below best * (1 - 1e-9) is kept, on
     # the base mesh of paths x - theta*t^kappa (t = 0 rows included;
     # theta-windows by binary search, a lone direction, as a curve's mesh is,
-    # by the per-sample test) and through the per-sample window test.
+    # by the per-sample test) and through the per-sample window test.  The
+    # times are one row shared by every position, as a base mesh's are, or
+    # the same times repeated per position, as local meshes give them.
     # best = 0 where reach is inf; tau = t + fractional_phase takes both
     # signs and 0.  Rows are dropped whole where the window fails at their
     # end directions, on either side (a mutant that tests the upper side at
@@ -557,11 +559,13 @@ def test_screen_window_keeps_exactly_what_the_bound_keeps(
     saved = maximal._SCREEN_BLOCK
     maximal._SCREEN_BLOCK = block
     try:
-        j, r = maximal._line_window(datum, m, kappa, xs, maximal._reach(datum, best),
-                                    thetas, times)
+        j, i, k = maximal._mesh_window(
+            datum, m, kappa, xs, maximal._reach(datum, best), thetas,
+            times[None] if shared else np.tile(times, (len(xs), 1)))
     finally:
         maximal._SCREEN_BLOCK = saved
     kept = np.zeros_like(must)
+    r = i * len(thetas) + k
     kept[j, r] = True
     assert len(j) == kept.sum() and np.all(np.diff(j * len(t) + r) > 0)
     assert np.all(kept[must]) and np.all(may[kept])
@@ -593,16 +597,18 @@ def test_screen_window_keeps_exactly_what_the_bound_keeps(
        d_t=st.sampled_from([1 / 8, 1 / 256, 1e-7]),
        reach=st.lists(st.sampled_from([np.inf]) | st.floats(1e-4, 1.0)
                       | st.tuples(st.integers(0, 10 ** 6), st.integers(-2, 2)),
-                      min_size=3, max_size=3))
+                      min_size=3, max_size=3),
+       block=st.sampled_from([3, maximal._SCREEN_BLOCK]))
 def test_local_rows_keep_exactly_what_the_samples_keep(
         kappa, lone, linear_phase, fractional_phase, shift, m, xs, seeds, d_theta, d_t,
-        reach):
-    # Each refinement round's local meshes are screened by rows: the kept
-    # (seed, b, a) must be, in seed, b, a order, those of the per-sample test
-    # (0 <= t <= 1) & window & direction intervals over every lattice sample.
-    # Seeds sit on interval ends, at t = 0 and t = 1; R is inf (best = 0), a
-    # number, or within 2 ulps of some sample's p' + s- or -(p' + s+); a
-    # negative d_theta is a theta step of that many ulps.
+        reach, block):
+    # Each refinement round's local meshes are screened by rows, one row of
+    # times per seed: the kept (seed, b, a) must be, in seed, b, a order,
+    # those of the per-sample test (0 <= t <= 1) & window over every lattice
+    # sample, for all seeds at once and for the first seed alone.  Seeds sit
+    # on interval ends, at t = 0 and t = 1, so rows straddle both; R is inf
+    # (best = 0), a number, or within 2 ulps of some sample's p' + s- or
+    # -(p' + s+); a negative d_theta is a theta step of that many ulps.
     datum = FourierDatum(shift=shift, linear_phase=linear_phase,
                          fractional_phase=fractional_phase, m=m)
     bounds = np.array([(0.1, 0.3), (0.45, 0.45), (0.6, 1.2)])
@@ -612,16 +618,12 @@ def test_local_rows_keep_exactly_what_the_samples_keep(
     seed_theta = np.array([ends[i][0] + f * (ends[i][1] - ends[i][0])
                            for (_, i, f, _) in seeds])
     seed_t = np.array([t for *_, t in seeds])
-    if lone:
-        bounds = np.array([(0.45, 0.45)])
     ticks = np.arange(-8, 9)
     step = -d_theta * np.spacing(1.2) if d_theta < 0 else d_theta
-    offsets = (np.zeros(1) if lone else ticks * step, ticks * d_t)
-    theta = seed_theta[:, None, None] + offsets[0]
-    t = seed_t[:, None, None] + offsets[1][:, None]
-    theta, t = np.broadcast_arrays(theta, t)
+    d_thetas, local_t = np.zeros(1) if lone else ticks * step, seed_t[:, None] + ticks * d_t
+    theta, t = np.broadcast_arrays(seed_theta[:, None, None] + d_thetas, local_t[..., None])
     j = np.broadcast_to(owners[:, None, None], theta.shape)
-    domain = (t >= 0.0) & (t <= 1.0) & (lone | maximal._in_intervals(theta, bounds))
+    domain = (t >= 0.0) & (t <= 1.0)
     p = xs[j[domain]] - theta[domain] * np.power(t[domain], kappa)
     s_lo, s_hi = maximal._slopes(datum, m, t[domain])
     edges = np.concatenate([p + linear_phase + s_lo, -(p + linear_phase + s_hi)])
@@ -636,11 +638,17 @@ def test_local_rows_keep_exactly_what_the_samples_keep(
         r[q] = value
     keep = np.zeros(theta.shape, dtype=bool)
     keep[domain] = _passes(datum, m, r[j[domain]], p, t[domain])
-    got = maximal._local_window(datum, m, kappa, xs, r, bounds,
-                                (owners, seed_theta, seed_t), offsets)
-    want = *np.nonzero(keep), theta[keep], t[keep]
-    for got_part, want_part in zip(got, want):
-        assert np.array_equal(got_part, want_part)
+    saved = maximal._SCREEN_BLOCK
+    maximal._SCREEN_BLOCK = block
+    try:
+        for alone in (slice(None), slice(0, 1)):
+            got = maximal._mesh_window(datum, m, kappa, xs[owners[alone]],
+                                       r[owners[alone]], d_thetas, local_t[alone],
+                                       seed_theta[alone])
+            for got_part, want_part in zip(got, np.nonzero(keep[alone]), strict=True):
+                assert np.array_equal(got_part, want_part)
+    finally:
+        maximal._SCREEN_BLOCK = saved
     event(f"kept {'none' if not keep.any() else 'all' if keep[domain].all() else 'some'}")
 
 
@@ -648,7 +656,9 @@ def test_line_window_is_exact_for_directions_ulps_apart():
     # Directions 1e-16 to 1e-15 apart, times down to 1e-3 (so many directions
     # share one rounded p'), and each position's R within 3 ulps of some
     # sample's p' + s- or -(p' + s+): the kept set must be the per-sample
-    # window's over the full mesh, t = 0 rows included.
+    # window's over the full mesh, t = 0 rows included, for the three
+    # positions together and for each alone (a lone row's arrays have
+    # length-1 axes only, and the bisection after a failed guess reads them).
     rng = np.random.default_rng(11)
     m = 0.5
     trials = 0
@@ -672,11 +682,15 @@ def test_line_window_is_exact_for_directions_ulps_apart():
         for q, steps in enumerate(rng.integers(-3, 4, len(xs))):
             for _ in range(abs(steps)):
                 reach[q] = np.nextafter(reach[q], np.inf if steps > 0 else 0.0)
-        j, r = maximal._line_window(datum, m, 1.0, xs, reach, thetas, times)
-        kept = np.zeros(p.shape, dtype=bool)
-        kept[j, r] = True
-        assert len(j) == kept.sum() and np.all(np.diff(j * len(t) + r) > 0)
-        assert np.array_equal(kept, _passes(datum, m, reach[:, None], positions, t))
+        want = _passes(datum, m, reach[:, None], positions, t)
+        for q in (slice(None), *(slice(c, c + 1) for c in range(len(xs)))):
+            j, i, k = maximal._mesh_window(datum, m, 1.0, xs[q], reach[q], thetas,
+                                           times[None])
+            kept = np.zeros(p[q].shape, dtype=bool)
+            r = i * len(thetas) + k
+            kept[j, r] = True
+            assert len(j) == kept.sum() and np.all(np.diff(j * len(t) + r) > 0)
+            assert np.array_equal(kept, want[q])
 
 
 @pytest.mark.parametrize("case,per_group", [("lines", None), ("lines", 3), ("power", None)])

@@ -229,14 +229,14 @@ def cantor_selectors(x: float, cantor: CantorSet) -> MatchedPoint:
     survives in every deeper level), tau(x) = (theta - x)/theta is in
     [0, 2*r^k], and the matched time is t = 1 - tau.  The components are
     in increasing order, as ``cantor_level`` builds them, so a bisection finds
-    the last one with lo - snap <= x; it or the one before it is the first
-    component within ``snap`` of x.
+    the last one with lo <= x; it, or else the next, is taken if within ``snap``
+    of x, so a gap below the snap cannot hand x to the component before it.
     """
     snap = 1e-12
     if not 0.5 < x < 1.0 + snap:
         raise ValueError(f"not in prefractal window: x={x} outside (1/2, 1)")
-    i = bisect.bisect_right(cantor.intervals, x, key=lambda iv: iv[0] - snap)
-    for lo, hi in cantor.intervals[max(i - 2, 0):i]:
+    i = bisect.bisect_right(cantor.intervals, x, key=lambda iv: iv[0])
+    for lo, hi in cantor.intervals[max(i - 1, 0):i + 1]:
         if lo - snap <= x <= hi + snap:
             tau = (hi - x) / hi
             return MatchedPoint(x=float(x), tau=float(tau), theta=float(hi),

@@ -277,6 +277,8 @@ def _sup_ladder(rungs, rung, measure, q, s, fit_ratio=False):
     ScalingExperiment of the values (of value/hs_norm when ``fit_ratio``),
     the log-log slope of hs_norm, the ``_SUP_COLUMNS`` rows and the extras.
     """
+    if not q >= 1:
+        raise ValueError(f"q must be >= 1, got q={q}")
     points = _map_ordered(rung, rungs)
     lams = [p[0] for p in points]
     values = [lq_mu_norm(np.array(p[2]), measure, q, edges=np.array(p[3]))
@@ -408,6 +410,9 @@ def _run_sharpness_lines(cfg):
         raise ValueError(f"sharpness-lines needs 5 <= k <= {MAX_CANTOR_LEVEL} with "
                          f"2**(2k - 1) * t_base <= {MAX_SCREENED_SAMPLES} base-mesh "
                          f"samples per rung, got k={cfg.k}, t_base={cfg.t_base}")
+    if not np.all(np.diff(np.ravel(cantor_level(cfg.r, cfg.k).intervals)) > 0):
+        raise ValueError(f"sharpness-lines needs distinct, increasing prefractal ends in "
+                         f"doubles at level k (so below it), got r={cfg.r}, k={cfg.k}")
     beta = math.log(2.0) / math.log(1.0 / cfg.r)
     grid = _grid(cfg)
 

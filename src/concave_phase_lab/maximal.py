@@ -253,7 +253,7 @@ def _grid_sup(datum, m, grid, xs, bounds, thetas, kappa, witnesses):
     the module docstring.
     """
     need = grid.required_t_base(datum)
-    if grid.t_base < need and not witnesses.shape[1]:
+    if grid.t_base < need and len(xs) and not witnesses.shape[1]:
         raise ValueError(
             f"time grid under-resolved for this datum (have {grid.t_base}, "
             f"need {need}) and no witness points were injected")
@@ -355,7 +355,7 @@ def _positions(x, extra, name, d):
                          f"{tail}; got {xs.shape} and {np.shape(extra)}")
     if not np.all(np.isfinite(xs)):
         raise ValueError("x must be finite")
-    return xs, rows.reshape(xs.size, -1, d)
+    return xs, rows.reshape(xs.size, rows.size and -1, d)   # no -1 on an empty x
 
 
 def maximal_in_time(datum: FourierDatum, m: float, curve: Curve, x,

@@ -46,11 +46,11 @@ functions).  Its route follows the shapes of P, T and shift alone:
 
 One planner lays out the runs of both routes, and :func:`batch_work` counts
 what they build before any rule is built.  :func:`lattice_batch` sums the
-refinement meshes of ``maximal``: on time-only lattices, ``zdotc`` sums against
-one table of columns per rule shared by every seed (``CONTRACT_WEIGHT`` per
-multiply-add), on lines per-seed factor tables (``TABLE_WEIGHT`` per entry),
-both built by multiplication and within 2e-17*(1 + W)*sum|amp*w| of direct
-sums on the same rule at W from 7e2 to 3e4 rad.
+refinement meshes of ``maximal``: a time-only lattice as a mesh of its seeds
+against one centre column and its powers, lines from per-seed factor tables
+(``TABLE_WEIGHT`` per entry), both built by multiplication and within
+2e-17*(1 + W)*sum|amp*w| of direct sums on the same rule at W from 7e2 to
+3e4 rad.
 
 All three use one rule: trapezoid weights h*(1/2, 1, ..., 1, 1/2) on
 n = max(``N_MIN``, ceil(``NODES_PER_RADIAN`` * W) | 1) uniform nodes, one per
@@ -64,10 +64,10 @@ m = 0.3 deviated by up to 3.8e-13 at W near 257.  A rule that would need
 more than ``N_MAX`` nodes raises :class:`ResolutionLimitError` instead of
 losing accuracy.  Both routes build their exponentials in blocks of at most
 ``CHUNK_ELEMS`` elements, small enough to stay in cache: flat rows, or mesh
-nodes.  The mesh contraction is one BLAS ``zdotc`` per (row, column) pair
-and block of at most ``DOT_NODES`` nodes, which OpenBLAS runs on one thread,
-so the sums do not depend on the BLAS thread count (a threaded ``zgemm`` or
-a longer dot product may regroup the sum when it splits the work).
+nodes.  Meshes and time-only lattices share one contraction: one ``zdotc``
+per (row, column) pair and block of at most ``DOT_NODES`` nodes, which
+OpenBLAS runs on one thread, so the sums do not depend on the BLAS thread
+count (a threaded ``zgemm`` or a longer dot product may regroup the sum).
 """
 from __future__ import annotations
 
@@ -244,12 +244,12 @@ N_MIN = 257
 N_MAX = 2_097_153
 BUCKET = 4096
 CHUNK_ELEMS = 2 ** 17
-# Most nodes in one mesh block: OpenBLAS (0.3.31) runs a `zdotc` of at most
-# 10,000 elements on one thread, and splits and regroups a longer one.
+# Most nodes in one `_dot_sums` block: OpenBLAS (0.3.31) runs a `zdotc` of at
+# most 10,000 elements on one thread, and splits and regroups a longer one.
 DOT_NODES = 8192
-# One multiply-add of the mesh route's `zdotc` contraction, in complex
-# exponentials: 0.32-0.60 ns against 32-35 ns measured on mesh-route shapes,
-# numpy 2.4.6 and OpenBLAS 0.3.31 on a 2-CPU Xeon; 1/53 at the dearest pair.
+# One multiply-add of the `_dot_sums` contraction, in complex exponentials:
+# 0.32-0.60 ns against 32-35 ns measured on mesh-route shapes, numpy 2.4.6 and
+# OpenBLAS 0.3.31 on a 2-CPU Xeon; 1/53 at the dearest pair.
 CONTRACT_WEIGHT = 1.0 / 50.0
 
 
@@ -373,10 +373,9 @@ def lattice_batch(seeds, steps, samples, L_of, S_of, amplitude, interval) -> np.
     the rule of its own largest W, and its samples one exponential per node
     each, as on the flat route, or sums from tables, whichever counts fewer
     exponentials for that seed alone.  Time-only (P_a = P_ab = 0 and one P_b:
-    vertical paths, curves of order one): B = exp(i*(P_b*L + T_b*S)) is
-    shared, so a sample is one single-threaded ``zdotc`` of its seed's
-    exp(i*(P*L + T*S)) against a column amp_w*B^b of one table per rule and
-    block of at most ``DOT_NODES`` nodes; a seed costs one exponential and
+    vertical paths, curves of order one), a rule's seeds are a mesh of rows
+    exp(i*(P*L + T*S)) and columns amp_w*B^b, B = exp(i*(T_b*S + P_b*L)), in
+    the mesh route's contraction; a seed costs one exponential and
     ``CONTRACT_WEIGHT`` per multiply-add, 2|b| + 1 per node for its largest
     |b|.  Otherwise: the seed's table E_0*A^a*B^b*C^(a*b), at one exponential
     each for E_0, A, B and C, the exponentials of the phase's four parts, and
@@ -392,7 +391,6 @@ def lattice_batch(seeds, steps, samples, L_of, S_of, amplitude, interval) -> np.
     lo, hi = float(interval[0]), float(interval[1])
     spans = [float(np.ptp(f(np.array([lo, hi])))) for f in (L_of, S_of)]
     time_only = not (P_ab or np.any(P_a)) and np.all(P_b == P_b[:1])
-    a = np.zeros_like(a) if time_only else a
     P_k, T_k = P[s] + a * P_a[s] + b * P_b[s] + (a * b) * P_ab, T[s] + b * T_b
     box = np.zeros((3, len(P)))   # per seed: largest W, |a| and |b|
     for row, value in zip(box, (np.abs(P_k) * spans[0] + np.abs(T_k) * spans[1],
@@ -412,8 +410,12 @@ def lattice_batch(seeds, steps, samples, L_of, S_of, amplitude, interval) -> np.
         if not len(idx):
             continue
         ids, local = np.unique(s[idx], return_inverse=True)
-        if time_only:
-            sums = _time_sums(P[ids], T[ids], (P_b[0], T_b), L, S, amp_w, g)
+        if time_only:   # a mesh: one centre of phase 0, g powers of B = exp(i*(T_b*S + P_b*L))
+            nb = min(len(v), DOT_NODES)
+            r, sums = max(1, CHUNK_ELEMS // nb), np.zeros((len(ids), 2 * g + 1), dtype=complex)
+            _dot_sums(sums, [(P[ids[i:i + r]], T[ids[i:i + r]], slice(i, i + r))
+                             for i in range(0, len(ids), r)],
+                      (g, np.zeros((2, 1, 1)), np.array([[T_b], P_b[:1]])), L, S, amp_w, nb)
             out[idx] = sums[local, b[idx] + g]
             continue
         nb = min(len(v), LATTICE_NODES)
@@ -433,23 +435,6 @@ def lattice_batch(seeds, steps, samples, L_of, S_of, amplitude, interval) -> np.
                 sums = _powers(_powers(e0, A, h), _powers(B, C, h), hb).sum(axis=-1)
                 out[sel] += sums[b[sel] + hb, a[sel] + h, local[i:j] - first]
     return out
-
-
-def _time_sums(P, T, step, L, S, amp_w, g):
-    """(seed, b) sums of amp_w*exp(i*((P + b*step[0])*L + (T + b*step[1])*S)) for
-    b = -g..g: per block of at most ``DOT_NODES`` nodes, one table of columns
-    amp_w*B^b shared by every seed, and one ``zdotc`` per (seed, b) in ``vecdot``."""
-    sums = np.zeros((len(P), 2 * g + 1), dtype=complex)
-    nb = min(len(L), DOT_NODES)
-    per_block = max(1, CHUNK_ELEMS // nb)
-    for k in range(0, len(L), nb):
-        sl = slice(k, k + nb)
-        B = _unit_phase(np.array([step[0]]), L[sl], np.array([step[1]]), S[sl])[0]
-        cols = _powers(amp_w[sl], B, g)
-        for i in range(0, len(P), per_block):
-            rows = _unit_phase(P[i:i + per_block], L[sl], T[i:i + per_block], S[sl])
-            sums[i:i + per_block] += np.vecdot(np.conjugate(rows, out=rows)[:, None], cols)
-    return sums
 
 
 def _powers(x, r, h):
@@ -529,22 +514,30 @@ def _columns(T, shift):
 
 def _mesh_batch(rows, cols, runs, L_of, S_of, amplitude, a, b):
     """Mesh route of :func:`two_phase_batch` on a :func:`_plan`: the (r, c') sums
-    of the c' >= c columns built, one rule per run.  Per block of nodes ``E_col``
-    is amp_w*exp(i*(shift*L + T*S)) at the centres, times powers of one step
-    factor per fast column if h > 0, and each sum is one single-threaded ``zdotc``."""
-    h, (T, shift), steps = cols
+    of the c' >= c columns built, one rule per run, by :func:`_dot_sums`."""
+    h, (T, _), _ = cols
     width = (2 * h + 1) * T.size
     block = min(DOT_NODES, max(1, CHUNK_ELEMS // (len(runs[0][0][1]) + width)))
     sums = np.zeros((rows.size, width), dtype=complex)   # columns by (k, centre, f)
     for run in runs:
         v, amp_w, L, S = _profiled_rule(run[-1][0], L_of, S_of, amplitude, a, b)
-        for k in range(0, len(v), block):
-            sl = slice(k, k + block)
-            e_col = _unit_phase(T, S[sl], shift, L[sl])
-            e_col *= amp_w[sl]
-            e_col = _powers(e_col, _unit_phase(steps[0], S[sl], steps[1], L[sl])
-                            if h else 1.0, h).reshape(width, -1)
-            for _, idx in run:
-                e_row = _unit_phase(rows[idx], L[sl])
-                sums[idx] += np.vecdot(np.conjugate(e_row, out=e_row)[:, None], e_col)
+        _dot_sums(sums, [(rows[idx], None, idx) for _, idx in run], cols, L, S, amp_w, block)
     return sums.reshape(-1, 2 * h + 1, *T.shape).swapaxes(1, 2).reshape(rows.size, width)
+
+
+def _dot_sums(sums, groups, cols, L, S, amp_w, block):
+    """Adds to ``sums[idx]`` one rule's sums of row groups (P, T or None, idx): per
+    block of ``block`` nodes, ``E_col`` = amp_w*exp(i*(T*S + shift*L)) at the centres
+    of ``cols`` (:func:`_columns`' layout) times powers of one step factor per fast
+    column if h > 0, and one ``zdotc`` per sum against exp(i*(P*L [+ T*S]))."""
+    h, (T, shift), steps = cols
+    for k in range(0, len(L), block):
+        sl = slice(k, k + block)
+        e_col = _unit_phase(T, S[sl], shift, L[sl])
+        e_col *= amp_w[sl]
+        e_col = _powers(e_col, _unit_phase(steps[0], S[sl], steps[1], L[sl])
+                        if h else 1.0, h).reshape(-1, e_col.shape[-1])
+        for P, T_row, idx in groups:
+            e_row = (_unit_phase(P, L[sl]) if T_row is None
+                     else _unit_phase(P, L[sl], T_row, S[sl]))
+            sums[idx] += np.vecdot(np.conjugate(e_row, out=e_row)[:, None], e_col)

@@ -209,17 +209,20 @@ def test_cantor_selectors_examples():
 
 
 def test_cantor_selectors_sweep():
-    prefractal = cantor_level(1.0 / 3.0, 3)
-    rk = (1.0 / 3.0) ** 3
-    for lo, hi in prefractal.intervals:
-        if hi <= 0.5:
-            continue
-        for x in np.linspace(max(lo, 0.5 + 1e-9), hi, 7):
-            point = cantor_selectors(float(x), prefractal)
-            assert point.theta == hi
-            assert abs(point.x - point.theta) <= rk + 1e-12
-            assert 0.0 <= point.tau <= 2.0 * rk + 1e-12
-            assert point.t == pytest.approx(1.0 - point.tau, abs=1e-15)
+    # at r = 0.001 the level-5 gaps, about 1e-12, are within the snap of the
+    # components on both sides: each point must still map to its own
+    for ratio, level in ((1.0 / 3.0, 3), (0.001, 5)):
+        prefractal = cantor_level(ratio, level)
+        rk = ratio ** level
+        for lo, hi in prefractal.intervals:
+            if hi <= 0.5:
+                continue
+            for x in np.linspace(max(lo, 0.5 + 1e-9), hi, 7):
+                point = cantor_selectors(float(x), prefractal)
+                assert point.theta == hi
+                assert abs(point.x - point.theta) <= rk + 1e-12
+                assert 0.0 <= point.tau <= 2.0 * rk + 1e-12
+                assert point.t == pytest.approx(1.0 - point.tau, abs=1e-15)
 
 
 def test_cantor_selectors_rejects():

@@ -435,6 +435,12 @@ def test_cli_refuses_ladders_outside_budget(tmp_path, capsys, monkeypatch, argv,
     pytest.param(["proposition-lines", "--lam-count", "1000000000"], "lam_count <= 32",
                  id="proposition-count1e9"),
     pytest.param(["sharpness-lines", "--k", "4"], "5 <= k", id="lines-k4"),
+    pytest.param(["sharpness-vertical", "--q", "0.5"], "q must be >= 1", id="vertical-q0.5"),
+    pytest.param(["sharpness-curve", "--q", "0.9"], "q must be >= 1", id="curve-q0.9"),
+    pytest.param(["sharpness-lines", "--q", "0.5"], "q must be >= 1", id="lines-q0.5"),
+    # level-5 ends 1e-20 apart coincide in doubles
+    pytest.param(["sharpness-lines", "--r", "0.0001", "--k", "5"], "r=0.0001, k=5",
+                 id="lines-r1e-4-k5"),
 ])
 def test_cli_refuses_depths_and_ladders_before_quadrature(tmp_path, capsys, monkeypatch,
                                                           argv, fragment):

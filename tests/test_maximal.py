@@ -120,7 +120,7 @@ def test_array_positions_match_scalar_calls_on_vertical_path(monkeypatch):
 def test_array_positions_match_scalar_calls_on_power_curve():
     # with or without witnesses the window keeps enough of this small base
     # that it goes in one (4, 1) x (1, 33) call with a nonzero column shift;
-    # the values match scalar calls
+    # the values match scalar calls, and no positions get no floors
     grid = small_grid()
     curve = Curve.power(theta=0.5, kappa=2.0)
     xs = np.array([0.05, 0.3, 0.55, 0.9])
@@ -129,6 +129,8 @@ def test_array_positions_match_scalar_calls_on_power_curve():
         each = [maximal_in_time(BAND, 0.5, curve, x, grid, extra_t=w)
                 for x, w in zip(xs, witnesses)]
         np.testing.assert_allclose(sups, each, rtol=1e-12, atol=0.0)
+        empty = maximal_in_time(BAND, 0.5, curve, xs[:0], grid, extra_t=witnesses[:0])
+        assert empty.shape == (0,) and empty.dtype == float
 
 
 def _cantor_rung(level, r=0.25, m=0.5, per_component=1):
@@ -148,7 +150,7 @@ def test_array_positions_match_scalar_calls_on_lines():
     # a Cantor rung with its selector witnesses, and the small-ball direction
     # set [0, theta_max] with the proposition-lines witnesses: the array call
     # screens and evaluates all positions together, each position must get
-    # the floor of its own scalar call
+    # the floor of its own scalar call, and no positions get no floors
     m = 0.5
     datum, comps, xs, witnesses = _cantor_rung(4, m=m)
     lam, theta_max = 64.0, 0.05
@@ -166,6 +168,8 @@ def test_array_positions_match_scalar_calls_on_lines():
                 for x, w in zip(xs, witnesses)]
         np.testing.assert_allclose(sups, each, rtol=1e-12,
                                    atol=1e-13 * np.max(each))
+        empty = maximal_over_lines(datum, m, intervals, xs[:0], grid, extra=witnesses[:0])
+        assert empty.shape == (0,) and empty.dtype == float
 
 
 def test_lines_call_holds_only_kept_samples():

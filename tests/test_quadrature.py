@@ -506,13 +506,14 @@ def test_time_only_lattice_sums_do_not_depend_on_the_call(monkeypatch):
     b = np.concatenate(offsets)
     order = np.random.default_rng(31).permutation(len(s))
     s, b = s[order], b[order]
-    rows, time_sums = [], quadrature._time_sums
+    rows, dot_sums = [], quadrature._dot_sums
 
-    def spy(P, *rest):
-        rows.append(len(P))
-        return time_sums(P, *rest)
+    def spy(sums, groups, *rest):
+        if groups[0][1] is not None:   # time-only rows carry T; mesh rows do not
+            rows.append(sum(len(P) for P, _, _ in groups))
+        return dot_sums(sums, groups, *rest)
 
-    monkeypatch.setattr(quadrature, "_time_sums", spy)
+    monkeypatch.setattr(quadrature, "_dot_sums", spy)
     full = quadrature.lattice_batch(seeds, steps, (s, np.zeros_like(s), b),
                                     L_of, S_of, BUMP, BAND)
     assert rows == [2, 1, 2]   # three rules tabled; seed 5 per sample

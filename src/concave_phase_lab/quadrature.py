@@ -40,9 +40,11 @@ functions).  Its route follows the shapes of P, T and shift alone:
   |P| into groups of ``BUCKET // c`` rows (at least one), each sized from its
   last row's |P|*span L plus the largest |shift|*span L + |T|*span S of a
   column; groups with one node count share one rule and one ``E_col`` per
-  block of nodes.  On uniform times ``E_col`` is direct every 2h + 1 <= 33
-  columns and multiplied out between: (r + c/33 + 1)*n exponentials, or
-  (r + c)*n for other columns, instead of r*c*n.
+  block of nodes.  Columns affine in their index (uniform times), and rows of
+  a group affine in group order (kernel grids), are direct every 2h + 1 <= 33
+  and multiplied out between, a row within 2*``AFFINE_ULPS``*eps*max|P|*max|L|
+  + h*eps of its phase: (r/33 + c/33 + 2)*n exponentials on a kernel grid,
+  (r + c/33 + 1)*n on other rows, (r + c)*n on other columns, not r*c*n.
 
 One planner lays out the runs of both routes, and :func:`batch_work` counts
 what they build before any rule is built.  :func:`lattice_batch` sums the
@@ -259,9 +261,9 @@ CONTRACT_WEIGHT = 1.0 / 50.0
 # the node count alone, and a 17 x 17 table of one fits in CHUNK_ELEMS.
 TABLE_WEIGHT = 1.0 / 12.0
 LATTICE_NODES = CHUNK_ELEMS // 289
-# Mesh columns by recurrence (_columns): within AFFINE_ULPS ulps of an affine fit
-# and h <= COLUMN_HALF_WIDTH unimodular products from a direct column, a column's
-# phase is within 2*AFFINE_ULPS*eps*(max|T|*max|S| + max|shift|*max|L|) + h*eps.
+# Mesh columns and rows by recurrence (_affine): within AFFINE_ULPS ulps of an affine
+# fit and h <= COLUMN_HALF_WIDTH unimodular products from a direct one, a phase is within
+# 2*AFFINE_ULPS*eps*(max|T|*max|S| + max|shift|*max|L|) + h*eps (rows: max|P|*max|L|).
 COLUMN_HALF_WIDTH = 16
 AFFINE_ULPS = 4
 
@@ -275,11 +277,11 @@ def _rule_nodes(w):
 def batch_work(P, T, L_of, S_of, interval, shift=0.0, limit=None) -> float:
     """Work of ``two_phase_batch`` on these coefficients in complex exponentials,
     counted from the runs it executes before any rule is built: a run of N
-    nodes and k points (rows on the mesh route) costs N*(e + (1 +
-    ``CONTRACT_WEIGHT``*c')*k): on the mesh route, e is one per centre column
-    and step factor plus ``TABLE_WEIGHT`` per multiplied column, c' the
-    columns built; on the flat route e = c' = 0.  Work past the float range
-    counts as inf, without a warning, so that budgets refuse it.
+    nodes and k points (rows on the mesh route) costs N*(e + r + ``CONTRACT_WEIGHT``*c'*k):
+    on the mesh route, e (columns) and r (rows) are one per direct one and step factor
+    plus ``TABLE_WEIGHT`` per one multiplied out, c' the columns built; on the flat route
+    e = c' = 0, r = k.  Work past the float range counts as inf, without a warning,
+    so that budgets refuse it.
     Given a ``limit``, paired points of one shape count as n if n > limit, or 2n
     if 2n <= limit, n the sum of their own node counts (each gets up to twice)."""
     P, T, shift = (np.asarray(c, dtype=float) for c in (P, T, shift))
@@ -292,9 +294,12 @@ def batch_work(P, T, L_of, S_of, interval, shift=0.0, limit=None) -> float:
         *_, cols, runs = _plan(P, T, shift, *spans)
         h, (T, _), steps = cols or (0, np.zeros((2, 0)), np.zeros((2, 0)))
         e = T.size + (steps[0].size if h else 0) + TABLE_WEIGHT * 2 * h * T.size
-        per_row = 1 + CONTRACT_WEIGHT * (2 * h + 1) * T.size
-        return float(sum(_rule_nodes(run[-1][0]) * (e + per_row * sum(len(i) for _, i in run))
-                         for run in runs))
+        dots = CONTRACT_WEIGHT * (2 * h + 1) * T.size
+        def rows(layout, k):   # k direct rows, or q centres, 1 step factor and the products
+            g, q = (layout[0], layout[1].size) if layout else (0, k)
+            return q + 1 + TABLE_WEIGHT * (2 * g + (2 * g + 1) * q) if g else k
+        return float(sum(_rule_nodes(run[-1][0]) * (e + sum(
+            rows(lay, len(i)) + dots * len(i) for _, i, lay in run)) for run in runs))
 
 
 def _batch_rule(w_max, amplitude, a, b):
@@ -340,7 +345,7 @@ def two_phase_batch(P, T, L_of, S_of, amplitude, interval, shift=0.0) -> np.ndar
         sums = _mesh_batch(rows, cols, runs, L_of, S_of, amplitude, a, b)
         return sums[np.arange(P.size).reshape(P.shape), np.arange(T.size).reshape(col_shape)]
     out = np.empty(rows.shape, dtype=complex)
-    for (w, idx), in runs:
+    for (w, idx, _), in runs:
         v, amp_w, L, S = _profiled_rule(w, L_of, S_of, amplitude, a, b)
         out[idx] = _flat_sums(rows[idx], L, T[idx], S, amp_w)
     return out.reshape(shape)
@@ -413,7 +418,8 @@ def lattice_batch(seeds, steps, samples, L_of, S_of, amplitude, interval) -> np.
         if time_only:   # a mesh: one centre of phase 0, g powers of B = exp(i*(T_b*S + P_b*L))
             nb = min(len(v), DOT_NODES)
             r, sums = max(1, CHUNK_ELEMS // nb), np.zeros((len(ids), 2 * g + 1), dtype=complex)
-            _dot_sums(sums, [(P[ids[i:i + r]], T[ids[i:i + r]], slice(i, i + r))
+            _dot_sums(sums, [(lambda sl, p=P[ids[i:i + r]], t=T[ids[i:i + r]]:
+                              _unit_phase(p, L[sl], t, S[sl]), slice(i, i + r))
                              for i in range(0, len(ids), r)],
                       (g, np.zeros((2, 1, 1)), np.array([[T_b], P_b[:1]])), L, S, amp_w, nb)
             out[idx] = sums[local, b[idx] + g]
@@ -468,11 +474,11 @@ def _unit_phase(coeffs, profile, coeffs2=None, profile2=None):
 
 def _plan(P, T, shift, spanL, spanS):
     """What :func:`two_phase_batch` runs, read by both routes and by
-    :func:`batch_work`: (P, T, cols, runs), a run being the (W, point indices)
-    groups of one rule, sized from its last W.  Mesh, when P varies on other
-    axes than T and shift: P and T raveled, the column layout of
-    :func:`_columns`, and runs of consecutive row groups with one node count.
-    Flat: P + shift and T raveled, cols None, and one bucket per run."""
+    :func:`batch_work`: (P, T, cols, runs), a run being the (W, point indices, row
+    layout) groups of one rule, sized from its last W.  Mesh, when P varies on other
+    axes than T and shift: P and T raveled, the column layout of :func:`_columns`, and
+    runs of consecutive row groups with one node count and the :func:`_affine` layout
+    of their P.  Flat: P + shift and T raveled, cols None, one bucket per run."""
     cols = np.broadcast(T, shift).size
     if P.size > 1 and cols > 1 and P.size * cols == np.broadcast(P, T, shift).size:
         rows, (T, shift) = P.ravel(), (c.ravel() for c in np.broadcast_arrays(T, shift))
@@ -481,7 +487,8 @@ def _plan(P, T, shift, spanL, spanS):
         per_group = max(1, BUCKET // T.size)
         groups = [order[i:i + per_group] for i in range(0, len(order), per_group)]
         widths = [abs(rows[idx[-1]]) * spanL + col_part for idx in groups]
-        runs = itertools.groupby(zip(widths, groups), key=lambda g: _rule_nodes(g[0]))
+        layouts = [_affine(rows[idx][None, :, None]) for idx in groups]
+        runs = itertools.groupby(zip(widths, groups, layouts), key=lambda g: _rule_nodes(g[0]))
         return rows, T, _columns(T, shift), [list(run) for _, run in runs]
     P, T, shift = np.broadcast_arrays(P, T, shift)
     P, T = (P + shift).ravel(), T.ravel()
@@ -491,23 +498,30 @@ def _plan(P, T, shift, spanL, spanS):
     runs, i = [], 0
     while i < len(order):   # a bucket ends before its rule doubles its first point's
         j = min(i + BUCKET, int(np.searchsorted(nodes, 2.0 * nodes[i], "right")))
-        runs.append([(W[order[j - 1]], order[i:j])])
+        runs.append([(W[order[j - 1]], order[i:j], None)])
         i = j
     return P, T, None, runs
 
 
 def _columns(T, shift):
-    """(h, centres, steps) of c mesh columns as n steps of f, f the first index
-    where T changes if it divides c (theta fastest on lines).  If n > 2 and each
-    fast column's (T, shift) are within ``AFFINE_ULPS`` ulps of affine in the
-    step, 2h + 1 <= 2*``COLUMN_HALF_WIDTH`` + 1 steps share a centre, else h = 0."""
-    grid = np.stack((T, shift)).reshape(2, -1, np.gcd(T.size, np.argmax(T != T[0]) or 1))
+    """:func:`_affine` layout of c mesh columns (T, shift) as n steps of f, f the
+    first index where T changes if it divides c (theta fastest on lines)."""
+    return _affine(np.stack((T, shift)).reshape(2, -1, np.gcd(T.size, np.argmax(T != T[0]) or 1)))
+
+
+def _affine(grid):
+    """(h, centres, steps) of a (k, n, f) grid: if n > 2 and each of its f fast columns
+    is within ``AFFINE_ULPS`` ulps of affine in the step, 2h + 1 <=
+    2*``COLUMN_HALF_WIDTH`` + 1 steps share a centre, else h = 0."""
     n, q = grid.shape[1], -(-grid.shape[1] // (2 * COLUMN_HALF_WIDTH + 1))   # q centres
     ulps = AFFINE_ULPS * 2.0 ** -52 * np.abs(grid).max(axis=(1, 2), keepdims=True)
+    first, mid, last = (float(grid[0, i, 0]) for i in (0, n // 2, -1))   # test one sample
+    if n < 3 or not abs(mid - (first + n // 2 * ((last - first) / (n - 1)))) <= ulps[0, 0, 0]:
+        return 0, grid, None   # first, in floats: off its line, every step a centre
     with np.errstate(over="ignore", invalid="ignore"):   # huge coefficients: h = 0, refused
         steps = (grid[:, -1] - grid[:, 0]) / (n - 1)
         line = grid[:, :1] + np.arange(n + COLUMN_HALF_WIDTH)[:, None] * steps[:, None]
-        h = -(-n // q) // 2 if n > 2 and np.all(np.abs(grid - line[:, :n]) <= ulps) else 0
+        h = -(-n // q) // 2 if np.all(np.abs(grid - line[:, :n]) <= ulps) else 0
     k = np.arange(h, n + h, 2 * h + 1)   # centre steps of the blocks that start before n
     return h, np.where(k[:, None] < n, grid[:, np.minimum(k, n - 1)], line[:, k]), steps
 
@@ -521,15 +535,26 @@ def _mesh_batch(rows, cols, runs, L_of, S_of, amplitude, a, b):
     sums = np.zeros((rows.size, width), dtype=complex)   # columns by (k, centre, f)
     for run in runs:
         v, amp_w, L, S = _profiled_rule(run[-1][0], L_of, S_of, amplitude, a, b)
-        _dot_sums(sums, [(rows[idx], None, idx) for _, idx in run], cols, L, S, amp_w, block)
+        _dot_sums(sums, [(lambda sl, lay=lay, n=len(idx): _affine_rows(lay, L[sl], n), idx)
+                         for _, idx, lay in run], cols, L, S, amp_w, block)
     return sums.reshape(-1, 2 * h + 1, *T.shape).swapaxes(1, 2).reshape(rows.size, width)
 
 
+def _affine_rows(layout, L, n):
+    """The n mesh rows exp(i*P*L) of an :func:`_affine` layout of P, in P's order:
+    direct at its centres, times the powers of one step factor."""
+    h, (P,), steps = layout
+    rows = _unit_phase(P, L)
+    if h:
+        rows = rows * _powers(1.0, _unit_phase(steps[0], L)[0], h)
+    return rows.reshape(-1, rows.shape[-1])[:n]
+
+
 def _dot_sums(sums, groups, cols, L, S, amp_w, block):
-    """Adds to ``sums[idx]`` one rule's sums of row groups (P, T or None, idx): per
-    block of ``block`` nodes, ``E_col`` = amp_w*exp(i*(T*S + shift*L)) at the centres
-    of ``cols`` (:func:`_columns`' layout) times powers of one step factor per fast
-    column if h > 0, and one ``zdotc`` per sum against exp(i*(P*L [+ T*S]))."""
+    """Adds to ``sums[idx]`` one rule's sums of row groups (rows, idx), ``rows(sl)`` their
+    rows on the nodes ``sl``: per block of ``block`` nodes, ``E_col`` = amp_w*exp(i*(T*S
+    + shift*L)) at the centres of ``cols`` (:func:`_columns`' layout) times powers of
+    one step factor per fast column if h > 0, and one ``zdotc`` per sum."""
     h, (T, shift), steps = cols
     for k in range(0, len(L), block):
         sl = slice(k, k + block)
@@ -537,7 +562,6 @@ def _dot_sums(sums, groups, cols, L, S, amp_w, block):
         e_col *= amp_w[sl]
         e_col = _powers(e_col, _unit_phase(steps[0], S[sl], steps[1], L[sl])
                         if h else 1.0, h).reshape(-1, e_col.shape[-1])
-        for P, T_row, idx in groups:
-            e_row = (_unit_phase(P, L[sl]) if T_row is None
-                     else _unit_phase(P, L[sl], T_row, S[sl]))
+        for rows, idx in groups:
+            e_row = rows(sl)
             sums[idx] += np.vecdot(np.conjugate(e_row, out=e_row)[:, None], e_col)

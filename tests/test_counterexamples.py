@@ -234,16 +234,26 @@ def test_cantor_selectors_rejects():
 
 
 def _cantor_selectors_scan(x, cantor):
-    """Reference for ``cantor_selectors``: the first component within snap of x."""
+    """Reference for ``cantor_selectors``, by a scan: the component containing
+    x (the last with lo <= x, if x <= hi + snap), else the next one if x is
+    within snap of its lo."""
     snap = 1e-12
     if not 0.5 < x < 1.0 + snap:
         raise ValueError(f"not in prefractal window: x={x} outside (1/2, 1)")
+    pick = None
     for lo, hi in cantor.intervals:
-        if lo - snap <= x <= hi + snap:
-            tau = (hi - x) / hi
-            return MatchedPoint(x=float(x), tau=float(tau), theta=float(hi),
-                                lam=cantor.ratio ** (-cantor.level), t=1.0 - float(tau))
-    raise ValueError(f"not in prefractal window: x={x} misses every component")
+        if lo <= x:
+            pick = (lo, hi) if x <= hi + snap else None
+            continue
+        if pick is None and lo - snap <= x:
+            pick = (lo, hi)
+        break
+    if pick is None:
+        raise ValueError(f"not in prefractal window: x={x} misses every component")
+    hi = pick[1]
+    tau = (hi - x) / hi
+    return MatchedPoint(x=float(x), tau=float(tau), theta=float(hi),
+                        lam=cantor.ratio ** (-cantor.level), t=1.0 - float(tau))
 
 
 def _selection(select, x, cantor):
@@ -271,3 +281,22 @@ def test_cantor_selectors_bisection_matches_the_scan(ratio):
             assert _selection(cantor_selectors, x, prefractal) == expected
             outcomes["error" if isinstance(expected, str) else "point"] += 1
     assert outcomes["point"] > 0 and outcomes["error"] > 0
+
+
+def test_cantor_selectors_scan_keeps_points_in_their_own_component():
+    # r = 0.001, level 5: the gaps, about 1e-12, are within the snap of the
+    # components on both sides.  The midpoint x = 0.9990000000009995 of
+    # (0.999000000000999, 0.999000000001) is also within the snap of the
+    # component before; both rules take its own, and the scan and the
+    # bisection agree on every swept point of that level.
+    snap, prefractal = 1e-12, cantor_level(0.001, 5)
+    for select in (_cantor_selectors_scan, cantor_selectors):
+        assert select(0.9990000000009995, prefractal).theta == 0.999000000001
+    xs = []
+    for lo, hi in prefractal.intervals:
+        if hi >= 0.5:
+            xs += [0.5 * (lo + hi), lo - 2 * snap, lo - snap / 2, lo + snap / 2,
+                   hi - snap / 2, hi + snap / 2, hi + 2 * snap]
+    for x in xs:
+        assert (_selection(cantor_selectors, x, prefractal)
+                == _selection(_cantor_selectors_scan, x, prefractal))

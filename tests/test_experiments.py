@@ -743,6 +743,28 @@ def test_cli_rejects_unknown_key(tmp_path, capsys):
         assert not list(tmp_path.iterdir())
 
 
+def test_cli_config_file_values_and_overrides(tmp_path, capsys):
+    # --config FILE in process: a value from the file is used, a command-line
+    # override beats the file, and an unknown key in the file exits 2 with one
+    # JSON error record and nothing written
+    config = tmp_path / "cantor.cfg"
+    config.write_text("# a short ladder\nk = 3   # levels\nr = 0.3\n")
+    for argv, k in (([], 3), (["--k", "2"], 2)):
+        out = tmp_path / f"k{k}"
+        assert cli_main(["cantor", "--config", str(config), *argv, "--out-dir", str(out)]) == 0
+        report = json.loads((out / "cantor.json").read_text())
+        assert (report["config"]["k"], report["config"]["r"]) == (k, 0.3)
+        assert len((out / "cantor.csv").read_text().strip().splitlines()) == k + 2
+    capsys.readouterr()
+    config.write_text("k = 3\nbogus_knob = 1\n")
+    out = tmp_path / "bogus"
+    assert cli_main(["cantor", "--config", str(config), "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    record = json.loads(captured.err)
+    assert record["error"]["message"] == "unknown config key: 'bogus_knob'"
+    assert not captured.out and not out.exists()
+
+
 def test_cli_equals_override_form(tmp_path, capsys):
     code = cli_main(["cantor", "--k=3", f"--out-dir={tmp_path}"])
     assert code == 0

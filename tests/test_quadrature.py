@@ -21,7 +21,7 @@ from concave_phase_lab.quadrature import (InvalidIntegrandError, QuadratureError
 from concave_phase_lab.counterexamples import knapp_vertical_spatial
 from concave_phase_lab.geometry import Curve
 from concave_phase_lab.maximal import GridSpec, maximal_in_time
-from concave_phase_lab.spectral import BUMP, BUMP_SQUARED
+from concave_phase_lab.spectral import BUMP, BUMP_SQUARED, kernel_grid
 
 # Composite-Simpson value of the reference band bump, 10^6+1 nodes,
 # frozen before the engine was written.
@@ -391,6 +391,48 @@ def test_batch_work_counts_what_the_routes_build(monkeypatch):
     span_s = 2.0 ** 0.5 - 0.5 ** 0.5
     own = quadrature._rule_nodes(np.abs(flat[0]) * 1.5 + np.abs(flat[1]) * span_s)
     assert work > own.sum()
+    # Uniform P: 40 rows, one group against 100 columns.  The rows are built as
+    # the columns are: q = 2 direct centre rows and one step factor per node,
+    # 2h + 1 = 21 rows from each centre by multiplication (42 built, 40 summed).
+    # The count is the exponentials, TABLE_WEIGHT per entry made by
+    # multiplication (powers and row products) and CONTRACT_WEIGHT per
+    # multiply-add of the contraction, all as built.
+    seen = {"exp": 0, "row": 0, "nodes": 0, "mult": 0, "madd": 0, "centres": 0}
+    vecdot = np.vecdot
+
+    def phase_spy(coeffs, profile, *rest):
+        out = unit_phase(coeffs, profile, *rest)
+        seen["exp"] += out.size
+        if not rest:   # mesh row centres (one per P) or the rows' step factor
+            seen["row"] += out.size
+            if coeffs.ndim == 2:
+                seen["centres"] = out.size
+            else:
+                seen["nodes"] += out.size
+        return out
+
+    def table_spy(x, r, h):
+        out = powers(x, r, h)
+        # the powers of a row step factor (x = 1) multiply every centre row
+        seen["mult"] += out.size - out[0].size + (len(out) * seen["centres"]
+                                                  if np.ndim(x) == 0 else 0)
+        return out
+
+    def dot_spy(rows, cols):
+        seen["madd"] += rows.shape[0] * cols.size
+        return vecdot(rows, cols)
+
+    P, T = np.linspace(40.0, 640.0, 40)[:, None], np.linspace(0.0, 5.0, 100)[None]
+    monkeypatch.setattr(quadrature, "_unit_phase", phase_spy)
+    monkeypatch.setattr(quadrature, "_powers", table_spy)
+    monkeypatch.setattr(np, "vecdot", dot_spy)
+    two_phase_batch(P, T, L_of, S_of, BUMP, BAND, shift[:, :100])
+    monkeypatch.undo()
+    assert seen["row"] == 3 * seen["nodes"] and seen["nodes"] > quadrature.N_MIN
+    assert seen["madd"] == 40 * 100 * seen["nodes"]   # 4 centre columns of 25 built
+    assert quadrature.batch_work(P, T, L_of, S_of, BAND, shift[:, :100]) == pytest.approx(
+        seen["exp"] + quadrature.TABLE_WEIGHT * seen["mult"]
+        + quadrature.CONTRACT_WEIGHT * seen["madd"], rel=1e-12)
 
 
 def test_batch_rule_mesh_blocks_of_nodes_agree(monkeypatch):
@@ -413,7 +455,7 @@ def _einsum_mesh(rows, cols, runs, L_of, S_of, amplitude, a, b):
         v, amp_w = quadrature._batch_rule(run[-1][0], amplitude, a, b)
         L, S = L_of(v), S_of(v)
         e_col = np.exp(1j * (T[:, None] * S + shift[:, None] * L)) * amp_w
-        for _, idx in run:
+        for _, idx, _ in run:   # the row layout is the route's, not the reference's
             sums[idx] += np.einsum("kn,cn->kc", np.exp(1j * rows[idx][:, None] * L), e_col)
     return sums
 
@@ -435,6 +477,56 @@ def test_mesh_dot_contraction_matches_einsum(monkeypatch):
     for (P, T, shift), new in zip(cases, dot):
         old = two_phase_batch(P, T, L_of, S_of, BUMP, BAND, shift)
         assert np.abs(new - old).max() <= 1e-14 * M_PSI
+
+
+def test_affine_row_meshes_match_einsum(monkeypatch):
+    # Meshes of 3 to 64 rows uniform in P, all of one sign so that the |P|
+    # order is P's, against random columns, at reach 1e1 to 3e4 rad.  Their
+    # one row group is built from q centre rows and the powers of one step
+    # factor, so each sum is within the rows' stated phase bound times the band
+    # mass, (2*AFFINE_ULPS*eps*max|P|*max|L| + h*eps)*M_PSI, of _einsum_mesh's
+    # direct rows, plus the 1e-14*M_PSI that the contraction alone may move.
+    rng = np.random.default_rng(36)
+    L_of, S_of, eps = (lambda v: v), (lambda v: v ** 0.5), np.finfo(float).eps
+    spans = [float(np.ptp(f(np.array(BAND)))) for f in (L_of, S_of)]
+    cases = []
+    for reach in np.geomspace(10.0, 3e4, 12):
+        r, c = rng.integers(3, 65, 2)
+        P = rng.choice([-1.0, 1.0]) * np.linspace(rng.uniform(0.0, reach / 2), reach, r)
+        T, shift = rng.uniform(0, reach, (1, c)), rng.uniform(-reach, reach, (1, c))
+        (_, _, (h, _, _)), = quadrature._plan(P[:, None], T, shift, *spans)[3][0]
+        assert h > 0
+        cases.append((P[:, None], T, shift, h))
+    dot = [two_phase_batch(P, T, L_of, S_of, BUMP, BAND, shift) for P, T, shift, _ in cases]
+    monkeypatch.setattr(quadrature, "_mesh_batch", _einsum_mesh)
+    for (P, T, shift, h), new in zip(cases, dot):
+        old = two_phase_batch(P, T, L_of, S_of, BUMP, BAND, shift)
+        phase = 2 * quadrature.AFFINE_ULPS * eps * np.abs(P).max() * BAND[1] + h * eps
+        assert np.abs(new - old).max() <= (phase + 1e-14) * M_PSI
+
+
+def test_kernel_grid_builds_three_row_exponentials_per_node(monkeypatch):
+    # A 64 x 64 kernel grid is one row group of uniform P = lam*x: q = 2
+    # centre rows of 2h + 1 = 33 and one step factor per node are its only
+    # row exponentials (3 per node, not 64); the rest are multiplied out.
+    rows, nodes = [0], [0]
+    unit_phase, batch_rule = quadrature._unit_phase, quadrature._batch_rule
+
+    def spy(coeffs, profile, *rest):
+        rows[0] += 0 if rest else coeffs.size * profile.size   # columns carry T*S
+        return unit_phase(coeffs, profile, *rest)
+
+    def rule_spy(w_max, *args):
+        v, amp_w = batch_rule(w_max, *args)
+        nodes[0] += len(v)
+        return v, amp_w
+
+    monkeypatch.setattr(quadrature, "_unit_phase", spy)
+    monkeypatch.setattr(quadrature, "_batch_rule", rule_spy)
+    grid = (np.arange(64) + 0.5) / 64
+    for lam in (16.0, 256.0):
+        kernel_grid(lam, 0.5, grid[:, None], grid[None, :])
+    assert nodes[0] > 2 * quadrature.N_MIN and rows[0] == 3 * nodes[0]
 
 
 def _bytes_across_blas_threads(code):
@@ -509,8 +601,8 @@ def test_time_only_lattice_sums_do_not_depend_on_the_call(monkeypatch):
     rows, dot_sums = [], quadrature._dot_sums
 
     def spy(sums, groups, *rest):
-        if groups[0][1] is not None:   # time-only rows carry T; mesh rows do not
-            rows.append(sum(len(P) for P, _, _ in groups))
+        if isinstance(groups[0][1], slice):   # time-only seeds go by slices; mesh rows not
+            rows.append(len(sums))
         return dot_sums(sums, groups, *rest)
 
     monkeypatch.setattr(quadrature, "_dot_sums", spy)
@@ -524,6 +616,52 @@ def test_time_only_lattice_sums_do_not_depend_on_the_call(monkeypatch):
             (np.zeros(own.sum(), dtype=int), np.zeros(own.sum(), dtype=int), b[own]),
             L_of, S_of, BUMP, BAND)
         assert alone.tobytes() == full[own].tobytes()
+
+
+def test_lattice_seed_maxima_match_a_loop(monkeypatch):
+    # lattice_batch sizes each seed from the largest W, |a| and |b| of its
+    # samples (np.maximum.at per quantity); a seed without samples keeps
+    # 0.  Against a loop over the samples, on line
+    # lattices with samples in shuffled order and seeds 2 and 7 (the last)
+    # empty: each rule's W, as _profiled_rule gets it, is bit for bit the
+    # largest loop maximum of its seeds, and the samples summed one by one are
+    # exactly those of the seeds with at most 3 + TABLE_WEIGHT*(2|a| + 1)*(2|b|
+    # + 1).
+    rng = np.random.default_rng(31)
+    L_of, S_of = (lambda v: v), (lambda v: v ** 0.5)
+    spans = [float(np.ptp(f(np.array(BAND)))) for f in (L_of, S_of)]
+    widths, flat = [], []
+    profiled_rule, flat_sums = quadrature._profiled_rule, quadrature._flat_sums
+    monkeypatch.setattr(quadrature, "_profiled_rule",
+                        lambda w, *rest: widths.append(w) or profiled_rule(w, *rest))
+    monkeypatch.setattr(quadrature, "_flat_sums",
+                        lambda P, *rest: flat.append(P) or flat_sums(P, *rest))
+    tabled = 0
+    for _ in range(8):
+        k = 8
+        P, T = rng.uniform(-900.0, 900.0, k), rng.uniform(0.0, 20.0, k)
+        (P_a, P_b), (P_ab, T_b) = rng.uniform(-2.0, 2.0, (2, k)), rng.uniform(-0.5, 0.5, 2)
+        counts, reach = rng.integers(1, 40, k), rng.integers(0, 9, (2, k))
+        counts[[2, 7]] = 0
+        s = rng.permutation(np.repeat(np.arange(k), counts))
+        a, b = (rng.integers(-r[s], r[s] + 1) for r in reach)
+        P_k, T_k = P[s] + a * P_a[s] + b * P_b[s] + (a * b) * P_ab, T[s] + b * T_b
+        W = np.abs(P_k) * spans[0] + np.abs(T_k) * spans[1]
+        box = np.zeros((3, k))
+        for i, seed in enumerate(s):
+            for row, value in enumerate((W[i], abs(a[i]), abs(b[i]))):
+                box[row, seed] = max(box[row, seed], value)
+        nodes = quadrature._rule_nodes(box[0])
+        rules = sorted(set(nodes[counts > 0]))
+        per = counts <= 3 + quadrature.TABLE_WEIGHT * (2 * box[1] + 1) * (2 * box[2] + 1)
+        tabled += int((~per & (counts > 0)).sum())
+        widths.clear()
+        flat.clear()
+        quadrature.lattice_batch((P, T, P_a, P_b), (P_ab, T_b), (s, a, b), L_of, S_of,
+                                 BUMP, BAND)
+        assert widths == [box[0][(nodes == n) & (counts > 0)].max() for n in rules]
+        assert np.array_equal(np.sort(np.concatenate(flat)), np.sort(P_k[per[s]]))
+    assert tabled > 0
 
 
 def test_batch_rule_mesh_row_groups_match_flat(monkeypatch):

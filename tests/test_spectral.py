@@ -557,7 +557,7 @@ def test_mesh_columns_match_direct_sums(path):
         _, _, (h, _, _), runs = quadrature._plan(P[:, None], T[None], shift[None], *spans)
         assert (h == 0) == (path == "curve2")
         for run in runs:
-            idx = np.concatenate([i for _, i in run])
+            idx = np.concatenate([i for _, i, _ in run])
             v, amp_w = quadrature._batch_rule(run[-1][0], amplitude, *BUMP_SUPPORT)
             L, S = L_of(v), S_of(v)
             direct = unit * (np.exp(1j * P[idx, None] * L) * amp_w) @ np.exp(

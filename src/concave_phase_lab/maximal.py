@@ -287,8 +287,8 @@ def _grid_sup(datum, m, grid, xs, bounds, thetas, kappa, witnesses):
             return
         theta, t = thetas[a], times[i]
         points, vals = (xs[ids[j]] - theta * power[i], t), None
-        # a mesh row costs at least 1 + CONTRACT_WEIGHT*n times its rule's nodes, a kept
-        # sample flat at most twice: one mesh of shared rows wins only past half that
+        # a row on recurrence columns costs at least 1 + CONTRACT_WEIGHT*c times its rule's
+        # nodes, a kept sample flat at most twice: a mesh is weighed only past half that
         most = np.bincount(j).max() if len(ids) > 1 else 0
         if 2 * most > 1 + CONTRACT_WEIGHT * n * len(times):
             mesh = (xs[ids, None], np.repeat(times, n)[None],

@@ -43,8 +43,12 @@ functions).  Its route follows the shapes of P, T and shift alone:
   block of nodes.  Columns affine in their index (uniform times), and rows of
   a group affine in group order (kernel grids), are direct every 2h + 1 <= 33
   and multiplied out between, a row within 2*``AFFINE_ULPS``*eps*max|P|*max|L|
-  + h*eps of its phase: (r/33 + c/33 + 2)*n exponentials on a kernel grid,
-  (r + c/33 + 1)*n on other rows, (r + c)*n on other columns, not r*c*n.
+  + h*eps of its phase.  Where :func:`batch_work` counts it cheaper, uniform
+  times are summed at N Chebyshev points per fast column instead (14-30 on
+  vertical paths) and interpolated (Trefethen 2013, Thm 8.2; Berrut & Trefethen
+  2004), within (2**-52 + Lambda_N*2*``AFFINE_ULPS``*eps*(max|T|*max|S| +
+  max|shift|*max|L|))*sum|amp_w|, Lambda_N <= 1 + (2/pi)*ln N.  Exponentials:
+  (r/33 + c/33 + 2)*n, (r + N*f)*n or (r + c)*n, not r*c*n.
 
 One planner lays out the runs of both routes, and :func:`batch_work` counts
 what they build before any rule is built.  :func:`lattice_batch` sums the
@@ -251,7 +255,8 @@ CHUNK_ELEMS = 2 ** 17
 DOT_NODES = 8192
 # One multiply-add of the `_dot_sums` contraction, in complex exponentials:
 # 0.32-0.60 ns against 32-35 ns measured on mesh-route shapes, numpy 2.4.6 and
-# OpenBLAS 0.3.31 on a 2-CPU Xeon; 1/53 at the dearest pair.
+# OpenBLAS 0.3.31 on a 2-CPU Xeon; 1/53 at the dearest pair.  Also one of `_interpolate`:
+# 0.17-0.70 ns against 14-17 ns on 31 x 513 x 20 to 64 x 4,369 x 40 maps, all included.
 CONTRACT_WEIGHT = 1.0 / 50.0
 
 
@@ -263,7 +268,8 @@ TABLE_WEIGHT = 1.0 / 12.0
 LATTICE_NODES = CHUNK_ELEMS // 289
 # Mesh columns and rows by recurrence (_affine): within AFFINE_ULPS ulps of an affine
 # fit and h <= COLUMN_HALF_WIDTH unimodular products from a direct one, a phase is within
-# 2*AFFINE_ULPS*eps*(max|T|*max|S| + max|shift|*max|L|) + h*eps (rows: max|P|*max|L|).
+# 2*AFFINE_ULPS*eps*(max|T|*max|S| + max|shift|*max|L|) + h*eps (rows: max|P|*max|L|);
+# Chebyshev columns (_columns) drop the h*eps and multiply the rest by Lambda_N.
 COLUMN_HALF_WIDTH = 16
 AFFINE_ULPS = 4
 
@@ -280,8 +286,8 @@ def batch_work(P, T, L_of, S_of, interval, shift=0.0, limit=None) -> float:
     nodes and k points (rows on the mesh route) costs N*(e + r + ``CONTRACT_WEIGHT``*c'*k):
     on the mesh route, e (columns) and r (rows) are one per direct one and step factor
     plus ``TABLE_WEIGHT`` per one multiplied out, c' the columns built; on the flat route
-    e = c' = 0, r = k.  Work past the float range counts as inf, without a warning,
-    so that budgets refuse it.
+    e = c' = 0, r = k; Chebyshev columns add their interpolation at ``CONTRACT_WEIGHT``.  Work
+    past the float range counts as inf, without a warning, so that budgets refuse it.
     Given a ``limit``, paired points of one shape count as n if n > limit, or 2n
     if 2n <= limit, n the sum of their own node counts (each gets up to twice)."""
     P, T, shift = (np.asarray(c, dtype=float) for c in (P, T, shift))
@@ -291,15 +297,21 @@ def batch_work(P, T, L_of, S_of, interval, shift=0.0, limit=None) -> float:
             n = float(_rule_nodes(np.abs(P + shift) * spans[0] + np.abs(T) * spans[1]).sum())
             if n > limit or 2.0 * n <= limit:
                 return n if n > limit else 2.0 * n
-        *_, cols, runs = _plan(P, T, shift, *spans)
-        h, (T, _), steps = cols or (0, np.zeros((2, 0)), np.zeros((2, 0)))
-        e = T.size + (steps[0].size if h else 0) + TABLE_WEIGHT * 2 * h * T.size
-        dots = CONTRACT_WEIGHT * (2 * h + 1) * T.size
-        def rows(layout, k):   # k direct rows, or q centres, 1 step factor and the products
-            g, q = (layout[0], layout[1].size) if layout else (0, k)
-            return q + 1 + TABLE_WEIGHT * (2 * g + (2 * g + 1) * q) if g else k
-        return float(sum(_rule_nodes(run[-1][0]) * (e + sum(
-            rows(lay, len(i)) + dots * len(i) for _, i, lay in run)) for run in runs))
+        return _work(*_planned(P, T, shift, *spans)[2:])
+
+
+def _work(cols, runs):
+    """:func:`batch_work`'s count of a :func:`_plan`'s columns and runs."""
+    h, (T, _), fit = cols or (0, np.zeros((2, 0)), None)
+    e = T.size + (fit[0].size if h else 0) + TABLE_WEIGHT * 2 * h * T.size
+    dots = CONTRACT_WEIGHT * (2 * h + 1) * T.size
+    interp = CONTRACT_WEIGHT * fit[0] * T.size if fit is not None and not h else 0   # c x N
+    def rows(layout, k):   # k direct rows, or q centres, 1 step factor and the products
+        g, q = (layout[0], layout[1].size) if layout else (0, k)
+        return q + 1 + TABLE_WEIGHT * (2 * g + (2 * g + 1) * q) if g else k
+    return float(sum(_rule_nodes(run[-1][0]) * (e + sum(rows(lay, len(i)) + dots * len(i)
+                                                       for _, i, lay in run))
+                     + interp * sum(len(i) for _, i, _ in run) for run in runs))
 
 
 def _batch_rule(w_max, amplitude, a, b):
@@ -340,7 +352,7 @@ def two_phase_batch(P, T, L_of, S_of, amplitude, interval, shift=0.0) -> np.ndar
     a, b = float(interval[0]), float(interval[1])
     spans = (float(np.ptp(f(np.array([a, b])))) for f in (L_of, S_of))
     col_shape = np.broadcast(T, shift).shape
-    rows, T, cols, runs = _plan(P, T, shift, *spans)
+    rows, T, cols, runs = _planned(P, T, shift, *spans)
     if cols:
         sums = _mesh_batch(rows, cols, runs, L_of, S_of, amplitude, a, b)
         return sums[np.arange(P.size).reshape(P.shape), np.arange(T.size).reshape(col_shape)]
@@ -488,8 +500,9 @@ def _plan(P, T, shift, spanL, spanS):
         groups = [order[i:i + per_group] for i in range(0, len(order), per_group)]
         widths = [abs(rows[idx[-1]]) * spanL + col_part for idx in groups]
         layouts = [_affine(rows[idx][None, :, None]) for idx in groups]
-        runs = itertools.groupby(zip(widths, groups, layouts), key=lambda g: _rule_nodes(g[0]))
-        return rows, T, _columns(T, shift), [list(run) for _, run in runs]
+        runs = [list(run) for _, run in itertools.groupby(
+            zip(widths, groups, layouts), key=lambda g: _rule_nodes(g[0]))]
+        return rows, T, _columns(T, shift, spanL, spanS, runs), runs
     P, T, shift = np.broadcast_arrays(P, T, shift)
     P, T = (P + shift).ravel(), T.ravel()
     W = np.abs(P) * spanL + np.abs(T) * spanS
@@ -503,10 +516,17 @@ def _plan(P, T, shift, spanL, spanS):
     return P, T, None, runs
 
 
-def _columns(T, shift):
-    """:func:`_affine` layout of c mesh columns (T, shift) as n steps of f, f the
-    first index where T changes if it divides c (theta fastest on lines)."""
-    return _affine(np.stack((T, shift)).reshape(2, -1, np.gcd(T.size, np.argmax(T != T[0]) or 1)))
+_plan_memo = None   # the inputs of the last mesh plan, and the plan
+
+
+def _planned(P, T, shift, *spans):
+    """:func:`_plan`, memoized for the last mesh: a weighed mesh is planned once."""
+    global _plan_memo
+    key, memo = tuple((c.shape, c.tobytes()) for c in (P, T, shift)) + spans, _plan_memo
+    if memo is None or memo[0] != key:   # a local copy: other threads may replace the memo
+        memo = (key, _plan(P, T, shift, *spans))
+        _plan_memo = memo if memo[1][2] else _plan_memo   # meshes only: flat plans are large
+    return memo[1]
 
 
 def _affine(grid):
@@ -523,12 +543,51 @@ def _affine(grid):
         line = grid[:, :1] + np.arange(n + COLUMN_HALF_WIDTH)[:, None] * steps[:, None]
         h = -(-n // q) // 2 if np.all(np.abs(grid - line[:, :n]) <= ulps) else 0
     k = np.arange(h, n + h, 2 * h + 1)   # centre steps of the blocks that start before n
-    return h, np.where(k[:, None] < n, grid[:, np.minimum(k, n - 1)], line[:, k]), steps
+    return h, np.where(k[:, None] < n, grid[:, k.clip(0, n - 1)], line[:, k]), steps if h else None
+
+
+def _columns(T, shift, spanL, spanS, runs):
+    """Layout of c columns (T, shift) as n steps of f, f the first index where T changes if
+    it divides c: :func:`_affine`'s, or where :func:`_work` counts it cheaper on the runs,
+    (0, centres, (n, x, steps)) at x = cos(pi*k/(N - 1)), the steps on [-1, 1], N < n the
+    least with 4*exp(B*(rho - 1/rho)/2)*rho**(1 - N)/(rho - 1) <= 2**-52 at some rho, B =
+    (n - 1)*max(|dT|*span S + |dshift|*span L)/4 the sums' half-band in x."""
+    f = np.gcd(T.size, np.argmax(T != T[0]) or 1)
+    cols = h, centres, steps = _affine(np.stack((T, shift)).reshape(2, -1, f))
+    n, rho = T.size // f, 1.0 + 2.0 ** np.arange(-10.0, 10.0, 0.1)   # ellipses tried
+    with np.errstate(over="ignore", invalid="ignore"):   # h = 0 or a huge band: N = inf
+        band = (n - 1) / 4 * np.max([spanS, spanL] @ np.abs(steps)) if h else np.inf
+        N = 1.0 + np.ceil(np.min((np.log(2.0 ** 54 / (rho - 1.0))
+                                  + band * (rho - 1.0 / rho) / 2.0) / np.log(rho)))
+    if not N < n:
+        return cols
+    x = np.sin(np.pi * np.arange(N - 1.0, -N, -2.0) / (2.0 * (N - 1.0)))   # symmetric, exact 0
+    cheb = 0, centres[:, :1] + steps[:, None] * ((n - 1) / 2 * (1 + x) - h)[:, None], (n, x, steps)
+    return cheb if _work(cheb, runs) < _work(cols, runs) else cols
+
+
+def _interpolate(sums, fit, S, L):
+    """(r, n*f) sums at the steps from (r, N*f) at the Chebyshev columns of ``fit``: demodulated,
+    mapped by barycentric weights per block of steps (a one-thread ``dgemm``), remodulated."""
+    n, x, steps = fit
+    r, f, y = len(sums), steps.shape[1], np.arange(n) / ((n - 1) / 2) - 1.0
+    omega = (n - 1) / 4 * (steps[0] * (S[0] + S[-1]) + steps[1] * (L[0] + L[-1]))   # centre
+    z = (sums.reshape(r, -1, f) * np.exp(-1j * np.multiply.outer(x, omega))).swapaxes(0, 1).copy()
+    w = np.resize([1.0, -1.0], len(x)) * np.r_[0.5, np.ones(len(x) - 2), 0.5]
+    out, block = np.empty((n, r, f), dtype=complex), max(1, CHUNK_ELEMS // z.size)
+    for j in range(0, n, block):   # (block, N) @ (N, 2rf) reals: at most 2**18 multiply-adds
+        d = y[j:j + block, None] - x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            m = w / d / (w / d).sum(axis=1, keepdims=True)
+        m = np.where((d == 0.0).any(axis=1, keepdims=True), d == 0.0, m)   # exact hits
+        out[j:j + block] = (m @ z.view(float).reshape(len(x), -1)).view(complex).reshape(-1, r, f)
+    out *= np.exp(1j * np.multiply.outer(y, omega))[:, None]
+    return out.swapaxes(0, 1).reshape(r, -1)
 
 
 def _mesh_batch(rows, cols, runs, L_of, S_of, amplitude, a, b):
-    """Mesh route of :func:`two_phase_batch` on a :func:`_plan`: the (r, c') sums
-    of the c' >= c columns built, one rule per run, by :func:`_dot_sums`."""
+    """Mesh route of :func:`two_phase_batch` on a :func:`_plan`: the (r, c') sums of the
+    c' >= c columns built, one rule per run, by :func:`_dot_sums`, or their interpolant."""
     h, (T, _), _ = cols
     width = (2 * h + 1) * T.size
     block = min(DOT_NODES, max(1, CHUNK_ELEMS // (len(runs[0][0][1]) + width)))
@@ -537,7 +596,8 @@ def _mesh_batch(rows, cols, runs, L_of, S_of, amplitude, a, b):
         v, amp_w, L, S = _profiled_rule(run[-1][0], L_of, S_of, amplitude, a, b)
         _dot_sums(sums, [(lambda sl, lay=lay, n=len(idx): _affine_rows(lay, L[sl], n), idx)
                          for _, idx, lay in run], cols, L, S, amp_w, block)
-    return sums.reshape(-1, 2 * h + 1, *T.shape).swapaxes(1, 2).reshape(rows.size, width)
+    return (_interpolate(sums, cols[2], S, L) if not h and cols[2] is not None else
+            sums.reshape(-1, 2 * h + 1, *T.shape).swapaxes(1, 2).reshape(rows.size, width))
 
 
 def _affine_rows(layout, L, n):

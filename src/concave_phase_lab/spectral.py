@@ -412,8 +412,8 @@ def kernel_grid(lam: float, m: float, x, t) -> np.ndarray:
     dyadic scale lam >= 1 and m in (0, 1): its value at (0, 0) is lam times
     the mass of the squared bump.  One :func:`two_phase_batch` call gives it
     on broadcast arrays of (x, t), in their broadcast shape.  An x-by-t mesh
-    (x of shape (r, 1), t of shape (1, c)) takes the separable mesh route: on uniform
-    t and x of one sign (r*c <= 4096), r/33 + c/33 + 2 exponentials per node, not r*c.
+    (x of shape (r, 1), t of shape (1, c)) takes the separable mesh route: on uniform t
+    and x of one sign (r*c <= 4096), r/33 + 1 row exponentials per node, not r.
     """
     if not lam >= 1.0:
         raise ValueError(f"scale must be >= 1, got {lam}")

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -763,6 +764,57 @@ def test_cli_config_file_values_and_overrides(tmp_path, capsys):
     record = json.loads(captured.err)
     assert record["error"]["message"] == "unknown config key: 'bogus_knob'"
     assert not captured.out and not out.exists()
+
+
+_CANTOR_K = st.one_of(*[st.integers(0, 10).map(str)] * 3,
+                      st.sampled_from(["-2", "17", "2.5", "x", ""]))
+_CANTOR_R = st.one_of(*[st.floats(0.05, 0.45).map(repr)] * 3,
+                      st.sampled_from(["0", "0.5", "0.7", "-0.1", "nan", "inf", "abc", ""]))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(file_k=_CANTOR_K, file_r=_CANTOR_R,
+       override=st.one_of(st.none(), st.sampled_from(["k", "r"]).flatmap(
+           lambda key: st.tuples(st.just(key), _CANTOR_K if key == "k" else _CANTOR_R,
+                                 st.booleans()))),
+       extra=st.sampled_from(["", "", "# a comment", "bogus_knob = 1", "a line without equals"]))
+def test_cli_config_file_mappings_run_or_exit_2(file_k, file_r, override, extra):
+    # --config FILE with k and r in the file, an optional override (as --key
+    # value or --key=value) and an optional extra line: every mapping either
+    # runs, with the override's value in the report over the file's, or exits
+    # 2 with one JSON error record on stderr, nothing on stdout and nothing
+    # written.  A mapping of valid values (0 <= k <= 16, 0 < r < 1/2, no bad
+    # line) runs.
+    values = {"k": file_k, "r": file_r}
+    argv = []
+    if override is not None:
+        key, value, joined = override
+        values[key] = value
+        argv = [f"--{key}={value}"] if joined else [f"--{key}", value]
+
+    def valid(key, raw):
+        try:
+            value = int(raw) if key == "k" else float(raw)
+        except ValueError:
+            return False
+        return 0 <= value <= 16 if key == "k" else 0.0 < value < 0.5
+
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
+        config.write_text(f"k = {file_k}\nr = {file_r}\n{extra}\n")
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli_main(["cantor", "--config", str(config), *argv, "--out-dir", str(out)])
+        event(f"exit {code}")
+        if code == 2:
+            record = json.loads(stderr.getvalue())
+            assert set(record) == {"schema_version", "experiment", "error"}
+            assert not stdout.getvalue() and not out.exists()
+            assert not (all(valid(*kv) for kv in values.items()) and extra in ("", "# a comment"))
+        else:
+            assert code in (0, 1) and not stderr.getvalue()
+            report = json.loads((out / "cantor.json").read_text())["config"]
+            assert report["k"] == (int(values["k"]) or 6) and report["r"] == float(values["r"])
 
 
 def test_cli_equals_override_form(tmp_path, capsys):

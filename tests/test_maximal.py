@@ -211,6 +211,29 @@ def test_maxima_pipelines_make_one_engine_call_per_rung(monkeypatch, overrides,
     assert calls == positions
 
 
+def test_weighed_base_meshes_are_planned_once(monkeypatch):
+    # _grid_sup weighs each base mesh with grid_work and then sums it with
+    # propagate_grid; the sum reuses the weighing's plan.  On 31 jittered cells
+    # of sharpness-vertical (7 rungs) that is 14 plans, one witness call and
+    # one base mesh per rung, where planning every call made 21; the report's
+    # bits do not change.
+    shapes, plan = [], quadrature._plan
+
+    def spy(P, T, shift, *spans):
+        shapes.append(np.broadcast(P, T, shift).shape)
+        return plan(P, T, shift, *spans)
+
+    monkeypatch.setattr(quadrature, "_plan", spy)
+    monkeypatch.setattr(quadrature, "_plan_memo", None)
+    cfg = RunConfig.from_mapping({"experiment": "sharpness-vertical", "x_cells": "31",
+                                  "seed": "0"})
+    memo = run_experiment(cfg, write=False)[1]
+    assert len(shapes) == 14 and shapes[1::2] == [(31, 513)] * 7
+    shapes.clear()
+    monkeypatch.setattr(quadrature, "_planned", lambda *args: spy(*args))
+    assert repr(run_experiment(cfg, write=False)[1]) == repr(memo) and len(shapes) == 21
+
+
 def test_base_route_is_chosen_by_counting_work(monkeypatch):
     # Without witnesses every position's best is 0, so the window keeps the
     # whole base mesh, which counts as less work in one separable

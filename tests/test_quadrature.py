@@ -18,7 +18,7 @@ from concave_phase_lab.quadrature import (InvalidIntegrandError, QuadratureError
                                           ResolutionLimitError, ToleranceNotMetError,
                                           integrate, oracle_integrate,
                                           simpson_weights, two_phase_batch)
-from concave_phase_lab.counterexamples import knapp_vertical_spatial
+from concave_phase_lab.counterexamples import knapp_curve, knapp_vertical_spatial
 from concave_phase_lab.geometry import Curve
 from concave_phase_lab.maximal import GridSpec, maximal_in_time
 from concave_phase_lab.spectral import BUMP, BUMP_SQUARED, kernel_grid
@@ -351,14 +351,16 @@ def test_batch_rule_column_shift():
 def test_batch_work_counts_what_the_routes_build(monkeypatch):
     # 6 rows x 3000 columns: every row is its own group (3000 > BUCKET / 2),
     # and the rows' |P| give five node counts, the first two rows sharing one
-    # rule and one column table.  T and shift are uniform, so each table is
-    # one exponential per centre column and one step factor per node, with
-    # the other columns built by multiplication.  The mesh count is the
-    # exponentials built, plus TABLE_WEIGHT per multiplied column entry, plus
-    # the contraction's multiply-adds at CONTRACT_WEIGHT over the columns
-    # built; the flat count is the exponentials its buckets build.
-    built = {"col": 0, "row": 0, "table": 0, "width": 0}
-    unit_phase, powers = quadrature._unit_phase, quadrature._powers
+    # rule and one column table.  T and shift are uniform with a narrow band,
+    # so the columns are Chebyshev ones: N < 3000 direct exponentials per node
+    # and rule, no multiplied entry, and the interpolation of the 6 x N sums to
+    # the 3000 columns once.  The mesh count is the exponentials built, plus
+    # TABLE_WEIGHT per multiplied column entry, plus the contraction's and the
+    # interpolation's multiply-adds at CONTRACT_WEIGHT over the columns built;
+    # the flat count is the exponentials its buckets build.
+    built = {"col": 0, "row": 0, "table": 0, "width": 0, "fit": 0}
+    unit_phase, powers, interpolate = (quadrature._unit_phase, quadrature._powers,
+                                       quadrature._interpolate)
 
     def spy(coeffs, profile, *rest):
         out = unit_phase(coeffs, profile, *rest)
@@ -371,17 +373,24 @@ def test_batch_work_counts_what_the_routes_build(monkeypatch):
         built["width"] = out[..., 0].size
         return out
 
+    def interpolate_spy(sums, fit, *rest):   # (rows, N*f) sums to rows x c columns
+        built["fit"] += sums.size * fit[0]
+        return interpolate(sums, fit, *rest)
+
     L_of, S_of = (lambda v: v), (lambda v: v ** 0.5)
     P = np.array([0.0, 10.0, 300.0, 310.0, 600.0, 900.0])[:, None]
     T, shift = np.linspace(0.0, 5.0, 3000)[None], np.linspace(-1.0, 1.0, 3000)[None]
     monkeypatch.setattr(quadrature, "_unit_phase", spy)
     monkeypatch.setattr(quadrature, "_powers", powers_spy)
+    monkeypatch.setattr(quadrature, "_interpolate", interpolate_spy)
     two_phase_batch(P, T, L_of, S_of, BUMP, BAND, shift)
     assert len(set(quadrature._rule_nodes(np.abs(P.ravel()) * 1.5 + 5.0))) == 5
-    assert built["width"] >= T.size and built["table"] > 10 * built["col"]
+    assert built["width"] < 50 and built["table"] == 0
+    assert built["fit"] == 6 * 3000 * built["width"]
     assert quadrature.batch_work(P, T, L_of, S_of, BAND, shift) == pytest.approx(
         built["col"] + quadrature.TABLE_WEIGHT * built["table"]
-        + built["row"] * (1 + quadrature.CONTRACT_WEIGHT * built["width"]), rel=1e-12)
+        + built["row"] * (1 + quadrature.CONTRACT_WEIGHT * built["width"])
+        + quadrature.CONTRACT_WEIGHT * built["fit"], rel=1e-12)
     flat = np.broadcast_arrays(P + shift[:, ::60], T[:, ::60])
     built.update(col=0, row=0, table=0)
     two_phase_batch(*flat, L_of, S_of, BUMP, BAND)
@@ -391,8 +400,9 @@ def test_batch_work_counts_what_the_routes_build(monkeypatch):
     span_s = 2.0 ** 0.5 - 0.5 ** 0.5
     own = quadrature._rule_nodes(np.abs(flat[0]) * 1.5 + np.abs(flat[1]) * span_s)
     assert work > own.sum()
-    # Uniform P: 40 rows, one group against 100 columns.  The rows are built as
-    # the columns are: q = 2 direct centre rows and one step factor per node,
+    # Uniform P: 40 rows, one group against 100 columns whose band is too wide
+    # for Chebyshev columns to count cheaper.  The rows are built as the
+    # columns are: q = 2 direct centre rows and one step factor per node,
     # 2h + 1 = 21 rows from each centre by multiplication (42 built, 40 summed).
     # The count is the exponentials, TABLE_WEIGHT per entry made by
     # multiplication (powers and row products) and CONTRACT_WEIGHT per
@@ -422,7 +432,7 @@ def test_batch_work_counts_what_the_routes_build(monkeypatch):
         seen["madd"] += rows.shape[0] * cols.size
         return vecdot(rows, cols)
 
-    P, T = np.linspace(40.0, 640.0, 40)[:, None], np.linspace(0.0, 5.0, 100)[None]
+    P, T = np.linspace(40.0, 640.0, 40)[:, None], np.linspace(0.0, 100.0, 100)[None]
     monkeypatch.setattr(quadrature, "_unit_phase", phase_spy)
     monkeypatch.setattr(quadrature, "_powers", table_spy)
     monkeypatch.setattr(np, "vecdot", dot_spy)
@@ -505,6 +515,53 @@ def test_affine_row_meshes_match_einsum(monkeypatch):
         assert np.abs(new - old).max() <= (phase + 1e-14) * M_PSI
 
 
+def test_chebyshev_column_meshes_match_einsum(monkeypatch):
+    # Meshes whose columns take the Chebyshev layout: line ones (f = 2..17
+    # directions fastest, 129 or 257 steps, shift -theta*(t - t_0)) at reach 1e1
+    # to 3e2 rad and vertical ones (f = 1, 513 steps, shift 0) at reach 1e3 to
+    # 3e4 rad, with the band amplitude and (lines) with amplitude 1, whose sums
+    # weigh the band's edge frequencies fully; and two narrow vertical bands
+    # with amplitude 1 (N = 9 and 12).  Each sum is within the stated bound,
+    # (2**-52 + Lambda_N*2*AFFINE_ULPS*eps*(max|T|*max|S| + max|shift|*max|L|))
+    # *sum|amp_w| with Lambda_N = 1 + (2/pi)*ln N, of _einsum_mesh's direct rows
+    # and columns, plus the 1e-14*sum|amp_w| that the contraction alone may
+    # move.  An odd N on 513 steps puts its middle point exactly on step 256.
+    rng = np.random.default_rng(37)
+    L_of, S_of, eps = (lambda v: v), (lambda v: v ** 0.5), np.finfo(float).eps
+    spans = [float(np.ptp(f(np.array(BAND)))) for f in (L_of, S_of)]
+    ones = lambda v: np.ones_like(v)   # noqa: E731
+    cases, odd = [], 0
+    for k, reach in enumerate(np.geomspace(10.0, 3e4, 8)):
+        f, n = ((2, 257), (5, 129), (11, 257), (17, 129))[k] if k < 4 else (1, 513)
+        P = reach / spans[0] * (rng.uniform(-1.0, 1.0, (int(rng.integers(3, 13)), 1)) if f == 1
+                                else rng.uniform(0.9, 0.91, (24, 1)))   # lines: one rule
+        d = np.linspace(0.0, rng.uniform(0.5, 20.0 if f == 1 else 4.0), n)
+        theta = rng.uniform(-1.0, 1.0, f) * (f > 1)
+        T = np.repeat(rng.uniform(0.0, reach / 4) + d, f)[None]
+        shift = (-np.outer(d, theta)).reshape(1, -1)
+        cases += [(P, T, shift, BUMP, M_PSI)] + [(P, T, shift, ones, 1.5)] * (f > 1)
+    for span in (0.5, 2.0):   # N = 9, 12: amplitude 1 on a narrow band near x = 0
+        P = rng.uniform(-5.0, 5.0, (40, 1))
+        cases.append((P, np.linspace(0.0, span, 513)[None], np.zeros((1, 1)), ones, 1.5))
+    expected = []
+    for P, T, shift, amplitude, mass in cases:
+        h, centres, fit = quadrature._plan(P, T, shift, *spans)[2]
+        assert h == 0 and fit is not None   # Chebyshev columns
+        N = centres.shape[1]
+        odd += N % 2 and fit[0] == 513
+        phase = 2 * quadrature.AFFINE_ULPS * eps * (np.abs(T).max() * BAND[1] ** 0.5
+                                                    + np.abs(shift).max() * BAND[1])
+        bound = (2.0 ** -52 + (1.0 + 2.0 / np.pi * np.log(N)) * phase + 1e-14) * mass
+        expected.append((two_phase_batch(P, T, L_of, S_of, amplitude, BAND, shift), bound))
+    assert odd >= 1
+    monkeypatch.setattr(quadrature, "_plan_memo", None)
+    monkeypatch.setattr(quadrature, "_affine", lambda grid: (0, grid, None))   # all direct
+    monkeypatch.setattr(quadrature, "_mesh_batch", _einsum_mesh)
+    for (P, T, shift, amplitude, _), (new, bound) in zip(cases, expected):
+        old = two_phase_batch(P, T, L_of, S_of, amplitude, BAND, shift)
+        assert np.abs(new - old).max() <= bound
+
+
 def test_kernel_grid_builds_three_row_exponentials_per_node(monkeypatch):
     # A 64 x 64 kernel grid is one row group of uniform P = lam*x: q = 2
     # centre rows of 2h + 1 = 33 and one step factor per node are its only
@@ -551,13 +608,21 @@ def test_mesh_sums_do_not_depend_on_blas_threads():
     # whole.  OpenBLAS splits a dot product of more than 10,000 elements
     # across threads and regroups its sum, so the mesh route caps its node
     # blocks at DOT_NODES; without the cap these bytes differ between one
-    # BLAS thread and two.
+    # BLAS thread and two.  And one 31 x 513 mesh of uniform times, whose
+    # Chebyshev columns are interpolated by one small dgemm per block of steps.
     code = ("import numpy as np\n"
+            "from concave_phase_lab import quadrature\n"
             "from concave_phase_lab.quadrature import _rule_nodes, two_phase_batch\n"
             "from concave_phase_lab.spectral import BUMP\n"
             "P, T = np.array([[-1.3e4], [1.4e4]]), np.array([[0.0, 10.0]])\n"
             "assert _rule_nodes(1.4e4 * 1.5 + 10.0 * (2 ** 0.5 - 0.5 ** 0.5)) > 20_000\n"
             "out = two_phase_batch(P, T, lambda v: v, lambda v: v ** 0.5, BUMP, (0.5, 2.0))\n"
+            "print(out.tobytes().hex())\n"
+            "P, T = 300.0 * np.sin(np.arange(31.0))[:, None], 3.0 + np.linspace(0.0, 2.0, 513)\n"
+            "spans = 1.5, 2 ** 0.5 - 0.5 ** 0.5\n"
+            "h, _, fit = quadrature._plan(P, T[None], np.zeros((1, 1)), *spans)[2]\n"
+            "assert h == 0 and fit is not None\n"
+            "out = two_phase_batch(P, T[None], lambda v: v, lambda v: v ** 0.5, BUMP, (0.5, 2.0))\n"
             "print(out.tobytes().hex())\n")
     outputs = _bytes_across_blas_threads(code)
     assert outputs[0] and outputs[0] == outputs[1]
@@ -701,15 +766,22 @@ def test_mesh_builds_one_e_col_per_node_count(monkeypatch):
     # BUCKET // 257 rows by |P|.  Near x = 0 several groups get the node
     # floor; groups with one node count must share one column table E_col
     # per block of CHUNK_ELEMS // (first group's rows + columns built) nodes,
-    # at most DOT_NODES.  The times are uniform, so each table is built by
-    # recurrence: 2h + 1 > 1 columns from each centre.
-    expected, tables, groups, counts, columns, inside = [0], [0], [0], [0], [], []
-    mesh_batch, powers, plan_columns = (quadrature._mesh_batch, quadrature._powers,
-                                        quadrature._columns)
+    # at most DOT_NODES.  The times are uniform: on the vertical rung the
+    # table is N direct Chebyshev columns, on a rung of the curve x - t (shift
+    # -t, uniform too, and a wider band) 2h + 1 > 1 columns by recurrence from
+    # each centre; positions spread geometrically, so no row group is affine.
+    # Either way the column exponentials built are those of one table per node
+    # count: the built columns' centres, plus one step factor by recurrence,
+    # per node of each rule.
+    expected, tables, groups, counts, exps, columns, inside = [0], [0], [0], [0], [0], [], []
+    kinds = []
+    mesh_batch, powers, unit_phase, affine = (quadrature._mesh_batch, quadrature._powers,
+                                              quadrature._unit_phase, quadrature._affine)
 
-    def columns_spy(T, shift):
-        columns.append((T, shift))
-        return plan_columns(T, shift)
+    def affine_spy(grid):
+        if grid.shape[0] == 2:   # (T, shift) of a mesh's columns
+            columns.append(grid.reshape(2, -1))
+        return affine(grid)
 
     def mesh_spy(P, cols, runs, L_of, S_of, amplitude, a, b):
         T, shift = columns[-1]
@@ -717,14 +789,16 @@ def test_mesh_builds_one_e_col_per_node_count(monkeypatch):
         order = np.argsort(np.abs(P.ravel()), kind="stable")
         per_group = quadrature.BUCKET // T.size
         widths = [np.abs(P.ravel()[order[i:i + per_group]]).max() * spanL
-                  + np.abs(T).max() * spanS for i in range(0, P.size, per_group)]
+                  + np.max(np.abs(T) * spanS + np.abs(shift) * spanL)
+                  for i in range(0, P.size, per_group)]
         nodes = {max(quadrature.N_MIN, int(np.ceil(w)) | 1) for w in widths}
-        h, centres, _ = cols
-        assert np.all(shift == 0.0) and h > 0
+        h, centres, fit = cols
+        kinds.append("recurrence" if h else "chebyshev" if fit is not None else "direct")
         built = (2 * h + 1) * centres[0].size
         block = min(quadrature.DOT_NODES,
                     quadrature.CHUNK_ELEMS // (min(per_group, P.size) + built))
         expected[0] += sum(-(-n // block) for n in nodes)
+        exps[0] -= sum(nodes) * (centres[0].size + (centres.shape[-1] if h else 0))
         counts[0] += len(nodes)
         groups[0] += len(widths)
         inside.append(True)
@@ -737,14 +811,26 @@ def test_mesh_builds_one_e_col_per_node_count(monkeypatch):
         tables[0] += bool(inside)
         return powers(x, r, h)
 
-    monkeypatch.setattr(quadrature, "_columns", columns_spy)
+    def phase_spy(coeffs, profile, *rest):   # column factors carry T*S and shift*L
+        out = unit_phase(coeffs, profile, *rest)
+        exps[0] += out.size if inside and rest else 0
+        return out
+
+    monkeypatch.setattr(quadrature, "_affine", affine_spy)
     monkeypatch.setattr(quadrature, "_mesh_batch", mesh_spy)
     monkeypatch.setattr(quadrature, "_powers", powers_spy)
-    xs = np.geomspace(1e-6, 1.0, 121)
-    maximal_in_time(knapp_vertical_spatial(2.0 ** 10), 0.5, Curve.vertical(), xs,
-                    GridSpec(t_base=257), extra_t=np.zeros((121, 1)))
-    assert groups[0] == 9 and 1 < counts[0] < groups[0] and counts[0] < expected[0]
-    assert tables[0] == expected[0]
+    monkeypatch.setattr(quadrature, "_unit_phase", phase_spy)
+    rungs = [(knapp_vertical_spatial(2.0 ** 10), Curve.vertical(), np.geomspace(1e-6, 1.0, 121)),
+             (knapp_curve(2.0 ** 8, 0.5, 1.0, 1.0), Curve.power(1.0, 1.0),
+              np.geomspace(1e-6, 0.05, 121))]
+    for (datum, curve, xs), kind in zip(rungs, ("chebyshev", "recurrence")):
+        kinds.clear()
+        expected[0] = tables[0] = groups[0] = counts[0] = exps[0] = 0
+        maximal_in_time(datum, 0.5, curve, xs, GridSpec(t_base=257), extra_t=np.zeros((121, 1)))
+        assert kinds == [kind]
+        assert groups[0] == 9 and 1 < counts[0] < groups[0] and counts[0] <= expected[0]
+        assert tables[0] == expected[0] and exps[0] == 0
+    assert counts[0] < expected[0]   # the recurrence's wider tables take several blocks
 
 
 def test_mesh_blocks_hold_peak_memory(monkeypatch):

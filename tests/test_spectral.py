@@ -524,11 +524,12 @@ def test_lattice_tables_match_direct_sums(path):
 @pytest.mark.parametrize("path", ["vertical", "curve", "lines", "kernel", "curve2"])
 def test_mesh_columns_match_direct_sums(path):
     # Meshes of positions against 129 uniform times, whose columns are built
-    # by recurrence from a centre every 2h + 1 columns: a vertical path
+    # by recurrence from a centre every 2h + 1 columns, or summed at Chebyshev
+    # columns and interpolated where that counts cheaper: a vertical path
     # (shift 0), a curve of order one (theta = 1.3, shift -theta*t affine in
     # t), the (theta, t) base mesh of lines (theta fastest, one step factor
     # per direction) and a kernel_grid mesh.  On a curve x - 1.3*t^2 the
-    # shift is not affine, so every column is direct (h = 0).  Each sum must
+    # shift is not affine, so every column is direct (h = 0, no fit).  Each sum must
     # be within 1e-16*(1 + W)*sum|a*w| of the sum of exp(i*P*L) *
     # exp(i*(shift*L + T*S)), both direct, on its row group's rule, W that
     # rule's phase variation, at two scales: W from about 6e2 to 2e3 and from
@@ -554,8 +555,8 @@ def test_mesh_columns_match_direct_sums(path):
                 datum.band_maps(m)
             amplitude, unit = BUMP, datum.amplitude / (2.0 * np.pi * abs(datum.scale))
         spans = [float(np.ptp(f(np.array(BUMP_SUPPORT)))) for f in (L_of, S_of)]
-        _, _, (h, _, _), runs = quadrature._plan(P[:, None], T[None], shift[None], *spans)
-        assert (h == 0) == (path == "curve2")
+        _, _, (h, _, fit), runs = quadrature._plan(P[:, None], T[None], shift[None], *spans)
+        assert (h == 0 and fit is None) == (path == "curve2")
         for run in runs:
             idx = np.concatenate([i for _, i, _ in run])
             v, amp_w = quadrature._batch_rule(run[-1][0], amplitude, *BUMP_SUPPORT)

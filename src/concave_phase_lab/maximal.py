@@ -2,27 +2,29 @@
 
 Every path is x - theta*t^kappa on a mesh of (theta, t): a curve is the
 one-direction set {theta} with its own kappa, a line family is kappa = 1 with
-theta in a union of closed intervals.  The engine takes one or more
-positions x, each with its own (theta, t) witness rows, and evaluates the
-witnesses of all positions in one call, then the base mesh (the direction
-nodes by uniform times), then ``refine_depth`` refinement rounds.  A round
-builds factor-8 finer local meshes around every position's leading maxima,
+theta in a union of closed intervals.  The engine takes one or more positions
+x, each with its own (theta, t) witness rows, and runs three stages: the
+witnesses of all positions in one call (``_along``), the base mesh (the
+direction nodes by uniform times, ``_base_stage``), then ``refine_depth``
+refinement rounds (``_refine_stage``).  Each returns the (position, theta, t,
+|u|) it evaluated, and ``_take`` folds them into one record (best, lead):
+each position's best value and its ``_TOP_SEEDS`` leading samples.  A round
+builds factor-8 finer local meshes around every position's leading samples,
 screens them against that position's best value and evaluates what passes,
 for all positions in one call.  A local mesh steps theta only where the
-directions are spaced, so a one-direction set does the work of its curve.
-It is screened by rows, one per t step, and only the samples the window
-keeps are tested against the direction intervals.
-The centre of a local mesh is its seed, recorded again with the seed's
-value, and a sample two local meshes share belongs to the first seed that
-reaches it.  At
-kappa = 1 the call is ``spectral.propagate_lattice``, which gives each
-distinct seed its own rule and its table or per-sample sums
-(``quadrature.lattice_batch``), so a position's floors do not depend on the
-other positions; other rounds go flat.  Witnesses and refined samples stay
-inside the domain, t in [0, 1] and theta in the direction set, so a maximum
-is a floor for the stated set.  Each returned value is a floor on the
-supremum, the largest sample evaluated, never a ceiling; root finding is
-never used.  Two rules keep this honest and affordable:
+directions are spaced, so a one-direction set does the work of its curve.  It
+is screened by rows, one per t step, and only the samples the window keeps
+are tested against the direction intervals.  The centre of a local mesh is
+its seed, taken again with the seed's value, and a sample two local meshes
+share belongs to the first seed that reaches it.  At kappa = 1 the call is
+``spectral.propagate_lattice``, which gives each distinct seed its own rule
+and its table or per-sample sums (``quadrature.lattice_batch``), so a
+position's floors do not depend on the other positions; other rounds go flat.
+Witnesses and refined samples stay inside the domain, t in [0, 1] and theta
+in the direction set, so a maximum is a floor for the stated set.  Each
+returned value is a floor on the supremum, the largest sample evaluated,
+never a ceiling; root finding is never used.  Two rules keep this honest and
+affordable:
 
 * Witness injection.  A base grid that resolves a large-frequency datum is
   usually impractical, so sharpness experiments inject analytically matched
@@ -133,24 +135,31 @@ def _reach(datum: FourierDatum, best):
         return _SCREEN_NUMERATOR * abs(datum.amplitude) / (2.0 * np.pi * best) * (1 + 1e-12)
 
 
-def _ranked(owners, values):
-    """Indices by owner, then by value descending, the later of equal values first."""
-    return len(owners) - 1 - np.lexsort((-values[::-1], owners[::-1]))
+def _window_side(rows, k, lp, thetas, beyond, x, power, s, edge, origin):
+    """One side of the window test at direction k on the rows ``rows``, false and
+    then true as theta grows: p' + s- < R, or with ``beyond`` not p' + s+ > -R,
+    for (s, edge) = (s-, R) or (s+, -R); p' = x - (origin +) theta*power + lp."""
+    theta = thetas[k] if origin is None else origin[rows] + thetas[k]
+    q = x[rows] - theta * power[rows] + lp + s[rows]
+    return ~(q > edge[rows]) if beyond else q < edge[rows]
 
 
-def _first_true(test, guess, n):
-    """Per row, the least k in [0, n] where ``test(rows, k)`` holds, n where it
-    never does, for a test that is false and then true along each row: the
-    guess where the test confirms it, else a vectorised bisection."""
-    k = np.clip(guess, 0, n)
-    sure = ((k == 0) | ~test(..., np.maximum(k - 1, 0))) & (
-        (k == n) | test(..., np.minimum(k, n - 1)))
+def _first_true(side, n):
+    """Per row, the least k in [0, n] where ``_window_side(rows, k, *side)`` holds,
+    n where it never does: the binary-search guess on the solved inequality
+    where the test confirms it, else a vectorised bisection."""
+    lp, thetas, beyond, x, power, s, edge, origin = side
+    k = np.clip(np.searchsorted(thetas, (x + lp + s - edge) / power
+                                - (0.0 if origin is None else origin),
+                                "left" if beyond else "right"), 0, n)
+    sure = ((k == 0) | ~_window_side(..., np.maximum(k - 1, 0), *side)) & (
+        (k == n) | _window_side(..., np.minimum(k, n - 1), *side))
     rows = np.flatnonzero(~sure)
     if len(rows):
         lo, hi = np.zeros(len(rows), dtype=np.intp), np.full(len(rows), n)
         for _ in range(n.bit_length()):
             mid = (lo + hi) // 2
-            ok, open_ = test(rows, np.minimum(mid, n - 1)), lo < hi
+            ok, open_ = _window_side(rows, np.minimum(mid, n - 1), *side), lo < hi
             hi = np.where(open_ & ok, mid, hi)
             lo = np.where(open_ & ~ok, mid + 1, lo)
         k[rows] = lo
@@ -170,38 +179,22 @@ def _row_window(datum: FourierDatum, thetas, x, power, s_lo, s_hi, reach, origin
     each one's row index, a tuple as ``np.nonzero`` gives it, and k, in row
     then k order.  Every rounded step of p' = x - theta*t^kappa +
     linear_phase is monotone in theta for any kappa > 0, so each side of the
-    window test is false and then true along a row.  Rows where below fails
-    at the last direction or beyond holds at the first are dropped (for a
-    lone direction, the per-sample test); on the rest each side is one cut,
-    guessed by binary search on the solved inequality and confirmed, or else
-    found by bisection, with the test itself.  The kept set is exactly the
-    per-sample test's."""
+    window test (``_window_side``) is false and then true along a row.  Rows
+    where below fails at the last direction or beyond holds at the first are
+    dropped (for a lone direction, the per-sample test); on the rest each side
+    is one cut, ``_first_true``.  The kept set is exactly the per-sample test's."""
     n = len(thetas)
-
-    def p(sel, k):   # p' of direction k in the rows sel
-        theta = thetas[k] if origin is None else origin[sel] + thetas[k]
-        return x[sel] - theta * power[sel] + datum.linear_phase
-
-    def below(sel, k):   # p' + s- < R: false, then true as theta grows
-        return p(sel, k) + s_lo[sel] < reach[sel]
-
-    def beyond(sel, k):   # not p' + s+ > -R: false, then true
-        return ~(p(sel, k) + s_hi[sel] > -reach[sel])
-
-    ends = below(..., n - 1) & ~beyond(..., 0)
+    sides = ((datum.linear_phase, thetas, False, x, power, s_lo, reach, origin),
+             (datum.linear_phase, thetas, True, x, power, s_hi, -reach, origin))
+    ends = _window_side(..., n - 1, *sides[0]) & ~_window_side(..., 0, *sides[1])
     live = np.unravel_index(np.flatnonzero(ends), ends.shape)
     if n == 1 or not len(live[0]):
         return live, np.zeros(len(live[0]), dtype=np.intp)
-    # the tests above read the live rows from here on
-    x, power, s_lo, s_hi, reach, origin = (a if a is None else _at(a, live)
-                                           for a in (x, power, s_lo, s_hi, reach, origin))
-    x_lp, shift = x + datum.linear_phase, 0.0 if origin is None else origin
-    # a guess may be anything (t = 0 rows divide by 0, tiny t^kappa overflow)
+    # on the live rows; a guess may be anything (t = 0 rows divide by 0, tiny
+    # t^kappa overflow)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        first = _first_true(below, np.searchsorted(
-            thetas, (x_lp + s_lo - reach) / power - shift, "right"), n)
-        stop = _first_true(beyond, np.searchsorted(
-            thetas, (x_lp + s_hi + reach) / power - shift), n)
+        first, stop = (_first_true(side[:3] + tuple(a if a is None else _at(a, live)
+                                                    for a in side[3:]), n) for side in sides)
     count = np.maximum(stop - first, 0)
     k = np.repeat(first - np.cumsum(count) + count, count) + np.arange(count.sum())
     return tuple(np.repeat(i, count) for i in live), k
@@ -233,9 +226,79 @@ def _mesh_window(datum: FourierDatum, m: float, kappa, x, reach, thetas, times,
     return tuple(map(np.concatenate, zip(*hits)))
 
 
-def _path(x, theta, t, kappa):
-    """x - theta*t^kappa, bit for bit as ``geometry.curve_eval``."""
-    return x - theta * np.power(t, kappa)
+def _along(datum, m, x, theta, t, kappa):
+    """|u| at (x - theta*t^kappa, t), the position bit for bit as ``geometry.curve_eval``."""
+    return np.abs(propagate_grid(datum, m, x - theta * np.power(t, kappa), t))
+
+
+def _take(best, lead, j, theta, t, vals):
+    """Take samples (position j, theta, t, |u|) into ``best``, in place, and return
+    the new ``lead``: each position's ``_TOP_SEEDS`` largest of ``lead`` and the
+    samples, the later of equal values first, kept in taken order."""
+    np.maximum.at(best, j, vals)
+    j, theta, t, vals = map(np.concatenate, zip(lead, (j, theta, t, vals)))
+    order = len(j) - 1 - np.lexsort((-vals[::-1], j[::-1]))   # by j, then value descending
+    rank = np.arange(len(j)) - np.searchsorted(j[order], j[order])
+    keep = np.sort(order[rank < _TOP_SEEDS])
+    return j[keep], theta[keep], t[keep], vals[keep]
+
+
+def _base_stage(datum, m, kappa, xs, ids, best, thetas, times):
+    """(position, theta, t, |u|) of the base mesh's samples at xs[ids] that pass
+    the screen against best[ids]: flat, or from the group's separable mesh where
+    ``grid_work`` counts that less work; empty, without a call, if none pass."""
+    j, i, a = _mesh_window(datum, m, kappa, xs[ids], _reach(datum, best[ids]),
+                           thetas, times[None])
+    theta, t, n, power = thetas[a], times[i], len(thetas), np.power(times, kappa)
+    if not len(j):
+        return j, theta, t, t
+    points, vals = (xs[ids[j]] - theta * power[i], t), None
+    # a measured heuristic, not a bound: over the 10 default-config maxima ops it lets 42
+    # groups be weighed and blocks 19 of several positions, all of which grid_work would
+    # send flat; weighing them costs ~23 ms a pass of the lines-screened ops (2-CPU host)
+    most = np.bincount(j).max() if len(ids) > 1 else 0
+    if 2 * most > 1 + CONTRACT_WEIGHT * n * len(times):
+        mesh = (xs[ids, None], np.repeat(times, n)[None],
+                (0.0 - thetas * power[:, None]).reshape(1, -1))
+        work = grid_work(datum, m, *mesh)
+        if work < grid_work(datum, m, *points, limit=work):
+            vals = propagate_grid(datum, m, *mesh)[j, i * n + a]
+    vals = propagate_grid(datum, m, *points) if vals is None else vals
+    return ids[j], theta, t, np.abs(vals)
+
+
+def _refine_stage(datum, m, kappa, xs, bounds, n, best, lead, steps):
+    """(position, theta, t, |u|) of one refinement round: the local meshes at
+    ``steps`` around ``lead``, screened against ``best``, kept inside ``bounds``
+    (for n > 1 directions) and evaluated once per distinct sample of a position."""
+    owners, seed_theta, seed_t, seed_vals = lead
+    ticks = np.arange(-_REFINE_FACTOR, _REFINE_FACTOR + 1)
+    # (a, b) steps of a local mesh, stepping theta only between spaced directions
+    a_ticks = ticks if n > 1 else ticks[_REFINE_FACTOR:_REFINE_FACTOR + 1]
+    d_theta, local_t = a_ticks * steps[0], seed_t[:, None] + ticks * steps[1]
+    s, b, a = _mesh_window(datum, m, kappa, xs[owners], _reach(datum, best)[owners],
+                           d_theta, local_t, seed_theta)
+    theta, t = seed_theta[s] + d_theta[a], local_t[s, b]
+    if n > 1:   # a lone direction never leaves its set
+        inside = _in_intervals(theta, bounds)
+        s, b, a, theta, t = (c[inside] for c in (s, b, a, theta, t))
+    j, a, b = owners[s], a_ticks[a], ticks[b]
+    known = np.where((a == 0) & (b == 0), seed_vals[s], np.nan)   # the seed's own
+    # one sample per distinct (theta, t) of a position: a seed's own, else the first seed's
+    order = np.lexsort((np.isnan(known), t, theta, j))
+    j, theta, t, known, s, a, b = (c[order] for c in (j, theta, t, known, s, a, b))
+    first = np.concatenate([[True], (j[1:] != j[:-1]) | (theta[1:] != theta[:-1])
+                            | (t[1:] != t[:-1])])
+    j, theta, t, known, s, a, b = (c[first] for c in (j, theta, t, known, s, a, b))
+    new = np.isnan(known)
+    if new.any() and kappa != 1.0:
+        known[new] = _along(datum, m, xs[j[new]], theta[new], t[new], kappa)
+    elif new.any():   # lines: from the distinct seeds' factor tables
+        ids, s = np.unique(s[new], return_inverse=True)
+        known[new] = np.abs(propagate_lattice(
+            datum, m, xs[owners[ids]], seed_theta[ids], seed_t[ids], steps,
+            (s, a[new], b[new])))
+    return j, theta, t, known
 
 
 def _grid_sup(datum, m, grid, xs, bounds, thetas, kappa, witnesses):
@@ -246,11 +309,8 @@ def _grid_sup(datum, m, grid, xs, bounds, thetas, kappa, witnesses):
     ``grid.t_base`` uniform times on [0, 1] is the base grid of every
     position in ``xs``.  ``witnesses[i]`` are the (theta, t) rows of position
     i, evaluated first and unscreened; like every refined sample they must
-    lie in the domain, t in [0, 1] and theta in the intervals.  The base
-    mesh and every round's local meshes are screened by rows through one
-    window, ``_mesh_window``; a round tests only its kept samples against
-    the intervals.  Base groups, routes and refinement rounds are those of
-    the module docstring.
+    lie in the domain, t in [0, 1] and theta in the intervals.  Stages and
+    record are those of the module docstring.
     """
     need = grid.required_t_base(datum)
     if grid.t_base < need and len(xs) and not witnesses.shape[1]:
@@ -264,84 +324,21 @@ def _grid_sup(datum, m, grid, xs, bounds, thetas, kappa, witnesses):
     k, n = len(xs), len(thetas)
     times = np.linspace(0.0, 1.0, grid.t_base)
     steps = np.array([np.max(np.diff(thetas)) if n > 1 else 0.0, 1.0 / (grid.t_base - 1)])
+    # the record (best, lead); lead holds (position, theta, t, value) rows, in taken order
     best = np.zeros(k)
-    # (position, theta, t, value) of each position's _TOP_SEEDS leading samples
-    # so far, in the order they were recorded
     lead = np.empty(0, dtype=np.intp), np.empty(0), np.empty(0), np.empty(0)
-
-    def record(j, theta, t, vals):
-        """Take evaluated samples into best and into the leading samples."""
-        nonlocal lead
-        np.maximum.at(best, j, vals)
-        j, theta, t, vals = map(np.concatenate, zip(lead, (j, theta, t, vals)))
-        order = _ranked(j, vals)
-        rank = np.arange(len(j)) - np.searchsorted(j[order], j[order])
-        keep = np.sort(order[rank < _TOP_SEEDS])
-        lead = j[keep], theta[keep], t[keep], vals[keep]
-
-    def feed(ids):
-        """Screen the base mesh at xs[ids], then evaluate and record what passes."""
-        j, i, a = _mesh_window(datum, m, kappa, xs[ids], _reach(datum, best[ids]),
-                               thetas, times[None])
-        if not len(j):
-            return
-        theta, t = thetas[a], times[i]
-        points, vals = (xs[ids[j]] - theta * power[i], t), None
-        # a row on recurrence columns costs at least 1 + CONTRACT_WEIGHT*c times its rule's
-        # nodes, a kept sample flat at most twice: a mesh is weighed only past half that
-        most = np.bincount(j).max() if len(ids) > 1 else 0
-        if 2 * most > 1 + CONTRACT_WEIGHT * n * len(times):
-            mesh = (xs[ids, None], np.repeat(times, n)[None],
-                    (0.0 - thetas * power[:, None]).reshape(1, -1))
-            work = grid_work(datum, m, *mesh)
-            if work < grid_work(datum, m, *points, limit=work):
-                vals = propagate_grid(datum, m, *mesh)[j, i * n + a]
-        vals = propagate_grid(datum, m, *points) if vals is None else vals
-        record(ids[j], theta, t, np.abs(vals))
-
     if w_t.size:
         j = np.repeat(np.arange(k), witnesses.shape[1])
-        record(j, w_theta, w_t, np.abs(propagate_grid(
-            datum, m, _path(xs[j], w_theta, w_t, kappa), w_t)))
-    power = np.power(times, kappa)
+        lead = _take(best, lead, j, w_theta, w_t, _along(datum, m, xs[j], w_theta, w_t, kappa))
     group = max(1, MAX_BASE_SAMPLES // (n * len(times)))
     for lo in range(0, k, group):
-        feed(np.arange(lo, min(k, lo + group)))
-    ticks = np.arange(-_REFINE_FACTOR, _REFINE_FACTOR + 1)
-    # (a, b) steps of a local mesh, stepping theta only between spaced directions
-    a_ticks = ticks if n > 1 else ticks[_REFINE_FACTOR:_REFINE_FACTOR + 1]
+        ids = np.arange(lo, min(k, lo + group))
+        lead = _take(best, lead, *_base_stage(datum, m, kappa, xs, ids, best, thetas, times))
     for _ in range(grid.refine_depth):
-        # local meshes _REFINE_FACTOR times finer across one spacing each side of
-        # every leading sample
-        owners, seed_theta, seed_t, seed_vals = lead
-        if not len(owners):
+        if not len(lead[0]):
             break
         steps = steps / _REFINE_FACTOR
-        d_theta, local_t = a_ticks * steps[0], seed_t[:, None] + ticks * steps[1]
-        s, b, a = _mesh_window(datum, m, kappa, xs[owners], _reach(datum, best)[owners],
-                               d_theta, local_t, seed_theta)
-        theta, t = seed_theta[s] + d_theta[a], local_t[s, b]
-        if n > 1:   # a lone direction never leaves its set
-            inside = _in_intervals(theta, bounds)
-            s, b, a, theta, t = (c[inside] for c in (s, b, a, theta, t))
-        j, a, b = owners[s], a_ticks[a], ticks[b]
-        known = np.where((a == 0) & (b == 0), seed_vals[s], np.nan)   # the seed's own
-        # one sample per distinct (theta, t) of a position: a seed's own, else the first seed's
-        order = np.lexsort((np.isnan(known), t, theta, j))
-        j, theta, t, known, s, a, b = (c[order] for c in (j, theta, t, known, s, a, b))
-        first = np.concatenate([[True], (j[1:] != j[:-1]) | (theta[1:] != theta[:-1])
-                                | (t[1:] != t[:-1])])
-        j, theta, t, known, s, a, b = (c[first] for c in (j, theta, t, known, s, a, b))
-        new = np.isnan(known)
-        if new.any() and kappa != 1.0:
-            known[new] = np.abs(propagate_grid(
-                datum, m, _path(xs[j[new]], theta[new], t[new], kappa), t[new]))
-        elif new.any():   # lines: from the distinct seeds' factor tables
-            ids, s = np.unique(s[new], return_inverse=True)
-            known[new] = np.abs(propagate_lattice(
-                datum, m, xs[owners[ids]], seed_theta[ids], seed_t[ids], steps,
-                (s, a[new], b[new])))
-        record(j, theta, t, known)
+        lead = _take(best, lead, *_refine_stage(datum, m, kappa, xs, bounds, n, best, lead, steps))
     return best
 
 

@@ -59,3 +59,13 @@ def test_every_module_level_name_is_used_in_the_package():
                if not (name.startswith("__") and name.endswith("__"))
                and not used.get(name, set()) - {i}]
     assert orphans == []
+
+
+def test_no_nonlocal_in_the_package():
+    # state shared through nonlocal hides what a function reads and writes;
+    # helpers take arrays and return arrays instead
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(concave_phase_lab.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Nonlocal)]
+    assert found == []

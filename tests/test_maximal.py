@@ -725,11 +725,11 @@ def test_each_refinement_round_is_one_feed(monkeypatch, case, per_group):
     # several positions refine together: the engine calls the evaluators once
     # for the witnesses, at most once per base group (a group whose samples
     # the screen all drops makes no call) and at most once per round.  Each
-    # feed ends in one record of its values, so between two records there is
+    # stage ends in one _take of its values, so between two takes there is
     # at most one call of each route: per sample, or from lattice tables
     # (line families; a power curve of order 2 has none)
     calls, events = [], []
-    ranked = maximal._ranked
+    take = maximal._take
 
     def spy(datum, m, positions, times, shift=0.0):
         calls.append(np.broadcast(positions, times).size)
@@ -741,9 +741,9 @@ def test_each_refinement_round_is_one_feed(monkeypatch, case, per_group):
         events.append("lattice")
         return propagate_lattice(datum, m, x, theta, t, steps, samples)
 
-    def record_spy(owners, values):
-        events.append("record")
-        return ranked(owners, values)
+    def take_spy(*args):
+        events.append("take")
+        return take(*args)
 
     if case == "lines":
         datum, comps, xs, witnesses = _cantor_rung(4, per_component=2)
@@ -764,15 +764,64 @@ def test_each_refinement_round_is_one_feed(monkeypatch, case, per_group):
     monkeypatch.setattr(maximal, "MAX_BASE_SAMPLES", per_group * base_samples)
     monkeypatch.setattr(maximal, "propagate_grid", spy)
     monkeypatch.setattr(maximal, "propagate_lattice", lattice_spy)
-    monkeypatch.setattr(maximal, "_ranked", record_spy)
+    monkeypatch.setattr(maximal, "_take", take_spy)
     call()
     groups = -(-len(xs) // per_group)
-    assert len(xs) > 2 and calls[0] == len(xs)
+    assert len(xs) > 2 and calls[0] == len(xs) and min(calls) > 0
     assert len(calls) <= 1 + groups + grid.refine_depth < len(xs) * grid.refine_depth
-    feeds = " ".join(events).split("record")
-    assert all(feed.split().count(route) <= 1 for feed in feeds
+    stages = " ".join(events).split("take")
+    assert all(stage.split().count(route) <= 1 for stage in stages
                for route in ("flat", "lattice"))
     assert ("lattice" in events) == (case == "lines")
+
+
+def _leading_by_loop(taken, top):
+    """Indices of each position's ``top`` largest values in ``taken`` (rows of
+    position, theta, t, value), kept sample by sample: a newcomer evicts the
+    least of its position, the earlier of equal values; in taken order."""
+    kept = {}
+    for i, (j, _, _, value) in enumerate(taken):
+        mine = kept.setdefault(j, [])
+        mine.append(i)
+        if len(mine) > top:
+            least = mine[0]
+            for q in mine[1:]:
+                if taken[q][3] < taken[least][3]:
+                    least = q
+            mine.remove(least)
+    return sorted(i for mine in kept.values() for i in mine)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(k=st.integers(1, 4), data=st.data())
+def test_take_matches_a_plain_loop(k, data):
+    # _take against a loop over every sample taken so far: best is the running
+    # maximum per position; lead holds each position's _TOP_SEEDS largest,
+    # the later of equal values first, in taken order; an empty take leaves
+    # lead as it was.  Values come from a short list, so ties are common.
+    best = np.zeros(k)
+    lead = np.empty(0, dtype=np.intp), np.empty(0), np.empty(0), np.empty(0)
+    taken = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        j = np.array(data.draw(st.lists(st.integers(0, k - 1), max_size=9)), dtype=np.intp)
+        vals = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                                           min_size=len(j), max_size=len(j))), dtype=float)
+        theta = np.arange(len(taken), len(taken) + len(j), dtype=float)   # names a sample
+        t = data.draw(st.sampled_from([0.0, 1.0])) + theta / 64
+        before = lead
+        lead = maximal._take(best, lead, j, theta, t, vals)
+        if not len(j):
+            assert all(np.array_equal(a, b) for a, b in zip(lead, before))
+        taken += zip(j, theta, t, vals)
+        want = np.zeros(k)
+        for j_, _, _, value in taken:
+            want[j_] = max(want[j_], value)
+        assert np.array_equal(best, want)
+        rows = [taken[i] for i in _leading_by_loop(taken, maximal._TOP_SEEDS)]
+        assert lead[0].dtype == np.intp
+        assert [tuple(map(float, row)) for row in zip(*lead)] == \
+            [tuple(map(float, row)) for row in rows]
+    event(f"ties kept: {len(set(lead[3])) < len(lead[3])}")
 
 
 @pytest.mark.parametrize("case", ["vertical", "lines"])

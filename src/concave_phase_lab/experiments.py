@@ -245,6 +245,9 @@ def _ladder(cfg):
 
 def _geometric_cells(cfg, lo=1e-6):
     """Cell edges {0} + geomspace(lo,1); geometric-mean representatives, jittered."""
+    if cfg.x_cells < 2:   # geomspace(lo, 1, 1) is [lo]
+        raise ValueError(f"{cfg.experiment} needs x_cells >= 2, got {cfg.x_cells}: the first "
+                         f"geometric cell is [0, {lo:g}], the only one at x_cells = 1")
     edges = np.unique(np.concatenate([np.geomspace(lo, 1.0, cfg.x_cells), [0.0]]))
     reps = np.sqrt(edges[:-1] * edges[1:])
     reps[0] = 0.5 * edges[1]

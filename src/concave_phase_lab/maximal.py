@@ -53,9 +53,9 @@ Rows that fail the end test are dropped; on the rest the run's ends are
 guessed by binary search and confirmed, or else found by bisection, with
 the window test itself.  The same window, given a row of times per seed
 (a time outside [0, 1] keeps nothing), screens every local mesh, and the
-kept set is exactly the per-sample test's.  The engine then takes the
-cheaper call as ``grid_work`` counts it: the kept samples flat, or the
-whole group as one separable mesh (never for a lone position).
+kept set is exactly the per-sample test's.  Each group is then one
+``propagate_grid`` call at its kept samples: flat, or off the group's mesh
+where ``grid_work`` counts that cheaper (never for a lone position).
 """
 from __future__ import annotations
 
@@ -64,9 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import Curve
-from .quadrature import CONTRACT_WEIGHT
-from .spectral import (FourierDatum, _end_slopes, grid_work, propagate_grid,
-                       propagate_lattice)
+from .spectral import FourierDatum, _end_slopes, propagate_grid, propagate_lattice
 
 __all__ = ["GridSpec", "MAX_BASE_SAMPLES", "MAX_REFINE_DEPTH", "maximal_in_time",
            "maximal_over_lines"]
@@ -243,27 +241,17 @@ def _take(best, lead, j, theta, t, vals):
     return j[keep], theta[keep], t[keep], vals[keep]
 
 
-def _base_stage(datum, m, kappa, xs, ids, best, thetas, times):
+def _base_stage(datum, m, kappa, xs, ids, best, thetas, times, cols):
     """(position, theta, t, |u|) of the base mesh's samples at xs[ids] that pass
-    the screen against best[ids]: flat, or from the group's separable mesh where
-    ``grid_work`` counts that less work; empty, without a call, if none pass."""
+    the screen against best[ids], from one ``propagate_grid`` call at those samples
+    on the group's separable mesh of (1, c) ``cols``, times and shifts; empty,
+    without a call, if none pass."""
     j, i, a = _mesh_window(datum, m, kappa, xs[ids], _reach(datum, best[ids]),
                            thetas, times[None])
-    theta, t, n, power = thetas[a], times[i], len(thetas), np.power(times, kappa)
+    theta, t = thetas[a], times[i]
     if not len(j):
         return j, theta, t, t
-    points, vals = (xs[ids[j]] - theta * power[i], t), None
-    # a measured heuristic, not a bound: over the 10 default-config maxima ops it lets 42
-    # groups be weighed and blocks 19 of several positions, all of which grid_work would
-    # send flat; weighing them costs ~23 ms a pass of the lines-screened ops (2-CPU host)
-    most = np.bincount(j).max() if len(ids) > 1 else 0
-    if 2 * most > 1 + CONTRACT_WEIGHT * n * len(times):
-        mesh = (xs[ids, None], np.repeat(times, n)[None],
-                (0.0 - thetas * power[:, None]).reshape(1, -1))
-        work = grid_work(datum, m, *mesh)
-        if work < grid_work(datum, m, *points, limit=work):
-            vals = propagate_grid(datum, m, *mesh)[j, i * n + a]
-    vals = propagate_grid(datum, m, *points) if vals is None else vals
+    vals = propagate_grid(datum, m, xs[ids, None], *cols, at=(j, i * len(thetas) + a))
     return ids[j], theta, t, np.abs(vals)
 
 
@@ -331,9 +319,11 @@ def _grid_sup(datum, m, grid, xs, bounds, thetas, kappa, witnesses):
         j = np.repeat(np.arange(k), witnesses.shape[1])
         lead = _take(best, lead, j, w_theta, w_t, _along(datum, m, xs[j], w_theta, w_t, kappa))
     group = max(1, MAX_BASE_SAMPLES // (n * len(times)))
+    shift = np.multiply.outer(np.power(times, kappa), thetas)   # column i*n + a: (t_i, theta_a)
+    cols = np.repeat(times, n)[None], np.subtract(0.0, shift, out=shift).reshape(1, -1)
     for lo in range(0, k, group):
         ids = np.arange(lo, min(k, lo + group))
-        lead = _take(best, lead, *_base_stage(datum, m, kappa, xs, ids, best, thetas, times))
+        lead = _take(best, lead, *_base_stage(datum, m, kappa, xs, ids, best, thetas, times, cols))
     for _ in range(grid.refine_depth):
         if not len(lead[0]):
             break

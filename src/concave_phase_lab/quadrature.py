@@ -51,12 +51,15 @@ functions).  Its route follows the shapes of P, T and shift alone:
   (r/33 + c/33 + 2)*n, (r + N*f)*n or (r + c)*n, not r*c*n.
 
 One planner lays out the runs of both routes, and :func:`batch_work` counts
-what they build before any rule is built.  :func:`lattice_batch` sums the
-refinement meshes of ``maximal``: a time-only lattice as a mesh of its seeds
-against one centre column and its powers, lines from per-seed factor tables
-(``TABLE_WEIGHT`` per entry), both built by multiplication and within
-2e-17*(1 + W)*sum|amp*w| of direct sums on the same rule at W from 7e2 to
-3e4 rad.
+what they build before any rule is built.  Given ``at``, :func:`two_phase_batch`
+takes some entries of a mesh by the route counted cheaper, and where an exact
+bound already rules the mesh out, flat without planning it.
+
+:func:`lattice_batch` sums the refinement meshes of ``maximal``: a time-only
+lattice as a mesh of its seeds against one centre column and its powers,
+lines from per-seed factor tables (``TABLE_WEIGHT`` per entry), both built by
+multiplication and within 2e-17*(1 + W)*sum|amp*w| of direct sums on the same
+rule at W from 7e2 to 3e4 rad.
 
 All three use one rule: trapezoid weights h*(1/2, 1, ..., 1, 1/2) on
 n = max(``N_MIN``, ceil(``NODES_PER_RADIAN`` * W) | 1) uniform nodes, one per
@@ -77,6 +80,7 @@ count (a threaded ``zgemm`` or a longer dot product may regroup the sum).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -209,22 +213,15 @@ def oracle_integrate(amplitude, phase, interval, node_count: int = 1_000_001) ->
     return complex(h * np.sum(amp_w * np.exp(1j * ph)))
 
 
-_oracle_memo = None   # (amplitude, a, b, n), grid, amplitude * Simpson weights
-
-
+@functools.lru_cache(maxsize=1)
 def _oracle_grid(amplitude, a, b, n):
-    """Grid and amplitude * Simpson weights of :func:`oracle_integrate`, memoized
-    for one (amplitude, a, b, n)."""
-    global _oracle_memo
-    key = (amplitude, a, b, n)
-    memo = _oracle_memo
-    if memo is None or memo[0] != key:
-        x = np.linspace(a, b, n)
-        amp = np.asarray(amplitude(x))  # may be complex (data carry unimodular phases)
-        if not np.all(np.isfinite(amp)):
-            raise InvalidIntegrandError("integrand produced non-finite values")
-        memo = _oracle_memo = (key, x, amp * simpson_weights(n))
-    return memo[1], memo[2]
+    """Grid and amplitude * Simpson weights of :func:`oracle_integrate`, kept for
+    the last (amplitude, a, b, n); a non-finite amplitude raises and is not kept."""
+    x = np.linspace(a, b, n)
+    amp = np.asarray(amplitude(x))  # may be complex (data carry unimodular phases)
+    if not np.all(np.isfinite(amp)):
+        raise InvalidIntegrandError("integrand produced non-finite values")
+    return x, amp * simpson_weights(n)
 
 
 def simpson_weights(n: int) -> np.ndarray:
@@ -280,24 +277,19 @@ def _rule_nodes(w):
     return np.maximum(N_MIN, n + (n % 2 == 0))
 
 
-def batch_work(P, T, L_of, S_of, interval, shift=0.0, limit=None) -> float:
+def batch_work(P, T, L_of, S_of, interval, shift=0.0) -> float:
     """Work of ``two_phase_batch`` on these coefficients in complex exponentials,
     counted from the runs it executes before any rule is built: a run of N
     nodes and k points (rows on the mesh route) costs N*(e + r + ``CONTRACT_WEIGHT``*c'*k):
     on the mesh route, e (columns) and r (rows) are one per direct one and step factor
     plus ``TABLE_WEIGHT`` per one multiplied out, c' the columns built; on the flat route
     e = c' = 0, r = k; Chebyshev columns add their interpolation at ``CONTRACT_WEIGHT``.  Work
-    past the float range counts as inf, without a warning, so that budgets refuse it.
-    Given a ``limit``, paired points of one shape count as n if n > limit, or 2n
-    if 2n <= limit, n the sum of their own node counts (each gets up to twice)."""
+    past the float range counts as inf, without a warning, so that budgets refuse it.  The
+    ``at`` route of ``two_phase_batch`` is chosen by these counts, or by a bound on them."""
     P, T, shift = (np.asarray(c, dtype=float) for c in (P, T, shift))
     spans = [float(np.ptp(f(np.asarray(interval, dtype=float)))) for f in (L_of, S_of)]
     with np.errstate(over="ignore", invalid="ignore"):
-        if limit is not None and P.size == T.size == np.broadcast(P, T, shift).size:
-            n = float(_rule_nodes(np.abs(P + shift) * spans[0] + np.abs(T) * spans[1]).sum())
-            if n > limit or 2.0 * n <= limit:
-                return n if n > limit else 2.0 * n
-        return _work(*_planned(P, T, shift, *spans)[2:])
+        return _work(*_plan(P, T, shift, *spans)[2:])
 
 
 def _work(cols, runs):
@@ -330,11 +322,20 @@ def _batch_rule(w_max, amplitude, a, b):
     return v, amp_w
 
 
-def two_phase_batch(P, T, L_of, S_of, amplitude, interval, shift=0.0) -> np.ndarray:
+def two_phase_batch(P, T, L_of, S_of, amplitude, interval, shift=0.0, at=None) -> np.ndarray:
     """Vectorized ``I = int amp(v) exp(i*((P + shift)*L(v) + T*S(v))) dv``.
 
     P, T and shift must broadcast against each other; the result has their
     broadcast shape.  Routes and rule are those of the module docstring.
+    Given ``at = (i, j)``, it holds only the entries (i, j) of an (r, 1) x (1, c)
+    mesh, in the shape of i and j: flat, or read off the whole mesh where
+    :func:`batch_work` counts that less work (never for one row), each route
+    planned at most once.  With n_k the entries' own node counts and f the fast
+    columns, f*max(``N_MIN``, max n_k - 2) >= 2*sum n_k sends them flat unweighed
+    (every column layout builds f exponentials per node or more, on a rule at
+    most one odd step short of any entry's own; no flat entry gets more than
+    twice its own), and the flat entries are counted only if the mesh counts in
+    [sum n_k, 2*sum n_k).
     Every returned value is finite: a NaN or infinite coefficient raises
     :class:`InvalidIntegrandError` before any rule is sized, and a rule of
     more than ``N_MAX`` nodes raises :class:`ResolutionLimitError`.  For grid
@@ -343,24 +344,39 @@ def two_phase_batch(P, T, L_of, S_of, amplitude, interval, shift=0.0) -> np.ndar
     """
     P, T, shift = (np.asarray(c, dtype=float) for c in (P, T, shift))
     try:
-        shape = np.broadcast(P, T, shift).shape
+        np.broadcast(P, T, shift)
     except ValueError:
         raise ValueError(f"P, T and shift must broadcast, got shapes {P.shape}, "
                          f"{T.shape} and {shift.shape}") from None
     if not all(np.all(np.isfinite(c)) for c in (P, T, shift)):
         raise InvalidIntegrandError("phase coefficients P, T and shift must be finite")
     a, b = float(interval[0]), float(interval[1])
-    spans = (float(np.ptp(f(np.array([a, b])))) for f in (L_of, S_of))
-    col_shape = np.broadcast(T, shift).shape
-    rows, T, cols, runs = _planned(P, T, shift, *spans)
+    spans = [float(np.ptp(f(np.array([a, b])))) for f in (L_of, S_of)]
+    columns, plan = np.broadcast(T, shift), None
+    if at is None:
+        at = np.arange(P.size).reshape(P.shape), np.arange(columns.size).reshape(columns.shape)
+        plan = _plan(P, T, shift, *spans)
+    else:
+        i, j = at = np.broadcast_arrays(*at)
+        T_c, shift_c = (np.broadcast_to(c, columns.shape).ravel() for c in (T, shift))
+        P_k, T_k, s_k = entries = P.ravel()[i], T_c[j], shift_c[j]
+        own = _rule_nodes(np.abs(P_k + s_k) * spans[0] + np.abs(T_k) * spans[1])
+        f, n = np.gcd(T_c.size, np.argmax(T_c != T_c[0]) or 1), own.sum()   # as _columns
+        if P.size > 1 and 2.0 * n > f * max(N_MIN, own.max(initial=0.0) - 2.0):
+            mesh = _plan(P, T, shift, *spans)
+            work = _work(*mesh[2:]) if mesh[2] else np.inf
+            if work < 2.0 * n:   # the flat count lies in [n, 2n]
+                flat = None if work < n else _plan(*entries, *spans)
+                plan = mesh if flat is None or work < _work(*flat[2:]) else flat
+        plan = plan or _plan(*entries, *spans)
+    rows, T, cols, runs = plan
     if cols:
-        sums = _mesh_batch(rows, cols, runs, L_of, S_of, amplitude, a, b)
-        return sums[np.arange(P.size).reshape(P.shape), np.arange(T.size).reshape(col_shape)]
+        return _mesh_batch(rows, cols, runs, L_of, S_of, amplitude, a, b)[at]
     out = np.empty(rows.shape, dtype=complex)
     for (w, idx, _), in runs:
         v, amp_w, L, S = _profiled_rule(w, L_of, S_of, amplitude, a, b)
         out[idx] = _flat_sums(rows[idx], L, T[idx], S, amp_w)
-    return out.reshape(shape)
+    return out.reshape(np.broadcast(*at).shape)
 
 
 def _profiled_rule(w_max, L_of, S_of, amplitude, a, b):
@@ -514,19 +530,6 @@ def _plan(P, T, shift, spanL, spanS):
         runs.append([(W[order[j - 1]], order[i:j], None)])
         i = j
     return P, T, None, runs
-
-
-_plan_memo = None   # the inputs of the last mesh plan, and the plan
-
-
-def _planned(P, T, shift, *spans):
-    """:func:`_plan`, memoized for the last mesh: a weighed mesh is planned once."""
-    global _plan_memo
-    key, memo = tuple((c.shape, c.tobytes()) for c in (P, T, shift)) + spans, _plan_memo
-    if memo is None or memo[0] != key:   # a local copy: other threads may replace the memo
-        memo = (key, _plan(P, T, shift, *spans))
-        _plan_memo = memo if memo[1][2] else _plan_memo   # meshes only: flat plans are large
-    return memo[1]
 
 
 def _affine(grid):

@@ -358,15 +358,18 @@ def _band_coefficients(datum: FourierDatum, m: float, x, t):
             np.asarray(t, dtype=float) + datum.fractional_phase, *datum.band_maps(m))
 
 
-def propagate_grid(datum: FourierDatum, m: float, x, t, shift=0.0) -> np.ndarray:
+def propagate_grid(datum: FourierDatum, m: float, x, t, shift=0.0, at=None) -> np.ndarray:
     """Propagator values u(x + shift, t) on broadcast arrays.
 
     Same reduction as :func:`propagate` with ``method="adaptive"``, all band
     integrals in one :func:`two_phase_batch` call, whose routes follow the
     shapes: an x-by-column mesh (x of shape (r, 1), t and shift of shape
-    (1, c)) is separable, paired arrays of one shape are flat.
+    (1, c)) is separable, paired arrays of one shape are flat.  ``at = (i, j)``
+    gives the mesh's entries (i, j) only: flat, or off the whole mesh where
+    :func:`grid_work` counts that cheaper (bounded first, :func:`two_phase_batch`).
     """
-    values = two_phase_batch(*_band_coefficients(datum, m, x, t), BUMP, BUMP_SUPPORT, shift)
+    values = two_phase_batch(*_band_coefficients(datum, m, x, t), BUMP, BUMP_SUPPORT,
+                             shift, at=at)
     return datum.amplitude / (2.0 * np.pi * abs(datum.scale)) * values
 
 
@@ -384,9 +387,9 @@ def propagate_lattice(datum: FourierDatum, m: float, x, theta, t, steps,
     return datum.amplitude / (2.0 * np.pi * abs(datum.scale)) * values
 
 
-def grid_work(datum: FourierDatum, m: float, x, t, shift=0.0, limit=None) -> float:
+def grid_work(datum: FourierDatum, m: float, x, t, shift=0.0) -> float:
     """Work of ``propagate_grid(datum, m, x, t, shift)``, as :func:`batch_work`."""
-    return batch_work(*_band_coefficients(datum, m, x, t), BUMP_SUPPORT, shift, limit)
+    return batch_work(*_band_coefficients(datum, m, x, t), BUMP_SUPPORT, shift)
 
 
 def sobolev_norm(datum: FourierDatum, s: float) -> float:

@@ -69,3 +69,13 @@ def test_no_nonlocal_in_the_package():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Nonlocal)]
     assert found == []
+
+
+def test_no_global_in_the_package():
+    # a module-level memo rebound through global is state every caller shares
+    # and every test must reset; a cache belongs to its function
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(concave_phase_lab.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Global)]
+    assert found == []

@@ -442,6 +442,10 @@ def test_cli_refuses_ladders_outside_budget(tmp_path, capsys, monkeypatch, argv,
     # level-5 ends 1e-20 apart coincide in doubles
     pytest.param(["sharpness-lines", "--r", "0.0001", "--k", "5"], "r=0.0001, k=5",
                  id="lines-r1e-4-k5"),
+    # one geometric cell would be [0, 1e-6] alone
+    pytest.param(["sharpness-vertical", "--x-cells", "1"], "[0, 1e-06]", id="vertical-cells1"),
+    pytest.param(["proposition-lines", "--x-cells", "1"], "[0, 1e-06]",
+                 id="proposition-cells1"),
 ])
 def test_cli_refuses_depths_and_ladders_before_quadrature(tmp_path, capsys, monkeypatch,
                                                           argv, fragment):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from concave_phase_lab import maximal, quadrature
+from concave_phase_lab import maximal, quadrature, spectral
 from concave_phase_lab.counterexamples import (cantor_data, cantor_selectors,
                                                knapp_curve, knapp_vertical_spatial,
                                                knapp_vertical_temporal,
@@ -82,6 +82,13 @@ def test_witness_value_is_certified_floor():
         assert sup >= direct - 1e-14
 
 
+def _samples(positions, times, shift=0.0, at=None):
+    """The (position + shift, time) samples of a ``propagate_grid`` call: the
+    broadcast arrays, or their entries at ``at``."""
+    points = np.broadcast_arrays(np.add(positions, shift), times)
+    return tuple(p if at is None else p[at] for p in points)
+
+
 def test_array_positions_match_scalar_calls_on_vertical_path(monkeypatch):
     # The witnesses go flat.  40 x 129 base samples exceed BUCKET, so the one
     # separable base call spans several row groups; each position must still
@@ -97,9 +104,9 @@ def test_array_positions_match_scalar_calls_on_vertical_path(monkeypatch):
     t_stat = np.minimum(1.0, xs / (m * abs(0.5 * (lo + hi)) ** (m - 1.0)))
     calls = []
 
-    def spy(datum, m, positions, times, shift=0.0):
+    def spy(datum, m, positions, times, shift=0.0, at=None):
         calls.append((np.shape(positions), np.shape(times)))
-        return propagate_grid(datum, m, positions, times, shift)
+        return propagate_grid(datum, m, positions, times, shift, at)
 
     for datum, witnesses in ((knapp_vertical_spatial(lam), np.zeros((40, 1))),
                              (temporal, np.stack([t_stat, 0.5 * t_stat], axis=1))):
@@ -212,66 +219,98 @@ def test_maxima_pipelines_make_one_engine_call_per_rung(monkeypatch, overrides,
 
 
 def test_weighed_base_meshes_are_planned_once(monkeypatch):
-    # _grid_sup weighs each base mesh with grid_work and then sums it with
-    # propagate_grid; the sum reuses the weighing's plan.  On 31 jittered cells
-    # of sharpness-vertical (7 rungs) that is 14 plans, one witness call and
-    # one base mesh per rung, where planning every call made 21; the report's
-    # bits do not change.
+    # Each base group is one propagate_grid call at its kept samples, which
+    # plans the mesh it weighs once and sums it on that plan.  On 31 jittered
+    # cells of sharpness-vertical (7 rungs) that is 14 plans, one witness call
+    # and one base mesh per rung, and counting them does not move the report.
     shapes, plan = [], quadrature._plan
 
     def spy(P, T, shift, *spans):
         shapes.append(np.broadcast(P, T, shift).shape)
         return plan(P, T, shift, *spans)
 
-    monkeypatch.setattr(quadrature, "_plan", spy)
-    monkeypatch.setattr(quadrature, "_plan_memo", None)
     cfg = RunConfig.from_mapping({"experiment": "sharpness-vertical", "x_cells": "31",
                                   "seed": "0"})
     memo = run_experiment(cfg, write=False)[1]
+    monkeypatch.setattr(quadrature, "_plan", spy)
+    assert repr(run_experiment(cfg, write=False)[1]) == repr(memo)
     assert len(shapes) == 14 and shapes[1::2] == [(31, 513)] * 7
-    shapes.clear()
-    monkeypatch.setattr(quadrature, "_planned", lambda *args: spy(*args))
-    assert repr(run_experiment(cfg, write=False)[1]) == repr(memo) and len(shapes) == 21
+
+
+def _base_routes(monkeypatch):
+    """The route quadrature takes on each base group's call (the calls given
+    ``at``), in call order: ("mesh", rows) where it sums the whole mesh, else
+    "flat".  Every other call ``maximal`` makes pairs its points, so flat."""
+    routes, batch, mesh_batch = [], quadrature.two_phase_batch, quadrature._mesh_batch
+
+    def spy(*args, at=None):
+        routes.extend(["flat"] * (at is not None))
+        return batch(*args, at=at)
+
+    def mesh_spy(rows, *args):
+        routes[-1] = ("mesh", len(rows))
+        return mesh_batch(rows, *args)
+
+    monkeypatch.setattr(spectral, "two_phase_batch", spy)
+    monkeypatch.setattr(quadrature, "_mesh_batch", mesh_spy)
+    return routes
 
 
 def test_base_route_is_chosen_by_counting_work(monkeypatch):
     # Without witnesses every position's best is 0, so the window keeps the
     # whole base mesh, which counts as less work in one separable
     # (g, 1) x (1, n) call.  On sharpness-lines the screen keeps a small share
-    # of the base, and no call is separable.  With n > BUCKET / 2 columns
-    # every row is its own group, and rows whose node counts more than double
-    # from one to the next get their own node counts and column factors on
-    # the mesh and their own buckets flat.  On a curve t -> x - t^2 the
+    # of the base, and every group goes flat.  On a curve t -> x - t^2 the
     # column shift is not affine in t, so every column factor is direct: the
     # whole base then counts as less work flat, although it is kept whole.
-    shapes = []
-
-    def spy(datum, m, positions, times, shift=0.0):
-        shapes.append(tuple(np.shape(a) for a in (positions, times, shift)))
-        return propagate_grid(datum, m, positions, times, shift)
-
     xs, grid, comps = np.linspace(0.1, 0.9, 5), small_grid(), [(0.0, 0.5)]
-    n = len(maximal._theta_nodes(np.array(comps), grid.theta_per_component)) * grid.t_base
-    monkeypatch.setattr(maximal, "propagate_grid", spy)
+    routes = _base_routes(monkeypatch)
     sups = maximal_over_lines(BAND, 0.5, comps, xs, grid)
-    monkeypatch.undo()
-    assert [s for s in shapes if len(s[0]) == 2] == [((5, 1), (1, n), (1, n))]
+    assert routes == [("mesh", 5)]
     each = [maximal_over_lines(BAND, 0.5, comps, x, grid) for x in xs]
     np.testing.assert_allclose(sups, each, rtol=1e-12)
-    shapes.clear()
-    monkeypatch.setattr(maximal, "propagate_grid", spy)
+    assert routes[1:] == ["flat"] * 5   # a lone position goes flat
+    routes.clear()
     run_experiment(RunConfig(experiment="sharpness-lines", k=6), write=False)
-    assert shapes and all(len(s[0]) == 1 for s in shapes)
-    shapes.clear()
+    assert routes and set(routes) == {"flat"}
+    routes.clear()
     xs, grid, curve = np.array([0.0, 600.0, 1800.0]), small_grid(2049), Curve.power(1.0, 2.0)
     t = np.linspace(0.0, 1.0, 2049)[None]
     flat = np.broadcast_arrays(xs[:, None] - t ** 2, t)
     assert grid_work(BAND, 0.5, xs[:, None], t, -t ** 2) > grid_work(BAND, 0.5, *flat)
     sups = maximal_in_time(BAND, 0.5, curve, xs, grid)
-    assert shapes and all(len(s[0]) == 1 for s in shapes)
+    assert routes == ["flat"]
     monkeypatch.undo()
     each = [maximal_in_time(BAND, 0.5, curve, x, grid) for x in xs]
     np.testing.assert_allclose(sups, each, rtol=1e-12, atol=1e-13 * np.max(each))
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(rows=st.integers(1, 6), directions=st.integers(1, 17), times=st.integers(2, 24),
+       kappa=st.sampled_from([1.0, 2.0]), reach=st.sampled_from([1.0, 60.0, 400.0]),
+       share=st.sampled_from([0.0, 0.01, 0.1, 0.2, 0.3, 0.5, 1.0]),
+       seed=st.integers(0, 2 ** 16))
+def test_base_entries_take_the_route_full_counts_choose(rows, directions, times, kappa,
+                                                        reach, share, seed):
+    # propagate_grid(..., at=(i, j)) on a base mesh is bit for bit the whole
+    # mesh's [i, j] where grid_work counts the mesh below the flat entries,
+    # else the flat call on those entries: the bound that skips weighing and
+    # the bracket that skips the flat count never flip a choice.  A one-row
+    # mesh always goes flat.
+    rng = np.random.default_rng(seed)
+    datum = FourierDatum(linear_phase=float(rng.uniform(-1.0, 1.0)))
+    xs, t = rng.uniform(-reach, reach, rows), np.linspace(0.0, 1.0, times)
+    thetas = np.sort(rng.uniform(-1.0, 1.0, directions))
+    mesh = (xs[:, None], np.repeat(t, directions)[None],
+            (0.0 - thetas * t[:, None] ** kappa).reshape(1, -1))
+    i, j = np.nonzero(rng.random((rows, directions * times)) < share)
+    entries = (xs[i], mesh[1][0, j], mesh[2][0, j])
+    got = propagate_grid(datum, 0.5, *mesh, at=(i, j))
+    whole = rows > 1 and grid_work(datum, 0.5, *mesh) < grid_work(datum, 0.5, *entries)
+    event("mesh" if whole else "flat")
+    want = propagate_grid(datum, 0.5, *mesh)[i, j] if whole else propagate_grid(
+        datum, 0.5, *entries)
+    assert got.shape == i.shape and got.tobytes() == want.tobytes()
 
 
 def test_array_positions_validation(monkeypatch):
@@ -402,9 +441,9 @@ def test_line_refinement_stays_in_the_direction_set(monkeypatch):
     intervals = [(0.1, 0.2), (0.5, 0.6), (0.9, 0.9)]
     seen = []
 
-    def spy(datum, m, positions, times, shift=0.0):
-        seen.append((np.array(positions), np.array(times)))
-        return propagate_grid(datum, m, positions, times, shift)
+    def spy(datum, m, positions, times, shift=0.0, at=None):
+        seen.append(_samples(positions, times, shift, at))
+        return propagate_grid(datum, m, positions, times, shift, at)
 
     def lattice_spy(datum, m, x, theta, t, steps, samples):
         s, a, b = samples
@@ -492,9 +531,9 @@ def test_screen_blocks_do_not_change_results(monkeypatch):
     ]
     evaluated = []
 
-    def spy(datum, m, positions, times, shift=0.0):
-        evaluated[-1] += np.broadcast(positions, times).size
-        return propagate_grid(datum, m, positions, times, shift)
+    def spy(datum, m, positions, times, shift=0.0, at=None):
+        evaluated[-1] += _samples(positions, times, shift, at)[0].size
+        return propagate_grid(datum, m, positions, times, shift, at)
 
     monkeypatch.setattr(maximal, "propagate_grid", spy)
     results = []
@@ -731,10 +770,10 @@ def test_each_refinement_round_is_one_feed(monkeypatch, case, per_group):
     calls, events = [], []
     take = maximal._take
 
-    def spy(datum, m, positions, times, shift=0.0):
-        calls.append(np.broadcast(positions, times).size)
+    def spy(datum, m, positions, times, shift=0.0, at=None):
+        calls.append(_samples(positions, times, shift, at)[0].size)
         events.append("flat")
-        return propagate_grid(datum, m, positions, times, shift)
+        return propagate_grid(datum, m, positions, times, shift, at)
 
     def lattice_spy(datum, m, x, theta, t, steps, samples):
         calls.append(len(samples[0]))

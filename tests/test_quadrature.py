@@ -198,6 +198,12 @@ def test_oracle_evaluates_each_amplitude_once():
     assert sizes == [2001, 4001, 4001]
     assert oracle_integrate(counted, phases[1], (0.75, 2.0), node_count=4001) != (
         oracle_integrate(BUMP_SQUARED, phases[1], (0.75, 2.0), node_count=4001))
+    sizes.clear()
+    refused = lambda v: counted(v) + np.nan   # noqa: E731
+    for _ in range(2):   # a refused amplitude is evaluated again, never kept
+        with pytest.raises(InvalidIntegrandError):
+            oracle_integrate(refused, phases[1], BAND, node_count=2001)
+    assert sizes == [2001, 2001]
 
 
 def test_batch_rule_matches_oracle_across_scales():
@@ -554,7 +560,6 @@ def test_chebyshev_column_meshes_match_einsum(monkeypatch):
         bound = (2.0 ** -52 + (1.0 + 2.0 / np.pi * np.log(N)) * phase + 1e-14) * mass
         expected.append((two_phase_batch(P, T, L_of, S_of, amplitude, BAND, shift), bound))
     assert odd >= 1
-    monkeypatch.setattr(quadrature, "_plan_memo", None)
     monkeypatch.setattr(quadrature, "_affine", lambda grid: (0, grid, None))   # all direct
     monkeypatch.setattr(quadrature, "_mesh_batch", _einsum_mesh)
     for (P, T, shift, amplitude, _), (new, bound) in zip(cases, expected):
